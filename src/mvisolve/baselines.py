@@ -21,21 +21,21 @@ solver so benchmark tables compare like with like.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .linesearch import LineSearchParams, backtrack
+from .linesearch import LineSearchOutcome, LineSearchParams, backtrack
 from .solver import (
-    DivergenceError,
+    _PHI_ZERO_TOL,
     IterationTrace,
     StepOutcome,
     StoppingRule,
+    _contraction_step,
+    _direction,
     _drive,
     _guard_iterate,
-    contraction_update,
 )
 from .spaces import InnerProductSpace, euclidean
 
@@ -54,6 +54,10 @@ METHODS = ("fb", "tseng", "zw", "tc", "jx")
 
 def _default_half_contraction(x):
     return 0.5 * x
+
+
+def _default_zw_schedule(k):
+    return k / (1.0 + k)
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ class BaselineConfig:
     eps_fn: Callable[[int], float] = lambda k: 100.0 / (k + 1.0) ** 2
     contraction_f: Callable[[np.ndarray], np.ndarray] = _default_half_contraction
     literal: bool = False  # tc only: mixed-anchor variant (see tc_step)
-    phi_zero_tol: float = 1e-14
+    phi_zero_tol: float = _PHI_ZERO_TOL
     label: Optional[str] = None
 
     def __post_init__(self):
@@ -104,7 +108,7 @@ class BaselineConfig:
         if self.lambda_mode not in ("schedule", "armijo"):
             raise ValueError("lambda_mode must be 'schedule' or 'armijo'")
         if self.lam is None and self.method in ("fb", "zw"):
-            default = 0.01 if self.method == "fb" else (lambda k: k / (1.0 + k))
+            default = 0.01 if self.method == "fb" else _default_zw_schedule
             object.__setattr__(self, "lam", default)
 
     def lam_at(self, k: int) -> float:
@@ -125,6 +129,23 @@ class BaselineConfig:
 # single steps
 
 
+def _direct_step(u_next, lam, j, res_wv, forward_evals, resolvent_evals) -> tuple[np.ndarray, StepOutcome]:
+    """Step record of a method that moves without a contraction direction."""
+    out = StepOutcome(
+        u_next=u_next,
+        theta=0.0,
+        lam=lam,
+        j=j,
+        delta=float("nan"),
+        res_wv=res_wv,
+        phi_norm=float("nan"),
+        phizero=False,
+        forward_evals=forward_evals,
+        resolvent_evals=resolvent_evals,
+    )
+    return u_next, out
+
+
 def fb_step(u, lam, forward, resolvent, space=None) -> tuple[np.ndarray, StepOutcome]:
     """Forward-backward step ``J(u - lam*B(u), lam)`` at a fixed step size."""
     if space is None:
@@ -132,20 +153,7 @@ def fb_step(u, lam, forward, resolvent, space=None) -> tuple[np.ndarray, StepOut
     b_u = np.asarray(forward(u), dtype=float)
     u_next = np.asarray(resolvent(u - lam * b_u, lam), dtype=float)
     _guard_iterate(u_next, space, "forward-backward iterate")
-    res = space.norm(u - u_next)
-    out = StepOutcome(
-        u_next=u_next,
-        theta=0.0,
-        lam=lam,
-        j=-1,
-        delta=float("nan"),
-        res_wv=res,
-        phi_norm=float("nan"),
-        phizero=False,
-        forward_evals=1,
-        resolvent_evals=1,
-    )
-    return u_next, out
+    return _direct_step(u_next, lam, -1, space.norm(u - u_next), 1, 1)
 
 
 def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> tuple[np.ndarray, StepOutcome]:
@@ -155,19 +163,8 @@ def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> t
     ls = backtrack(u, forward, resolvent, armijo, space=space)
     u_next = ls.v - ls.lam * (ls.b_v - ls.b_w)
     _guard_iterate(u_next, space, "tseng iterate")
-    out = StepOutcome(
-        u_next=u_next,
-        theta=0.0,
-        lam=ls.lam,
-        j=ls.j,
-        delta=float("nan"),
-        res_wv=space.norm(u - ls.v),
-        phi_norm=float("nan"),
-        phizero=False,
-        forward_evals=ls.forward_evals,
-        resolvent_evals=ls.resolvent_evals,
-    )
-    return u_next, out
+    res_wv = space.norm(u - ls.v)
+    return _direct_step(u_next, ls.lam, ls.j, res_wv, ls.forward_evals, ls.resolvent_evals)
 
 
 def zw_step(
@@ -177,8 +174,7 @@ def zw_step(
     lam: float,
     gamma: float,
     space=None,
-    phi_zero_tol: float = 1e-14,
-    sigma_check: Optional[float] = None,
+    phi_zero_tol: float = _PHI_ZERO_TOL,
 ) -> tuple[np.ndarray, StepOutcome]:
     """Projection-contraction step at a given step size.
 
@@ -193,27 +189,8 @@ def zw_step(
         b_u = np.asarray(forward(u), dtype=float)
         v = np.asarray(resolvent(u - lam * b_u, lam), dtype=float)
         b_v = np.asarray(forward(v), dtype=float)
-    core = contraction_update(u, v, b_u, b_v, lam, gamma, space, phi_zero_tol)
-    if not core.phizero:
-        _guard_iterate(core.u_next, space, "projection-contraction iterate")
-    out = StepOutcome(
-        u_next=core.u_next,
-        theta=0.0,
-        lam=lam,
-        j=-1,
-        delta=core.delta,
-        res_wv=core.res_wv,
-        phi_norm=core.phi_norm,
-        phizero=core.phizero,
-        forward_evals=2,
-        resolvent_evals=1,
-        w=u,
-        v=v,
-        phi=core.phi,
-        sigma_check=sigma_check,
-        delta_is_ratio=sigma_check is not None,
-    )
-    return core.u_next, out
+    point = LineSearchOutcome(lam, -1, v, b_u, b_v, resolvent_evals=1, forward_evals=2)
+    return _contraction_step(u, point, gamma, space, phi_zero_tol)
 
 
 def tc_step(
@@ -231,6 +208,7 @@ def tc_step(
     eps_k: float = 1.0,
     space=None,
     literal: bool = False,
+    phi_zero_tol: float = _PHI_ZERO_TOL,
 ) -> tuple[np.ndarray, StepOutcome]:
     """Inertial viscosity-type projection-contraction step.
 
@@ -241,7 +219,8 @@ def tc_step(
     is the internally consistent form.  ``literal=True`` keeps a
     mixed-anchor variant for comparison: ``v`` from ``u_k``, the
     contraction scalar from ``phi(w, v)``, but the update along
-    ``phi(u, v)``.
+    ``phi(u, v)``.  When ``phi(w, v)`` vanishes the contraction step is
+    skipped and only the averaging with ``f`` moves the iterate.
     """
     if space is None:
         space = euclidean(len(u_curr))
@@ -249,51 +228,32 @@ def tc_step(
     theta_k = theta if diff == 0.0 else min(eps_k / diff, theta)
     w = u_curr + theta_k * (u_curr - u_prev)
     _guard_iterate(w, space, f"extrapolated point at k={k}")
-
-    if literal:
-        ls = backtrack(u_curr, forward, resolvent, armijo, space=space)
-        v, lam, b_u, b_v = ls.v, ls.lam, ls.b_w, ls.b_v
-        b_w = np.asarray(forward(w), dtype=float)
-        extra_fwd = 1
-        phi_scalar = (w - v) - lam * (b_w - b_v)  # feeds the contraction scalar
-        phi_update = (u_curr - v) - lam * (b_u - b_v)  # direction actually stepped along
-    else:
-        ls = backtrack(w, forward, resolvent, armijo, space=space)
-        v, lam, b_w, b_v = ls.v, ls.lam, ls.b_w, ls.b_v
-        extra_fwd = 0
-        phi_scalar = (w - v) - lam * (b_w - b_v)
-        phi_update = phi_scalar
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        res_wv = space.norm(w - v)
-        pp = space.inner(phi_scalar, phi_scalar)
-    if not (math.isfinite(pp) and math.isfinite(res_wv)):
-        raise DivergenceError("contraction direction overflowed")
-    phi_norm = math.sqrt(pp)
-    if phi_norm <= 1e-14 * (1.0 + space.norm(w)):
-        u_next = alpha_k * np.asarray(f(u_curr), dtype=float) + (1.0 - alpha_k) * w
-        eta = float("nan")
-    else:
+    ls = backtrack(u_curr if literal else w, forward, resolvent, armijo, space=space)
+    b_w = np.asarray(forward(w), dtype=float) if literal else ls.b_w
+    phi, pp, phi_norm, res_wv, vanished = _direction(w, ls.v, b_w, ls.b_v, ls.lam, space, phi_zero_tol)
+    z, eta = w, float("nan")
+    if not vanished:
         eta = (1.0 - mu_tc) * res_wv**2 / pp
-        z = w - (gamma * eta) * phi_update
-        u_next = alpha_k * np.asarray(f(u_curr), dtype=float) + (1.0 - alpha_k) * z
+        # literal: ls.b_w is B(u_k), so this is phi(u_k, v)
+        step_dir = (u_curr - ls.v) - ls.lam * (ls.b_w - ls.b_v) if literal else phi
+        z = w - (gamma * eta) * step_dir
+    u_next = alpha_k * np.asarray(f(u_curr), dtype=float) + (1.0 - alpha_k) * z
     _guard_iterate(u_next, space, f"viscosity iterate at k={k}")
     out = StepOutcome(
         u_next=u_next,
         theta=theta_k,
-        lam=lam,
+        lam=ls.lam,
         j=ls.j,
         delta=eta,
         res_wv=res_wv,
         phi_norm=phi_norm,
         phizero=False,  # the averaging step still moves the iterate
-        forward_evals=ls.forward_evals + extra_fwd,
+        forward_evals=ls.forward_evals + int(literal),  # literal: B(w) outside the search
         resolvent_evals=ls.resolvent_evals,
         w=w,
-        v=v,
-        phi=phi_scalar,
-        sigma_check=armijo.sigma if not literal else None,
-        delta_is_ratio=False,
+        v=ls.v,
+        phi=phi,
+        sigma_check=None if literal else armijo.sigma,
     )
     return u_next, out
 
@@ -304,7 +264,7 @@ def jx_step(
     projection,
     armijo: LineSearchParams,
     space=None,
-    phi_zero_tol: float = 1e-14,
+    phi_zero_tol: float = _PHI_ZERO_TOL,
 ) -> tuple[np.ndarray, StepOutcome]:
     """Projection-type step for variational inequalities (relaxation fixed at 1).
 
@@ -314,27 +274,7 @@ def jx_step(
     if space is None:
         space = euclidean(len(u))
     ls = backtrack(u, forward, projection, armijo, space=space)
-    core = contraction_update(u, ls.v, ls.b_w, ls.b_v, ls.lam, 1.0, space, phi_zero_tol)
-    if not core.phizero:
-        _guard_iterate(core.u_next, space, "projection-type iterate")
-    out = StepOutcome(
-        u_next=core.u_next,
-        theta=0.0,
-        lam=ls.lam,
-        j=ls.j,
-        delta=core.delta,
-        res_wv=core.res_wv,
-        phi_norm=core.phi_norm,
-        phizero=core.phizero,
-        forward_evals=ls.forward_evals,
-        resolvent_evals=ls.resolvent_evals,
-        w=u,
-        v=ls.v,
-        phi=core.phi,
-        sigma_check=armijo.sigma,
-        delta_is_ratio=True,
-    )
-    return core.u_next, out
+    return _contraction_step(u, ls, 1.0, space, phi_zero_tol, sigma_check=armijo.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -357,91 +297,26 @@ def run_baseline(
     from ``u1``.
     """
     space: InnerProductSpace = problem.space
-    forward, resolvent = problem.forward, problem.resolvent
-    if reference is None:
-        reference = stop.reference
-    if reference is None:
-        reference = getattr(problem, "reference", None)
-    solution = None
-    if getattr(problem, "reference_is_solution", False):
-        solution = getattr(problem, "reference", None)
+    fwd, res, armijo = problem.forward, problem.resolvent, cfg.armijo
+    steps = {
+        "fb": lambda k, up, u: fb_step(u, cfg.lam_at(k), fwd, res, space),
+        "tseng": lambda k, up, u: tseng_step(u, fwd, res, armijo, space),
+        "zw[schedule]": lambda k, up, u: zw_step(
+            u, fwd, res, cfg.lam_at(k), cfg.gamma, space, cfg.phi_zero_tol
+        ),
+        # the projection-type step with a free relaxation
+        "zw[armijo]": lambda k, up, u: _contraction_step(
+            u, backtrack(u, fwd, res, armijo, space=space), cfg.gamma, space,
+            cfg.phi_zero_tol, sigma_check=armijo.sigma,
+        ),
+        "tc": lambda k, up, u: tc_step(
+            up, u, k, fwd, res, armijo, gamma=cfg.gamma, mu_tc=cfg.mu_tc,
+            alpha_k=cfg.alpha_fn(k), f=cfg.contraction_f, theta=cfg.theta,
+            eps_k=cfg.eps_fn(k), space=space, literal=cfg.literal, phi_zero_tol=cfg.phi_zero_tol,
+        ),
+        "jx": lambda k, up, u: jx_step(u, fwd, res, armijo, space, cfg.phi_zero_tol),
+    }
     m = cfg.method
-
-    if m == "fb":
-
-        def step(k, u_prev, u_curr):
-            _, out = fb_step(u_curr, cfg.lam_at(k), forward, resolvent, space)
-            return out
-
-    elif m == "tseng":
-
-        def step(k, u_prev, u_curr):
-            _, out = tseng_step(u_curr, forward, resolvent, cfg.armijo, space)
-            return out
-
-    elif m == "zw":
-        if cfg.lambda_mode == "armijo":
-
-            def step(k, u_prev, u_curr):
-                ls = backtrack(u_curr, forward, resolvent, cfg.armijo, space=space)
-                core = contraction_update(
-                    u_curr, ls.v, ls.b_w, ls.b_v, ls.lam, cfg.gamma, space, cfg.phi_zero_tol
-                )
-                if not core.phizero:
-                    _guard_iterate(core.u_next, space, "projection-contraction iterate")
-                return StepOutcome(
-                    u_next=core.u_next,
-                    theta=0.0,
-                    lam=ls.lam,
-                    j=ls.j,
-                    delta=core.delta,
-                    res_wv=core.res_wv,
-                    phi_norm=core.phi_norm,
-                    phizero=core.phizero,
-                    forward_evals=ls.forward_evals,
-                    resolvent_evals=ls.resolvent_evals,
-                    w=u_curr,
-                    v=ls.v,
-                    phi=core.phi,
-                    sigma_check=cfg.armijo.sigma,
-                    delta_is_ratio=True,
-                )
-
-        else:
-
-            def step(k, u_prev, u_curr):
-                _, out = zw_step(
-                    u_curr, forward, resolvent, cfg.lam_at(k), cfg.gamma, space, cfg.phi_zero_tol
-                )
-                return out
-
-    elif m == "tc":
-
-        def step(k, u_prev, u_curr):
-            _, out = tc_step(
-                u_prev,
-                u_curr,
-                k,
-                forward,
-                resolvent,
-                cfg.armijo,
-                gamma=cfg.gamma,
-                mu_tc=cfg.mu_tc,
-                alpha_k=cfg.alpha_fn(k),
-                f=cfg.contraction_f,
-                theta=cfg.theta,
-                eps_k=cfg.eps_fn(k),
-                space=space,
-                literal=cfg.literal,
-            )
-            return out
-
-    else:  # jx
-
-        def step(k, u_prev, u_curr):
-            _, out = jx_step(u_curr, forward, resolvent, cfg.armijo, space, cfg.phi_zero_tol)
-            return out
-
     labels = {"gamma": cfg.gamma}
     if m == "zw":
         labels["lambda_mode"] = cfg.lambda_mode
@@ -449,10 +324,10 @@ def run_baseline(
         labels["mu_tc"] = cfg.mu_tc
         labels["literal"] = cfg.literal
     return _drive(
-        step,
+        steps[f"zw[{cfg.lambda_mode}]" if m == "zw" else m],
+        problem,
         u0,
         u1,
-        space,
         stop,
         max_iters,
         method=cfg.display_label(),
@@ -460,5 +335,4 @@ def run_baseline(
         gamma=cfg.gamma,
         check_invariants=check_invariants,
         reference=reference,
-        solution=solution,
     )

@@ -21,7 +21,7 @@ time and is the only column excluded from determinism guarantees.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import json
 import statistics
 import sys
@@ -103,30 +103,17 @@ _FAMILY_DIMS = {
 }
 
 
+def _pick(options: dict, keys) -> dict:
+    return {k: options[k] for k in keys if k in options}
+
+
 def _instance_for(family: str, dims: dict, seed: int):
-    if family == "cs":
-        return gen_cs(
-            d=dims["d"],
-            m=dims["m"],
-            l=dims.get("l", 10),
-            snr_db=dims.get("snr_db", 40.0),
-            rho=dims.get("rho"),
-            seed=seed,
-        )
-    if family == "lpa":
-        return gen_lpa(
-            d=dims["d"],
-            m=dims["m"],
-            l=dims.get("l", 10),
-            snr_db=dims.get("snr_db", 40.0),
-            mu=dims.get("mu", 0.01),
-            alpha=dims.get("alpha", 1.5),
-            rho=dims.get("rho", 0.01),
-            seed=seed,
-        )
+    if family not in _FAMILY_DIMS:
+        raise ValueError(f"unknown problem family {family!r}")
+    kwargs = _pick(dims, _FAMILY_DIMS[family])
     if family == "l2":
-        return gen_l2(case_id=dims.get("case_id", 1), n=dims.get("n", 1001))
-    raise ValueError(f"unknown problem family {family!r}")
+        return gen_l2(**kwargs)
+    return (gen_cs if family == "cs" else gen_lpa)(**kwargs, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -163,8 +150,6 @@ class RunSpec:
     repetitions: int = 1
     max_iters: int = 500
     check_invariants: bool = True
-    timing_mode: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -195,13 +180,9 @@ class RunSpec:
         return cls(
             problems=tuple(cells),
             solvers=solvers,
-            stop=raw.get("stop", {"kind": "successive_diff", "tol": 1e-6}),
+            stop=raw.get("stop", {}),
             output_dir=raw["output_dir"],
-            repetitions=raw.get("repetitions", 1),
-            max_iters=raw.get("max_iters", 500),
-            check_invariants=raw.get("check_invariants", True),
-            timing_mode=raw.get("timing_mode", False),
-            workers=raw.get("workers", 1),
+            **_pick(raw, ("repetitions", "max_iters", "check_invariants")),
         )
 
     @classmethod
@@ -210,62 +191,41 @@ class RunSpec:
 
 
 def _build_stop(stop_spec: dict, problem: Problem) -> StoppingRule:
-    kind = stop_spec.get("kind", "successive_diff")
-    tol = stop_spec.get("tol", 1e-6)
-    if kind == "distance_to_reference":
+    kwargs = _pick(stop_spec, ("kind", "tol"))
+    if kwargs.get("kind") == "distance_to_reference":
         if problem.reference is None:
             raise ValueError(f"{problem.family} problem has no reference solution")
-        return StoppingRule(kind, tol, reference=problem.reference)
-    if kind == "iter_cap_only":
-        return StoppingRule(kind)
-    return StoppingRule(kind, tol)
+        kwargs["reference"] = problem.reference
+    return StoppingRule(**kwargs)
+
+
+_LS_KEYS = ("s", "mu", "sigma", "max_backtracks")
+_BASELINE_KEYS = {"zw": ("lambda_mode", "gamma"), "tc": ("gamma", "mu_tc", "theta", "literal")}
 
 
 def _build_ifb_config(options: dict, stop: StoppingRule, spec: RunSpec) -> SolverConfig:
-    ls = LineSearchParams(
-        s=options.get("s", 1.0),
-        mu=options.get("mu", 0.5),
-        sigma=options.get("sigma", 0.9),
-        max_backtracks=options.get("max_backtracks", 60),
-        warm_start=options.get("warm_start", False),
-    )
-    gamma = options.get("gamma", 1.9)
-    inertia = None
-    mode = options.get("inertia", "experiment")
-    if mode == "constant":
-        from .solver import inertia_cap
-
-        theta = options.get("theta", 0.99 * inertia_cap(gamma, ls.sigma))
-        inertia = InertiaSchedule.constant(theta)
-    return SolverConfig(
-        gamma=gamma,
-        linesearch=ls,
-        inertia=inertia,
+    cfg = SolverConfig(
+        linesearch=LineSearchParams(**_pick(options, _LS_KEYS + ("warm_start",))),
         stop=stop,
         max_iters=spec.max_iters,
         check_invariants=spec.check_invariants,
+        **_pick(options, ("gamma",)),
     )
+    if options.get("inertia") == "constant":
+        # the constant schedule defaults to the default schedule's bound
+        theta = options.get("theta", cfg.inertia.theta_max)
+        cfg = dataclasses.replace(cfg, inertia=InertiaSchedule.constant(theta))
+    return cfg
 
 
 def _build_baseline_config(method: str, options: dict) -> BaselineConfig:
-    armijo = LineSearchParams(
-        s=options.get("s", 2.0 if method == "tc" else 1.0),
-        mu=options.get("mu", 0.5),
-        sigma=options.get("sigma", 0.5 if method == "tc" else 0.9),
-        max_backtracks=options.get("max_backtracks", 60),
+    default = BaselineConfig(method)
+    return dataclasses.replace(
+        default,
+        armijo=dataclasses.replace(default.armijo, **_pick(options, _LS_KEYS)),
+        label=options.get("label"),
+        **_pick(options, ("lam",) + _BASELINE_KEYS.get(method, ())),
     )
-    kwargs = dict(method=method, armijo=armijo, label=options.get("label"))
-    if "lam" in options:
-        kwargs["lam"] = options["lam"]
-    if method == "zw":
-        kwargs["lambda_mode"] = options.get("lambda_mode", "schedule")
-        kwargs["gamma"] = options.get("gamma", 0.5)
-    elif method == "tc":
-        kwargs["gamma"] = options.get("gamma", 1.0)
-        kwargs["mu_tc"] = options.get("mu_tc", 0.5)
-        kwargs["theta"] = options.get("theta", 0.5)
-        kwargs["literal"] = options.get("literal", False)
-    return BaselineConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +288,7 @@ class RunReport:
         return out
 
     def write(self, outdir: Path) -> None:
-        header = [
-            "solver",
-            "problem_id",
-            "repetition",
-            "iterations",
-            "seconds",
-            "final_err",
-            "final_dist2",
-            "status",
-            "min_lambda",
-            "delta_min",
-            "delta_max",
-            "violations",
-            "mode",
-            "error",
-            "valid",
-        ]
+        header = [f.name for f in dataclasses.fields(CellResult)] + ["valid"]
         lines = [",".join(header)]
         for c in self.cells:
             lines.append(
@@ -463,34 +407,22 @@ def run(spec: RunSpec) -> RunReport:
                 "repetitions": spec.repetitions,
                 "max_iters": spec.max_iters,
                 "check_invariants": spec.check_invariants,
-                "timing_mode": spec.timing_mode,
             },
             indent=2,
         ),
         encoding="utf-8",
     )
 
-    jobs = []
+    cells = []
     for cell in spec.problems:
         problem = assemble(_instance_for(cell.family, cell.dims, cell.seed))
+        pid = cell.cell_id
         for entry in spec.solvers:
             for rep in range(spec.repetitions):
-                jobs.append((entry, problem, cell.cell_id, rep))
-
-    def execute(job):
-        entry, problem, pid, rep = job
-        result, trace = _run_cell(entry, problem, pid, rep, spec)
-        if trace is not None and trace.iterations > 0:
-            emit_convergence_csv(trace, traces_dir / f"{pid}__{entry.label}__rep{rep}.csv")
-        return result
-
-    workers = 1 if spec.timing_mode else max(1, spec.workers)
-    if workers == 1:
-        cells = [execute(job) for job in jobs]
-    else:
-        # operators are immutable and solve runs share nothing mutable
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(execute, jobs))
+                result, trace = _run_cell(entry, problem, pid, rep, spec)
+                if trace is not None and trace.iterations > 0:
+                    emit_convergence_csv(trace, traces_dir / f"{pid}__{entry.label}__rep{rep}.csv")
+                cells.append(result)
 
     report = RunReport(spec=spec, cells=cells)
     report.write(outdir)

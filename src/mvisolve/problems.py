@@ -134,7 +134,7 @@ class CompressedSensingInstance:
 def gen_cs(
     d: int,
     m: int,
-    l: int,
+    l: int = 10,
     snr_db: float = 40.0,
     rho: Optional[float] = None,
     seed: int = 0,

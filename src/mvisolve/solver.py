@@ -36,6 +36,7 @@ import numpy as np
 
 from .linesearch import (
     BacktrackExhausted,
+    LineSearchOutcome,
     LineSearchParams,
     NonFiniteIterate,
     backtrack,
@@ -67,6 +68,9 @@ DIVERGENCE_NORM = 1e150
 
 #: relative floating-point slack used by the runtime invariant checks
 _CHECK_SLACK = 1e-12
+
+#: a contraction direction with ``||phi|| <= tol * (1 + ||w||)`` counts as vanished
+_PHI_ZERO_TOL = 1e-14
 
 
 class DivergenceError(FloatingPointError):
@@ -235,7 +239,7 @@ class SolverConfig:
     inertia: Optional[InertiaSchedule] = None
     stop: StoppingRule = field(default_factory=StoppingRule)
     max_iters: int = 1000
-    phi_zero_tol: float = 1e-14
+    phi_zero_tol: float = _PHI_ZERO_TOL
     check_invariants: bool = False
 
     def __post_init__(self):
@@ -391,6 +395,23 @@ class ContractionResult:
     phizero: bool
 
 
+def _direction(w, v, b_w, b_v, lam: float, space: InnerProductSpace, phi_zero_tol: float):
+    """``(phi, ||phi||^2, ||phi||, ||w - v||, vanished)`` for ``phi = (w - v) - lam*(B(w) - B(v))``.
+
+    The one place that rejects an overflowed direction and decides whether
+    ``phi`` vanishes relative to ``1 + ||w||``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = (w - v) - lam * (b_w - b_v)
+        pp = space.inner(phi, phi)
+        res_wv = space.norm(w - v)
+    if not (math.isfinite(pp) and math.isfinite(res_wv)):
+        # an overflowed ||phi||^2 would silently zero the contraction scalar
+        raise DivergenceError("contraction direction overflowed")
+    phi_norm = math.sqrt(pp)
+    return phi, pp, phi_norm, res_wv, phi_norm <= phi_zero_tol * (1.0 + space.norm(w))
+
+
 def contraction_update(
     w: np.ndarray,
     v: np.ndarray,
@@ -407,15 +428,8 @@ def contraction_update(
     algebraically identical (e.g. zero inertia versus the plain
     projection-contraction iteration) produce bitwise identical iterates.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = (w - v) - lam * (b_w - b_v)
-        pp = space.inner(phi, phi)
-        res_wv = space.norm(w - v)
-    if not (math.isfinite(pp) and math.isfinite(res_wv)):
-        # an overflowed ||phi||^2 would silently zero the scalar below
-        raise DivergenceError("contraction direction overflowed")
-    phi_norm = math.sqrt(pp)
-    if phi_norm <= phi_zero_tol * (1.0 + space.norm(w)):
+    phi, pp, phi_norm, res_wv, vanished = _direction(w, v, b_w, b_v, lam, space, phi_zero_tol)
+    if vanished:
         return ContractionResult(v, phi, phi_norm, res_wv, float("nan"), True)
     delta = space.inner(w - v, phi) / pp
     u_next = w - (gamma * delta) * phi
@@ -456,6 +470,48 @@ def _guard_iterate(u: np.ndarray, space: InnerProductSpace, what: str) -> None:
         raise DivergenceError(f"{what} exceeded the divergence guard {DIVERGENCE_NORM:g}")
 
 
+def _contraction_step(
+    w: np.ndarray,
+    point: LineSearchOutcome,
+    gamma: float,
+    space: InnerProductSpace,
+    phi_zero_tol: float,
+    theta: float = 0.0,
+    sigma_check: Optional[float] = None,
+    fejer: bool = False,
+) -> tuple[np.ndarray, StepOutcome]:
+    """The step every projection-contraction method shares.
+
+    Relaxed contraction update from the anchor ``w`` and its
+    forward-backward ``point`` (from the line search, or at a fixed step
+    with ``j = -1``).  ``sigma_check`` is the Armijo ratio the point was
+    accepted with, which enables the direction and scalar bound checks;
+    ``fejer`` enables the decrease check against a known solution.
+    """
+    core = contraction_update(w, point.v, point.b_w, point.b_v, point.lam, gamma, space, phi_zero_tol)
+    if not core.phizero:
+        _guard_iterate(core.u_next, space, "contraction iterate")
+    outcome = StepOutcome(
+        u_next=core.u_next,
+        theta=theta,
+        lam=point.lam,
+        j=point.j,
+        delta=core.delta,
+        res_wv=core.res_wv,
+        phi_norm=core.phi_norm,
+        phizero=core.phizero,
+        forward_evals=point.forward_evals,
+        resolvent_evals=point.resolvent_evals,
+        w=w,
+        v=point.v,
+        phi=core.phi,
+        sigma_check=sigma_check,
+        delta_is_ratio=sigma_check is not None,
+        fejer_applicable=fejer,
+    )
+    return core.u_next, outcome
+
+
 def ifb_step(
     u_prev: np.ndarray,
     u_curr: np.ndarray,
@@ -479,28 +535,10 @@ def ifb_step(
     w = u_curr + theta * (u_curr - u_prev)
     _guard_iterate(w, space, f"extrapolated point at k={k}")
     ls = backtrack(w, forward, resolvent, cfg.linesearch, space=space, j_start=j_start)
-    core = contraction_update(w, ls.v, ls.b_w, ls.b_v, ls.lam, cfg.gamma, space, cfg.phi_zero_tol)
-    if not core.phizero:
-        _guard_iterate(core.u_next, space, f"iterate at k={k}")
-    outcome = StepOutcome(
-        u_next=core.u_next,
-        theta=theta,
-        lam=ls.lam,
-        j=ls.j,
-        delta=core.delta,
-        res_wv=core.res_wv,
-        phi_norm=core.phi_norm,
-        phizero=core.phizero,
-        forward_evals=ls.forward_evals,
-        resolvent_evals=ls.resolvent_evals,
-        w=w,
-        v=ls.v,
-        phi=core.phi,
-        sigma_check=cfg.linesearch.sigma,
-        delta_is_ratio=True,
-        fejer_applicable=True,
+    return _contraction_step(
+        w, ls, cfg.gamma, space, cfg.phi_zero_tol,
+        theta=theta, sigma_check=cfg.linesearch.sigma, fejer=True,
     )
-    return core.u_next, outcome
 
 
 def _check_invariants(
@@ -539,10 +577,10 @@ def _check_invariants(
 
 
 def _drive(
-    step: Callable[[int, np.ndarray, np.ndarray], StepOutcome],
+    step: Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, StepOutcome]],
+    problem,
     u0: np.ndarray,
     u1: np.ndarray,
-    space: InnerProductSpace,
     stop: StoppingRule,
     max_iters: int,
     *,
@@ -555,10 +593,19 @@ def _drive(
 ) -> tuple[np.ndarray, IterationTrace]:
     """Shared iteration loop: tracing, stopping, divergence and invariant counting.
 
-    ``reference`` feeds the squared-distance column; ``solution`` must be an
-    exact solution of the inclusion and additionally enables the
-    per-iteration decrease check.
+    ``reference`` feeds the squared-distance column and defaults to the
+    stopping rule's reference, then to ``problem.reference``.  ``solution``
+    must be an exact solution of the inclusion and additionally enables the
+    per-iteration decrease check; it defaults to ``problem.reference`` when
+    the problem marks it as an exact solution.
     """
+    space = problem.space
+    if reference is None:
+        reference = stop.reference
+    if reference is None:
+        reference = getattr(problem, "reference", None)
+    if solution is None and getattr(problem, "reference_is_solution", False):
+        solution = problem.reference
     u_prev = space.check_member(u0, "u0")
     u_curr = space.check_member(u1, "u1")
     ref = None if reference is None else space.check_member(reference, "reference")
@@ -570,7 +617,7 @@ def _drive(
     for k in range(1, max_iters + 1):
         t0 = time.perf_counter_ns()
         try:
-            out = step(k, u_prev, u_curr)
+            u_next, out = step(k, u_prev, u_curr)
         except BacktrackExhausted:
             trace.status = TerminalStatus.BACKTRACK_EXHAUSTED
             break
@@ -579,16 +626,13 @@ def _drive(
             break
         elapsed = time.perf_counter_ns() - t0
 
-        u_next = out.u_next
         step_diff = space.norm(u_next - u_curr)
         dist2 = space.norm2(u_next - ref) if ref is not None else float("nan")
-        if stop.kind == "successive_diff":
-            err = step_diff
-        elif stop.kind == "distance_to_reference":
+        if stop.kind == "distance_to_reference":
             err = space.norm2(u_next - stop.reference)
         elif stop.kind == "residual":
             err = out.res_wv
-        else:
+        else:  # successive_diff, and the reported metric of iter_cap_only
             err = step_diff
 
         if check_invariants:
@@ -657,22 +701,17 @@ def solve(
         contraction direction (the exact-solution case), the iteration
         cap, divergence, and an exhausted line search.
     """
-    space = problem.space
-    if reference is None:
-        reference = cfg.stop.reference
-    if reference is None:
-        reference = getattr(problem, "reference", None)
-    if solution is None and getattr(problem, "reference_is_solution", False):
-        solution = getattr(problem, "reference", None)
-
     warm = cfg.linesearch.warm_start
-    prev_j = {"j": 0}
+    prev_j = 0
 
     def step(k, u_prev, u_curr):
-        j_start = max(0, prev_j["j"] - 1) if warm else 0
-        _, out = ifb_step(u_prev, u_curr, k, problem.forward, problem.resolvent, cfg, space, j_start)
-        prev_j["j"] = out.j
-        return out
+        nonlocal prev_j
+        j_start = max(0, prev_j - 1) if warm else 0
+        u_next, out = ifb_step(
+            u_prev, u_curr, k, problem.forward, problem.resolvent, cfg, problem.space, j_start
+        )
+        prev_j = out.j
+        return u_next, out
 
     labels = {
         "inertia": cfg.inertia.kind,
@@ -683,9 +722,9 @@ def solve(
     }
     return _drive(
         step,
+        problem,
         u0,
         u1,
-        space,
         cfg.stop,
         cfg.max_iters,
         method="ifb",

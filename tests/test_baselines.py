@@ -1,3 +1,6 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from mvisolve.baselines import (
     tseng_step,
     zw_step,
 )
-from mvisolve.linesearch import LineSearchParams
+from mvisolve.linesearch import LineSearchParams, backtrack
 from mvisolve.operators import (
     ForwardOperator,
     box_resolvent,
@@ -26,6 +29,7 @@ from mvisolve.solver import (
     SolverConfig,
     StoppingRule,
     TerminalStatus,
+    contraction_update,
     ifb_step,
     solve,
 )
@@ -204,6 +208,20 @@ class TestTC:
         a, _ = tc_step(u_prev, u_curr, 2, fwd, res, p, space=space, literal=False)
         b, _ = tc_step(u_prev, u_curr, 2, fwd, res, p, space=space, literal=True)
         assert not np.array_equal(a, b)
+
+    def test_phi_zero_tol_is_honoured(self):
+        # u = 1, B = J = identity: lam = 0.5, v = 0.5, phi = 0.25.  At a
+        # tolerance of 1e3 the direction counts as vanished, so the
+        # contraction is skipped: u_next = 0.5*f(1) + 0.5*w = 0.75 and eta
+        # is nan (a contraction step would give 0.5 with eta = 2)
+        prob = Inclusion(identity_forward(), identity_resolvent(), euclidean(1))
+        u = np.array([1.0])
+        uf, tr = run_baseline(
+            BaselineConfig("tc", phi_zero_tol=1e3), prob, u, u,
+            StoppingRule("iter_cap_only"), max_iters=1,
+        )
+        np.testing.assert_array_equal(uf, [0.75])
+        assert np.isnan(tr.records[0].delta)
 
 
 class TestJX:
@@ -399,3 +417,141 @@ class TestRunBaseline:
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError):
             BaselineConfig("nope")
+
+
+class TestDispatchWiring:
+    """``run_baseline`` and ``solve`` must be nothing but the public single steps iterated.
+
+    Each method runs 5 iterations through the shared loop and by hand; every
+    trace record and every iterate must agree to the last bit.
+    """
+
+    ITERS = 5
+
+    def _problem(self):
+        rng = np.random.default_rng(11)
+        d = 6
+        M = _random_monotone_linear(rng, d)
+        M /= np.linalg.norm(M, 2)
+        prob = Inclusion(
+            forward=linear_forward(M), resolvent=l1_resolvent(0.1), space=euclidean(d)
+        )
+        return prob, rng.standard_normal(d), rng.standard_normal(d)
+
+    @staticmethod
+    def _by_hand(step, u0, u1, space):
+        """Iterate ``step(k, u_prev, u_curr) -> (u_next, outcome)`` and build the expected rows."""
+        iterates, rows = [], []
+        u_prev, u_curr = u0, u1
+        for k in range(1, TestDispatchWiring.ITERS + 1):
+            u_next, out = step(k, u_prev, u_curr)
+            rows.append(
+                (out.theta, out.lam, out.j, out.delta, out.res_wv, out.phi_norm,
+                 space.norm(u_next - u_curr), out.forward_evals, out.resolvent_evals)
+            )
+            iterates.append(u_next)
+            u_prev, u_curr = u_curr, u_next
+        return iterates, rows
+
+    def _assert_loop_matches(self, drive, step, prob, u0, u1):
+        iterates, rows = self._by_hand(step, u0, u1, prob.space)
+        for n in range(1, self.ITERS + 1):
+            u_final, trace = drive(n)
+            assert trace.iterations == n
+            assert u_final.tobytes() == iterates[n - 1].tobytes()
+        got = [
+            (r.theta, r.lam, r.j, r.delta, r.res_wv, r.phi_norm, r.step_diff,
+             r.forward_evals, r.resolvent_evals)
+            for r in trace.records
+        ]
+        # compare through the bytes so that nan placeholders compare equal
+        assert np.array(got).tobytes() == np.array(rows).tobytes()
+
+    def _baseline_run(self, cfg, prob, u0, u1):
+        stop = StoppingRule("iter_cap_only")
+        return lambda n: run_baseline(cfg, prob, u0, u1, stop, max_iters=n)
+
+    def test_fb(self):
+        prob, u0, u1 = self._problem()
+        cfg = BaselineConfig("fb", lam=lambda k: 0.3 / k)
+        step = lambda k, up, uc: fb_step(uc, cfg.lam_at(k), prob.forward, prob.resolvent, prob.space)
+        self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
+
+    def test_tseng(self):
+        prob, u0, u1 = self._problem()
+        cfg = BaselineConfig("tseng")
+        step = lambda k, up, uc: tseng_step(uc, prob.forward, prob.resolvent, cfg.armijo, prob.space)
+        self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
+
+    def test_zw_schedule(self):
+        prob, u0, u1 = self._problem()
+        cfg = BaselineConfig("zw")
+        step = lambda k, up, uc: zw_step(
+            uc, prob.forward, prob.resolvent, cfg.lam_at(k), cfg.gamma, prob.space
+        )
+        self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
+
+    def test_zw_armijo(self):
+        prob, u0, u1 = self._problem()
+        for gamma in (1.0, 0.7):
+            cfg = BaselineConfig("zw", lambda_mode="armijo", gamma=gamma)
+
+            def step(k, up, uc):
+                ls = backtrack(uc, prob.forward, prob.resolvent, cfg.armijo, space=prob.space)
+                core = contraction_update(
+                    uc, ls.v, ls.b_w, ls.b_v, ls.lam, cfg.gamma, prob.space, cfg.phi_zero_tol
+                )
+                if gamma == 1.0:  # at relaxation 1 this is the projection-type step
+                    u_jx, _ = jx_step(uc, prob.forward, prob.resolvent, cfg.armijo, prob.space)
+                    assert u_jx.tobytes() == core.u_next.tobytes()
+                return core.u_next, SimpleNamespace(
+                    theta=0.0, lam=ls.lam, j=ls.j, delta=core.delta, res_wv=core.res_wv,
+                    phi_norm=core.phi_norm, forward_evals=ls.forward_evals,
+                    resolvent_evals=ls.resolvent_evals,
+                )
+
+            self._assert_loop_matches(
+                self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1
+            )
+
+    def test_jx(self):
+        prob, u0, u1 = self._problem()
+        cfg = BaselineConfig("jx")
+        step = lambda k, up, uc: jx_step(uc, prob.forward, prob.resolvent, cfg.armijo, prob.space)
+        self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
+
+    def test_tc_both_variants(self):
+        prob, u0, u1 = self._problem()
+        for literal in (False, True):
+            cfg = BaselineConfig("tc", literal=literal)
+
+            def step(k, up, uc):
+                return tc_step(
+                    up, uc, k, prob.forward, prob.resolvent, cfg.armijo,
+                    gamma=cfg.gamma, mu_tc=cfg.mu_tc, alpha_k=cfg.alpha_fn(k),
+                    f=cfg.contraction_f, theta=cfg.theta, eps_k=cfg.eps_fn(k),
+                    space=prob.space, literal=literal,
+                )
+
+            self._assert_loop_matches(
+                self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1
+            )
+
+    def test_solve(self):
+        prob, u0, u1 = self._problem()
+        for warm in (False, True):
+            base = SolverConfig(
+                linesearch=LineSearchParams(warm_start=warm),
+                inertia=InertiaSchedule.constant(0.3),
+                stop=StoppingRule("iter_cap_only"),
+            )
+            last_j = [0]
+
+            def step(k, up, uc):
+                j_start = max(0, last_j[0] - 1) if warm else 0
+                u_next, out = ifb_step(up, uc, k, prob.forward, prob.resolvent, base, prob.space, j_start)
+                last_j[0] = out.j
+                return u_next, out
+
+            drive = lambda n: solve(prob, u0, u1, dataclasses.replace(base, max_iters=n))
+            self._assert_loop_matches(drive, step, prob, u0, u1)

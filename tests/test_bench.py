@@ -1,17 +1,22 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from mvisolve.baselines import BaselineConfig
 from mvisolve.bench import (
     RunSpec,
+    _build_baseline_config,
+    _build_ifb_config,
     emit_convergence_csv,
     main,
     read_trace_csv,
     run,
 )
 from mvisolve.problems import cubic_problem
-from mvisolve.solver import SolverConfig, StoppingRule, rate_estimate, solve
+from mvisolve.linesearch import LineSearchParams
+from mvisolve.solver import InertiaSchedule, SolverConfig, StoppingRule, rate_estimate, solve
 
 
 def _tiny_spec(tmp_path, **overrides):
@@ -147,22 +152,6 @@ class TestRun:
         assert len(report.cells) == 2
         assert report.valid
 
-    def test_parallel_workers_match_sequential(self, tmp_path):
-        raw_seq = _tiny_spec(tmp_path, output_dir=str(tmp_path / "seq"))
-        raw_seq["problems"][0]["seeds"] = [0, 1, 2]
-        raw_par = dict(raw_seq, output_dir=str(tmp_path / "par"), workers=4)
-        rep_seq = run(RunSpec.from_dict(raw_seq))
-        rep_par = run(RunSpec.from_dict(raw_par))
-        key = lambda c: (c.solver, c.problem_id, c.repetition)
-        for ca, cb in zip(sorted(rep_seq.cells, key=key), sorted(rep_par.cells, key=key)):
-            assert ca.iterations == cb.iterations
-            assert ca.final_err == cb.final_err
-
-    def test_timing_mode_forces_sequential_and_runs(self, tmp_path):
-        raw = _tiny_spec(tmp_path, workers=8, timing_mode=True, repetitions=2)
-        report = run(RunSpec.from_dict(raw))
-        assert report.valid and len(report.cells) == 2
-
     def test_mode_labels_reported(self, tmp_path):
         raw = _tiny_spec(
             tmp_path,
@@ -184,6 +173,98 @@ class TestRun:
             RunSpec.from_dict(_tiny_spec(tmp_path, solvers=[]))
         with pytest.raises(ValueError):
             RunSpec.from_dict(_tiny_spec(tmp_path, repetitions=0))
+
+
+    def test_retired_spec_keys_still_load(self, tmp_path):
+        # specs written for the removed thread pool keep loading and running
+        raw = _tiny_spec(tmp_path, workers=4, timing_mode=True)
+        report = run(RunSpec.from_dict(raw))
+        assert report.valid and len(report.cells) == 1
+
+    def test_written_spec_reproduces_the_report(self, tmp_path):
+        raw = _tiny_spec(
+            tmp_path,
+            problems=[
+                {"family": "cs", "d": 32, "m": 16, "l": 3, "seeds": [0, 1]},
+                {"family": "lpa", "d": 32, "m": 16, "l": 3, "seeds": [2]},
+                {"family": "l2", "n": 101, "cases": [2]},
+            ],
+            solvers=[
+                {"method": "ifb", "warm_start": True, "label": "ifb-warm"},
+                {"method": "ifb", "inertia": "constant", "theta": 0.1, "label": "ifb-c"},
+                {"method": "fb", "lam": 0.05},
+                {"method": "tseng", "sigma": 0.8},
+                {"method": "zw", "gamma": 0.9},
+                {"method": "zw", "lambda_mode": "armijo", "label": "zw-armijo"},
+                {"method": "tc", "literal": True},
+                {"method": "jx"},
+            ],
+            repetitions=2,
+        )
+        run(RunSpec.from_dict(raw))
+        written = json.loads((tmp_path / "out" / "spec.json").read_text())
+        run(RunSpec.from_dict(dict(written, output_dir=str(tmp_path / "again"))))
+
+        def report(outdir):
+            with open(outdir / "report.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                del row["seconds"]
+            return rows
+
+        first = report(tmp_path / "out")
+        assert len(first) == 4 * 8 * 2
+        assert report(tmp_path / "again") == first
+
+
+class TestConfigBuilders:
+    """The bench states no default of its own: an empty option set is the plain config."""
+
+    METHODS = ("fb", "tseng", "zw", "tc", "jx")
+
+    def _spec(self, tmp_path):
+        return RunSpec.from_dict(_tiny_spec(tmp_path, max_iters=77, check_invariants=False))
+
+    def test_empty_options_give_the_dataclass_defaults(self, tmp_path):
+        spec = self._spec(tmp_path)
+        stop = StoppingRule("residual", 1e-5)
+        assert _build_ifb_config({}, stop, spec) == SolverConfig(
+            stop=stop, max_iters=77, check_invariants=False
+        )
+        for method in self.METHODS:
+            assert _build_baseline_config(method, {}) == BaselineConfig(method)
+
+    def test_ifb_overrides(self, tmp_path):
+        spec = self._spec(tmp_path)
+        stop = StoppingRule()
+        cfg = _build_ifb_config({"sigma": 0.5, "gamma": 1.5, "warm_start": True}, stop, spec)
+        assert cfg == SolverConfig(
+            gamma=1.5,
+            linesearch=LineSearchParams(sigma=0.5, warm_start=True),
+            stop=stop,
+            max_iters=77,
+            check_invariants=False,
+        )
+        # a constant schedule defaults to the default schedule's bound
+        cfg = _build_ifb_config({"inertia": "constant"}, stop, spec)
+        assert cfg.inertia == InertiaSchedule.constant(SolverConfig().inertia.theta_max)
+        cfg = _build_ifb_config({"inertia": "constant", "theta": 0.25}, stop, spec)
+        assert cfg.inertia == InertiaSchedule.constant(0.25)
+
+    def test_baseline_overrides(self, tmp_path):
+        options = {
+            "fb": ({"lam": 0.5}, {"lam": 0.5}),
+            "tseng": ({"mu": 0.25}, {"armijo": LineSearchParams(mu=0.25)}),
+            "zw": ({"lambda_mode": "armijo", "gamma": 1.0},
+                   {"lambda_mode": "armijo", "gamma": 1.0}),
+            # only the overridden search field moves off the method's defaults
+            "tc": ({"s": 4.0, "literal": True},
+                   {"armijo": LineSearchParams(s=4.0, mu=0.5, sigma=0.5), "literal": True}),
+            "jx": ({"max_backtracks": 9, "label": "proj"},
+                   {"armijo": LineSearchParams(max_backtracks=9), "label": "proj"}),
+        }
+        for method, (opts, fields) in options.items():
+            assert _build_baseline_config(method, opts) == BaselineConfig(method, **fields)
 
 
 class TestShippedSpecs:
