@@ -163,8 +163,7 @@ def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> t
     ls = backtrack(u, forward, resolvent, armijo, space=space)
     u_next = ls.v - ls.lam * (ls.b_v - ls.b_w)
     _guard_iterate(u_next, space, "tseng iterate")
-    res_wv = space.norm(u - ls.v)
-    return _direct_step(u_next, ls.lam, ls.j, res_wv, ls.forward_evals, ls.resolvent_evals)
+    return _direct_step(u_next, ls.lam, ls.j, ls.res_wv, ls.forward_evals, ls.resolvent_evals)
 
 
 def zw_step(
@@ -230,7 +229,10 @@ def tc_step(
     _guard_iterate(w, space, f"extrapolated point at k={k}")
     ls = backtrack(u_curr if literal else w, forward, resolvent, armijo, space=space)
     b_w = np.asarray(forward(w), dtype=float) if literal else ls.b_w
-    phi, pp, phi_norm, res_wv, vanished = _direction(w, ls.v, b_w, ls.b_v, ls.lam, space, phi_zero_tol)
+    # literal: the search ran from u_k, so its ||u_k - v|| is not ||w - v||
+    _, phi, pp, phi_norm, res_wv, vanished = _direction(
+        w, ls.v, b_w, ls.b_v, ls.lam, space, phi_zero_tol, None if literal else ls.res_wv
+    )
     z, eta = w, float("nan")
     if not vanished:
         eta = (1.0 - mu_tc) * res_wv**2 / pp
@@ -251,8 +253,6 @@ def tc_step(
         forward_evals=ls.forward_evals + int(literal),  # literal: B(w) outside the search
         resolvent_evals=ls.resolvent_evals,
         w=w,
-        v=ls.v,
-        phi=phi,
         sigma_check=None if literal else armijo.sigma,
     )
     return u_next, out

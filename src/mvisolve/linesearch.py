@@ -15,6 +15,7 @@ away from zero along any convergent run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -47,8 +48,13 @@ class LineSearchParams:
 
     ``s`` is the initial trial step, ``mu`` the geometric reduction factor
     and ``sigma`` the acceptance ratio.  ``max_backtracks`` converts the
-    theoretically finite loop into a diagnosable failure: near
-    ``mu**60`` the step underflows double precision for ``mu = 0.5``.
+    theoretically finite loop into a diagnosable failure.  It bounds the
+    number of exponents tried, not the size of the step: the smallest trial
+    step is ``s * mu**max_backtracks``, far from underflow at the default
+    (``0.5**60`` is about ``8.7e-19``).  For ``mu = 0.9`` that smallest step
+    is about ``1.8e-3``, above the steps sparse recovery on cs-512 accepts
+    (down to about ``5e-7``), so the search is exhausted at iteration 1
+    there; raise ``max_backtracks`` together with ``mu``.
 
     ``warm_start`` lets a driver seed the search one exponent below the
     previously accepted one instead of restarting from ``s`` each
@@ -79,8 +85,9 @@ class LineSearchOutcome:
 
     ``lam == s * mu**j`` exactly, ``v`` is the accepted forward-backward
     point ``J(w - lam*B(w), lam)``, and ``b_w``, ``b_v`` cache ``B(w)`` and
-    ``B(v)``.  The acceptance inequality can be re-checked from these
-    fields alone.
+    ``B(v)``.  ``res_wv`` is ``||w - v||`` as the acceptance test computed
+    it, or ``None`` for a point built outside :func:`backtrack`.  The
+    acceptance inequality can be re-checked from these fields alone.
     """
 
     lam: float
@@ -90,10 +97,12 @@ class LineSearchOutcome:
     b_v: np.ndarray
     resolvent_evals: int
     forward_evals: int
+    res_wv: Optional[float] = None
 
 
 def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    # the ndarray method skips the slow dispatch of the np.all wrapper
+    if not np.isfinite(x).all():
         raise NonFiniteIterate(f"{what} is non-finite")
     return x
 
@@ -157,7 +166,8 @@ def backtrack(
         b_v = _require_finite(np.asarray(forward(v), dtype=float), "B(v)")
         resolvent_evals += 1
         forward_evals += 1
-        if lam * space.norm(b_w - b_v) <= params.sigma * space.norm(w - v):
+        res_wv = space.norm(w - v)
+        if lam * space.norm(b_w - b_v) <= params.sigma * res_wv:
             return LineSearchOutcome(
                 lam=lam,
                 j=j,
@@ -166,6 +176,7 @@ def backtrack(
                 b_v=b_v,
                 resolvent_evals=resolvent_evals,
                 forward_evals=forward_evals,
+                res_wv=res_wv,
             )
         j += 1
     raise BacktrackExhausted(

@@ -398,23 +398,31 @@ class ContractionResult:
     res_wv: float
     delta: float
     phizero: bool
+    phi_norm2: float  # ||phi||^2
+    wv_phi: float  # <w - v, phi>, nan where phi vanished
 
 
-def _direction(w, v, b_w, b_v, lam: float, space: InnerProductSpace, phi_zero_tol: float):
-    """``(phi, ||phi||^2, ||phi||, ||w - v||, vanished)`` for ``phi = (w - v) - lam*(B(w) - B(v))``.
+def _direction(
+    w, v, b_w, b_v, lam: float, space: InnerProductSpace, phi_zero_tol: float, res_wv: Optional[float] = None
+):
+    """``(w - v, phi, ||phi||^2, ||phi||, ||w - v||, vanished)`` for ``phi = (w - v) - lam*(B(w) - B(v))``.
 
     The one place that rejects an overflowed direction and decides whether
-    ``phi`` vanishes relative to ``1 + ||w||``.
+    ``phi`` vanishes relative to ``1 + ||w||``.  ``res_wv`` is ``||w - v||``
+    when the caller already has it (the line search computes it for the
+    accepted trial); it is computed here otherwise.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = (w - v) - lam * (b_w - b_v)
+        wv = w - v
+        phi = wv - lam * (b_w - b_v)
         pp = space.inner(phi, phi)
-        res_wv = space.norm(w - v)
+        if res_wv is None:
+            res_wv = space.norm(wv)
     if not (math.isfinite(pp) and math.isfinite(res_wv)):
         # an overflowed ||phi||^2 would silently zero the contraction scalar
         raise DivergenceError("contraction direction overflowed")
     phi_norm = math.sqrt(pp)
-    return phi, pp, phi_norm, res_wv, phi_norm <= phi_zero_tol * (1.0 + space.norm(w))
+    return wv, phi, pp, phi_norm, res_wv, phi_norm <= phi_zero_tol * (1.0 + space.norm(w))
 
 
 def contraction_update(
@@ -426,19 +434,22 @@ def contraction_update(
     gamma: float,
     space: InnerProductSpace,
     phi_zero_tol: float,
+    res_wv: Optional[float] = None,
 ) -> ContractionResult:
     """Direction, optimal scalar and relaxed update shared by the contraction methods.
 
     Kept as the single implementation so that methods which are
     algebraically identical (e.g. zero inertia versus the plain
     projection-contraction iteration) produce bitwise identical iterates.
+    ``res_wv`` optionally passes in ``||w - v||`` (see :func:`_direction`).
     """
-    phi, pp, phi_norm, res_wv, vanished = _direction(w, v, b_w, b_v, lam, space, phi_zero_tol)
+    wv, phi, pp, phi_norm, res_wv, vanished = _direction(w, v, b_w, b_v, lam, space, phi_zero_tol, res_wv)
     if vanished:
-        return ContractionResult(v, phi, phi_norm, res_wv, float("nan"), True)
-    delta = space.inner(w - v, phi) / pp
+        return ContractionResult(v, phi, phi_norm, res_wv, float("nan"), True, pp, float("nan"))
+    wv_phi = space.inner(wv, phi)
+    delta = wv_phi / pp
     u_next = w - (gamma * delta) * phi
-    return ContractionResult(u_next, phi, phi_norm, res_wv, delta, False)
+    return ContractionResult(u_next, phi, phi_norm, res_wv, delta, False, pp, wv_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +471,18 @@ class StepOutcome:
     forward_evals: int
     resolvent_evals: int
     w: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    phi: Optional[np.ndarray] = None
     sigma_check: Optional[float] = None  # Armijo ratio backing the bound checks
     delta_is_ratio: bool = False  # delta == <w-v, phi>/||phi||^2
     fejer_applicable: bool = False
+    phi_norm2: float = float("nan")  # ||phi||^2 as the kernel computed it
+    wv_phi: float = float("nan")  # <w - v, phi> as the kernel computed it
 
 
 def _guard_iterate(u: np.ndarray, space: InnerProductSpace, what: str) -> None:
+    # one reduction on the common path (nan and inf fail the comparison);
+    # only a failing iterate pays for the tests that name the failure
+    if np.abs(u).max() <= DIVERGENCE_NORM:
+        return
     if not np.all(np.isfinite(u)):
         raise DivergenceError(f"{what} is non-finite")
     # sup-norm guard: avoids squaring (which would itself overflow first)
@@ -493,7 +508,9 @@ def _contraction_step(
     accepted with, which enables the direction and scalar bound checks;
     ``fejer`` enables the decrease check against a known solution.
     """
-    core = contraction_update(w, point.v, point.b_w, point.b_v, point.lam, gamma, space, phi_zero_tol)
+    core = contraction_update(
+        w, point.v, point.b_w, point.b_v, point.lam, gamma, space, phi_zero_tol, point.res_wv
+    )
     if not core.phizero:
         _guard_iterate(core.u_next, space, "contraction iterate")
     outcome = StepOutcome(
@@ -508,11 +525,11 @@ def _contraction_step(
         forward_evals=point.forward_evals,
         resolvent_evals=point.resolvent_evals,
         w=w,
-        v=point.v,
-        phi=core.phi,
         sigma_check=sigma_check,
         delta_is_ratio=sigma_check is not None,
         fejer_applicable=fejer,
+        phi_norm2=core.phi_norm2,
+        wv_phi=core.wv_phi,
     )
     return core.u_next, outcome
 
@@ -552,17 +569,26 @@ def _check_invariants(
     space: InnerProductSpace,
     gamma: float,
     solution: Optional[np.ndarray],
+    solution_norm2: float,
+    dist2_solution: Optional[float] = None,
 ) -> None:
+    """Count the violated bounds of one step into ``trace.violations``.
+
+    The decrease check reads ``||phi||^2`` and ``<w - v, phi>`` from the
+    step record.  ``solution_norm2`` is ``||solution||^2`` (it scales the
+    rounding allowance) and ``dist2_solution``, when given, is
+    ``||out.u_next - solution||^2`` already computed by the caller.
+    """
     trace.invariants_checked = True
     if out.phizero or out.sigma_check is None:
         return
     sigma = out.sigma_check
     res, phi_norm = out.res_wv, out.phi_norm
-    if np.isfinite(phi_norm):
+    if math.isfinite(phi_norm):
         slack = _CHECK_SLACK * (1.0 + res)
         if not ((1.0 - sigma) * res - slack <= phi_norm <= (1.0 + sigma) * res + slack):
             trace.violations["phi_sandwich"] += 1
-    if out.delta_is_ratio and np.isfinite(out.delta):
+    if out.delta_is_ratio and math.isfinite(out.delta):
         lo = (1.0 - sigma) / (1.0 + sigma) ** 2
         hi = 1.0 / (1.0 - sigma)
         dslack = _CHECK_SLACK * hi
@@ -570,15 +596,13 @@ def _check_invariants(
             trace.violations["delta_bound"] += 1
     # the decrease inequality holds against exact solutions only, so it is
     # checked against a known solution, never the error-metric reference
-    if solution is not None and out.fejer_applicable and out.phi is not None:
-        pp = space.inner(out.phi, out.phi)
-        if pp > 0.0:
-            decrement = gamma * (2.0 - gamma) * space.inner(out.w - out.v, out.phi) ** 2 / pp
-            eps_fp = 1e-8 * (1.0 + space.norm2(solution))
-            lhs = space.norm2(out.u_next - solution)
-            rhs = space.norm2(out.w - solution) - decrement + eps_fp
-            if lhs > rhs:
-                trace.violations["fejer"] += 1
+    if solution is not None and out.fejer_applicable and out.phi_norm2 > 0.0:
+        decrement = gamma * (2.0 - gamma) * out.wv_phi ** 2 / out.phi_norm2
+        eps_fp = 1e-8 * (1.0 + solution_norm2)
+        lhs = space.norm2(out.u_next - solution) if dist2_solution is None else dist2_solution
+        rhs = space.norm2(out.w - solution) - decrement + eps_fp
+        if lhs > rhs:
+            trace.violations["fejer"] += 1
 
 
 def _drive(
@@ -615,6 +639,10 @@ def _drive(
     u_curr = space.check_member(u1, "u1")
     ref = None if reference is None else space.check_member(reference, "reference")
     sol = None if solution is None else space.check_member(solution, "solution")
+    # the squared distances the trace already computes are reused, not recomputed
+    dist2_is_err = stop.kind == "distance_to_reference" and reference is stop.reference
+    dist2_is_fejer = sol is not None and solution is reference
+    sol_norm2 = space.norm2(sol) if check_invariants and sol is not None else float("nan")
     trace = IterationTrace(method, labels)
     final = u_curr
     trace.status = TerminalStatus.ITER_CAP
@@ -633,7 +661,9 @@ def _drive(
 
         step_diff = space.norm(u_next - u_curr)
         dist2 = space.norm2(u_next - ref) if ref is not None else float("nan")
-        if stop.kind == "distance_to_reference":
+        if dist2_is_err:
+            err = dist2
+        elif stop.kind == "distance_to_reference":
             err = space.norm2(u_next - stop.reference)
         elif stop.kind == "residual":
             err = out.res_wv
@@ -641,7 +671,7 @@ def _drive(
             err = step_diff
 
         if check_invariants:
-            _check_invariants(trace, out, space, gamma, sol)
+            _check_invariants(trace, out, space, gamma, sol, sol_norm2, dist2 if dist2_is_fejer else None)
 
         trace.append(
             IterationRecord(

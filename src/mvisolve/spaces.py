@@ -64,7 +64,7 @@ class InnerProductSpace:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dimension,):
             raise ValueError(f"{what} has shape {u.shape}, expected ({self.dimension},)")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError(f"{what} contains non-finite entries")
         return u
 
