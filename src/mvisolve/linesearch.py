@@ -15,7 +15,6 @@ away from zero along any convergent run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -97,7 +96,7 @@ class LineSearchOutcome:
     b_v: np.ndarray
     resolvent_evals: int
     forward_evals: int
-    res_wv: Optional[float] = None
+    res_wv: float | None = None
 
 
 def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
