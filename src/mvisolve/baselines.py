@@ -229,15 +229,17 @@ def tc_step(
     _guard_iterate(w, space, f"extrapolated point at k={k}")
     ls = backtrack(u_curr if literal else w, forward, resolvent, armijo, space=space)
     b_w = np.asarray(forward(w), dtype=float) if literal else ls.b_w
-    # literal: the search ran from u_k, so its ||u_k - v|| is not ||w - v||
+    # literal: the search ran from u_k, so its u_k - v, B(u_k) - B(v) and
+    # ||u_k - v|| are not the quantities at w
+    known = () if literal else (ls.res_wv, ls.wv, ls.b_wv)
     _, phi, pp, phi_norm, res_wv, vanished = _direction(
-        w, ls.v, b_w, ls.b_v, ls.lam, space, phi_zero_tol, None if literal else ls.res_wv
+        w, ls.v, b_w, ls.b_v, ls.lam, space, phi_zero_tol, *known
     )
     z, eta = w, float("nan")
     if not vanished:
         eta = (1.0 - mu_tc) * res_wv**2 / pp
-        # literal: ls.b_w is B(u_k), so this is phi(u_k, v)
-        step_dir = (u_curr - ls.v) - ls.lam * (ls.b_w - ls.b_v) if literal else phi
+        # literal: the search's own direction, phi(u_k, v)
+        step_dir = ls.wv - ls.lam * ls.b_wv if literal else phi
         z = w - (gamma * eta) * step_dir
     u_next = alpha_k * np.asarray(f(u_curr), dtype=float) + (1.0 - alpha_k) * z
     _guard_iterate(u_next, space, f"viscosity iterate at k={k}")

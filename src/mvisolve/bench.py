@@ -266,6 +266,14 @@ class RunReport:
     def rows(self) -> list[dict]:
         return [vars(c) | {"valid": c.valid} for c in self.cells]
 
+    def status_counts(self) -> dict[str, dict[str, int]]:
+        """Cells per terminal status, per solver, both in order of first appearance."""
+        counts: dict[str, dict[str, int]] = {}
+        for c in self.cells:
+            by_status = counts.setdefault(c.solver, {})
+            by_status[c.status] = by_status.get(c.status, 0) + 1
+        return counts
+
     def aggregated(self) -> list[dict]:
         """Median-over-repetitions table, one row per (solver, problem)."""
         groups: dict[tuple[str, str], list[CellResult]] = {}
@@ -325,6 +333,11 @@ class RunReport:
                 f"{r['median_seconds']:>11.4g} {r['final_err']:>13.4g} "
                 f"{r['final_dist2']:>13.4g} {r['status']:>12} {str(r['valid']):>6}"
             )
+        # VALID says nothing about convergence: a solver that diverged on
+        # every cell stays VALID, so the footer counts each solver's statuses
+        txt.append("\nstatus by solver:")
+        for solver, counts in self.status_counts().items():
+            txt.append(f"  {solver}: " + ", ".join(f"{status} {n}" for status, n in counts.items()))
         overall = "VALID" if self.valid else "INVALID"
         txt.append(f"\noverall: {overall} ({len(self.cells)} cells)")
         (outdir / "report.txt").write_text("\n".join(txt) + "\n", encoding="utf-8")

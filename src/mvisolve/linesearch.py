@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import InnerProductSpace, euclidean
+from .spaces import InnerProductSpace, _all_finite, euclidean
 
 __all__ = [
     "LineSearchParams",
@@ -84,9 +84,10 @@ class LineSearchOutcome:
 
     ``lam == s * mu**j`` exactly, ``v`` is the accepted forward-backward
     point ``J(w - lam*B(w), lam)``, and ``b_w``, ``b_v`` cache ``B(w)`` and
-    ``B(v)``.  ``res_wv`` is ``||w - v||`` as the acceptance test computed
-    it, or ``None`` for a point built outside :func:`backtrack`.  The
-    acceptance inequality can be re-checked from these fields alone.
+    ``B(v)``.  ``wv``, ``b_wv`` and ``res_wv`` are ``w - v``,
+    ``B(w) - B(v)`` and ``||w - v||`` as the acceptance test formed them, or
+    ``None`` for a point built outside :func:`backtrack`.  The acceptance
+    inequality can be re-checked from these fields alone.
     """
 
     lam: float
@@ -97,11 +98,12 @@ class LineSearchOutcome:
     resolvent_evals: int
     forward_evals: int
     res_wv: float | None = None
+    wv: np.ndarray | None = None
+    b_wv: np.ndarray | None = None
 
 
 def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
-    # the ndarray method skips the slow dispatch of the np.all wrapper
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise NonFiniteIterate(f"{what} is non-finite")
     return x
 
@@ -165,8 +167,10 @@ def backtrack(
         b_v = _require_finite(np.asarray(forward(v), dtype=float), "B(v)")
         resolvent_evals += 1
         forward_evals += 1
-        res_wv = space.norm(w - v)
-        if lam * space.norm(b_w - b_v) <= params.sigma * res_wv:
+        wv = w - v
+        b_wv = b_w - b_v
+        res_wv = space.norm(wv)
+        if lam * space.norm(b_wv) <= params.sigma * res_wv:
             return LineSearchOutcome(
                 lam=lam,
                 j=j,
@@ -176,9 +180,13 @@ def backtrack(
                 resolvent_evals=resolvent_evals,
                 forward_evals=forward_evals,
                 res_wv=res_wv,
+                wv=wv,
+                b_wv=b_wv,
             )
         j += 1
     raise BacktrackExhausted(
         f"no step accepted down to {params.s * params.mu ** params.max_backtracks:.3e} "
-        f"({params.max_backtracks} backtracks); the forward map may be discontinuous"
+        f"({params.max_backtracks} backtracks); the forward map may be discontinuous, "
+        f"or max_backtracks={params.max_backtracks} is too few for mu={params.mu:g}: "
+        f"a slow mu (close to 1) needs a larger max_backtracks"
     )

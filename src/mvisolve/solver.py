@@ -41,7 +41,7 @@ from .linesearch import (
     NonFiniteIterate,
     backtrack,
 )
-from .spaces import InnerProductSpace, euclidean
+from .spaces import InnerProductSpace, _sum_of_squares, euclidean
 
 __all__ = [
     "InertiaSchedule",
@@ -65,6 +65,10 @@ __all__ = [
 
 #: iterate norms beyond this abort the run long before float64 overflow
 DIVERGENCE_NORM = 1e150
+
+#: a sum of squares at most this proves every ``|u_i| < DIVERGENCE_NORM``
+#: (whose square is 1e300), with a decade to spare for rounding
+_GUARD_SUM_OF_SQUARES = 1e299
 
 #: relative floating-point slack used by the runtime invariant checks
 _CHECK_SLACK = 1e-12
@@ -403,18 +407,31 @@ class ContractionResult:
 
 
 def _direction(
-    w, v, b_w, b_v, lam: float, space: InnerProductSpace, phi_zero_tol: float, res_wv: Optional[float] = None
+    w,
+    v,
+    b_w,
+    b_v,
+    lam: float,
+    space: InnerProductSpace,
+    phi_zero_tol: float,
+    res_wv: Optional[float] = None,
+    wv: Optional[np.ndarray] = None,
+    b_wv: Optional[np.ndarray] = None,
 ):
     """``(w - v, phi, ||phi||^2, ||phi||, ||w - v||, vanished)`` for ``phi = (w - v) - lam*(B(w) - B(v))``.
 
     The one place that rejects an overflowed direction and decides whether
-    ``phi`` vanishes relative to ``1 + ||w||``.  ``res_wv`` is ``||w - v||``
-    when the caller already has it (the line search computes it for the
-    accepted trial); it is computed here otherwise.
+    ``phi`` vanishes relative to ``1 + ||w||``.  ``res_wv``, ``wv`` and
+    ``b_wv`` are ``||w - v||``, ``w - v`` and ``B(w) - B(v)`` when the caller
+    already has them (the line search forms them for the accepted trial);
+    they are computed here otherwise.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        wv = w - v
-        phi = wv - lam * (b_w - b_v)
+        if wv is None:
+            wv = w - v
+        if b_wv is None:
+            b_wv = b_w - b_v
+        phi = wv - lam * b_wv
         pp = space.inner(phi, phi)
         if res_wv is None:
             res_wv = space.norm(wv)
@@ -435,15 +452,20 @@ def contraction_update(
     space: InnerProductSpace,
     phi_zero_tol: float,
     res_wv: Optional[float] = None,
+    wv: Optional[np.ndarray] = None,
+    b_wv: Optional[np.ndarray] = None,
 ) -> ContractionResult:
     """Direction, optimal scalar and relaxed update shared by the contraction methods.
 
     Kept as the single implementation so that methods which are
     algebraically identical (e.g. zero inertia versus the plain
     projection-contraction iteration) produce bitwise identical iterates.
-    ``res_wv`` optionally passes in ``||w - v||`` (see :func:`_direction`).
+    ``res_wv``, ``wv`` and ``b_wv`` optionally pass in ``||w - v||``,
+    ``w - v`` and ``B(w) - B(v)`` (see :func:`_direction`).
     """
-    wv, phi, pp, phi_norm, res_wv, vanished = _direction(w, v, b_w, b_v, lam, space, phi_zero_tol, res_wv)
+    wv, phi, pp, phi_norm, res_wv, vanished = _direction(
+        w, v, b_w, b_v, lam, space, phi_zero_tol, res_wv, wv, b_wv
+    )
     if vanished:
         return ContractionResult(v, phi, phi_norm, res_wv, float("nan"), True, pp, float("nan"))
     wv_phi = space.inner(wv, phi)
@@ -479,8 +501,13 @@ class StepOutcome:
 
 
 def _guard_iterate(u: np.ndarray, space: InnerProductSpace, what: str) -> None:
-    # sup-norm guard: avoids squaring (which would itself overflow first);
-    # the maximum carries nan through, so it also names a non-finite entry
+    # one BLAS pass admits almost every iterate.  The sum is sufficient, not
+    # necessary: twenty entries of 1e149 pass the guard with a sum of squares
+    # above 1e299, and 1e200 is finite with an overflowing square.  Those go
+    # to the exact sup-norm test, whose maximum carries nan through, so it
+    # also names a non-finite entry.
+    if _sum_of_squares(u) <= _GUARD_SUM_OF_SQUARES:
+        return
     peak = np.abs(u).max()
     if peak <= DIVERGENCE_NORM:
         return
@@ -508,7 +535,8 @@ def _contraction_step(
     ``fejer`` enables the decrease check against a known solution.
     """
     core = contraction_update(
-        w, point.v, point.b_w, point.b_v, point.lam, gamma, space, phi_zero_tol, point.res_wv
+        w, point.v, point.b_w, point.b_v, point.lam, gamma, space, phi_zero_tol,
+        point.res_wv, point.wv, point.b_wv,
     )
     if not core.phizero:
         _guard_iterate(core.u_next, space, "contraction iterate")

@@ -110,6 +110,24 @@ class TestRun:
             assert ca.min_lambda == cb.min_lambda
             assert ca.delta_min == cb.delta_min
 
+    def test_report_footer_counts_statuses_per_solver(self, tmp_path):
+        # zw diverges on every cell yet the grid is VALID: only the footer says so
+        raw = _tiny_spec(
+            tmp_path,
+            problems=[{"family": "cs", "d": 32, "m": 16, "l": 3, "seeds": [0, 1]}],
+            solvers=[{"method": "ifb"}, {"method": "zw"}],
+            repetitions=2,
+        )
+        report = run(RunSpec.from_dict(raw))
+        assert report.valid
+        assert report.status_counts() == {"ifb": {"iter_cap": 4}, "zw": {"diverged": 4}}
+        txt = (tmp_path / "out" / "report.txt").read_text()
+        assert txt.endswith(
+            "\n\nstatus by solver:\n  ifb: iter_cap 4\n  zw: diverged 4\n\noverall: VALID (8 cells)\n"
+        )
+        csv_lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert len(csv_lines) == 1 + 8 and csv_lines[0].startswith("solver,problem_id,")
+
     def test_multiple_seeds_expand_to_cells(self, tmp_path):
         raw = _tiny_spec(tmp_path)
         raw["problems"][0]["seeds"] = [0, 1, 2]

@@ -15,6 +15,8 @@ from mvisolve.operators import (
     l1_resolvent,
     zero_forward,
 )
+from mvisolve.problems import assemble, gen_cs
+from mvisolve.solver import SolverConfig, ifb_step
 from mvisolve.spaces import euclidean
 
 
@@ -120,6 +122,20 @@ def test_discontinuous_forward_exhausts():
     p = LineSearchParams(s=1.0, mu=0.5, sigma=0.9, max_backtracks=40)
     with pytest.raises(BacktrackExhausted):
         backtrack(np.array([0.0]), fwd, identity_resolvent(), p)
+
+
+def test_exhaustion_names_max_backtracks_and_mu():
+    # at mu=0.9 the default 60 exponents stop at 0.9**60 ~ 1.8e-3, above every
+    # step cs-512 accepts, so the first search fails on a continuous map
+    prob = assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
+    cfg = SolverConfig(linesearch=LineSearchParams(mu=0.9))
+    with pytest.raises(BacktrackExhausted) as info:
+        ifb_step(prob.u0, prob.u1, 1, prob.forward, prob.resolvent, cfg, prob.space)
+    assert str(info.value) == (
+        "no step accepted down to 1.797e-03 (60 backtracks); the forward map may be "
+        "discontinuous, or max_backtracks=60 is too few for mu=0.9: a slow mu (close "
+        "to 1) needs a larger max_backtracks"
+    )
 
 
 def test_nonfinite_evaluation_raises():

@@ -11,6 +11,7 @@ Four groups of tests:
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,58 @@ class TestGuards:
             space.check_member(u, "u0")
         assert type(info.value) is ValueError
         assert str(info.value) == "u0 contains non-finite entries"
+
+    # the checks below run one BLAS sum of squares first and fall back to an
+    # exact test only when that sum cannot decide; neither may warn
+
+    @pytest.mark.parametrize("x", [1e200, 1e154], ids=["square-overflows", "sum-overflows"])
+    def test_require_finite_passes_large_finite_entries(self, x):
+        u = np.full(8, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _require_finite(u, "B(w)") is u
+            np.testing.assert_array_equal(euclidean(8).check_member(u, "u0"), u)
+
+    @pytest.mark.parametrize(
+        "u", [np.full(20, 1e149), np.array([1e150])], ids=["sum-above-1e299", "lone-guard-value"]
+    )
+    def test_guard_iterate_admits_what_the_sum_cannot_decide(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _guard_iterate(u, euclidean(len(u)), "u") is None
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_guard_iterate_rejects_the_next_double_above_the_guard(self, d):
+        u = np.zeros(d)
+        u[-1] = np.nextafter(1e150, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"^u exceeded the divergence guard 1e\+150$"):
+                _guard_iterate(u, euclidean(d), "u")
+
+    @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_entry_anywhere_is_named(self, x, position):
+        u = np.linspace(-1.0, 1.0, 1001)
+        u[position] = x
+        space = trapezoid_unit_interval(1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate, match=r"^B\(w\) is non-finite$"):
+                _require_finite(u, "B(w)")
+            with pytest.raises(DivergenceError, match="^u is non-finite$"):
+                _guard_iterate(u, space, "u")
+            with pytest.raises(ValueError, match="^u0 contains non-finite entries$"):
+                space.check_member(u, "u0")
+
+    def test_subnormal_and_negative_zero_entries_pass(self):
+        tiny = np.finfo(float).tiny
+        u = np.array([5e-324, -5e-324, tiny / 4, -0.0, 0.0, -tiny])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _require_finite(u, "B(w)") is u
+            assert _guard_iterate(u, euclidean(len(u)), "u") is None
+            np.testing.assert_array_equal(euclidean(len(u)).check_member(u, "u0"), u)
 
     def test_non_finite_b_v_raises_before_the_acceptance_test(self):
         calls = []

@@ -13,6 +13,16 @@ def test_euclidean_inner_matches_dot():
     assert sp.norm(u) == pytest.approx(np.sqrt(u @ u))
 
 
+@pytest.mark.parametrize("n", [512, 1001, 1024])
+def test_inner_is_bitwise_the_matmul_product(n):
+    # inner uses ndarray.dot for its cheaper dispatch; it must stay the same ddot as ``@``
+    rng = np.random.default_rng(n)
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    weighted = trapezoid_unit_interval(n)
+    assert euclidean(n).inner(u, v).hex() == float(u @ v).hex()
+    assert weighted.inner(u, v).hex() == float((weighted.weights * u) @ v).hex()
+
+
 def test_trapezoid_weights_sum_to_one():
     sp = trapezoid_unit_interval(1001)
     assert sp.weights.sum() == pytest.approx(1.0, abs=1e-14)
