@@ -10,12 +10,12 @@ trace-everything benchmark harness.
 from .spaces import InnerProductSpace, euclidean, trapezoid_unit_interval
 from .operators import (
     ForwardOperator,
+    ForwardSplit,
     ResolventOperator,
     soft_threshold,
     quartic_fidelity_gradient,
     lpa_gradient,
     log_operator,
-    box_projection,
     zero_forward,
     identity_forward,
     cubic_forward,

@@ -129,7 +129,9 @@ class BaselineConfig:
 # single steps
 
 
-def _direct_step(u_next, lam, j, res_wv, forward_evals, resolvent_evals) -> tuple[np.ndarray, StepOutcome]:
+def _direct_step(
+    u_next, lam, j, res_wv, forward_evals, resolvent_evals, certified=0
+) -> tuple[np.ndarray, StepOutcome]:
     """Step record of a method that moves without a contraction direction."""
     out = StepOutcome(
         u_next=u_next,
@@ -142,6 +144,7 @@ def _direct_step(u_next, lam, j, res_wv, forward_evals, resolvent_evals) -> tupl
         phizero=False,
         forward_evals=forward_evals,
         resolvent_evals=resolvent_evals,
+        certified=certified,
     )
     return u_next, out
 
@@ -163,7 +166,7 @@ def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> t
     ls = backtrack(u, forward, resolvent, armijo, space=space)
     u_next = ls.v - ls.lam * (ls.b_v - ls.b_w)
     _guard_iterate(u_next, space, "tseng iterate")
-    return _direct_step(u_next, ls.lam, ls.j, ls.res_wv, ls.forward_evals, ls.resolvent_evals)
+    return _direct_step(u_next, ls.lam, ls.j, ls.res_wv, ls.forward_evals, ls.resolvent_evals, ls.certified)
 
 
 def zw_step(
@@ -256,6 +259,7 @@ def tc_step(
         resolvent_evals=ls.resolvent_evals,
         w=w,
         sigma_check=None if literal else armijo.sigma,
+        certified=ls.certified,
     )
     return u_next, out
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import InnerProductSpace, _all_finite, euclidean
+from .spaces import InnerProductSpace, _all_finite, _rounding_gamma, euclidean
 
 __all__ = [
     "LineSearchParams",
@@ -87,7 +87,9 @@ class LineSearchOutcome:
     ``B(v)``.  ``wv``, ``b_wv`` and ``res_wv`` are ``w - v``,
     ``B(w) - B(v)`` and ``||w - v||`` as the acceptance test formed them, or
     ``None`` for a point built outside :func:`backtrack`.  The acceptance
-    inequality can be re-checked from these fields alone.
+    inequality can be re-checked from these fields alone.  ``certified``
+    counts the rejected trials whose ``B(v)`` was never finished (see
+    :func:`backtrack`); ``forward_evals`` counts them too.
     """
 
     lam: float
@@ -100,6 +102,11 @@ class LineSearchOutcome:
     res_wv: float | None = None
     wv: np.ndarray | None = None
     b_wv: np.ndarray | None = None
+    certified: int = 0
+
+
+#: a certified rejection needs ``sigma*||w - v|| >= max(s, 1) * _CERTIFY_FLOOR`` (see backtrack)
+_CERTIFY_FLOOR = 2.0**-450
 
 
 def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -144,32 +151,81 @@ def backtrack(
 
     Notes
     -----
-    ``B(w)`` does not depend on ``lam`` and is evaluated once; each trial
-    then costs one resolvent and one forward evaluation.  The same ``lam``
-    is used both inside the resolvent argument and as the scaling of the
-    left-hand side.  The comparison is an exact floating-point ``<=``:
-    both sides are same-scale norms, and any slack would silently change
-    the accepted exponent.
+    ``B(w)`` does not depend on ``lam`` and is evaluated once.  Each trial
+    then costs one resolvent evaluation and one forward evaluation, of which
+    a certified rejection (below) makes only the first matrix pass.  The
+    same ``lam`` is used both inside the resolvent argument and as the
+    scaling of the left-hand side.  The comparison is an exact
+    floating-point ``<=``: both sides are same-scale norms, and any slack
+    would silently change the accepted exponent.
+
+    Certified rejection.  It applies only when ``forward`` has a ``split``
+    (:class:`~mvisolve.operators.ForwardSplit`) and ``space.weights`` are
+    all ones; every other search runs the plain loop.  A trial then makes
+    the first pass ``st_v = first(v)`` and takes the split's certified lower
+    bound ``L`` on ``<B(w) - B(v), w - v>``.  With ``N = ||w - v||`` and
+    ``S = sigma*N`` as the test computes them, a trial with ::
+
+        fl(lam*L) > fl(fl(S*N) * c),  c = 1 + 2*g_{n+8},  S >= max(s, 1) * 2**-450
+
+    is rejected without ``finish``, because the test itself would reject it.
+    Here ``u = 2**-53`` and ``g_k = k*u/(1 - k*u)`` bounds the rounding of a
+    ``k``-term sum of squares.  By Cauchy-Schwarz,
+    ``lam*||B(w) - B(v)|| >= lam*L/||w - v||``.  The computed ``N`` is at
+    least ``(1-u)^2 (1-g_n)^(1/2) ||w - v||``, and the computed left-hand
+    side at least ``(1-u)^3 (1-g_n)^(1/2)`` times its exact value.  So the
+    left-hand side exceeds ``S * c * (1-u)^7 (1-g_n) / (1+u) > S``.  The
+    floor on ``S`` keeps ``N``, ``S*N`` and ``lam*||B(w) - B(v)||`` above
+    ``2**-902`` and ``||B(w) - B(v)||`` above ``2**-451`` (as ``lam <= s``),
+    so underflow cannot void these factors.  The split returns ``-inf``
+    whenever ``B(v)`` could be non-finite, so a certified trial never hides
+    a :class:`NonFiniteIterate`.  Certified trials count in
+    ``forward_evals`` and in ``certified``.
     """
     if space is None:
         space = euclidean(len(w))
     _require_finite(np.asarray(w), "line-search input")
-    b_w = _require_finite(np.asarray(forward(w), dtype=float), "B(w)")
+    split = getattr(forward, "split", None)
+    if split is not None and not np.all(getattr(space, "weights", None) == 1.0):
+        split = None
+    if split is None:
+        b_w = _require_finite(np.asarray(forward(w), dtype=float), "B(w)")
+    else:
+        st_w = split.first(w)
+        b_w = _require_finite(split.finish(w, st_w), "B(w)")
+        floor = max(params.s, 1.0) * _CERTIFY_FLOOR
+        c = 1.0 + 2.0 * _rounding_gamma(len(w) + 8)
 
     resolvent_evals = 0
     forward_evals = 1
+    certified = 0
     j = int(j_start)
     if j < 0:
         raise ValueError("j_start must be nonnegative")
     while j <= params.max_backtracks:
         lam = params.s * params.mu ** j
         v = _require_finite(np.asarray(resolvent(w - lam * b_w, lam), dtype=float), "J(w - lam*B(w))")
-        b_v = _require_finite(np.asarray(forward(v), dtype=float), "B(v)")
         resolvent_evals += 1
         forward_evals += 1
-        wv = w - v
+        wv = None
+        if split is None:
+            b_v = _require_finite(np.asarray(forward(v), dtype=float), "B(v)")
+        else:
+            st_v = split.first(v)
+            lower = lam * split.pairing(w, st_w, v, st_v)
+            if lower > 0.0:
+                wv = w - v
+                res_wv = space.norm(wv)
+                rhs = params.sigma * res_wv
+                if rhs >= floor and lower > rhs * res_wv * c:
+                    certified += 1
+                    j += 1
+                    continue
+            b_v = _require_finite(split.finish(v, st_v), "B(v)")
+        if wv is None:
+            wv = w - v
+            res_wv = space.norm(wv)
         b_wv = b_w - b_v
-        res_wv = space.norm(wv)
         if lam * space.norm(b_wv) <= params.sigma * res_wv:
             return LineSearchOutcome(
                 lam=lam,
@@ -182,6 +238,7 @@ def backtrack(
                 res_wv=res_wv,
                 wv=wv,
                 b_wv=b_wv,
+                certified=certified,
             )
         j += 1
     raise BacktrackExhausted(

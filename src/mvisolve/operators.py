@@ -9,19 +9,22 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .spaces import _rounding_gamma
+
 __all__ = [
     "ForwardOperator",
+    "ForwardSplit",
     "ResolventOperator",
     "soft_threshold",
     "quartic_fidelity_gradient",
     "lpa_gradient",
     "log_operator",
-    "box_projection",
     "zero_forward",
     "identity_forward",
     "cubic_forward",
@@ -37,16 +40,44 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class ForwardSplit:
+    """A forward map that factors through one matrix, evaluated in two passes.
+
+    ``first(u)`` makes the first matrix pass and returns a state;
+    ``finish(u, state)`` completes it and returns ``B(u)``, bitwise equal to
+    the operator's ``fn(u)``.  ``pairing(w, st_w, v, st_v)`` returns a lower
+    bound on the exact inner product ``<B(w) - B(v), w - v>`` of the two
+    float64 vectors ``finish`` would return, certified against rounding and
+    computed from the two states alone, or ``-inf`` where it certifies none.
+    It must return ``-inf`` whenever ``finish(v, st_v)`` could be
+    non-finite: the line search skips ``finish`` only on the strength of
+    this bound, and must not skip a non-finite ``B(v)``.
+
+    The three callables keep no state between calls (everything per point
+    lives in the returned state), because operators are shared across
+    threads.
+    """
+
+    first: Callable[[np.ndarray], tuple]
+    finish: Callable[[np.ndarray, tuple], np.ndarray]
+    pairing: Callable[[np.ndarray, tuple, np.ndarray, tuple], float]
+
+
+@dataclass(frozen=True)
 class ForwardOperator:
     """Single-valued map ``u -> B(u)``, evaluated directly.
 
     ``lipschitz_hint`` is informational only; no solver in this package
-    requires a Lipschitz constant.
+    requires a Lipschitz constant.  ``split``, when given, is a stateless
+    two-pass form of ``fn`` (see :class:`ForwardSplit`) that lets the line
+    search reject a trial step before its second matrix pass; ``fn`` stays
+    the definition of the map.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     label: str = "forward"
     lipschitz_hint: Optional[float] = None
+    split: Optional[ForwardSplit] = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.fn(u)
@@ -127,15 +158,6 @@ def log_operator(u: np.ndarray) -> np.ndarray:
     return u * np.log1p(np.abs(u))
 
 
-def box_projection(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Componentwise clamp of ``u`` to ``[lo, hi]``; independent of any step size."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("box is empty: lo > hi in some coordinate")
-    return np.clip(u, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # wrapped operator factories
 
@@ -157,12 +179,86 @@ def log_forward() -> ForwardOperator:
     return ForwardOperator(log_operator, label="x*log1p|x|")
 
 
+#: the quartic pairing bound is certified only while its scales lie in this window
+_SCALE_LO, _SCALE_HI = 2.0**-300, 2.0**300
+
+
+def _quartic_split(C: np.ndarray, y: np.ndarray) -> ForwardSplit:
+    """Two-pass form of :func:`quartic_fidelity_gradient` with a certified pairing bound.
+
+    The state of ``u`` is ``(r, rr, uu)``: the computed residual
+    ``r = C@u - y``, ``rr = r.r`` and ``uu = u.u``.  ``finish`` is the second
+    GEMV, ``rr * (C.T @ r)``, the same operations as the one-pass map.
+
+    The pairing.  Let ``r_w``, ``r_v`` be the computed residuals and ``e_w``,
+    ``e_v`` their rounding errors.  Exactly,
+    ``<rr_w C^T r_w - rr_v C^T r_v, w - v> = <rr_w r_w - rr_v r_v, C(w - v)>``
+    and ``C(w - v) = (r_w - r_v) - (e_w - e_v)``, so the pairing is
+    ``p = <rr_w r_w - rr_v r_v, r_w - r_v>``.  It is computed with one inner
+    product as ``rr_w**2 + rr_v**2 - (rr_w + rr_v) <r_w, r_v>``, which
+    replaces ``||r_u||^2`` by ``rr_u``.  Let
+    ``A = rr_w ||r_w|| + rr_v ||r_v||``, ``D = ||r_w|| + ||r_v||`` and
+    ``g_k`` be :func:`mvisolve.spaces._rounding_gamma`.  Then
+
+    * ``||e_u|| <= g_n ||C||_F ||u|| + g_1 ||r_u||`` (first GEMV, subtraction);
+    * ``||B(u) - rr_u C^T r_u|| <= g_{m+1} rr_u ||C||_F ||r_u||`` (second
+      GEMV, scaling);
+    * ``|fl(p) - p| <= g_{m+4} A D``: ``g_m A D`` for ``rr_u`` and the inner
+      product, whose errors are at most ``g_m ||r_u||^2`` and
+      ``g_m ||r_w|| ||r_v||``, and ``g_3`` times the same scale for the
+      three roundings of the formula.  The cancellation in the formula
+      costs nothing, as the allowance already scales with ``A D``.
+
+    So the exact pairing of the computed ``B(w)`` and ``B(v)`` is at least
+    ``fl(p) - A (g_{m+5} D + 2 g_{m+n} ||C||_F (||w|| + ||v||))``, using
+    ``||w - v|| <= ||w|| + ||v||``.  The bound returned subtracts
+    ``2 g_{m+n+8}`` times ``A (D + 2 ||C||_F (||w|| + ||v||))``, with
+    ``||C||_F`` inflated by 1.001 for the rounding of its ``m*n``-term sum
+    (``g_{mn} < 1e-3`` below ``m*n = 8e12``).  The factor 2 covers the norms
+    taken from the computed ``rr`` and ``uu``, the rounding of the scale and
+    of the final subtraction.
+
+    A bound is returned only while ``rr_w``, ``rr_v`` and ``||C||_F`` lie in
+    ``[2**-300, 2**300]``.  There, what underflow adds to any term stays
+    below ``2**-50`` of the slack the factor 2 leaves, and ``finish(v)`` is
+    finite: every partial sum of ``C.T @ r_v`` is at most
+    ``||C||_F ||r_v|| < 2**451``, and ``rr_v`` times it is below ``2**751``.
+    """
+    m, n = C.shape
+    c_fro = math.sqrt(float(np.vdot(C, C)))
+    certifiable = _SCALE_LO <= c_fro <= _SCALE_HI
+    c_scale = 2.0 * 1.001 * c_fro
+    allowance = 2.0 * _rounding_gamma(m + n + 8)
+
+    def first(u):
+        r = C @ u - y
+        return r, float(r @ r), float(u.dot(u))
+
+    def finish(u, state):
+        r, rr, _ = state
+        return rr * (C.T @ r)
+
+    def pairing(w, st_w, v, st_v):
+        r_w, rr_w, uu_w = st_w
+        r_v, rr_v, uu_v = st_v
+        if not (certifiable and _SCALE_LO <= rr_w <= _SCALE_HI and _SCALE_LO <= rr_v <= _SCALE_HI):
+            return -math.inf
+        p = rr_w * rr_w + rr_v * rr_v - (rr_w + rr_v) * float(r_w.dot(r_v))
+        nr_w, nr_v = math.sqrt(rr_w), math.sqrt(rr_v)
+        scale = (rr_w * nr_w + rr_v * nr_v) * (nr_w + nr_v + c_scale * (math.sqrt(uu_w) + math.sqrt(uu_v)))
+        return p - allowance * scale
+
+    return ForwardSplit(first, finish, pairing)
+
+
 def quartic_forward(C: np.ndarray, v: np.ndarray) -> ForwardOperator:
+    """The quartic fidelity gradient, with the two-pass split the line search can use."""
     C = np.asarray(C, dtype=float)
     v = np.asarray(v, dtype=float)
     return ForwardOperator(
         lambda u: quartic_fidelity_gradient(C, v, u),
         label=f"quartic-fidelity[{C.shape[0]}x{C.shape[1]}]",
+        split=_quartic_split(C, v),
     )
 
 

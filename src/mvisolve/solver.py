@@ -309,7 +309,10 @@ class IterationRecord:
     ``delta`` is the contraction scalar of the method (nan where the
     method has none), ``err`` the stopping metric, ``dist2_ref`` the
     squared distance to the reference solution when one is known.
-    Evaluation counts are per-iteration, not cumulative.
+    Evaluation counts are per-iteration, not cumulative.  ``certified``
+    counts the line-search trials rejected before their second matrix pass
+    (see :func:`mvisolve.linesearch.backtrack`); they are included in
+    ``forward_evals``.
     """
 
     k: int
@@ -325,6 +328,7 @@ class IterationRecord:
     elapsed_ns: int
     forward_evals: int
     resolvent_evals: int
+    certified: int = 0
 
 
 class IterationTrace:
@@ -371,6 +375,10 @@ class IterationTrace:
     @property
     def total_resolvent_evals(self) -> int:
         return sum(r.resolvent_evals for r in self.records)
+
+    @property
+    def total_certified(self) -> int:
+        return sum(r.certified for r in self.records)
 
     def cumulative_seconds(self) -> np.ndarray:
         return np.cumsum(self.array("elapsed_ns")) / 1e9
@@ -498,6 +506,7 @@ class StepOutcome:
     fejer_applicable: bool = False
     phi_norm2: float = float("nan")  # ||phi||^2 as the kernel computed it
     wv_phi: float = float("nan")  # <w - v, phi> as the kernel computed it
+    certified: int = 0  # line-search trials rejected before their second pass
 
 
 def _guard_iterate(u: np.ndarray, space: InnerProductSpace, what: str) -> None:
@@ -557,6 +566,7 @@ def _contraction_step(
         fejer_applicable=fejer,
         phi_norm2=core.phi_norm2,
         wv_phi=core.wv_phi,
+        certified=point.certified,
     )
     return core.u_next, outcome
 
@@ -715,6 +725,7 @@ def _drive(
                 elapsed_ns=elapsed,
                 forward_evals=out.forward_evals,
                 resolvent_evals=out.resolvent_evals,
+                certified=out.certified,
             )
         )
         final = u_next

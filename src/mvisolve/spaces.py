@@ -82,6 +82,17 @@ def _sum_of_squares(x: np.ndarray) -> float:
     return np.vdot(x, x)
 
 
+def _rounding_gamma(k: int) -> float:
+    """``gamma_k = k*u / (1 - k*u)`` with ``u = 2**-53`` (Higham, *Accuracy and Stability*, 3.1).
+
+    The relative error bound of a ``k``-term float64 inner product, in any
+    summation order and with or without fused multiply-adds, when nothing
+    underflows.
+    """
+    ku = k * 2.0**-53
+    return ku / (1.0 - ku)
+
+
 def _all_finite(x: np.ndarray) -> bool:
     # exact test only when the sum overflows: 1e200 is finite, its square is not
     return math.isfinite(_sum_of_squares(x)) or bool(np.isfinite(x).all())

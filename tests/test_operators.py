@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mvisolve.operators import (
-    box_projection,
     box_resolvent,
     identity_resolvent,
     l1_resolvent,
@@ -132,16 +131,16 @@ class TestLogOperator:
 
 class TestBoxProjection:
     def test_clamp(self):
-        out = box_projection(np.array([3.0, -2.0]), np.zeros(2), np.ones(2))
+        out = box_resolvent(np.zeros(2), np.ones(2))(np.array([3.0, -2.0]), 1.0)
         np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_identity_inside(self):
         u = np.array([0.25, 0.75])
-        np.testing.assert_array_equal(box_projection(u, np.zeros(2), np.ones(2)), u)
+        np.testing.assert_array_equal(box_resolvent(np.zeros(2), np.ones(2))(u, 1.0), u)
 
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
-            box_projection(np.zeros(2), np.ones(2), np.zeros(2))
+            box_resolvent(np.ones(2), np.zeros(2))(np.zeros(2), 1.0)
 
     def test_matches_grid_argmin(self):
         lo, hi = np.array([-1.0, 0.0]), np.array([0.5, 2.0])
@@ -149,7 +148,7 @@ class TestBoxProjection:
         for _ in range(5):
             u = rng.uniform(-3, 3, size=2)
             brute = grid_projection_2d(u, lo, hi, step=1e-3)
-            exact = box_projection(u, lo, hi)
+            exact = box_resolvent(lo, hi)(u, 1.0)
             assert np.linalg.norm(exact - brute) <= 1.5e-3
 
 
