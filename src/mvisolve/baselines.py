@@ -130,7 +130,7 @@ class BaselineConfig:
 
 
 def _direct_step(
-    u_next, lam, j, res_wv, forward_evals, resolvent_evals, certified=0
+    u_next, lam, j, res_wv, forward_evals, resolvent_evals, certified=0, speculative=0
 ) -> tuple[np.ndarray, StepOutcome]:
     """Step record of a method that moves without a contraction direction."""
     out = StepOutcome(
@@ -145,6 +145,7 @@ def _direct_step(
         forward_evals=forward_evals,
         resolvent_evals=resolvent_evals,
         certified=certified,
+        speculative=speculative,
     )
     return u_next, out
 
@@ -166,7 +167,9 @@ def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> t
     ls = backtrack(u, forward, resolvent, armijo, space=space)
     u_next = ls.v - ls.lam * (ls.b_v - ls.b_w)
     _guard_iterate(u_next, space, "tseng iterate")
-    return _direct_step(u_next, ls.lam, ls.j, ls.res_wv, ls.forward_evals, ls.resolvent_evals, ls.certified)
+    return _direct_step(
+        u_next, ls.lam, ls.j, ls.res_wv, ls.forward_evals, ls.resolvent_evals, ls.certified, ls.speculative
+    )
 
 
 def zw_step(
@@ -260,6 +263,7 @@ def tc_step(
         w=w,
         sigma_check=None if literal else armijo.sigma,
         certified=ls.certified,
+        speculative=ls.speculative,
     )
     return u_next, out
 

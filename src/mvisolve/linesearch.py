@@ -14,6 +14,8 @@ away from zero along any convergent run.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +70,15 @@ class LineSearchParams:
     warm_start: bool = False
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("initial step s must be positive")
+        if not (self.s > 0 and math.isfinite(self.s)):
+            raise ValueError(f"initial step s must be positive and finite, got {self.s!r}")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("backtrack factor mu must lie in (0, 1)")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("acceptance ratio sigma must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be a positive integer")
+        mb = self.max_backtracks
+        if isinstance(mb, bool) or not isinstance(mb, numbers.Integral) or mb < 1:
+            raise ValueError(f"max_backtracks must be a positive integer, got {mb!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,9 @@ class LineSearchOutcome:
     ``None`` for a point built outside :func:`backtrack`.  The acceptance
     inequality can be re-checked from these fields alone.  ``certified``
     counts the rejected trials whose ``B(v)`` was never finished (see
-    :func:`backtrack`); ``forward_evals`` counts them too.
+    :func:`backtrack`); ``forward_evals`` counts them too.  ``speculative``
+    counts the block rows computed past the accepted trial, which neither
+    ``forward_evals`` nor ``resolvent_evals`` counts.
     """
 
     lam: float
@@ -103,16 +108,36 @@ class LineSearchOutcome:
     wv: np.ndarray | None = None
     b_wv: np.ndarray | None = None
     certified: int = 0
+    speculative: int = 0
 
 
 #: a certified rejection needs ``sigma*||w - v|| >= max(s, 1) * _CERTIFY_FLOOR`` (see backtrack)
 _CERTIFY_FLOOR = 2.0**-450
+
+#: trials per block: the first block of a search, then each later one (see backtrack)
+_FIRST_BLOCK, _NEXT_BLOCK = 16, 8
 
 
 def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
     if not _all_finite(x):
         raise NonFiniteIterate(f"{what} is non-finite")
     return x
+
+
+def _block_rejections(w, b_w, st_w, j, rows, params, split, block):
+    """Trial points ``v_j .. v_{j+rows-1}`` at once, and which of them the block certifies as rejected."""
+    lams = np.array([params.s * params.mu ** i for i in range(j, j + rows)])
+    V = block(w - lams[:, None] * b_w, lams)
+    floor = max(params.s, 1.0) * _CERTIFY_FLOOR
+    c_block = 1.0 + 4.0 * _rounding_gamma(len(w) + 8)
+    # rows the search may never reach must not warn: a non-finite row is
+    # never certified, and the exact path raises at it if the search gets there
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = lams * split.block_pairing(w, st_w, V, split.block_first(V))
+        wv = w - V
+        res_wv = np.sqrt(np.einsum("ij,ij->i", wv, wv))
+        rhs = params.sigma * res_wv
+        return V, (rhs >= floor) & (lower > rhs * res_wv * c_block)
 
 
 def backtrack(
@@ -153,7 +178,8 @@ def backtrack(
     -----
     ``B(w)`` does not depend on ``lam`` and is evaluated once.  Each trial
     then costs one resolvent evaluation and one forward evaluation, of which
-    a certified rejection (below) makes only the first matrix pass.  The
+    a certified rejection (below) makes only the first matrix pass, and a
+    block-certified one only its row of a block.  The
     same ``lam`` is used both inside the resolvent argument and as the
     scaling of the left-hand side.  The comparison is an exact
     floating-point ``<=``: both sides are same-scale norms, and any slack
@@ -181,6 +207,36 @@ def backtrack(
     whenever ``B(v)`` could be non-finite, so a certified trial never hides
     a :class:`NonFiniteIterate`.  Certified trials count in
     ``forward_evals`` and in ``certified``.
+
+    Block certification.  The trial points of one search depend only on
+    ``w`` and ``B(w)``, so when the split also has ``block_first`` and
+    ``block_pairing``, ``resolvent`` has a row-wise ``block`` form (as
+    :func:`~mvisolve.operators.l1_resolvent` does) and ``params.warm_start``
+    is off, the search takes its trials in blocks: 16 rows, then 8 at a
+    time, never past ``max_backtracks``.  A block stacks
+    ``w - lam_j*B(w)``, calls ``block`` once, makes every first pass with
+    one ``block_first`` (one GEMM for the quartic map), and tests every row
+    against the certificate above with the block's bound ``L_b`` and
+    ``N_b``, the norm of the same float ``w - v`` summed in another order.
+    A row with ``fl(lam*L_b) > fl(fl(S_b*N_b) * c_b)``,
+    ``c_b = 1 + 4*g_{n+8}``, is rejected without further work: ``N_b`` and
+    the test's ``N`` each lie within ``(1 +- g_n)^(1/2) (1 +- u)`` of the
+    exact norm, so the argument above goes through once ``c_b`` exceeds
+    ``(1+u)^4 (1+g_n)^(1/2) / ((1-u)^10 (1-g_n)^(3/2))``, about
+    ``1 + 2*g_n + 14u``.  ``c_b`` clears that by about ``2*g_n + 18u``,
+    more than ``c`` clears its own requirement ``1 + g_n + 8u``; ``c``
+    would clear this one by only ``2u``.  The first row the block cannot
+    certify runs the per-trial code above on a copy of that row (its own
+    first pass, ``pairing``, ``finish`` and the float test), and the search
+    then goes on to the next row.  A non-finite row is never certified, so the search
+    raises at the same trial as the per-trial loop, and not at all if it
+    accepts an earlier one.  The accepted ``j``, ``v``, ``B(v)`` and
+    ``res_wv`` are bitwise those of the per-trial loop, and so are the
+    counters: ``forward_evals`` and ``resolvent_evals`` count the trials the
+    search reaches, ``certified`` the block's rejections too, and
+    ``speculative`` the rows computed past the accepted trial.  Warm-started
+    searches keep the per-trial loop: they accept after about two trials,
+    and a block would mostly compute rows they never reach.
     """
     if space is None:
         space = euclidean(len(w))
@@ -188,6 +244,7 @@ def backtrack(
     split = getattr(forward, "split", None)
     if split is not None and not np.all(getattr(space, "weights", None) == 1.0):
         split = None
+    block = None
     if split is None:
         b_w = _require_finite(np.asarray(forward(w), dtype=float), "B(w)")
     else:
@@ -195,6 +252,8 @@ def backtrack(
         b_w = _require_finite(split.finish(w, st_w), "B(w)")
         floor = max(params.s, 1.0) * _CERTIFY_FLOOR
         c = 1.0 + 2.0 * _rounding_gamma(len(w) + 8)
+        if split.block_first is not None and not params.warm_start:
+            block = getattr(resolvent, "block", None)
 
     resolvent_evals = 0
     forward_evals = 1
@@ -202,9 +261,24 @@ def backtrack(
     j = int(j_start)
     if j < 0:
         raise ValueError("j_start must be nonnegative")
+    V = None
     while j <= params.max_backtracks:
         lam = params.s * params.mu ** j
-        v = _require_finite(np.asarray(resolvent(w - lam * b_w, lam), dtype=float), "J(w - lam*B(w))")
+        if block is None:
+            v = resolvent(w - lam * b_w, lam)
+        else:
+            if V is None or j == j0 + len(V):
+                rows = min(_NEXT_BLOCK if V is not None else _FIRST_BLOCK, params.max_backtracks - j + 1)
+                j0 = j
+                V, rejected = _block_rejections(w, b_w, st_w, j, rows, params, split, block)
+            if rejected[j - j0]:
+                resolvent_evals += 1
+                forward_evals += 1
+                certified += 1
+                j += 1
+                continue
+            v = V[j - j0].copy()
+        v = _require_finite(np.asarray(v, dtype=float), "J(w - lam*B(w))")
         resolvent_evals += 1
         forward_evals += 1
         wv = None
@@ -239,6 +313,7 @@ def backtrack(
                 wv=wv,
                 b_wv=b_wv,
                 certified=certified,
+                speculative=0 if V is None else j0 + len(V) - 1 - j,
             )
         j += 1
     raise BacktrackExhausted(

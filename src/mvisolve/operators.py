@@ -3,8 +3,9 @@
 The solvers only ever touch two things: a monotone single-valued map
 evaluated directly, and a set-valued maximal monotone operator exposed
 through its resolvent ``(I + lam*A)^{-1}``.  Both are wrapped in thin
-immutable carriers so traces can label them and benchmarks can share them
-across threads.
+immutable carriers so traces can label them.  Every callable a carrier
+holds is pure: the line search evaluates splits and block forms
+speculatively, and one operator is reused across cells and passes.
 """
 
 from __future__ import annotations
@@ -53,14 +54,23 @@ class ForwardSplit:
     non-finite: the line search skips ``finish`` only on the strength of
     this bound, and must not skip a non-finite ``B(v)``.
 
-    The three callables keep no state between calls (everything per point
-    lives in the returned state), because operators are shared across
-    threads.
+    ``block_first(V)`` and ``block_pairing(w, st_w, V, st_V)``, when given,
+    make the first pass of every row of ``V`` at once and return one such
+    bound per row.  A block state may differ from the rows' ``first``
+    states in rounding (a matrix product sums in its own order), so each
+    bound must hold for the ``B(v)`` that ``finish(v, first(v))`` would
+    return, whatever order the block summed in.
+
+    The callables keep no state between calls (everything per point lives
+    in the returned state): the line search calls them speculatively, on
+    rows it may never use.
     """
 
     first: Callable[[np.ndarray], tuple]
     finish: Callable[[np.ndarray, tuple], np.ndarray]
     pairing: Callable[[np.ndarray, tuple, np.ndarray, tuple], float]
+    block_first: Optional[Callable[[np.ndarray], tuple]] = None
+    block_pairing: Optional[Callable[[np.ndarray, tuple, np.ndarray, tuple], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -89,11 +99,15 @@ class ResolventOperator:
 
     For subdifferentials this is the proximal map, for normal cones the
     metric projection.  ``apply`` must be single-valued and
-    dimension-preserving for every ``lam > 0``.
+    dimension-preserving for every ``lam > 0``.  ``block(X, lams)``, when
+    given, is the row-wise form: row ``i`` of its result is bitwise
+    ``apply(X[i], lams[i])``, and it is pure, so the line search may use it
+    to evaluate several trial steps at once.
     """
 
     apply: Callable[[np.ndarray, float], np.ndarray]
     label: str = "resolvent"
+    block: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, x: np.ndarray, lam: float) -> np.ndarray:
         return self.apply(x, lam)
@@ -223,12 +237,42 @@ def _quartic_split(C: np.ndarray, y: np.ndarray) -> ForwardSplit:
     below ``2**-50`` of the slack the factor 2 leaves, and ``finish(v)`` is
     finite: every partial sum of ``C.T @ r_v`` is at most
     ``||C||_F ||r_v|| < 2**451``, and ``rr_v`` times it is below ``2**751``.
+
+    The block pairing.  A row's block residual ``r''`` comes from a GEMM,
+    the ``B(v)`` it must bound from the GEMV residual ``r'`` that
+    ``first(v)`` would compute.  Higham's bound holds in any summation
+    order, so each lies within ``g_n ||C||_F ||v|| + g_1 ||r||`` of
+    ``Cv - y``, and ``Delta = r' - r''`` has
+    ``||Delta|| <= 2 g_n ||C||_F ||v|| + 2u M (1 + u)`` with
+    ``M = max(||r'||, ||r''||)``.  The block cannot see ``r'``, so it
+    widens its own residual norm to ``M^ = ||r''|| + g_n c ||v||`` with
+    ``c = 2.002 ||C||_F`` as above; ``M^`` bounds ``M`` up to a factor
+    ``1 + 3u + g_m`` that the slack absorbs.  Write
+    ``pi(r) = <a - rr(r) r, r_w - r>``, ``a = rr_w r_w``.  Then
+    ``pi(r'') - pi(r') = <a - rr'' r'', Delta> + <rr' r' - rr'' r'', r_w - r'>``.
+    The first factor is at most ``A^ = rr_w ||r_w|| + M^**3``.  The map
+    ``r -> ||r||^2 r`` has derivative norm ``3||r||^2``, and ``rr`` rounds
+    ``||r||^2`` by ``g_m``, so the second is at most
+    ``(3 M^2 ||Delta|| + 2 g_m M^3) D^``, ``D^ = ||r_w|| + M^``.  As
+    ``3 M^2 D^ <= 5 M^3 + ||r_w||^3 <= 5 A^``, the gap is at most
+    ``6 A^ ||Delta|| + 2 g_m A^ D^``, that is at most
+    ``A^ (6 g_n c ||v|| + (12.01 u + 2 g_m) D^)``.  Adding the GEMV
+    bound at the widened norms, the exact pairing is at least
+    ``fl(p'') - A^ (g_{3m+18} D^ + 7 g_{m+n} c (||w|| + ||v||))``.
+    The bound returned subtracts ``16 g_{m+n+8} A^ (D^ + c (||w|| + ||v||))``,
+    8 times the GEMV allowance: more than twice what the terms need, the
+    factor 2 that covers the rounding of the computed norms and of the
+    scale, as above.  ``M^**2 <= 2**300`` replaces the window's upper end
+    for ``rr_v``, so ``rr'`` and ``||r'||`` obey it up to that same factor
+    and ``finish(v, first(v))`` is finite.
     """
     m, n = C.shape
     c_fro = math.sqrt(float(np.vdot(C, C)))
     certifiable = _SCALE_LO <= c_fro <= _SCALE_HI
     c_scale = 2.0 * 1.001 * c_fro
     allowance = 2.0 * _rounding_gamma(m + n + 8)
+    block_allowance = 8.0 * allowance
+    gap = _rounding_gamma(n) * c_scale
 
     def first(u):
         r = C @ u - y
@@ -248,7 +292,23 @@ def _quartic_split(C: np.ndarray, y: np.ndarray) -> ForwardSplit:
         scale = (rr_w * nr_w + rr_v * nr_v) * (nr_w + nr_v + c_scale * (math.sqrt(uu_w) + math.sqrt(uu_v)))
         return p - allowance * scale
 
-    return ForwardSplit(first, finish, pairing)
+    def block_first(V):
+        R = V @ C.T - y
+        return R, np.einsum("ij,ij->i", R, R), np.einsum("ij,ij->i", V, V)
+
+    def block_pairing(w, st_w, V, st_V):
+        r_w, rr_w, uu_w = st_w
+        R, rr_v, uu_v = st_V
+        if not (certifiable and _SCALE_LO <= rr_w <= _SCALE_HI):
+            return np.full(len(rr_v), -math.inf)
+        p = rr_w * rr_w + rr_v * rr_v - (rr_w + rr_v) * (R @ r_w)
+        nr_w, nv = math.sqrt(rr_w), np.sqrt(uu_v)
+        nr_hat = np.sqrt(rr_v) + gap * nv
+        scale = (rr_w * nr_w + nr_hat**3) * (nr_w + nr_hat + c_scale * (math.sqrt(uu_w) + nv))
+        inside = (rr_v >= _SCALE_LO) & (nr_hat * nr_hat <= _SCALE_HI)
+        return np.where(inside, p - block_allowance * scale, -math.inf)
+
+    return ForwardSplit(first, finish, pairing, block_first, block_pairing)
 
 
 def quartic_forward(C: np.ndarray, v: np.ndarray) -> ForwardOperator:
@@ -286,7 +346,14 @@ def l1_resolvent(rho: float) -> ResolventOperator:
     """Resolvent of the scaled l1 subdifferential: ``x -> soft(x, lam*rho)``."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    return ResolventOperator(lambda x, lam: soft_threshold(x, lam * rho), label=f"soft[rho={rho:g}]")
+
+    def block(X, lams):
+        # the same exactly rounded elementwise operations as soft_threshold,
+        # so each row is bitwise apply(X[i], lams[i]); lam > 0 and rho >= 0
+        # make every threshold nonnegative
+        return np.sign(X) * np.maximum(np.abs(X) - (lams * rho)[:, None], 0.0)
+
+    return ResolventOperator(lambda x, lam: soft_threshold(x, lam * rho), label=f"soft[rho={rho:g}]", block=block)
 
 
 def box_resolvent(lo: np.ndarray, hi: np.ndarray) -> ResolventOperator:

@@ -312,7 +312,8 @@ class IterationRecord:
     Evaluation counts are per-iteration, not cumulative.  ``certified``
     counts the line-search trials rejected before their second matrix pass
     (see :func:`mvisolve.linesearch.backtrack`); they are included in
-    ``forward_evals``.
+    ``forward_evals``.  ``speculative`` counts the block rows the search
+    computed past its accepted trial; they are in neither evaluation count.
     """
 
     k: int
@@ -329,6 +330,7 @@ class IterationRecord:
     forward_evals: int
     resolvent_evals: int
     certified: int = 0
+    speculative: int = 0
 
 
 class IterationTrace:
@@ -379,6 +381,10 @@ class IterationTrace:
     @property
     def total_certified(self) -> int:
         return sum(r.certified for r in self.records)
+
+    @property
+    def total_speculative(self) -> int:
+        return sum(r.speculative for r in self.records)
 
     def cumulative_seconds(self) -> np.ndarray:
         return np.cumsum(self.array("elapsed_ns")) / 1e9
@@ -507,6 +513,7 @@ class StepOutcome:
     phi_norm2: float = float("nan")  # ||phi||^2 as the kernel computed it
     wv_phi: float = float("nan")  # <w - v, phi> as the kernel computed it
     certified: int = 0  # line-search trials rejected before their second pass
+    speculative: int = 0  # block rows computed past the accepted trial
 
 
 def _guard_iterate(u: np.ndarray, space: InnerProductSpace, what: str) -> None:
@@ -567,6 +574,7 @@ def _contraction_step(
         phi_norm2=core.phi_norm2,
         wv_phi=core.wv_phi,
         certified=point.certified,
+        speculative=point.speculative,
     )
     return core.u_next, outcome
 
@@ -726,6 +734,7 @@ def _drive(
                 forward_evals=out.forward_evals,
                 resolvent_evals=out.resolvent_evals,
                 certified=out.certified,
+                speculative=out.speculative,
             )
         )
         final = u_next

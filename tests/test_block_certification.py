@@ -1,0 +1,333 @@
+"""Block certification in the line search changes no result.
+
+With the quartic forward map of sparse recovery and the l1 resolvent, a
+restarting search computes its trial points a block at a time: one call of
+the resolvent's block form, one GEMM for the first passes, and vectorised
+certificates.  A row the block cannot certify runs the exact per-trial
+code.  Six groups of tests:
+
+* block and per-trial searches agree bitwise for every line-search method;
+* ``l1_resolvent``'s block form is row-wise ``apply``, bitwise;
+* the block certificate never rejects a trial the acceptance test accepts:
+  over a sweep of near-tied and badly scaled trials, with an exact pairing
+  that leaves only the block's norm allowance, and with residuals at the
+  edge of the rounding bound the block pairing is derived from;
+* non-finite rows raise at the same trial as the per-trial loop, and not
+  at all past the accepted trial;
+* blocks stop at ``max_backtracks``;
+* the speculative count reaches the trace.
+"""
+
+import dataclasses
+import math
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from mvisolve.baselines import BaselineConfig, run_baseline
+from mvisolve.linesearch import BacktrackExhausted, LineSearchParams, NonFiniteIterate, backtrack
+from mvisolve.operators import ForwardOperator, ResolventOperator, l1_resolvent, quartic_forward
+from mvisolve.problems import assemble, gen_l2
+from mvisolve.solver import SolverConfig, StoppingRule, solve
+from mvisolve.spaces import _rounding_gamma
+
+from test_certified_rejection import COLUMNS, L2_SOLVERS, LINE_SEARCH_METHODS, _cs512, _float_test_accepts, _run, _trial
+
+
+def _per_trial(problem):
+    """The same problem with the resolvent's block form hidden."""
+    return dataclasses.replace(problem, resolvent=lambda x, lam: problem.resolvent(x, lam))
+
+
+# ---------------------------------------------------------------------------
+# (a) block and per-trial searches agree bitwise
+
+
+@pytest.mark.parametrize("check_invariants", [True, False])
+@pytest.mark.parametrize("name", LINE_SEARCH_METHODS)
+def test_block_and_per_trial_searches_agree_bitwise(name, check_invariants):
+    problem = _cs512()
+    u_block, block = _run(name, problem, check_invariants)
+    u_plain, plain = _run(name, _per_trial(problem), check_invariants)
+    # warm-started searches keep the per-trial loop
+    assert (block.total_speculative > 0) == (name != "ifb-warm")
+    assert plain.total_speculative == 0
+    assert block.total_certified > 0 and plain.total_certified > 0
+    assert block.status == plain.status and block.iterations == plain.iterations > 0
+    assert block.total_forward_evals == plain.total_forward_evals
+    assert block.total_resolvent_evals == plain.total_resolvent_evals
+    assert block.violations == plain.violations
+    assert u_block.tobytes() == u_plain.tobytes()
+    for column in COLUMNS:
+        assert block.array(column).tobytes() == plain.array(column).tobytes(), column
+
+
+# ---------------------------------------------------------------------------
+# (b) the block resolvent is row-wise apply
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 3.7])
+def test_l1_block_is_row_wise_apply_bitwise(rho):
+    rng = np.random.default_rng(7)
+    n = 64
+    X = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-3, 3, size=(6, n))
+    X[0, :8] = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-320, 1.7e308, -1.7e308]
+    X[1] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    X[2, :4] = [1e300, -1e300, 1e-300, -1e-300]
+    X[3] = 0.1 * rho  # exactly at the threshold of its row
+    lams = np.array([1.0, 0.5, 2.0**-40, 1e-300, 1.0, 2.0**20])
+    res = l1_resolvent(rho)
+    V = res.block(X, lams)
+    assert V.shape == X.shape
+    for i in range(len(lams)):
+        assert V[i].tobytes() == res.apply(X[i], lams[i]).tobytes(), i
+
+
+# ---------------------------------------------------------------------------
+# (c) soundness of the block certificate
+
+
+def _block_single_trial(w, v, forward, lam, sigma):
+    """``backtrack`` whose first trial is ``(lam, v)`` and second ``w``, through the block path.
+
+    Returns ``(accepted at the first trial, first trial certified by the block)``.
+    """
+    seen = []
+    split = forward.split
+
+    def first(u):
+        seen.append(u.tobytes())
+        return split.first(u)
+
+    forward = dataclasses.replace(forward, split=dataclasses.replace(split, first=first))
+    resolvent = ResolventOperator(
+        lambda x, step: v if step == lam else w,
+        block=lambda X, lams: np.array([v if step == lam else w for step in lams]),
+    )
+    params = LineSearchParams(s=lam, mu=0.5, sigma=sigma, max_backtracks=1)
+    ls = backtrack(w, forward, resolvent, params)
+    assert ls.forward_evals == 1 + ls.resolvent_evals
+    assert ls.speculative == 1 - ls.j
+    # the first pass ran on v exactly when the block could not certify it
+    return ls.j == 0, v.tobytes() not in seen[1:]
+
+
+def test_block_certificate_never_rejects_an_accepted_trial():
+    rng = np.random.default_rng(20261019)
+    trials = certified = declined_ties = accepted = 0
+    while trials < 10_000:
+        drawn = _trial(rng, ("one-dimensional", "aligned", "general")[trials % 3])
+        if drawn is None:
+            continue
+        C, y, w, v, lam, sigma, near_tie = drawn
+        if not lam > 0.0 or not np.isfinite(lam) or v.tobytes() == w.tobytes():
+            continue
+        trials += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                first_accepted, block_certified = _block_single_trial(w, v, quartic_forward(C, y), lam, sigma)
+            except NonFiniteIterate:
+                continue
+            float_accepts = _float_test_accepts(C, y, w, v, lam, sigma)
+        assert first_accepted == float_accepts
+        if block_certified:
+            certified += 1
+            assert not float_accepts, (C, y, w, v, lam, sigma)
+        elif near_tie and not float_accepts:
+            declined_ties += 1
+        accepted += float_accepts
+    assert certified > 1_000 and accepted > 1_000
+    assert declined_ties > 0
+
+
+def _exact_pairing(b_w, b_v, w, v):
+    return sum(
+        (Fraction(float(a)) - Fraction(float(b))) * (Fraction(float(p)) - Fraction(float(q)))
+        for a, b, p, q in zip(b_w, b_v, w, v)
+    )
+
+
+def _round_down(exact):
+    bound = float(exact)
+    return bound if Fraction(bound) <= exact else float(np.nextafter(bound, -math.inf))
+
+
+def _exactly_block_paired(C, y):
+    """The quartic map whose block pairing is the exact pairing of its float outputs, rounded down.
+
+    Only the block's own norm allowance then stands between the
+    certificate and the acceptance test.
+    """
+    fwd = quartic_forward(C, y)
+
+    def block_pairing(w, st_w, V, st_V):
+        b_w = fwd(w)
+        bounds = []
+        for v in V:
+            b_v = fwd(v)
+            if not (np.isfinite(b_w).all() and np.isfinite(b_v).all()):
+                bounds.append(-math.inf)
+            else:
+                bounds.append(_round_down(_exact_pairing(b_w, b_v, w, v)))
+        return np.array(bounds)
+
+    split = dataclasses.replace(fwd.split, block_first=lambda V: None, block_pairing=block_pairing)
+    return ForwardOperator(fwd.fn, split=split)
+
+
+def test_block_norm_allowance_alone_keeps_the_certificate_sound():
+    rng = np.random.default_rng(1019)
+    trials = certified = 0
+    while trials < 3_000:
+        drawn = _trial(rng, ("one-dimensional", "aligned")[trials % 2])
+        if drawn is None or not drawn[-1]:
+            continue  # near ties only
+        C, y, w, v, lam, sigma, _ = drawn
+        if v.tobytes() == w.tobytes():
+            continue
+        trials += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                _, block_certified = _block_single_trial(w, v, _exactly_block_paired(C, y), lam, sigma)
+            except NonFiniteIterate:
+                continue
+            if block_certified:
+                certified += 1
+                assert not _float_test_accepts(C, y, w, v, lam, sigma), (C, y, w, v, lam, sigma)
+    assert certified > 300
+
+
+@pytest.mark.parametrize("n, M", [(64, 1e3), (256, 1e2), (1024, 30.0)])
+def test_block_pairing_holds_at_the_edge_of_the_residual_bound(n, M):
+    # C = (1, ..., 1) and v = +-M alternating: Cv = -1 cancels from entries
+    # of size M, so Higham's bound g_n |C||v| on the residual of either
+    # summation order is as large as it gets against ||C||_F ||v||.  The
+    # GEMV residual r' (which B(v) is finished from) and the block's r'' are
+    # each put at either edge of that bound; the block's lower bound must
+    # stay below the exact pairing of the B(v) finished from r'.
+    C, y = np.ones((1, n)), np.zeros(1)
+    split = quartic_forward(C, y).split
+    w = np.full(n, 1.0 / n)
+    v = M * np.where(np.arange(n) % 2 == 0, 1.0, -1.0) - 1.0 / n
+    st_w = split.first(w)
+    b_w = split.finish(w, st_w)
+    r_exact = sum(Fraction(float(x)) for x in v)
+    edge = Fraction(0.999) * Fraction(_rounding_gamma(n)) * sum(abs(Fraction(float(x))) for x in v)
+    uu = np.array([np.einsum("i,i->", v, v)])
+    for gemv_side in (-1, 1):
+        r_gemv = float(r_exact + gemv_side * edge)
+        b_v = split.finish(v, (np.array([r_gemv]), r_gemv * r_gemv, float(v.dot(v))))
+        exact = _exact_pairing(b_w, b_v, w, v)
+        for block_side in (-1, 1):
+            R = np.array([[float(r_exact + block_side * edge)]])
+            bound = split.block_pairing(w, st_w, v[None, :], (R, np.einsum("ij,ij->i", R, R), uu))[0]
+            assert 0.99 * exact < Fraction(bound) <= exact, (gemv_side, block_side)
+
+
+# ---------------------------------------------------------------------------
+# (d) non-finite rows
+
+
+def _scheduled(schedule):
+    """A resolvent, with block form, that returns ``schedule[j]`` for the step ``0.5**j``."""
+
+    def apply(x, lam):
+        return schedule[round(-math.log2(lam))]
+
+    return ResolventOperator(apply, block=lambda X, lams: np.array([apply(None, lam) for lam in lams]))
+
+
+# B(w) = 1.6e79 at w = 1e-78: v = 0 is rejected, v = w accepted, and
+# B(0.025) = 2.5e153 * 2e78 * 5e76 overflows
+_C, _Y, _W = np.array([[2e78]]), np.zeros(1), np.array([1e-78])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.array([np.nan]), r"^J\(w - lam\*B\(w\)\) is non-finite$"), (np.array([0.025]), r"^B\(v\) is non-finite$")],
+    ids=["resolvent", "forward"],
+)
+def test_non_finite_row_raises_at_the_same_trial(bad, message):
+    # two rejected trials, then the bad one; a row past it is accepted
+    schedule = [np.zeros(1), np.zeros(1), bad, _W] + [np.zeros(1)] * 13
+    fwd = quartic_forward(_C, _Y)
+    for resolvent in (_scheduled(schedule), _scheduled(schedule).apply):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate, match=message):
+            backtrack(_W, fwd, resolvent, LineSearchParams())
+    # with the accepted row before the bad one, neither path raises
+    schedule[1] = _W
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = backtrack(_W, fwd, _scheduled(schedule), LineSearchParams())
+        plain = backtrack(_W, fwd, _scheduled(schedule).apply, LineSearchParams())
+    assert block.j == plain.j == 1
+    assert block.v.tobytes() == plain.v.tobytes() and block.b_v.tobytes() == plain.b_v.tobytes()
+    assert (block.forward_evals, block.resolvent_evals) == (plain.forward_evals, plain.resolvent_evals) == (3, 2)
+    assert block.speculative == 14 and plain.speculative == 0
+
+
+# ---------------------------------------------------------------------------
+# (e) blocks stop at max_backtracks
+
+
+@pytest.mark.parametrize("max_backtracks, blocks", [(3, [4]), (16, [16, 1]), (20, [16, 5]), (40, [16, 8, 8, 8, 1])])
+def test_blocks_never_pass_max_backtracks(max_backtracks, blocks):
+    # every trial returns v = 0, which is rejected, so the search exhausts
+    seen = []
+
+    def block(X, lams):
+        seen.append(lams.copy())
+        return np.zeros_like(X)
+
+    params = LineSearchParams(max_backtracks=max_backtracks)
+    fwd = quartic_forward(_C, _Y)
+    messages = []
+    for resolvent in (ResolventOperator(lambda x, lam: np.zeros_like(x), block=block), lambda x, lam: np.zeros_like(x)):
+        with pytest.raises(BacktrackExhausted) as info:
+            backtrack(_W, fwd, resolvent, params)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert [len(lams) for lams in seen] == blocks
+    assert np.concatenate(seen).tolist() == [0.5**j for j in range(max_backtracks + 1)]
+
+
+def test_block_starts_at_j_start():
+    seen = []
+
+    def block(X, lams):
+        seen.append(lams.copy())
+        return np.repeat(_W[None, :], len(lams), axis=0)  # v = w is accepted
+
+    ls = backtrack(_W, quartic_forward(_C, _Y), ResolventOperator(None, block=block), LineSearchParams(), j_start=50)
+    assert ls.j == 50 and ls.speculative == 10
+    assert seen[0].tolist() == [0.5**j for j in range(50, 61)]
+
+
+# ---------------------------------------------------------------------------
+# the speculative count in the trace
+
+
+def test_restarting_ifb_records_speculative_rows_and_warm_ifb_none():
+    problem = _cs512()
+    _, restart = _run("ifb", problem, False)
+    _, warm = _run("ifb-warm", problem, False)
+    assert restart.total_speculative > 0
+    assert all(r.speculative >= 0 for r in restart.records)
+    assert warm.total_speculative == 0
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_integral_cells_record_no_speculative_rows(case):
+    problem = assemble(gen_l2(case, 1001))
+    stop = StoppingRule("successive_diff", 1e-12)
+    for _, options in L2_SOLVERS:
+        options = dict(options)
+        method = options.pop("method", "ifb")
+        if method == "ifb":
+            _, trace = solve(problem, problem.u0, problem.u1, SolverConfig(stop=stop, max_iters=600))
+        else:
+            cfg = BaselineConfig(method=method, **options)
+            _, trace = run_baseline(cfg, problem, problem.u0, problem.u1, stop, 600)
+        assert trace.iterations > 0 and trace.total_speculative == 0

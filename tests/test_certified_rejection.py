@@ -59,7 +59,10 @@ class BareSpace:
 #: every method that runs the Armijo search
 LINE_SEARCH_METHODS = ["ifb", "ifb-warm", "tseng", "zw-armijo", "tc", "tc-literal", "jx"]
 
-COLUMNS = [f.name for f in dataclasses.fields(IterationRecord) if f.name not in ("elapsed_ns", "certified")]
+#: every trace column but the timing and the two path-dependent work counts
+COLUMNS = [
+    f.name for f in dataclasses.fields(IterationRecord) if f.name not in ("elapsed_ns", "certified", "speculative")
+]
 
 
 def _run(name, problem, check_invariants, max_iters=60):

@@ -31,6 +31,29 @@ def test_param_validation():
         LineSearchParams(max_backtracks=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("s", float("inf")),
+        ("s", float("nan")),
+        ("s", -float("inf")),
+        ("max_backtracks", 2.5),
+        ("max_backtracks", True),
+        ("max_backtracks", 60.0),
+    ],
+)
+def test_param_validation_names_the_field(field, value):
+    # a non-finite s used to end solve() "diverged" at k = 0
+    named = {"s": r"^initial step s must be positive and finite", "max_backtracks": r"^max_backtracks must be"}
+    with pytest.raises(ValueError, match=named[field]):
+        LineSearchParams(**{field: value})
+
+
+def test_integral_max_backtracks_types_are_accepted():
+    assert LineSearchParams(max_backtracks=np.int64(7)).max_backtracks == 7
+    assert LineSearchParams(s=1e300).s == 1e300
+
+
 def test_identity_map_closed_form():
     # A = 0, B = identity: v = (1-lam)w, acceptance iff lam <= sigma.
     # With s=1, mu=0.5, sigma=0.9 the first accepted exponent is j=1.
