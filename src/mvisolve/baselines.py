@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .linesearch import LineSearchOutcome, LineSearchParams, backtrack
+from .linesearch import LineSearchOutcome, LineSearchParams, _require_finite, backtrack
 from .solver import (
     _PHI_ZERO_TOL,
     IterationTrace,
@@ -190,10 +190,11 @@ def zw_step(
     """
     if space is None:
         space = euclidean(len(u))
+    # the line search's finiteness checks and messages, without its test
     with np.errstate(over="ignore", invalid="ignore"):
-        b_u = np.asarray(forward(u), dtype=float)
-        v = np.asarray(resolvent(u - lam * b_u, lam), dtype=float)
-        b_v = np.asarray(forward(v), dtype=float)
+        b_u = _require_finite(np.asarray(forward(u), dtype=float), "B(w)")
+        v = _require_finite(np.asarray(resolvent(u - lam * b_u, lam), dtype=float), "J(w - lam*B(w))")
+        b_v = _require_finite(np.asarray(forward(v), dtype=float), "B(v)")
     point = LineSearchOutcome(lam, -1, v, b_u, b_v, resolvent_evals=1, forward_evals=2)
     return _contraction_step(u, point, gamma, space, phi_zero_tol)
 
@@ -234,10 +235,10 @@ def tc_step(
     w = u_curr + theta_k * (u_curr - u_prev)
     _guard_iterate(w, space, f"extrapolated point at k={k}")
     ls = backtrack(u_curr if literal else w, forward, resolvent, armijo, space=space)
-    b_w = np.asarray(forward(w), dtype=float) if literal else ls.b_w
+    b_w = _require_finite(np.asarray(forward(w), dtype=float), "B(w)") if literal else ls.b_w
     # literal: the search ran from u_k, so its u_k - v, B(u_k) - B(v) and
-    # ||u_k - v|| are not the quantities at w
-    known = () if literal else (ls.res_wv, ls.wv, ls.b_wv)
+    # their norms are not the quantities at w
+    known = () if literal else (ls.res_wv, ls.wv, ls.b_wv, ls.lam_bwv_norm)
     _, phi, pp, phi_norm, res_wv, vanished = _direction(
         w, ls.v, b_w, ls.b_v, ls.lam, space, phi_zero_tol, *known
     )

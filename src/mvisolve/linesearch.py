@@ -81,20 +81,25 @@ class LineSearchParams:
             raise ValueError(f"max_backtracks must be a positive integer, got {mb!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LineSearchOutcome:
     """Accepted step with everything the caller needs to avoid re-evaluations.
 
     ``lam == s * mu**j`` exactly, ``v`` is the accepted forward-backward
     point ``J(w - lam*B(w), lam)``, and ``b_w``, ``b_v`` cache ``B(w)`` and
-    ``B(v)``.  ``wv``, ``b_wv`` and ``res_wv`` are ``w - v``,
-    ``B(w) - B(v)`` and ``||w - v||`` as the acceptance test formed them, or
-    ``None`` for a point built outside :func:`backtrack`.  The acceptance
-    inequality can be re-checked from these fields alone.  ``certified``
-    counts the rejected trials whose ``B(v)`` was never finished (see
+    ``B(v)``.  ``wv``, ``b_wv``, ``res_wv`` and ``lam_bwv_norm`` are
+    ``w - v``, ``B(w) - B(v)``, ``||w - v||`` and the left-hand side
+    ``lam*||B(w) - B(v)||`` as the acceptance test formed them, or ``None``
+    for a point built outside :func:`backtrack`.  The acceptance
+    inequality can be re-checked from these fields alone, and they bound
+    every entry of the contraction direction (see
+    :func:`mvisolve.solver.contraction_update`).  ``certified`` counts the
+    rejected trials whose ``B(v)`` was never finished (see
     :func:`backtrack`); ``forward_evals`` counts them too.  ``speculative``
     counts the block rows computed past the accepted trial, which neither
-    ``forward_evals`` nor ``resolvent_evals`` counts.
+    ``forward_evals`` nor ``resolvent_evals`` counts.  The record is a
+    slotted, not frozen, dataclass, as it is built every iteration; treat
+    it as read-only.
     """
 
     lam: float
@@ -109,6 +114,7 @@ class LineSearchOutcome:
     b_wv: np.ndarray | None = None
     certified: int = 0
     speculative: int = 0
+    lam_bwv_norm: float | None = None
 
 
 #: a certified rejection needs ``sigma*||w - v|| >= max(s, 1) * _CERTIFY_FLOOR`` (see backtrack)
@@ -300,7 +306,8 @@ def backtrack(
             wv = w - v
             res_wv = space.norm(wv)
         b_wv = b_w - b_v
-        if lam * space.norm(b_wv) <= params.sigma * res_wv:
+        lam_bwv_norm = lam * space.norm(b_wv)
+        if lam_bwv_norm <= params.sigma * res_wv:
             return LineSearchOutcome(
                 lam=lam,
                 j=j,
@@ -314,6 +321,7 @@ def backtrack(
                 b_wv=b_wv,
                 certified=certified,
                 speculative=0 if V is None else j0 + len(V) - 1 - j,
+                lam_bwv_norm=lam_bwv_norm,
             )
         j += 1
     raise BacktrackExhausted(

@@ -26,6 +26,7 @@ counter is zero.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import time
@@ -75,6 +76,13 @@ _CHECK_SLACK = 1e-12
 
 #: a contraction direction with ``||phi|| <= tol * (1 + ||w||)`` counts as vanished
 _PHI_ZERO_TOL = 1e-14
+
+#: ``c * (||w - v|| + lam*||B(w) - B(v)||)`` at most this proves no entry of
+#: ``phi`` overflows, so ``_direction`` needs no ``np.errstate`` (see there)
+_DIRECTION_BOUND = 2.0**512
+
+#: the context ``_direction`` enters when the bound holds
+_UNGUARDED = contextlib.nullcontext()
 
 
 class DivergenceError(FloatingPointError):
@@ -302,7 +310,7 @@ class TerminalStatus(enum.Enum):
     BACKTRACK_EXHAUSTED = "backtrack_exhausted"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterationRecord:
     """One row of a run trace.
 
@@ -314,6 +322,8 @@ class IterationRecord:
     (see :func:`mvisolve.linesearch.backtrack`); they are included in
     ``forward_evals``.  ``speculative`` counts the block rows the search
     computed past its accepted trial; they are in neither evaluation count.
+    Records are slotted, not frozen, dataclasses, as one is built every
+    iteration; treat them as read-only.
     """
 
     k: int
@@ -408,7 +418,7 @@ class IterationTrace:
 # the contraction core, shared verbatim by every method that uses it
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContractionResult:
     u_next: np.ndarray
     phi: np.ndarray
@@ -431,6 +441,7 @@ def _direction(
     res_wv: Optional[float] = None,
     wv: Optional[np.ndarray] = None,
     b_wv: Optional[np.ndarray] = None,
+    lam_bwv_norm: Optional[float] = None,
 ):
     """``(w - v, phi, ||phi||^2, ||phi||, ||w - v||, vanished)`` for ``phi = (w - v) - lam*(B(w) - B(v))``.
 
@@ -438,9 +449,48 @@ def _direction(
     ``phi`` vanishes relative to ``1 + ||w||``.  ``res_wv``, ``wv`` and
     ``b_wv`` are ``||w - v||``, ``w - v`` and ``B(w) - B(v)`` when the caller
     already has them (the line search forms them for the accepted trial);
-    they are computed here otherwise.
+    they are computed here otherwise.  ``lam_bwv_norm`` is
+    ``lam*||B(w) - B(v)||`` as the caller computed it from ``b_wv``.
+
+    Overflow.  The ufuncs here (``w - v``, ``B(w) - B(v)``, ``lam*b_wv``,
+    ``phi`` and, in a weighted space, ``weights*phi``) may overflow only
+    silently, so that the finiteness test below raises
+    :class:`DivergenceError`; the BLAS ``dot`` never warns.  They run under
+    ``np.errstate`` unless the caller's norms prove that nothing overflows:
+
+    * Let ``c`` be ``space._entry_scale``: ``max(w_min**-0.5, w_max**0.5)``
+      for weights in ``[2**-256, 2**256]`` and ``inf`` otherwise (or for a
+      space without the attribute), computed once per space.  Let
+      ``u = 2**-53``, ``x = w - v`` and ``b = B(w) - B(v)`` as floats, ``N``
+      and ``L`` the given ``res_wv`` and ``lam_bwv_norm``.
+    * An entry ``|x_i| >= 2**-300`` makes ``w_i*x_i`` and ``w_i*x_i**2``
+      normal numbers, or overflows them and makes ``N`` infinite.  A float sum of non-negative terms, in any order and
+      with or without fused multiply-adds, is at least its largest computed
+      term, so ``N >= (1-u)**3 * w_i**0.5 * |x_i|``.  Hence ``|x_i|`` and
+      ``w_i*|x_i|`` are at most ``(1+4u)*c*N``.  Smaller entries give at
+      most ``2**-44``.
+    * In the same way ``lam*|b_i|`` and ``w_i*lam*|b_i|`` are at most
+      ``(1+6u)*c*L``.  For ``|b_i| < 2**-300`` they stay below ``2**980``,
+      as ``lam <= s`` is a finite float.
+    * So every entry the ufuncs above form is at most
+      ``(1+10u)*c*(N + L) + 2**981``.  When ``c*(N + L) <= 2**512`` that is
+      below ``2**982``, far from overflow at ``2**1024``, and finite
+      operands that do not overflow give no NaN either.
+    * A NaN or infinite ``N`` or ``L`` fails the test and runs guarded.
+
+    The line search hands on ``N`` and ``L`` for its accepted point, so an
+    accepted step enters no ``np.errstate``.  A fixed-step ``zw`` point, the
+    literal ``tc`` anchor and callers that pass no ``lam_bwv_norm`` run
+    guarded.  Any limit up to about ``2**1022`` would be as sound;
+    ``2**512`` is where ``||phi||^2`` can start to overflow in the
+    Euclidean space, so a point beyond it is close to divergence anyway.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    bounded = (
+        lam_bwv_norm is not None
+        and res_wv is not None
+        and (res_wv + lam_bwv_norm) * getattr(space, "_entry_scale", math.inf) <= _DIRECTION_BOUND
+    )
+    with _UNGUARDED if bounded else np.errstate(over="ignore", invalid="ignore"):
         if wv is None:
             wv = w - v
         if b_wv is None:
@@ -456,6 +506,18 @@ def _direction(
     return wv, phi, pp, phi_norm, res_wv, phi_norm <= phi_zero_tol * (1.0 + space.norm(w))
 
 
+def _update(w, v, b_w, b_v, lam, gamma, space, phi_zero_tol, res_wv, wv, b_wv, lam_bwv_norm):
+    """The fields of :class:`ContractionResult`, in order, as a tuple."""
+    wv, phi, pp, phi_norm, res_wv, vanished = _direction(
+        w, v, b_w, b_v, lam, space, phi_zero_tol, res_wv, wv, b_wv, lam_bwv_norm
+    )
+    if vanished:
+        return v, phi, phi_norm, res_wv, float("nan"), True, pp, float("nan")
+    wv_phi = space.inner(wv, phi)
+    delta = wv_phi / pp
+    return w - (gamma * delta) * phi, phi, phi_norm, res_wv, delta, False, pp, wv_phi
+
+
 def contraction_update(
     w: np.ndarray,
     v: np.ndarray,
@@ -468,6 +530,7 @@ def contraction_update(
     res_wv: Optional[float] = None,
     wv: Optional[np.ndarray] = None,
     b_wv: Optional[np.ndarray] = None,
+    lam_bwv_norm: Optional[float] = None,
 ) -> ContractionResult:
     """Direction, optimal scalar and relaxed update shared by the contraction methods.
 
@@ -475,26 +538,27 @@ def contraction_update(
     algebraically identical (e.g. zero inertia versus the plain
     projection-contraction iteration) produce bitwise identical iterates.
     ``res_wv``, ``wv`` and ``b_wv`` optionally pass in ``||w - v||``,
-    ``w - v`` and ``B(w) - B(v)`` (see :func:`_direction`).
+    ``w - v`` and ``B(w) - B(v)``, and ``lam_bwv_norm`` the value
+    ``lam*||B(w) - B(v)||`` computed from that ``b_wv``, as
+    :class:`~mvisolve.linesearch.LineSearchOutcome` carries them.  With
+    ``res_wv`` and ``lam_bwv_norm`` given and small enough, the direction is
+    formed without ``np.errstate`` (see :func:`_direction`); they must then
+    be the norms of exactly these vectors.  Without them, or above the
+    bound, an overflow is kept silent as before.  Either way an overflowed
+    direction raises :class:`DivergenceError`.
     """
-    wv, phi, pp, phi_norm, res_wv, vanished = _direction(
-        w, v, b_w, b_v, lam, space, phi_zero_tol, res_wv, wv, b_wv
+    return ContractionResult(
+        *_update(w, v, b_w, b_v, lam, gamma, space, phi_zero_tol, res_wv, wv, b_wv, lam_bwv_norm)
     )
-    if vanished:
-        return ContractionResult(v, phi, phi_norm, res_wv, float("nan"), True, pp, float("nan"))
-    wv_phi = space.inner(wv, phi)
-    delta = wv_phi / pp
-    u_next = w - (gamma * delta) * phi
-    return ContractionResult(u_next, phi, phi_norm, res_wv, delta, False, pp, wv_phi)
 
 
 # ---------------------------------------------------------------------------
 # single step and full solve
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepOutcome:
-    """Everything one iteration produced, for tracing and invariant checks."""
+    """Everything one iteration produced, for tracing and invariant checks (read-only by convention)."""
 
     u_next: np.ndarray
     theta: float
@@ -550,33 +614,33 @@ def _contraction_step(
     accepted with, which enables the direction and scalar bound checks;
     ``fejer`` enables the decrease check against a known solution.
     """
-    core = contraction_update(
+    u_next, _, phi_norm, res_wv, delta, phizero, pp, wv_phi = _update(
         w, point.v, point.b_w, point.b_v, point.lam, gamma, space, phi_zero_tol,
-        point.res_wv, point.wv, point.b_wv,
+        point.res_wv, point.wv, point.b_wv, point.lam_bwv_norm,
     )
-    if not core.phizero:
-        _guard_iterate(core.u_next, space, "contraction iterate")
+    if not phizero:
+        _guard_iterate(u_next, space, "contraction iterate")
     outcome = StepOutcome(
-        u_next=core.u_next,
+        u_next=u_next,
         theta=theta,
         lam=point.lam,
         j=point.j,
-        delta=core.delta,
-        res_wv=core.res_wv,
-        phi_norm=core.phi_norm,
-        phizero=core.phizero,
+        delta=delta,
+        res_wv=res_wv,
+        phi_norm=phi_norm,
+        phizero=phizero,
         forward_evals=point.forward_evals,
         resolvent_evals=point.resolvent_evals,
         w=w,
         sigma_check=sigma_check,
         delta_is_ratio=sigma_check is not None,
         fejer_applicable=fejer,
-        phi_norm2=core.phi_norm2,
-        wv_phi=core.wv_phi,
+        phi_norm2=pp,
+        wv_phi=wv_phi,
         certified=point.certified,
         speculative=point.speculative,
     )
-    return core.u_next, outcome
+    return u_next, outcome
 
 
 def ifb_step(

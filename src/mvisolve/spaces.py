@@ -8,6 +8,7 @@ through an :class:`InnerProductSpace` so that the same code runs on plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -46,6 +47,23 @@ class InnerProductSpace:
             raise ValueError("all quadrature weights must be strictly positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_plain", bool(np.all(w == 1.0)))
+
+    @functools.cached_property
+    def _entry_scale(self) -> float:
+        """``c = max(w_min**-0.5, w_max**0.5)``, or ``inf`` for weights outside ``[2**-256, 2**256]``.
+
+        Every entry obeys ``|x_i| <= c*||x||`` and ``w_i*|x_i| <= c*||x||``:
+        ``w_i * x_i**2 <= ||x||**2`` gives ``|x_i| <= w_min**-0.5 * ||x||``
+        and ``w_i*|x_i| = w_i**0.5 * (w_i**0.5 * |x_i|) <= w_max**0.5 * ||x||``.
+        The range keeps every product a norm forms from an entry
+        ``|x_i| >= 2**-300`` a normal number or an overflow, which is what
+        lets a computed norm bound the entries (see ``solver._direction``);
+        ``inf`` turns that bound off.  Computed on first use, once per space.
+        """
+        lo, hi = float(self.weights.min()), float(self.weights.max())
+        if not (2.0**-256 <= lo and hi <= 2.0**256):
+            return math.inf
+        return max(lo**-0.5, hi**0.5)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         # ndarray.dot runs the same ddot as ``@`` with a cheaper dispatch

@@ -6,16 +6,18 @@ Four groups of tests:
 * each invariant counter can reach 1, also when the check reads a quantity
   the kernel computed;
 * a checked ``ifb`` iteration on the integral problem stays within its
-  inner-product budget;
+  inner-product budget, and an accepted step enters no ``np.errstate``;
 * turning invariant checks on never changes an iterate or a trace column.
 """
 
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from mvisolve import linesearch
 from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchParams, NonFiniteIterate, _require_finite, backtrack
 from mvisolve.operators import identity_resolvent
@@ -34,6 +36,7 @@ from mvisolve.solver import (
     solve,
 )
 from mvisolve.spaces import euclidean, trapezoid_unit_interval
+from test_direction_overflow import aligned_search_problem
 
 
 class CountingSpace:
@@ -289,6 +292,75 @@ def test_checked_ifb_iteration_on_the_integral_problem_uses_at_most_8_inner_prod
     # ||u_next - u_curr||, ||u_next - u*||^2 (trace column and decrease check
     # alike) and ||w - u*||^2; once per run: ||u*||^2
     assert space.calls <= 8 * trace.iterations + 1
+
+
+class ErrstateCounter:
+    """Stands in for ``numpy.errstate`` and records the function that asked for each context.
+
+    Every caller in the package enters the context where it makes it, so
+    these are its entries.
+    """
+
+    def __init__(self, real):
+        self.real = real
+        self.callers = []
+
+    def __call__(self, **kwargs):
+        self.callers.append(sys._getframe(1).f_code.co_name)
+        return self.real(**kwargs)
+
+
+def _count_errstate(monkeypatch):
+    # installed after the problems are generated, so that only solver calls count
+    counter = ErrstateCounter(np.errstate)
+    monkeypatch.setattr(np, "errstate", counter)
+    return counter
+
+
+@pytest.mark.parametrize("name", ["ifb", "zw-armijo", "tc", "jx"])
+def test_accepted_steps_on_the_integral_problem_enter_no_errstate(name, monkeypatch):
+    problem = assemble(gen_l2(1))
+    stop = StoppingRule("successive_diff", 1e-12)
+    errstate = _count_errstate(monkeypatch)
+    if name == "ifb":
+        cfg = SolverConfig(stop=stop, max_iters=600, check_invariants=True)
+        _, trace = solve(problem, problem.u0, problem.u1, cfg)
+    else:
+        cfg = BaselineConfig(**SOLVERS[name])
+        _, trace = run_baseline(cfg, problem, problem.u0, problem.u1, stop, 600, True)
+    assert trace.status in (TerminalStatus.CONVERGED, TerminalStatus.PHI_ZERO)
+    assert trace.total_violations == 0
+    assert errstate.callers == []
+
+
+def test_restart_ifb_on_cs_512_enters_errstate_only_once_per_block(monkeypatch):
+    blocks = []
+    block_rejections = linesearch._block_rejections
+
+    def counted(*args):
+        blocks.append(args[3])
+        return block_rejections(*args)
+
+    problem = assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
+    monkeypatch.setattr(linesearch, "_block_rejections", counted)
+    errstate = _count_errstate(monkeypatch)
+    cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=20, check_invariants=True)
+    _, trace = solve(problem, problem.u0, problem.u1, cfg)
+    assert trace.iterations == 20 and trace.total_violations == 0
+    assert len(blocks) >= 20  # every restarting search takes at least one block
+    assert set(errstate.callers) == {"_block_rejections"}
+    assert len(errstate.callers) <= len(blocks)
+
+
+def test_accepted_point_just_below_the_direction_bound_enters_no_errstate(monkeypatch):
+    forward, resolvent = aligned_search_problem(0.999)
+    errstate = _count_errstate(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the direction is finite; the update then leaves the divergence guard
+        with pytest.raises(DivergenceError, match="^contraction iterate exceeded"):
+            ifb_step(np.zeros(1), np.zeros(1), 1, forward, resolvent, SolverConfig(), euclidean(1))
+    assert errstate.callers == []
 
 
 COLUMNS = [f.name for f in dataclasses.fields(IterationRecord) if f.name != "elapsed_ns"]
