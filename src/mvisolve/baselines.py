@@ -37,7 +37,7 @@ from .solver import (
     _drive,
     _guard_iterate,
 )
-from .spaces import InnerProductSpace, euclidean
+from .spaces import InnerProductSpace, _require_shape, euclidean
 
 __all__ = [
     "BaselineConfig",
@@ -154,8 +154,8 @@ def fb_step(u, lam, forward, resolvent, space=None) -> tuple[np.ndarray, StepOut
     """Forward-backward step ``J(u - lam*B(u), lam)`` at a fixed step size."""
     if space is None:
         space = euclidean(len(u))
-    b_u = np.asarray(forward(u), dtype=float)
-    u_next = np.asarray(resolvent(u - lam * b_u, lam), dtype=float)
+    b_u = _require_shape(forward(u), "B(w)", np.shape(u))
+    u_next = _require_shape(resolvent(u - lam * b_u, lam), "J(w - lam*B(w))", b_u.shape)
     _guard_iterate(u_next, space, "forward-backward iterate")
     return _direct_step(u_next, lam, -1, space.norm(u - u_next), 1, 1)
 
@@ -192,9 +192,9 @@ def zw_step(
         space = euclidean(len(u))
     # the line search's finiteness checks and messages, without its test
     with np.errstate(over="ignore", invalid="ignore"):
-        b_u = _require_finite(np.asarray(forward(u), dtype=float), "B(w)")
-        v = _require_finite(np.asarray(resolvent(u - lam * b_u, lam), dtype=float), "J(w - lam*B(w))")
-        b_v = _require_finite(np.asarray(forward(v), dtype=float), "B(v)")
+        b_u = _require_finite(forward(u), "B(w)", np.shape(u))
+        v = _require_finite(resolvent(u - lam * b_u, lam), "J(w - lam*B(w))", b_u.shape)
+        b_v = _require_finite(forward(v), "B(v)", b_u.shape)
     point = LineSearchOutcome(lam, -1, v, b_u, b_v, resolvent_evals=1, forward_evals=2)
     return _contraction_step(u, point, gamma, space, phi_zero_tol)
 
@@ -235,7 +235,7 @@ def tc_step(
     w = u_curr + theta_k * (u_curr - u_prev)
     _guard_iterate(w, space, f"extrapolated point at k={k}")
     ls = backtrack(u_curr if literal else w, forward, resolvent, armijo, space=space)
-    b_w = _require_finite(np.asarray(forward(w), dtype=float), "B(w)") if literal else ls.b_w
+    b_w = _require_finite(forward(w), "B(w)", w.shape) if literal else ls.b_w
     # literal: the search ran from u_k, so its u_k - v, B(u_k) - B(v) and
     # their norms are not the quantities at w
     known = () if literal else (ls.res_wv, ls.wv, ls.b_wv, ls.lam_bwv_norm)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import InnerProductSpace, _all_finite, _rounding_gamma, euclidean
+from .spaces import InnerProductSpace, _all_finite, _require_shape, _rounding_gamma, euclidean
 
 __all__ = [
     "LineSearchParams",
@@ -124,24 +124,24 @@ _CERTIFY_FLOOR = 2.0**-450
 _FIRST_BLOCK, _NEXT_BLOCK = 16, 8
 
 
-def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
+def _require_finite(x, what: str, shape: tuple) -> np.ndarray:
+    x = _require_shape(x, what, shape)
     if not _all_finite(x):
         raise NonFiniteIterate(f"{what} is non-finite")
     return x
 
 
-def _block_rejections(w, b_w, st_w, j, rows, params, split, block):
+def _block_rejections(w, b_w, st_w, j, rows, params, split, block, floor):
     """Trial points ``v_j .. v_{j+rows-1}`` at once, and which of them the block certifies as rejected."""
     lams = np.array([params.s * params.mu ** i for i in range(j, j + rows)])
-    V = block(w - lams[:, None] * b_w, lams)
-    floor = max(params.s, 1.0) * _CERTIFY_FLOOR
+    V = _require_shape(block(w - lams[:, None] * b_w, lams), "J(w - lam*B(w)) block", (rows, len(w)))
     c_block = 1.0 + 4.0 * _rounding_gamma(len(w) + 8)
     # rows the search may never reach must not warn: a non-finite row is
     # never certified, and the exact path raises at it if the search gets there
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = lams * split.block_pairing(w, st_w, V, split.block_first(V))
         wv = w - V
         res_wv = np.sqrt(np.einsum("ij,ij->i", wv, wv))
+        lower = lams * split.block_pairing(w, st_w, b_w, V, res_wv)
         rhs = params.sigma * res_wv
         return V, (rhs >= floor) & (lower > rhs * res_wv * c_block)
 
@@ -185,7 +185,7 @@ def backtrack(
     ``B(w)`` does not depend on ``lam`` and is evaluated once.  Each trial
     then costs one resolvent evaluation and one forward evaluation, of which
     a certified rejection (below) makes only the first matrix pass, and a
-    block-certified one only its row of a block.  The
+    block-certified one no matrix pass at all, only its row of a block.  The
     same ``lam`` is used both inside the resolvent argument and as the
     scaling of the left-hand side.  The comparison is an exact
     floating-point ``<=``: both sides are same-scale norms, and any slack
@@ -215,29 +215,29 @@ def backtrack(
     ``forward_evals`` and in ``certified``.
 
     Block certification.  The trial points of one search depend only on
-    ``w`` and ``B(w)``, so when the split also has ``block_first`` and
-    ``block_pairing``, ``resolvent`` has a row-wise ``block`` form (as
+    ``w`` and ``B(w)``, so when the split also has ``block_pairing``,
+    ``resolvent`` has a row-wise ``block`` form (as
     :func:`~mvisolve.operators.l1_resolvent` does) and ``params.warm_start``
     is off, the search takes its trials in blocks: 16 rows, then 8 at a
-    time, never past ``max_backtracks``.  A block stacks
-    ``w - lam_j*B(w)``, calls ``block`` once, makes every first pass with
-    one ``block_first`` (one GEMM for the quartic map), and tests every row
-    against the certificate above with the block's bound ``L_b`` and
-    ``N_b``, the norm of the same float ``w - v`` summed in another order.
-    A row with ``fl(lam*L_b) > fl(fl(S_b*N_b) * c_b)``,
-    ``c_b = 1 + 4*g_{n+8}``, is rejected without further work: ``N_b`` and
-    the test's ``N`` each lie within ``(1 +- g_n)^(1/2) (1 +- u)`` of the
-    exact norm, so the argument above goes through once ``c_b`` exceeds
+    time, never past ``max_backtracks``.  A block stacks ``w - lam_j*B(w)``,
+    calls ``block`` once, and tests every row against the certificate above
+    with one ``block_pairing`` bound ``L_b`` per row (no matrix pass over the
+    rows; one GEMV against ``B(w)`` for the quartic map) and ``N_b``, the
+    norm of the same float ``w - v`` summed in another order.  A row with
+    ``fl(lam*L_b) > fl(fl(S_b*N_b) * c_b)``, ``c_b = 1 + 4*g_{n+8}``, is
+    rejected without further work: ``N_b`` and the test's ``N`` each lie
+    within ``(1 +- g_n)^(1/2) (1 +- u)`` of the exact norm, so the argument
+    above goes through once ``c_b`` exceeds
     ``(1+u)^4 (1+g_n)^(1/2) / ((1-u)^10 (1-g_n)^(3/2))``, about
     ``1 + 2*g_n + 14u``.  ``c_b`` clears that by about ``2*g_n + 18u``,
     more than ``c`` clears its own requirement ``1 + g_n + 8u``; ``c``
     would clear this one by only ``2u``.  The first row the block cannot
     certify runs the per-trial code above on a copy of that row (its own
     first pass, ``pairing``, ``finish`` and the float test), and the search
-    then goes on to the next row.  A non-finite row is never certified, so the search
-    raises at the same trial as the per-trial loop, and not at all if it
-    accepts an earlier one.  The accepted ``j``, ``v``, ``B(v)`` and
-    ``res_wv`` are bitwise those of the per-trial loop, and so are the
+    then goes on to the next row.  A non-finite row is never certified, so
+    the search raises at the same trial as the per-trial loop, and not at
+    all if it accepts an earlier one.  The accepted ``j``, ``v``, ``B(v)``
+    and ``res_wv`` are bitwise those of the per-trial loop, and so are the
     counters: ``forward_evals`` and ``resolvent_evals`` count the trials the
     search reaches, ``certified`` the block's rejections too, and
     ``speculative`` the rows computed past the accepted trial.  Warm-started
@@ -246,19 +246,20 @@ def backtrack(
     """
     if space is None:
         space = euclidean(len(w))
-    _require_finite(np.asarray(w), "line-search input")
+    shape = np.asarray(w).shape
+    _require_finite(w, "line-search input", shape)
     split = getattr(forward, "split", None)
     if split is not None and not np.all(getattr(space, "weights", None) == 1.0):
         split = None
     block = None
     if split is None:
-        b_w = _require_finite(np.asarray(forward(w), dtype=float), "B(w)")
+        b_w = _require_finite(forward(w), "B(w)", shape)
     else:
         st_w = split.first(w)
-        b_w = _require_finite(split.finish(w, st_w), "B(w)")
+        b_w = _require_finite(split.finish(w, st_w), "B(w)", shape)
         floor = max(params.s, 1.0) * _CERTIFY_FLOOR
         c = 1.0 + 2.0 * _rounding_gamma(len(w) + 8)
-        if split.block_first is not None and not params.warm_start:
+        if split.block_pairing is not None and not params.warm_start:
             block = getattr(resolvent, "block", None)
 
     resolvent_evals = 0
@@ -270,26 +271,24 @@ def backtrack(
     V = None
     while j <= params.max_backtracks:
         lam = params.s * params.mu ** j
+        resolvent_evals += 1
+        forward_evals += 1
         if block is None:
             v = resolvent(w - lam * b_w, lam)
         else:
             if V is None or j == j0 + len(V):
                 rows = min(_NEXT_BLOCK if V is not None else _FIRST_BLOCK, params.max_backtracks - j + 1)
                 j0 = j
-                V, rejected = _block_rejections(w, b_w, st_w, j, rows, params, split, block)
+                V, rejected = _block_rejections(w, b_w, st_w, j, rows, params, split, block, floor)
             if rejected[j - j0]:
-                resolvent_evals += 1
-                forward_evals += 1
                 certified += 1
                 j += 1
                 continue
             v = V[j - j0].copy()
-        v = _require_finite(np.asarray(v, dtype=float), "J(w - lam*B(w))")
-        resolvent_evals += 1
-        forward_evals += 1
+        v = _require_finite(v, "J(w - lam*B(w))", shape)
         wv = None
         if split is None:
-            b_v = _require_finite(np.asarray(forward(v), dtype=float), "B(v)")
+            b_v = _require_finite(forward(v), "B(v)", shape)
         else:
             st_v = split.first(v)
             lower = lam * split.pairing(w, st_w, v, st_v)
@@ -301,7 +300,7 @@ def backtrack(
                     certified += 1
                     j += 1
                     continue
-            b_v = _require_finite(split.finish(v, st_v), "B(v)")
+            b_v = _require_finite(split.finish(v, st_v), "B(v)", shape)
         if wv is None:
             wv = w - v
             res_wv = space.norm(wv)

@@ -4,8 +4,9 @@ The solvers only ever touch two things: a monotone single-valued map
 evaluated directly, and a set-valued maximal monotone operator exposed
 through its resolvent ``(I + lam*A)^{-1}``.  Both are wrapped in thin
 immutable carriers so traces can label them.  Every callable a carrier
-holds is pure: the line search evaluates splits and block forms
-speculatively, and one operator is reused across cells and passes.
+holds is pure: the line search evaluates splits, block pairings and block
+forms on trial points it may never reach, and one operator is reused
+across cells and passes.
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ class ForwardSplit:
     non-finite: the line search skips ``finish`` only on the strength of
     this bound, and must not skip a non-finite ``B(v)``.
 
-    ``block_first(V)`` and ``block_pairing(w, st_w, V, st_V)``, when given,
-    make the first pass of every row of ``V`` at once and return one such
-    bound per row.  A block state may differ from the rows' ``first``
-    states in rounding (a matrix product sums in its own order), so each
-    bound must hold for the ``B(v)`` that ``finish(v, first(v))`` would
-    return, whatever order the block summed in.
+    ``block_pairing(w, st_w, b_w, V, wv_norms)``, when given, returns such
+    a bound for the ``B(v)`` of ``finish(v, first(v))`` for every row ``v``
+    of ``V`` without a first pass over them, from ``b_w = finish(w, st_w)``
+    and ``wv_norms``, the computed norms of the rows of ``w - V``.
 
     The callables keep no state between calls (everything per point lives
     in the returned state): the line search calls them speculatively, on
@@ -69,8 +68,7 @@ class ForwardSplit:
     first: Callable[[np.ndarray], tuple]
     finish: Callable[[np.ndarray, tuple], np.ndarray]
     pairing: Callable[[np.ndarray, tuple, np.ndarray, tuple], float]
-    block_first: Optional[Callable[[np.ndarray], tuple]] = None
-    block_pairing: Optional[Callable[[np.ndarray, tuple, np.ndarray, tuple], np.ndarray]] = None
+    block_pairing: Optional[Callable[..., np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -238,41 +236,45 @@ def _quartic_split(C: np.ndarray, y: np.ndarray) -> ForwardSplit:
     finite: every partial sum of ``C.T @ r_v`` is at most
     ``||C||_F ||r_v|| < 2**451``, and ``rr_v`` times it is below ``2**751``.
 
-    The block pairing.  A row's block residual ``r''`` comes from a GEMM,
-    the ``B(v)`` it must bound from the GEMV residual ``r'`` that
-    ``first(v)`` would compute.  Higham's bound holds in any summation
-    order, so each lies within ``g_n ||C||_F ||v|| + g_1 ||r||`` of
-    ``Cv - y``, and ``Delta = r' - r''`` has
-    ``||Delta|| <= 2 g_n ||C||_F ||v|| + 2u M (1 + u)`` with
-    ``M = max(||r'||, ||r''||)``.  The block cannot see ``r'``, so it
-    widens its own residual norm to ``M^ = ||r''|| + g_n c ||v||`` with
-    ``c = 2.002 ||C||_F`` as above; ``M^`` bounds ``M`` up to a factor
-    ``1 + 3u + g_m`` that the slack absorbs.  Write
-    ``pi(r) = <a - rr(r) r, r_w - r>``, ``a = rr_w r_w``.  Then
-    ``pi(r'') - pi(r') = <a - rr'' r'', Delta> + <rr' r' - rr'' r'', r_w - r'>``.
-    The first factor is at most ``A^ = rr_w ||r_w|| + M^**3``.  The map
-    ``r -> ||r||^2 r`` has derivative norm ``3||r||^2``, and ``rr`` rounds
-    ``||r||^2`` by ``g_m``, so the second is at most
-    ``(3 M^2 ||Delta|| + 2 g_m M^3) D^``, ``D^ = ||r_w|| + M^``.  As
-    ``3 M^2 D^ <= 5 M^3 + ||r_w||^3 <= 5 A^``, the gap is at most
-    ``6 A^ ||Delta|| + 2 g_m A^ D^``, that is at most
-    ``A^ (6 g_n c ||v|| + (12.01 u + 2 g_m) D^)``.  Adding the GEMV
-    bound at the widened norms, the exact pairing is at least
-    ``fl(p'') - A^ (g_{3m+18} D^ + 7 g_{m+n} c (||w|| + ||v||))``.
-    The bound returned subtracts ``16 g_{m+n+8} A^ (D^ + c (||w|| + ||v||))``,
-    8 times the GEMV allowance: more than twice what the terms need, the
-    factor 2 that covers the rounding of the computed norms and of the
-    scale, as above.  ``M^**2 <= 2**300`` replaces the window's upper end
-    for ``rr_v``, so ``rr'`` and ``||r'||`` obey it up to that same factor
-    and ``finish(v, first(v))`` is finite.
+    The block pairing.  Block rows ``v`` get no first pass: the bound uses
+    only the component of ``r_v`` along ``r_w``.  Let ``a = ||r_w||^2``,
+    ``x = ||r_v||``, ``c_v = <r_w, r_v>`` and ``k = 2.002 ||C||_F``.  As
+    ``c_v = <C^T r_w, v> - <r_w, y> + <r_w, e_v>`` and ``b_w`` is ``rr_w``
+    times the computed ``C^T r_w``, one GEMV of the block against ``b_w``
+    gives ``c~ = fl(<b_w, v> / rr_w) - fl(<r_w, y>)`` within
+    ``sqrt(a) (g_{2m+2n+6} ||C||_F ||v|| + g_{m+3} x)`` of ``c_v``: ``g_m``
+    for the GEMV of ``C^T r_w``, ``g_2`` for the scaling and the division,
+    ``g_n`` and ``g_m`` for the dot products (``y = Cv + e_v - r_v``), ``u``
+    for the subtraction, and ``g_n ||C||_F ||v|| + g_1 x`` for
+    ``<r_w, e_v>``.  As ``r_v = r_w + C(v - w) + e_v - e_w``, ``x`` is at
+    most ``X = (1 + 2 g_{m+n+8}) ||r_w|| + k (||w - v|| + g_n (||v|| + ||w||))``
+    (the factor 2 in ``k`` covers ``(1 - g_1)^-1`` and the computed norms),
+    and ``delta = 2 g_{m+n+8} ||r_w|| (X + k ||v||)`` covers the error of
+    ``c~`` and the rounding of ``c_hi = c~ + delta`` and ``|c~| - delta``.  By
+    Cauchy-Schwarz ``x >= c_min / sqrt(a)``, ``c_min = max(|c~| - delta, 0)``,
+    so ``rr_v >= (1 - g_m) x^2 >= rr_lo = (1 - 2 g_{m+4}) c_min^2 / rr_w``
+    (``a <= rr_w / (1 - g_m)``, three roundings).  The per-trial
+    ``p(s, c) = rr_w^2 + s^2 - (rr_w + s) c`` falls as ``c`` grows and is
+    least over ``s >= rr_lo`` at ``s* = max(rr_lo, c_hi/2)``, so
+    ``p(rr_v, c_v) >= p(s*, c_hi)``, which the block computes.  The other
+    terms above hold with ``X`` for ``||r_v||``: with
+    ``A^ = rr_w ||r_w|| + X^3``, ``D^ = ||r_w|| + X`` and ``4 g_3 A^ D^`` for
+    the rounding of ``p(s*, c_hi)``, the exact pairing is at least
+    ``fl(p) - A^ (g_{m+16} D^ + g_{m+n+1} ||C||_F (||w|| + ||v||))``.  The
+    bound subtracts ``4 g_{m+n+8} A^ (D^ + k (||w|| + ||v||))``, twice the
+    per-trial allowance, which also covers its own roundings.  A row is
+    certified only while ``rr_lo >= 2**-300`` and ``X**2 <= 2**300``: then
+    ``rr_v`` is in the window up to ``1 + g_m``, underflow is as negligible
+    as above, and ``finish(v, first(v))`` is finite, as ``X >= g_n k ||v||``
+    keeps every partial sum of ``C @ v`` below ``2**803``.
     """
     m, n = C.shape
     c_fro = math.sqrt(float(np.vdot(C, C)))
     certifiable = _SCALE_LO <= c_fro <= _SCALE_HI
     c_scale = 2.0 * 1.001 * c_fro
     allowance = 2.0 * _rounding_gamma(m + n + 8)
-    block_allowance = 8.0 * allowance
     gap = _rounding_gamma(n) * c_scale
+    shrink = 1.0 - 2.0 * _rounding_gamma(m + 4)
 
     def first(u):
         r = C @ u - y
@@ -292,23 +294,25 @@ def _quartic_split(C: np.ndarray, y: np.ndarray) -> ForwardSplit:
         scale = (rr_w * nr_w + rr_v * nr_v) * (nr_w + nr_v + c_scale * (math.sqrt(uu_w) + math.sqrt(uu_v)))
         return p - allowance * scale
 
-    def block_first(V):
-        R = V @ C.T - y
-        return R, np.einsum("ij,ij->i", R, R), np.einsum("ij,ij->i", V, V)
-
-    def block_pairing(w, st_w, V, st_V):
+    def block_pairing(w, st_w, b_w, V, wv_norms):
         r_w, rr_w, uu_w = st_w
-        R, rr_v, uu_v = st_V
         if not (certifiable and _SCALE_LO <= rr_w <= _SCALE_HI):
-            return np.full(len(rr_v), -math.inf)
-        p = rr_w * rr_w + rr_v * rr_v - (rr_w + rr_v) * (R @ r_w)
-        nr_w, nv = math.sqrt(rr_w), np.sqrt(uu_v)
-        nr_hat = np.sqrt(rr_v) + gap * nv
-        scale = (rr_w * nr_w + nr_hat**3) * (nr_w + nr_hat + c_scale * (math.sqrt(uu_w) + nv))
-        inside = (rr_v >= _SCALE_LO) & (nr_hat * nr_hat <= _SCALE_HI)
-        return np.where(inside, p - block_allowance * scale, -math.inf)
+            return np.full(len(V), -math.inf)
+        nr_w, nw = math.sqrt(rr_w), math.sqrt(uu_w)
+        nv = np.sqrt(np.einsum("ij,ij->i", V, V))
+        nr_hi = (1.0 + allowance) * nr_w + c_scale * wv_norms + gap * (nv + nw)
+        c = (V @ b_w) / rr_w - float(r_w.dot(y))
+        delta = allowance * nr_w * (nr_hi + c_scale * nv)
+        c_hi = c + delta
+        c_min = np.maximum(np.abs(c) - delta, 0.0)
+        rr_lo = shrink * (c_min * c_min / rr_w)
+        s = np.maximum(rr_lo, 0.5 * c_hi)
+        p = rr_w * rr_w + s * s - (rr_w + s) * c_hi
+        scale = (rr_w * nr_w + nr_hi**3) * (nr_w + nr_hi + c_scale * (nw + nv))
+        inside = (rr_lo >= _SCALE_LO) & (nr_hi * nr_hi <= _SCALE_HI)
+        return np.where(inside, p - 2.0 * allowance * scale, -math.inf)
 
-    return ForwardSplit(first, finish, pairing, block_first, block_pairing)
+    return ForwardSplit(first, finish, pairing, block_pairing)
 
 
 def quartic_forward(C: np.ndarray, v: np.ndarray) -> ForwardOperator:

@@ -40,9 +40,7 @@ class InnerProductSpace:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.dimension,):
-            raise ValueError(f"weights must have shape ({self.dimension},), got {w.shape}")
+        w = _require_shape(self.weights, "weights", (self.dimension,))
         if not np.all(w > 0.0):
             raise ValueError("all quadrature weights must be strictly positive")
         object.__setattr__(self, "weights", w)
@@ -80,9 +78,7 @@ class InnerProductSpace:
 
     def check_member(self, u: np.ndarray, what: str = "vector") -> np.ndarray:
         """Validate shape and finiteness; returns the array as float64."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dimension,):
-            raise ValueError(f"{what} has shape {u.shape}, expected ({self.dimension},)")
+        u = _require_shape(u, what, (self.dimension,))
         if not _all_finite(u):
             raise ValueError(f"{what} contains non-finite entries")
         return u
@@ -109,6 +105,13 @@ def _rounding_gamma(k: int) -> float:
     """
     ku = k * 2.0**-53
     return ku / (1.0 - ku)
+
+
+def _require_shape(x, what: str, shape: tuple) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"{what} has shape {x.shape}, expected {shape}")
+    return x
 
 
 def _all_finite(x: np.ndarray) -> bool:

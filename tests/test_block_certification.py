@@ -2,16 +2,19 @@
 
 With the quartic forward map of sparse recovery and the l1 resolvent, a
 restarting search computes its trial points a block at a time: one call of
-the resolvent's block form, one GEMM for the first passes, and vectorised
-certificates.  A row the block cannot certify runs the exact per-trial
-code.  Six groups of tests:
+the resolvent's block form, one GEMV of the block against ``B(w)``, and
+vectorised certificates bounded from each row's residual along ``r_w``.
+A row the block cannot certify runs the exact per-trial code.  Six groups
+of tests:
 
 * block and per-trial searches agree bitwise for every line-search method;
 * ``l1_resolvent``'s block form is row-wise ``apply``, bitwise;
 * the block certificate never rejects a trial the acceptance test accepts:
   over a sweep of near-tied and badly scaled trials, with an exact pairing
-  that leaves only the block's norm allowance, and with residuals at the
-  edge of the rounding bound the block pairing is derived from;
+  that leaves only the block's norm allowance, and with every rounding
+  error the block pairing allows for at the edge of its bound; rows whose
+  ``B(v)`` could overflow, or whose residual bound leaves the window, are
+  never certified, and the count of certified trials on cs-512 is pinned;
 * non-finite rows raise at the same trial as the per-trial loop, and not
   at all past the accepted trial;
 * blocks stop at ``max_backtracks``;
@@ -19,6 +22,7 @@ code.  Six groups of tests:
 """
 
 import dataclasses
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -162,7 +166,7 @@ def _exactly_block_paired(C, y):
     """
     fwd = quartic_forward(C, y)
 
-    def block_pairing(w, st_w, V, st_V):
+    def block_pairing(w, st_w, b_w, V, wv_norms):
         b_w = fwd(w)
         bounds = []
         for v in V:
@@ -173,7 +177,7 @@ def _exactly_block_paired(C, y):
                 bounds.append(_round_down(_exact_pairing(b_w, b_v, w, v)))
         return np.array(bounds)
 
-    split = dataclasses.replace(fwd.split, block_first=lambda V: None, block_pairing=block_pairing)
+    split = dataclasses.replace(fwd.split, block_pairing=block_pairing)
     return ForwardOperator(fwd.fn, split=split)
 
 
@@ -199,31 +203,115 @@ def test_block_norm_allowance_alone_keeps_the_certificate_sound():
     assert certified > 300
 
 
+def _at_edge(target, center):
+    """The float nearest ``target``, or the next one toward ``center`` if that lies beyond ``target``."""
+    x = float(target)
+    if abs(Fraction(x) - center) > abs(target - center):
+        x = float(np.nextafter(x, float(center)))
+    return x
+
+
+def _block_bound(split, w, st_w, b_w, v):
+    wv = (w - v)[None, :]
+    return split.block_pairing(w, st_w, b_w, v[None, :], np.sqrt(np.einsum("ij,ij->i", wv, wv)))[0]
+
+
 @pytest.mark.parametrize("n, M", [(64, 1e3), (256, 1e2), (1024, 30.0)])
 def test_block_pairing_holds_at_the_edge_of_the_residual_bound(n, M):
-    # C = (1, ..., 1) and v = +-M alternating: Cv = -1 cancels from entries
-    # of size M, so Higham's bound g_n |C||v| on the residual of either
-    # summation order is as large as it gets against ||C||_F ||v||.  The
-    # GEMV residual r' (which B(v) is finished from) and the block's r'' are
-    # each put at either edge of that bound; the block's lower bound must
-    # stay below the exact pairing of the B(v) finished from r'.
+    # C = (1, ..., 1), w = (1/n, ...) and v = +-M alternating, shifted so
+    # that Cv = -K exactly: Cv cancels from entries of size M, so Higham's
+    # bound g_n |C||v| on the GEMV residual is as large as it gets against
+    # ||C||_F ||v||, and r_v = -K r_w makes Cauchy-Schwarz an equality.
+    # Every rounding error the block pairing allows for is put at either
+    # edge of its bound: the residuals r_w and r_v (through <r_w, e_v> and
+    # C(w - v)), the sums of squares rr_w and rr_v, and B(w), i.e. the GEMV
+    # of C^T r_w and its scaling by rr_w, with the sign of each entry's
+    # error chosen against <B(w), v>.  The block's lower bound must stay
+    # below the exact pairing of that B(w) and of the B(v) finished from
+    # r_v and rr_v, and within 1% of it.
+    K = 1000.0
     C, y = np.ones((1, n)), np.zeros(1)
     split = quartic_forward(C, y).split
     w = np.full(n, 1.0 / n)
-    v = M * np.where(np.arange(n) % 2 == 0, 1.0, -1.0) - 1.0 / n
+    v = M * np.where(np.arange(n) % 2 == 0, 1.0, -1.0) - K / n
+    assert w.sum() == 1.0 and v.sum() == -K
+    u = Fraction(2.0**-53)
+    g1 = Fraction(_rounding_gamma(1))
+    scaled = (1 + g1) * (1 + u) - 1  # the GEMV of C^T r_w (one term) and the scaling by rr_w
+    edge_w, edge_v = (Fraction(_rounding_gamma(n)) * sum(abs(Fraction(float(x))) for x in z) for z in (w, v))
+    uu_w, uu_v = float(w.dot(w)), float(v.dot(v))
+    signs = np.sign(v)
+    for side_w, side_v, side_rr, side_b in itertools.product((-1, 1), repeat=4):
+        r_w = _at_edge(1 + side_w * edge_w, Fraction(1))
+        r_v = _at_edge(-Fraction(K) + side_v * edge_v, -Fraction(K))
+        rr_w, rr_v = (_at_edge(Fraction(r) ** 2 * (1 + side_rr * g1), Fraction(r) ** 2) for r in (r_w, r_v))
+        center = Fraction(rr_w) * Fraction(r_w)
+        b_w = np.array([_at_edge(center * (1 + side_b * sign * scaled), center) for sign in signs])
+        b_v = split.finish(v, (np.array([r_v]), rr_v, uu_v))
+        exact = _exact_pairing(b_w, b_v, w, v)
+        bound = _block_bound(split, w, (np.array([r_w]), rr_w, uu_w), b_w, v)
+        assert 0.99 * exact < Fraction(bound) <= exact, (side_w, side_v, side_rr, side_b)
+
+
+def test_block_rows_whose_forward_value_could_overflow_are_never_certified():
+    # B(v) = (2e78)**4 v**3 overflows from v = 0.022 on; the window declines
+    # every row past ||r_v|| <= 2**75, long before, and the arithmetic of
+    # the bound stays finite well past it
+    C, y = np.array([[2e78]]), np.zeros(1)
+    split = quartic_forward(C, y).split
+    w = np.array([1e-78])
     st_w = split.first(w)
     b_w = split.finish(w, st_w)
-    r_exact = sum(Fraction(float(x)) for x in v)
-    edge = Fraction(0.999) * Fraction(_rounding_gamma(n)) * sum(abs(Fraction(float(x))) for x in v)
-    uu = np.array([np.einsum("i,i->", v, v)])
-    for gemv_side in (-1, 1):
-        r_gemv = float(r_exact + gemv_side * edge)
-        b_v = split.finish(v, (np.array([r_gemv]), r_gemv * r_gemv, float(v.dot(v))))
-        exact = _exact_pairing(b_w, b_v, w, v)
-        for block_side in (-1, 1):
-            R = np.array([[float(r_exact + block_side * edge)]])
-            bound = split.block_pairing(w, st_w, v[None, :], (R, np.einsum("ij,ij->i", R, R), uu))[0]
-            assert 0.99 * exact < Fraction(bound) <= exact, (gemv_side, block_side)
+    V = 10.0 ** np.arange(-80.0, 0.0, 0.05)[:, None]
+    wv = w - V
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = split.block_pairing(w, st_w, b_w, V, np.sqrt(np.einsum("ij,ij->i", wv, wv)))
+        finite = np.array([np.isfinite(split.finish(v, split.first(v))).all() for v in V])
+    assert not finite.all() and np.isfinite(bounds).any()
+    assert not np.isnan(bounds).any()
+    # every certifiable row has a finite B(v), with room to spare
+    assert finite[np.isfinite(bounds)].all()
+    assert V[np.isfinite(bounds)].max() < 1e-30
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-140], ids=["c-zero", "below-window"])
+def test_block_rows_whose_residual_bound_leaves_the_window_are_never_certified(scale):
+    # C = I: r_v along r_w is c = <r_w, r_v>, and ||r_v|| >= |c| / ||r_w||.
+    # c-zero: r_v is orthogonal to r_w, so nothing bounds ||r_v|| below.
+    # below-window: c is certified positive, but c**2 / rr_w < 2**-300.
+    # The per-trial pairing, which sees r_v, certifies both rows.
+    C, y = np.eye(2), np.zeros(2)
+    split = quartic_forward(C, y).split
+    w = np.array([scale, 0.0])
+    v = np.array([1e-10 * scale if scale < 1 else 0.0, scale])
+    st_w = split.first(w)
+    b_w = split.finish(w, st_w)
+    assert _block_bound(split, w, st_w, b_w, v) == -math.inf
+    assert split.pairing(w, st_w, v, split.first(v)) > 0.0
+
+
+def test_ifb_certifies_2040_of_2183_rejected_trials_on_cs512_both_paths():
+    # the pinned count of the per-trial certificate (README, numerical notes)
+    # holds whether a rejected trial is certified by its block or by its
+    # own first pass; the block bound declines some rows the per-trial
+    # bound then certifies
+    problem = _cs512()
+    stop = StoppingRule("distance_to_reference", 1e-2, reference=problem.reference)
+    firsts = []
+    split = problem.forward.split
+
+    def first(u):
+        firsts.append(1)
+        return split.first(u)
+
+    counted = dataclasses.replace(problem.forward, split=dataclasses.replace(split, first=first))
+    for p in (problem, _per_trial(problem), dataclasses.replace(problem, forward=counted)):
+        _, trace = solve(p, p.u0, p.u1, SolverConfig(stop=stop, max_iters=300))
+        rejected = sum(r.forward_evals - 2 for r in trace.records)
+        assert (trace.total_certified, rejected) == (2040, 2183)
+    # one first pass per search, plus one per row the block declined
+    block_certified = trace.total_forward_evals - len(firsts)
+    assert block_certified == 1824
 
 
 # ---------------------------------------------------------------------------

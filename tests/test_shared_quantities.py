@@ -106,10 +106,10 @@ class TestGuards:
     def test_require_finite(self, x):
         u = _with_entry(x)
         if np.isfinite(x):
-            assert _require_finite(u, "B(w)") is u
+            assert _require_finite(u, "B(w)", u.shape) is u
             return
         with pytest.raises(NonFiniteIterate) as info:
-            _require_finite(u, "B(w)")
+            _require_finite(u, "B(w)", u.shape)
         assert type(info.value) is NonFiniteIterate
         assert str(info.value) == "B(w) is non-finite"
 
@@ -133,7 +133,7 @@ class TestGuards:
         u = np.full(8, x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _require_finite(u, "B(w)") is u
+            assert _require_finite(u, "B(w)", u.shape) is u
             np.testing.assert_array_equal(euclidean(8).check_member(u, "u0"), u)
 
     @pytest.mark.parametrize(
@@ -162,7 +162,7 @@ class TestGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteIterate, match=r"^B\(w\) is non-finite$"):
-                _require_finite(u, "B(w)")
+                _require_finite(u, "B(w)", u.shape)
             with pytest.raises(DivergenceError, match="^u is non-finite$"):
                 _guard_iterate(u, space, "u")
             with pytest.raises(ValueError, match="^u0 contains non-finite entries$"):
@@ -173,7 +173,7 @@ class TestGuards:
         u = np.array([5e-324, -5e-324, tiny / 4, -0.0, 0.0, -tiny])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _require_finite(u, "B(w)") is u
+            assert _require_finite(u, "B(w)", u.shape) is u
             assert _guard_iterate(u, euclidean(len(u)), "u") is None
             np.testing.assert_array_equal(euclidean(len(u)).check_member(u, "u0"), u)
 
