@@ -21,6 +21,7 @@ solver so benchmark tables compare like with like.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -113,8 +114,8 @@ class BaselineConfig:
 
     def lam_at(self, k: int) -> float:
         lam = self.lam(k) if callable(self.lam) else float(self.lam)
-        if not lam > 0:
-            raise ValueError(f"step lam_{k} = {lam} must be positive")
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ValueError(f"step lam_{k} = {lam} must be positive and finite")
         return lam
 
     def display_label(self) -> str:
@@ -230,9 +231,10 @@ def tc_step(
     """
     if space is None:
         space = euclidean(len(u_curr))
-    diff = space.norm(u_curr - u_prev)
+    step = u_curr - u_prev
+    diff = space.norm(step)
     theta_k = theta if diff == 0.0 else min(eps_k / diff, theta)
-    w = u_curr + theta_k * (u_curr - u_prev)
+    w = u_curr + theta_k * step
     _guard_iterate(w, space, f"extrapolated point at k={k}")
     ls = backtrack(u_curr if literal else w, forward, resolvent, armijo, space=space)
     b_w = _require_finite(forward(w), "B(w)", w.shape) if literal else ls.b_w

@@ -14,6 +14,7 @@ away from zero along any convergent run.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -80,6 +81,11 @@ class LineSearchParams:
         if isinstance(mb, bool) or not isinstance(mb, numbers.Integral) or mb < 1:
             raise ValueError(f"max_backtracks must be a positive integer, got {mb!r}")
 
+    @functools.cached_property
+    def _steps(self) -> list:
+        """The step table: ``s * mu**j`` for ``j = 0..max_backtracks``, computed once."""
+        return [self.s * self.mu ** j for j in range(self.max_backtracks + 1)]
+
 
 @dataclass(slots=True)
 class LineSearchOutcome:
@@ -131,19 +137,21 @@ def _require_finite(x, what: str, shape: tuple) -> np.ndarray:
     return x
 
 
-def _block_rejections(w, b_w, st_w, j, rows, params, split, block, floor):
-    """Trial points ``v_j .. v_{j+rows-1}`` at once, and which of them the block certifies as rejected."""
-    lams = np.array([params.s * params.mu ** i for i in range(j, j + rows)])
-    V = _require_shape(block(w - lams[:, None] * b_w, lams), "J(w - lam*B(w)) block", (rows, len(w)))
-    c_block = 1.0 + 4.0 * _rounding_gamma(len(w) + 8)
+def _block_rejections(w, b_w, st_w, lams, sigma, split, block, floor, c_block):
+    """Trial points for the steps ``lams`` at once, their ``||w - v||`` and the rows the block rejects.
+
+    The verdicts are a list ending in an extra ``False``, so ``rejected.index(False, i)`` always succeeds."""
+    V = _require_shape(block(w - lams[:, None] * b_w, lams), "J(w - lam*B(w)) block", (len(lams), len(w)))
     # rows the search may never reach must not warn: a non-finite row is
     # never certified, and the exact path raises at it if the search gets there
     with np.errstate(over="ignore", invalid="ignore"):
         wv = w - V
         res_wv = np.sqrt(np.einsum("ij,ij->i", wv, wv))
         lower = lams * split.block_pairing(w, st_w, b_w, V, res_wv)
-        rhs = params.sigma * res_wv
-        return V, (rhs >= floor) & (lower > rhs * res_wv * c_block)
+        rhs = sigma * res_wv
+        rejected = ((rhs >= floor) & (lower > rhs * res_wv * c_block)).tolist()
+    rejected.append(False)
+    return V, res_wv, rejected
 
 
 def backtrack(
@@ -231,25 +239,29 @@ def backtrack(
     ``(1+u)^4 (1+g_n)^(1/2) / ((1-u)^10 (1-g_n)^(3/2))``, about
     ``1 + 2*g_n + 14u``.  ``c_b`` clears that by about ``2*g_n + 18u``,
     more than ``c`` clears its own requirement ``1 + g_n + 8u``; ``c``
-    would clear this one by only ``2u``.  The first row the block cannot
-    certify runs the per-trial code above on a copy of that row (its own
-    first pass, ``pairing``, ``finish`` and the float test), and the search
-    then goes on to the next row.  A non-finite row is never certified, so
-    the search raises at the same trial as the per-trial loop, and not at
-    all if it accepts an earlier one.  The accepted ``j``, ``v``, ``B(v)``
-    and ``res_wv`` are bitwise those of the per-trial loop, and so are the
-    counters: ``forward_evals`` and ``resolvent_evals`` count the trials the
-    search reaches, ``certified`` the block's rejections too, and
-    ``speculative`` the rows computed past the accepted trial.  Warm-started
-    searches keep the per-trial loop: they accept after about two trials,
-    and a block would mostly compute rows they never reach.
+    would clear this one by only ``2u``.  The search passes a run of
+    certified rows in one step and runs the per-trial code above on a copy
+    of the first row the block cannot certify (its own first pass,
+    ``pairing``, ``finish`` and the float test), whose ``v`` is finite if
+    its ``N_b`` is, as ``w`` is; only a non-finite ``N_b`` runs the check.
+    A non-finite row is never certified, so the search raises at the same
+    trial as the per-trial loop, and not at all if it accepts an earlier
+    one.  The accepted ``j``, ``v``, ``B(v)`` and ``res_wv`` are bitwise
+    those of the per-trial loop, and so are the counters: ``forward_evals``
+    and ``resolvent_evals`` count the trials the search reaches,
+    ``certified`` the block's rejections too, and ``speculative`` the rows
+    computed past the accepted trial.  Warm-started searches keep the
+    per-trial loop: they accept after about two trials, and a block would
+    mostly compute rows they never reach.
     """
     if space is None:
         space = euclidean(len(w))
     shape = np.asarray(w).shape
     _require_finite(w, "line-search input", shape)
+    steps = params._steps
     split = getattr(forward, "split", None)
-    if split is not None and not np.all(getattr(space, "weights", None) == 1.0):
+    plain = getattr(space, "_plain", None)  # an InnerProductSpace decides it once; else read the weights
+    if split is not None and not (np.all(getattr(space, "weights", None) == 1.0) if plain is None else plain):
         split = None
     block = None
     if split is None:
@@ -261,31 +273,35 @@ def backtrack(
         c = 1.0 + 2.0 * _rounding_gamma(len(w) + 8)
         if split.block_pairing is not None and not params.warm_start:
             block = getattr(resolvent, "block", None)
+            c_block = 1.0 + 4.0 * _rounding_gamma(len(w) + 8)
 
-    resolvent_evals = 0
-    forward_evals = 1
     certified = 0
-    j = int(j_start)
+    j = start = int(j_start)
     if j < 0:
         raise ValueError("j_start must be nonnegative")
     V = None
     while j <= params.max_backtracks:
-        lam = params.s * params.mu ** j
-        resolvent_evals += 1
-        forward_evals += 1
-        if block is None:
-            v = resolvent(w - lam * b_w, lam)
-        else:
+        if block is not None:
             if V is None or j == j0 + len(V):
                 rows = min(_NEXT_BLOCK if V is not None else _FIRST_BLOCK, params.max_backtracks - j + 1)
                 j0 = j
-                V, rejected = _block_rejections(w, b_w, st_w, j, rows, params, split, block, floor)
-            if rejected[j - j0]:
-                certified += 1
-                j += 1
+                V, norms, rejected = _block_rejections(
+                    w, b_w, st_w, np.array(steps[j : j + rows]), params.sigma, split, block, floor, c_block
+                )
+            i = j - j0
+            if rejected[i]:
+                skip = rejected.index(False, i) - i  # a run of certified rows
+                certified += skip
+                j += skip
                 continue
-            v = V[j - j0].copy()
-        v = _require_finite(v, "J(w - lam*B(w))", shape)
+        lam = steps[j]
+        if block is None:
+            v = _require_finite(resolvent(w - lam * b_w, lam), "J(w - lam*B(w))", shape)
+        else:
+            v = V[i].copy()
+            # w is finite, so a finite norm of the row's w - v proves v finite
+            if not math.isfinite(norms[i]):
+                v = _require_finite(v, "J(w - lam*B(w))", shape)
         wv = None
         if split is None:
             b_v = _require_finite(forward(v), "B(v)", shape)
@@ -313,8 +329,8 @@ def backtrack(
                 v=v,
                 b_w=b_w,
                 b_v=b_v,
-                resolvent_evals=resolvent_evals,
-                forward_evals=forward_evals,
+                resolvent_evals=j - start + 1,  # one trial per exponent the search reached
+                forward_evals=j - start + 2,
                 res_wv=res_wv,
                 wv=wv,
                 b_wv=b_wv,
@@ -324,7 +340,7 @@ def backtrack(
             )
         j += 1
     raise BacktrackExhausted(
-        f"no step accepted down to {params.s * params.mu ** params.max_backtracks:.3e} "
+        f"no step accepted down to {steps[-1]:.3e} "
         f"({params.max_backtracks} backtracks); the forward map may be discontinuous, "
         f"or max_backtracks={params.max_backtracks} is too few for mu={params.mu:g}: "
         f"a slow mu (close to 1) needs a larger max_backtracks"

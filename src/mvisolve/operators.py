@@ -128,8 +128,8 @@ def soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
     tau : float
         Nonnegative threshold.
     """
-    if tau < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not tau >= 0:
+        raise ValueError(f"threshold tau must be nonnegative, got {tau!r}")
     return np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
 
 
@@ -140,8 +140,9 @@ def quartic_fidelity_gradient(C: np.ndarray, v: np.ndarray, u: np.ndarray) -> np
     Lipschitz constant grows with the residual norm, which is exactly the
     regime the Armijo-backtracked solvers are built for.
     """
-    r = C @ u - v
-    return float(r @ r) * (C.T @ r)
+    # ndarray.dot runs the same GEMVs as ``@`` with a cheaper dispatch
+    r = C.dot(u) - v
+    return float(r.dot(r)) * r.dot(C)
 
 
 def lpa_gradient(Q: np.ndarray, q: np.ndarray, mu: float, alpha: float, u: np.ndarray) -> np.ndarray:
@@ -157,9 +158,9 @@ def lpa_gradient(Q: np.ndarray, q: np.ndarray, mu: float, alpha: float, u: np.nd
         raise ValueError("alpha must lie strictly inside (1, 2)")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    r = Q @ u - q
+    r = Q.dot(u) - q
     # 0**(alpha-1) == 0 and sign(0) == 0, so no special case is needed at 0.
-    return Q.T @ r + mu * alpha * np.sign(u) * np.abs(u) ** (alpha - 1.0)
+    return r.dot(Q) + mu * alpha * np.sign(u) * np.abs(u) ** (alpha - 1.0)
 
 
 def log_operator(u: np.ndarray) -> np.ndarray:
@@ -238,34 +239,46 @@ def _quartic_split(C: np.ndarray, y: np.ndarray) -> ForwardSplit:
 
     The block pairing.  Block rows ``v`` get no first pass: the bound uses
     only the component of ``r_v`` along ``r_w``.  Let ``a = ||r_w||^2``,
-    ``x = ||r_v||``, ``c_v = <r_w, r_v>`` and ``k = 2.002 ||C||_F``.  As
-    ``c_v = <C^T r_w, v> - <r_w, y> + <r_w, e_v>`` and ``b_w`` is ``rr_w``
-    times the computed ``C^T r_w``, one GEMV of the block against ``b_w``
-    gives ``c~ = fl(<b_w, v> / rr_w) - fl(<r_w, y>)`` within
-    ``sqrt(a) (g_{2m+2n+6} ||C||_F ||v|| + g_{m+3} x)`` of ``c_v``: ``g_m``
-    for the GEMV of ``C^T r_w``, ``g_2`` for the scaling and the division,
-    ``g_n`` and ``g_m`` for the dot products (``y = Cv + e_v - r_v``), ``u``
-    for the subtraction, and ``g_n ||C||_F ||v|| + g_1 x`` for
-    ``<r_w, e_v>``.  As ``r_v = r_w + C(v - w) + e_v - e_w``, ``x`` is at
-    most ``X = (1 + 2 g_{m+n+8}) ||r_w|| + k (||w - v|| + g_n (||v|| + ||w||))``
-    (the factor 2 in ``k`` covers ``(1 - g_1)^-1`` and the computed norms),
-    and ``delta = 2 g_{m+n+8} ||r_w|| (X + k ||v||)`` covers the error of
-    ``c~`` and the rounding of ``c_hi = c~ + delta`` and ``|c~| - delta``.  By
-    Cauchy-Schwarz ``x >= c_min / sqrt(a)``, ``c_min = max(|c~| - delta, 0)``,
-    so ``rr_v >= (1 - g_m) x^2 >= rr_lo = (1 - 2 g_{m+4}) c_min^2 / rr_w``
-    (``a <= rr_w / (1 - g_m)``, three roundings).  The per-trial
-    ``p(s, c) = rr_w^2 + s^2 - (rr_w + s) c`` falls as ``c`` grows and is
-    least over ``s >= rr_lo`` at ``s* = max(rr_lo, c_hi/2)``, so
-    ``p(rr_v, c_v) >= p(s*, c_hi)``, which the block computes.  The other
-    terms above hold with ``X`` for ``||r_v||``: with
-    ``A^ = rr_w ||r_w|| + X^3``, ``D^ = ||r_w|| + X`` and ``4 g_3 A^ D^`` for
-    the rounding of ``p(s*, c_hi)``, the exact pairing is at least
-    ``fl(p) - A^ (g_{m+16} D^ + g_{m+n+1} ||C||_F (||w|| + ||v||))``.  The
-    bound subtracts ``4 g_{m+n+8} A^ (D^ + k (||w|| + ||v||))``, twice the
-    per-trial allowance, which also covers its own roundings.  A row is
-    certified only while ``rr_lo >= 2**-300`` and ``X**2 <= 2**300``: then
-    ``rr_v`` is in the window up to ``1 + g_m``, underflow is as negligible
-    as above, and ``finish(v, first(v))`` is finite, as ``X >= g_n k ||v||``
+    ``x = ||r_v||``, ``c_v = <r_w, r_v>``, ``k = 2.002 ||C||_F``, ``nw``,
+    ``nr_w`` the roots of ``uu_w``, ``rr_w`` and ``N`` the row's computed
+    ``||w - v||``.  Each term bounds one error, from the side the proof uses:
+
+    * ``V^ = (1 + g_{n+8}) (nw + N) >= ||w|| + ||w - v|| >= ||v||``: ``uu_w``
+      and ``N`` are sums of squares, ``w - v`` is rounded once per entry,
+      and ``(1 - g_n)^(-1/2) (1 - u)^-5 <= 1 + g_{n+5}``.
+    * ``X = (1 + 2 g_{m+n+8}) nr_w + k (N + g_n (V^ + nw)) >= x``, as
+      ``r_v = r_w + C(v - w) + e_v - e_w``; the factor 2 in ``k`` covers
+      ``(1 - g_1)^-1``, ``N`` and the computed ``||C||_F``.
+    * ``delta = 2 g_{m+n+8} nr_w (X + k V^)`` bounds the error of
+      ``c~ = fl(<b_w, v> / rr_w) - fl(<r_w, y>)`` (one GEMV of the block
+      against ``b_w = rr_w fl(C^T r_w)``) in
+      ``c_v = <C^T r_w, v> - <r_w, y> + <r_w, e_v>``: ``g_m`` for
+      ``C^T r_w``, ``g_2`` for the scaling and the division, ``g_n``, ``g_m``
+      for the dot products (``y = Cv + e_v - r_v``, hence ``X``), ``u`` for
+      the subtraction and ``g_n ||C||_F ||v|| + g_1 x`` for ``<r_w, e_v>``;
+      the factor 2 covers ``c_hi = c~ + delta``, ``c_min = max(|c~| - delta, 0)``.
+    * ``rr_lo = c_min^2 (1 - 2 g_{m+4}) / rr_w <= rr_v``: Cauchy-Schwarz
+      gives ``x >= c_min / sqrt(a)``, and ``rr_v >= (1 - g_m) x^2``,
+      ``a <= rr_w / (1 - g_m)`` and three roundings.
+    * ``p(s, c) = rr_w^2 + s^2 - (rr_w + s) c`` falls as ``c`` grows and is
+      least over ``s >= rr_lo`` at ``s* = max(rr_lo, c_hi/2)``, so the
+      block computes ``p(s*, c_hi) <= p(rr_v, c_v)``.
+    * The final allowance: with ``X`` for ``||r_v||``, ``V^`` for ``||v||``
+      and ``4 g_3 A^ D^`` for rounding ``p(s*, c_hi)``, where
+      ``A^ = rr_w nr_w + X^3`` and ``D^ = nr_w + X``, the per-trial terms put
+      the exact pairing of the float outputs above
+      ``fl(p) - A^ (g_{m+16} D^ + g_{m+n+1} ||C||_F (nw + V^))``; the bound
+      subtracts ``4 g_{m+n+8} A^ (D^ + k (nw + V^))``.
+
+    ``X``, ``delta`` and the final allowance are affine in ``N``, evaluated
+    as ``t0 + t1 N`` from per-search scalars; the factor 2 in each absorbs
+    those roundings.  The last two margins cover different errors, so both
+    stay: ``delta`` scales with ``nr_w`` and cannot cover the ``X^3``
+    terms, and without it ``rr_lo`` overstates ``rr_v`` when ``r_v`` is
+    parallel to ``r_w``.  A row is certified only while
+    ``rr_lo >= 2**-300`` and ``X**2 <= 2**300``: then ``rr_v`` is in the
+    window up to ``1 + g_m``, underflow is as negligible as above, and
+    ``finish(v, first(v))`` is finite, as ``X >= g_n k V^ >= g_n k ||v||``
     keeps every partial sum of ``C @ v`` below ``2**803``.
     """
     m, n = C.shape
@@ -275,14 +288,15 @@ def _quartic_split(C: np.ndarray, y: np.ndarray) -> ForwardSplit:
     allowance = 2.0 * _rounding_gamma(m + n + 8)
     gap = _rounding_gamma(n) * c_scale
     shrink = 1.0 - 2.0 * _rounding_gamma(m + 4)
+    tri = 1.0 + _rounding_gamma(n + 8)
 
     def first(u):
-        r = C @ u - y
-        return r, float(r @ r), float(u.dot(u))
+        r = C.dot(u) - y
+        return r, float(r.dot(r)), float(u.dot(u))
 
     def finish(u, state):
         r, rr, _ = state
-        return rr * (C.T @ r)
+        return rr * r.dot(C)
 
     def pairing(w, st_w, v, st_v):
         r_w, rr_w, uu_w = st_w
@@ -299,18 +313,21 @@ def _quartic_split(C: np.ndarray, y: np.ndarray) -> ForwardSplit:
         if not (certifiable and _SCALE_LO <= rr_w <= _SCALE_HI):
             return np.full(len(V), -math.inf)
         nr_w, nw = math.sqrt(rr_w), math.sqrt(uu_w)
-        nv = np.sqrt(np.einsum("ij,ij->i", V, V))
-        nr_hi = (1.0 + allowance) * nr_w + c_scale * wv_norms + gap * (nv + nw)
-        c = (V @ b_w) / rr_w - float(r_w.dot(y))
-        delta = allowance * nr_w * (nr_hi + c_scale * nv)
+        kv = c_scale * tri
+        x0, x1 = (1.0 + allowance) * nr_w + gap * (1.0 + tri) * nw, c_scale + gap * tri
+        nr_hi = x0 + x1 * wv_norms
+        delta = allowance * nr_w * (x0 + kv * nw) + allowance * nr_w * (x1 + kv) * wv_norms
+        c = V.dot(b_w) / rr_w - float(r_w.dot(y))
         c_hi = c + delta
         c_min = np.maximum(np.abs(c) - delta, 0.0)
-        rr_lo = shrink * (c_min * c_min / rr_w)
+        rr_lo = c_min * c_min * (shrink / rr_w)
         s = np.maximum(rr_lo, 0.5 * c_hi)
         p = rr_w * rr_w + s * s - (rr_w + s) * c_hi
-        scale = (rr_w * nr_w + nr_hi**3) * (nr_w + nr_hi + c_scale * (nw + nv))
-        inside = (rr_lo >= _SCALE_LO) & (nr_hi * nr_hi <= _SCALE_HI)
-        return np.where(inside, p - 2.0 * allowance * scale, -math.inf)
+        nr_hi2 = nr_hi * nr_hi
+        f0, f1 = 2.0 * allowance * (nr_w + x0 + (kv + c_scale) * nw), 2.0 * allowance * (x1 + kv)
+        p -= (rr_w * nr_w + nr_hi2 * nr_hi) * (f0 + f1 * wv_norms)
+        p[~((rr_lo >= _SCALE_LO) & (nr_hi2 <= _SCALE_HI))] = -math.inf
+        return p
 
     return ForwardSplit(first, finish, pairing, block_pairing)
 
@@ -338,7 +355,7 @@ def lpa_forward(Q: np.ndarray, q: np.ndarray, mu: float, alpha: float) -> Forwar
 def linear_forward(M: np.ndarray, label: str = "linear") -> ForwardOperator:
     """``u -> M u``; monotone whenever ``M + M^T`` is positive semidefinite."""
     M = np.asarray(M, dtype=float)
-    return ForwardOperator(lambda u: M @ u, label=label, lipschitz_hint=float(np.linalg.norm(M, 2)))
+    return ForwardOperator(lambda u: M.dot(u), label=label, lipschitz_hint=float(np.linalg.norm(M, 2)))
 
 
 def identity_resolvent() -> ResolventOperator:
@@ -348,8 +365,8 @@ def identity_resolvent() -> ResolventOperator:
 
 def l1_resolvent(rho: float) -> ResolventOperator:
     """Resolvent of the scaled l1 subdifferential: ``x -> soft(x, lam*rho)``."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not rho >= 0:
+        raise ValueError(f"rho must be nonnegative, got {rho!r}")
 
     def block(X, lams):
         # the same exactly rounded elementwise operations as soft_threshold,
@@ -364,6 +381,9 @@ def box_resolvent(lo: np.ndarray, hi: np.ndarray) -> ResolventOperator:
     """Resolvent of the normal cone of a box: projection, independent of lam."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if np.isnan(bound).any():
+            raise ValueError(f"box bound {name} contains NaN")
     if np.any(lo > hi):
         raise ValueError("box is empty: lo > hi in some coordinate")
     return ResolventOperator(lambda x, lam: np.clip(x, lo, hi), label="box-projection")
@@ -375,8 +395,8 @@ def shifted_l1_resolvent(rho: float, beta: float) -> ResolventOperator:
     Solving ``x in y + lam*(rho*sgn(y) + beta*y)`` coordinatewise gives
     ``y = soft(x / (1 + lam*beta), lam*rho / (1 + lam*beta))``.
     """
-    if rho < 0 or beta <= 0:
-        raise ValueError("need rho >= 0 and beta > 0")
+    if not (rho >= 0 and beta > 0):
+        raise ValueError(f"need rho >= 0 and beta > 0, got rho={rho!r} and beta={beta!r}")
 
     def apply(x, lam):
         c = 1.0 + lam * beta

@@ -25,9 +25,9 @@ class InnerProductSpace:
     dimension : int
         Number of coordinates.
     weights : ndarray
-        Strictly positive weights, one per coordinate.  All ones gives the
-        Euclidean space; quadrature weights give a discretized function
-        space whose norm approximates the integral norm.
+        Strictly positive weights, one per coordinate, kept as a read-only
+        copy.  All ones gives the Euclidean space; quadrature weights give a
+        discretized function space whose norm approximates the integral norm.
     label : str
         Human-readable tag carried into traces and reports.
     """
@@ -40,9 +40,11 @@ class InnerProductSpace:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        w = _require_shape(self.weights, "weights", (self.dimension,))
+        # a private read-only copy: _plain and _entry_scale are cached from it
+        w = _require_shape(np.array(self.weights, dtype=float), "weights", (self.dimension,))
         if not np.all(w > 0.0):
             raise ValueError("all quadrature weights must be strictly positive")
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_plain", bool(np.all(w == 1.0)))
 

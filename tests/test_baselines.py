@@ -418,6 +418,12 @@ class TestRunBaseline:
         with pytest.raises(ValueError):
             BaselineConfig("nope")
 
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan"), lambda k: float("inf"), 0.0])
+    def test_step_must_be_positive_and_finite(self, lam):
+        # an infinite fb step used to run on and end diverged
+        with pytest.raises(ValueError, match=r"^step lam_1 = .* must be positive and finite$"):
+            BaselineConfig(method="fb", lam=lam).lam_at(1)
+
 
 class TestDispatchWiring:
     """``run_baseline`` and ``solve`` must be nothing but the public single steps iterated.

@@ -334,8 +334,12 @@ _C, _Y, _W = np.array([[2e78]]), np.zeros(1), np.array([1e-78])
 
 @pytest.mark.parametrize(
     "bad, message",
-    [(np.array([np.nan]), r"^J\(w - lam\*B\(w\)\) is non-finite$"), (np.array([0.025]), r"^B\(v\) is non-finite$")],
-    ids=["resolvent", "forward"],
+    [
+        (np.array([np.nan]), r"^J\(w - lam\*B\(w\)\) is non-finite$"),
+        (np.array([np.inf]), r"^J\(w - lam\*B\(w\)\) is non-finite$"),
+        (np.array([0.025]), r"^B\(v\) is non-finite$"),
+    ],
+    ids=["resolvent", "resolvent-inf", "forward"],
 )
 def test_non_finite_row_raises_at_the_same_trial(bad, message):
     # two rejected trials, then the bad one; a row past it is accepted
@@ -379,6 +383,31 @@ def test_blocks_never_pass_max_backtracks(max_backtracks, blocks):
     assert messages[0] == messages[1]
     assert [len(lams) for lams in seen] == blocks
     assert np.concatenate(seen).tolist() == [0.5**j for j in range(max_backtracks + 1)]
+
+
+@pytest.mark.parametrize("s, mu", [(1.0, 0.5), (2.0, 0.5), (2.0, 0.9), (0.3, 0.7)])
+def test_every_trial_step_is_s_times_mu_to_the_j_bitwise(s, mu):
+    # every trial returns v = 0, which is rejected, so each search tries every
+    # exponent from j_start on, in blocks or one at a time
+    expected = [(s * mu**j).hex() for j in range(61)]
+    seen = []
+
+    def block(X, lams):
+        seen.extend(lams.tolist())
+        return np.zeros_like(X)
+
+    def apply(x, lam):
+        seen.append(lam)
+        return np.zeros_like(x)
+
+    fwd = quartic_forward(_C, _Y)
+    for warm_start, j_start in ((False, 0), (False, 23), (True, 0), (True, 23)):
+        params = LineSearchParams(s=s, mu=mu, warm_start=warm_start)
+        for resolvent in (ResolventOperator(apply, block=block), apply):
+            seen.clear()
+            with pytest.raises(BacktrackExhausted):
+                backtrack(_W, fwd, resolvent, params, j_start=j_start)
+            assert [lam.hex() for lam in seen] == expected[j_start:]
 
 
 def test_block_starts_at_j_start():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from mvisolve.operators import (
     identity_forward,
     identity_resolvent,
     l1_resolvent,
+    quartic_forward,
     zero_forward,
 )
 from mvisolve.problems import assemble, gen_cs
@@ -167,6 +170,27 @@ def test_nonfinite_evaluation_raises():
 
     with pytest.raises(NonFiniteIterate):
         backtrack(np.array([1.0]), fwd, identity_resolvent(), LineSearchParams())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_before_any_forward_call(bad):
+    calls = []
+    fwd = quartic_forward(np.eye(2), np.zeros(2))
+    split = fwd.split
+
+    def first(u):
+        calls.append("first")
+        return split.first(u)
+
+    def forward(u):
+        calls.append("forward")
+        return fwd(u)
+
+    counted = dataclasses.replace(fwd, fn=forward, split=dataclasses.replace(split, first=first))
+    for f in (forward, counted):
+        with pytest.raises(NonFiniteIterate, match=r"^line-search input is non-finite$"):
+            backtrack(np.array([1.0, bad]), f, l1_resolvent(0.1), LineSearchParams())
+    assert calls == []
 
 
 def test_warm_start_exponent_relation():

@@ -254,3 +254,44 @@ def test_gradients_match_fd_at_100_points():
         g = lpa_gradient(Q, q, 0.2, 1.5, u)
         fd = central_diff_gradient(fl, u, h)
         assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: soft_threshold(np.ones(2), np.nan), r"^threshold tau must be nonnegative, got nan$"),
+        (lambda: l1_resolvent(np.nan), r"^rho must be nonnegative, got nan$"),
+        (lambda: shifted_l1_resolvent(np.nan, 1.0), r"rho=nan and beta=1\.0$"),
+        (lambda: shifted_l1_resolvent(1.0, np.nan), r"rho=1\.0 and beta=nan$"),
+        (lambda: box_resolvent(np.array([0.0, np.nan]), np.ones(2)), r"^box bound lo contains NaN$"),
+        (lambda: box_resolvent(np.zeros(2), np.array([np.nan, 1.0])), r"^box bound hi contains NaN$"),
+    ],
+    ids=["soft-tau", "l1-rho", "shifted-rho", "shifted-beta", "box-lo", "box-hi"],
+)
+def test_nan_parameters_fail_at_construction(build, named):
+    # each used to be accepted and to return NaN
+    with pytest.raises(ValueError, match=named):
+        build()
+
+
+def test_infinite_rho_and_box_bounds_stay_legal():
+    x = np.array([3.0, -2.0])
+    np.testing.assert_array_equal(l1_resolvent(np.inf)(x, 0.5), [0.0, 0.0])
+    np.testing.assert_array_equal(box_resolvent(np.full(2, -np.inf), np.full(2, np.inf))(x, 1.0), x)
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("m, n", [(256, 512), (512, 1024)])
+def test_dot_forms_are_the_matmul_forms_bitwise(m, n, strided):
+    # the gradients call ndarray.dot for its cheaper dispatch; it must stay
+    # the same GEMV as ``@``
+    rng = np.random.default_rng(m)
+    C, y = rng.standard_normal((m, n)), rng.standard_normal(m)
+    base = rng.standard_normal(2 * n)
+    u = base[::2] if strided else base[:n].copy()
+    assert u.flags.c_contiguous != strided
+    r = C @ u - y
+    assert quartic_fidelity_gradient(C, y, u).tobytes() == (float(r @ r) * (C.T @ r)).tobytes()
+    mu, alpha = 0.05, 1.5
+    expected = C.T @ r + mu * alpha * np.sign(u) * np.abs(u) ** (alpha - 1.0)
+    assert lpa_gradient(C, y, mu, alpha, u).tobytes() == expected.tobytes()

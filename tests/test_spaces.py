@@ -46,6 +46,17 @@ def test_weight_validation():
         trapezoid_unit_interval(2)
 
 
+def test_weights_are_a_read_only_private_copy():
+    # _plain and _entry_scale are cached from the weights, so they must not change
+    weights = np.linspace(0.5, 2.0, 4)
+    space = InnerProductSpace(4, weights)
+    for sp in (space, euclidean(4)):
+        with pytest.raises(ValueError, match="read-only"):
+            sp.weights[0] = 1.0
+    weights[0] = 1.0  # the caller's array stays writable and is not the space's
+    assert space.weights[0] == 0.5 and not space._plain
+
+
 def test_check_member_rejects_nonfinite():
     sp = euclidean(2)
     with pytest.raises(ValueError):
