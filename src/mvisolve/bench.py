@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import statistics
 import sys
@@ -34,7 +35,7 @@ import numpy as np
 
 from .baselines import BaselineConfig, run_baseline
 from .linesearch import LineSearchParams
-from .problems import Problem, assemble, gen_cs, gen_l2, gen_lpa, save_instance
+from .problems import GENERATORS, Problem, assemble, save_instance
 from .solver import (
     InertiaSchedule,
     IterationTrace,
@@ -96,24 +97,47 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 # run configuration
 
 
+# The key tuples below are the whole spec schema: the builders pick from
+# them, and a key outside them raises (see _check_keys).
 _FAMILY_DIMS = {
-    "cs": ("d", "m", "l", "snr_db", "rho"),
-    "lpa": ("d", "m", "l", "snr_db", "mu", "alpha", "rho"),
-    "l2": ("case_id", "n"),
+    family: tuple(p for p in inspect.signature(gen).parameters if p != "seed")
+    for family, gen in GENERATORS.items()
 }
+_SPEC_KEYS = ("problems", "solvers", "stop", "output_dir")
+_RUN_KEYS = ("repetitions", "max_iters", "check_invariants")
+_RETIRED_KEYS = ("workers", "timing_mode")  # accepted and ignored
+_STOP_KEYS = ("kind", "tol")
+_LS_KEYS = tuple(f.name for f in dataclasses.fields(LineSearchParams) if f.name != "warm_start")
+_IFB_KEYS = ("gamma", "warm_start", "inertia")
+_BASELINE_KEYS = {"zw": ("lambda_mode", "gamma"), "tc": ("gamma", "mu_tc", "theta", "literal")}
 
 
 def _pick(options: dict, keys) -> dict:
     return {k: options[k] for k in keys if k in options}
 
 
+def _check_keys(entry: dict, accepted, where: str) -> None:
+    unknown = [k for k in entry if k not in accepted]
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
+            f"accepted keys: {', '.join(accepted)}"
+        )
+
+
 def _instance_for(family: str, dims: dict, seed: int):
-    if family not in _FAMILY_DIMS:
-        raise ValueError(f"unknown problem family {family!r}")
-    kwargs = _pick(dims, _FAMILY_DIMS[family])
-    if family == "l2":
-        return gen_l2(**kwargs)
-    return (gen_cs if family == "cs" else gen_lpa)(**kwargs, seed=seed)
+    """Generate the instance; the generator takes what it names of ``dims`` and ``seed``."""
+    gen = GENERATORS[family]
+    return gen(**_pick({**dims, "seed": seed}, inspect.signature(gen).parameters))
+
+
+def _solver_keys(method: str, options: dict) -> tuple:
+    """The option keys the builder of ``method`` reads."""
+    if method != "ifb":
+        return ("label", "lam") + _LS_KEYS + _BASELINE_KEYS.get(method, ())
+    # only the constant schedule reads theta
+    theta = ("theta",) if options.get("inertia") == "constant" else ()
+    return ("label",) + _LS_KEYS + _IFB_KEYS + theta
 
 
 @dataclass(frozen=True)
@@ -133,6 +157,10 @@ class ProblemCell:
 class SolverEntry:
     method: str
     options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        entry = {"method": self.method} | self.options
+        _check_keys(self.options, _solver_keys(self.method, self.options), f"solver entry {entry!r}")
 
     @property
     def label(self) -> str:
@@ -158,13 +186,20 @@ class RunSpec:
             raise ValueError("at least one solver is required")
         if not self.problems:
             raise ValueError("at least one problem is required")
+        _check_keys(self.stop, _STOP_KEYS, f"stop {self.stop!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSpec":
+        _check_keys(raw, _SPEC_KEYS + _RUN_KEYS + _RETIRED_KEYS, "the run spec")
         cells = []
         for p in raw["problems"]:
             family = p["family"]
-            dims = {k: p[k] for k in _FAMILY_DIMS.get(family, ()) if k in p}
+            if family not in GENERATORS:
+                raise ValueError(f"unknown problem family {family!r}")
+            # "cases" expands l2 cells, "seeds" every other family's
+            expand = ("cases",) if family == "l2" else ("seeds",)
+            _check_keys(p, ("family", "seed") + expand + _FAMILY_DIMS[family], f"problem {p!r}")
+            dims = _pick(p, _FAMILY_DIMS[family])
             seeds = p.get("seeds", [p.get("seed", 0)])
             if family == "l2":
                 cases = p.get("cases", [p.get("case_id", 1)])
@@ -182,7 +217,7 @@ class RunSpec:
             solvers=solvers,
             stop=raw.get("stop", {}),
             output_dir=raw["output_dir"],
-            **_pick(raw, ("repetitions", "max_iters", "check_invariants")),
+            **_pick(raw, _RUN_KEYS),
         )
 
     @classmethod
@@ -191,16 +226,12 @@ class RunSpec:
 
 
 def _build_stop(stop_spec: dict, problem: Problem) -> StoppingRule:
-    kwargs = _pick(stop_spec, ("kind", "tol"))
+    kwargs = _pick(stop_spec, _STOP_KEYS)
     if kwargs.get("kind") == "distance_to_reference":
         if problem.reference is None:
             raise ValueError(f"{problem.family} problem has no reference solution")
         kwargs["reference"] = problem.reference
     return StoppingRule(**kwargs)
-
-
-_LS_KEYS = ("s", "mu", "sigma", "max_backtracks")
-_BASELINE_KEYS = {"zw": ("lambda_mode", "gamma"), "tc": ("gamma", "mu_tc", "theta", "literal")}
 
 
 def _build_ifb_config(options: dict, stop: StoppingRule, spec: RunSpec) -> SolverConfig:
@@ -459,18 +490,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    dims = {
-        "d": args.d,
-        "m": args.m,
-        "l": args.l,
-        "snr_db": args.snr,
-        "mu": args.mu,
-        "alpha": args.alpha,
-        "case_id": args.case,
-        "n": args.n,
-    }
-    if args.rho is not None:
-        dims["rho"] = args.rho
+    # the options are named after the generators' parameters; an unset --rho
+    # leaves the generator's default
+    dims = {k: v for k, v in vars(args).items() if v is not None}
     instance = _instance_for(args.family, dims, args.seed)
     out = args.out or f"{args.family}_seed{args.seed}.npz"
     save_instance(instance, out)
@@ -497,15 +519,15 @@ def main(argv=None) -> int:
     p_run.set_defaults(fn=_cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate and save a problem instance")
-    p_gen.add_argument("family", choices=["cs", "lpa", "l2"])
+    p_gen.add_argument("family", choices=list(GENERATORS))
     p_gen.add_argument("--d", type=int, default=512)
     p_gen.add_argument("--m", type=int, default=256)
     p_gen.add_argument("--l", type=int, default=10)
-    p_gen.add_argument("--snr", type=float, default=40.0)
+    p_gen.add_argument("--snr", dest="snr_db", type=float, default=40.0)
     p_gen.add_argument("--rho", type=float, default=None)
     p_gen.add_argument("--mu", type=float, default=0.01, help="lpa penalty weight")
     p_gen.add_argument("--alpha", type=float, default=1.5, help="lpa penalty exponent in (1,2)")
-    p_gen.add_argument("--case", type=int, default=1, help="l2 initial-value case (1..4)")
+    p_gen.add_argument("--case", dest="case_id", type=int, default=1, help="l2 initial-value case (1..4)")
     p_gen.add_argument("--n", type=int, default=1001, help="l2 grid size")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)

@@ -75,16 +75,14 @@ class ForwardSplit:
 class ForwardOperator:
     """Single-valued map ``u -> B(u)``, evaluated directly.
 
-    ``lipschitz_hint`` is informational only; no solver in this package
-    requires a Lipschitz constant.  ``split``, when given, is a stateless
-    two-pass form of ``fn`` (see :class:`ForwardSplit`) that lets the line
-    search reject a trial step before its second matrix pass; ``fn`` stays
-    the definition of the map.
+    No solver in this package requires a Lipschitz constant.  ``split``,
+    when given, is a stateless two-pass form of ``fn`` (see
+    :class:`ForwardSplit`) that lets the line search reject a trial step
+    before its second matrix pass; ``fn`` stays the definition of the map.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     label: str = "forward"
-    lipschitz_hint: Optional[float] = None
     split: Optional[ForwardSplit] = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -176,11 +174,11 @@ def log_operator(u: np.ndarray) -> np.ndarray:
 
 
 def zero_forward() -> ForwardOperator:
-    return ForwardOperator(lambda u: np.zeros_like(u), label="zero", lipschitz_hint=0.0)
+    return ForwardOperator(lambda u: np.zeros_like(u), label="zero")
 
 
 def identity_forward() -> ForwardOperator:
-    return ForwardOperator(lambda u: u, label="identity", lipschitz_hint=1.0)
+    return ForwardOperator(lambda u: u, label="identity")
 
 
 def cubic_forward() -> ForwardOperator:
@@ -355,7 +353,7 @@ def lpa_forward(Q: np.ndarray, q: np.ndarray, mu: float, alpha: float) -> Forwar
 def linear_forward(M: np.ndarray, label: str = "linear") -> ForwardOperator:
     """``u -> M u``; monotone whenever ``M + M^T`` is positive semidefinite."""
     M = np.asarray(M, dtype=float)
-    return ForwardOperator(lambda u: M.dot(u), label=label, lipschitz_hint=float(np.linalg.norm(M, 2)))
+    return ForwardOperator(lambda u: M.dot(u), label=label)
 
 
 def identity_resolvent() -> ResolventOperator:

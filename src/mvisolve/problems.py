@@ -24,8 +24,8 @@ float64 arrays plus a JSON metadata record.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "gen_l2",
     "table_initials",
     "assemble",
+    "GENERATORS",
     "save_instance",
     "load_instance",
     "cubic_problem",
@@ -390,78 +391,47 @@ def strongly_monotone_problem(
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# family table and serialization
+
+# The instance families by name.  A run spec's problem keys are the
+# generator's parameters, and the family's instance type is the generator's
+# return annotation.
+GENERATORS = {"cs": gen_cs, "lpa": gen_lpa, "l2": gen_l2}
+_INSTANCE_TYPES = {family: get_type_hints(gen)["return"] for family, gen in GENERATORS.items()}
 
 
 def save_instance(instance, path) -> None:
-    """Write an instance to ``.npz``: little-endian float64 arrays + JSON metadata."""
-    arrays = {}
-    if isinstance(instance, CompressedSensingInstance):
-        meta = {
-            "family": "cs",
-            "d": instance.d,
-            "m": instance.m,
-            "l": instance.l,
-            "rho": instance.rho,
-            "seed": instance.seed,
-            "snr_db": instance.snr_db,
-        }
-        arrays = {
-            "C": instance.C,
-            "u_true": instance.u_true,
-            "v_obs": instance.v_obs,
-            "u_init": instance.u_init,
-        }
-    elif isinstance(instance, LpaInstance):
-        meta = {
-            "family": "lpa",
-            "d": instance.d,
-            "m": instance.m,
-            "mu": instance.mu,
-            "alpha": instance.alpha,
-            "rho": instance.rho,
-            "seed": instance.seed,
-        }
-        arrays = {"Q": instance.Q, "q": instance.q, "u_init": instance.u_init}
-        if instance.u_true is not None:
-            arrays["u_true"] = instance.u_true
-    elif isinstance(instance, L2Instance):
-        meta = {"family": "l2", "n": instance.n, "case_id": instance.case_id}
-        arrays = {"u0": instance.u0, "u1": instance.u1}
-    else:
+    """Write an instance to ``.npz``, one entry per dataclass field.
+
+    Array fields become little-endian float64 arrays; the family name and
+    every other field that is not ``None`` form one JSON metadata record.
+    """
+    family = next((f for f, cls in _INSTANCE_TYPES.items() if type(instance) is cls), None)
+    if family is None:
         raise TypeError(f"cannot serialize {type(instance).__name__}")
-    payload = {k: np.ascontiguousarray(v, dtype="<f8") for k, v in arrays.items()}
+    meta, payload = {"family": family}, {}
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if isinstance(value, np.ndarray):
+            payload[f.name] = np.ascontiguousarray(value, dtype="<f8")
+        elif value is not None:
+            meta[f.name] = value
     payload["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     np.savez(path, **payload)
 
 
 def load_instance(path):
-    """Rebuild an instance saved by :func:`save_instance`."""
+    """Rebuild an instance saved by :func:`save_instance`.
+
+    Only entries named after a field of the family's instance type are
+    read, so files that also carry the derived sizes ``d``, ``m`` and ``l``
+    load unchanged; a field with a default that the file lacks keeps it.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        arrays = {k: np.asarray(data[k], dtype=float) for k in data.files if k != "meta_json"}
-    family = meta["family"]
-    if family == "cs":
-        return CompressedSensingInstance(
-            C=arrays["C"],
-            u_true=arrays["u_true"],
-            v_obs=arrays["v_obs"],
-            rho=meta["rho"],
-            seed=meta["seed"],
-            snr_db=meta["snr_db"],
-            u_init=arrays["u_init"],
-        )
-    if family == "lpa":
-        return LpaInstance(
-            Q=arrays["Q"],
-            q=arrays["q"],
-            mu=meta["mu"],
-            alpha=meta["alpha"],
-            rho=meta["rho"],
-            seed=meta["seed"],
-            u_init=arrays["u_init"],
-            u_true=arrays.get("u_true"),
-        )
-    if family == "l2":
-        return L2Instance(n=meta["n"], case_id=meta["case_id"], u0=arrays["u0"], u1=arrays["u1"])
-    raise ValueError(f"unknown family {family!r} in {path}")
+        values = {k: np.asarray(data[k], dtype=float) for k in data.files if k != "meta_json"}
+    cls = _INSTANCE_TYPES.get(meta["family"])
+    if cls is None:
+        raise ValueError(f"unknown family {meta['family']!r} in {path}")
+    values.update(meta)
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})

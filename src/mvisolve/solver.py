@@ -178,17 +178,14 @@ class InertiaSchedule:
     which kind ran.
     """
 
-    kind: str  # "constant" | "experiment" | "custom"
+    kind: str  # "constant" | "experiment"
     theta_max: float
-    fn: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "experiment", "custom"):
+        if self.kind not in ("constant", "experiment"):
             raise ValueError(f"unknown inertia schedule kind {self.kind!r}")
         if not 0.0 <= self.theta_max < 1.0:
             raise ValueError("theta_max must lie in [0, 1)")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom schedule requires a function")
 
     @classmethod
     def constant(cls, theta: float) -> "InertiaSchedule":
@@ -198,20 +195,10 @@ class InertiaSchedule:
     def experiment(cls, theta_max: float) -> "InertiaSchedule":
         return cls("experiment", theta_max)
 
-    @classmethod
-    def custom(cls, fn: Callable[[int], float], theta_max: float) -> "InertiaSchedule":
-        return cls("custom", theta_max, fn)
-
     def value(self, k: int) -> float:
         if self.kind == "constant":
-            theta = self.theta_max
-        elif self.kind == "experiment":
-            theta = self.theta_max * math.sqrt(k) / (k + 5.0)
-        else:
-            theta = float(self.fn(k))
-        if not 0.0 <= theta <= self.theta_max:
-            raise ValueError(f"theta_{k} = {theta} outside [0, {self.theta_max}]")
-        return theta
+            return self.theta_max
+        return self.theta_max * math.sqrt(k) / (k + 5.0)
 
 
 @dataclass(frozen=True)

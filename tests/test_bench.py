@@ -193,6 +193,36 @@ class TestRun:
             RunSpec.from_dict(_tiny_spec(tmp_path, repetitions=0))
 
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"solvers": [{"method": "tseng", "sigam": 0.1}]}, "sigam"),
+            ({"solvers": [{"method": "zw", "lamda_mode": "armijo"}]}, "lamda_mode"),
+            # theta is read only together with the constant schedule
+            ({"solvers": [{"method": "ifb", "theta": 0.3}]}, "theta"),
+            ({"problems": [{"family": "cs", "d": 32, "m": 16, "snr": 20.0}]}, "snr"),
+            ({"stop": {"kind": "successive_diff", "tolerance": 1e-3}}, "tolerance"),
+            ({"max_iter": 10}, "max_iter"),
+        ],
+        ids=["solver-option", "zw-option", "ifb-theta", "problem", "stop", "top-level"],
+    )
+    def test_unknown_spec_keys_raise(self, tmp_path, overrides, key):
+        with pytest.raises(ValueError, match=f"unknown key\\(s\\) '{key}' in .*; accepted keys: "):
+            RunSpec.from_dict(_tiny_spec(tmp_path, **overrides))
+
+    def test_unknown_key_error_names_the_entry_and_the_accepted_keys(self, tmp_path):
+        raw = _tiny_spec(tmp_path, solvers=[{"method": "tseng", "sigam": 0.1}])
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(raw)
+        assert str(err.value) == (
+            "unknown key(s) 'sigam' in solver entry {'method': 'tseng', 'sigam': 0.1}; "
+            "accepted keys: label, lam, s, mu, sigma, max_backtracks"
+        )
+
+    def test_unknown_family_raises_when_the_spec_loads(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown problem family 'sc'"):
+            RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": "sc", "d": 32, "m": 16}]))
+
     def test_retired_spec_keys_still_load(self, tmp_path):
         # specs written for the removed thread pool keep loading and running
         raw = _tiny_spec(tmp_path, workers=4, timing_mode=True)

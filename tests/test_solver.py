@@ -53,9 +53,6 @@ class TestConfig:
     def test_inertia_bounds(self):
         with pytest.raises(ValueError):
             InertiaSchedule.constant(1.0)
-        sched = InertiaSchedule.custom(lambda k: 0.5, theta_max=0.4)
-        with pytest.raises(ValueError):
-            sched.value(1)
 
     def test_experiment_schedule_shape(self):
         sched = InertiaSchedule.experiment(0.12)
