@@ -86,7 +86,6 @@ class BaselineConfig:
     alpha_fn: Callable[[int], float] = lambda k: 1.0 / (k + 1.0)
     eps_fn: Callable[[int], float] = lambda k: 100.0 / (k + 1.0) ** 2
     contraction_f: Callable[[np.ndarray], np.ndarray] = _default_half_contraction
-    literal: bool = False  # tc only: mixed-anchor variant (see tc_step)
     phi_zero_tol: float = _PHI_ZERO_TOL
     label: Optional[str] = None
 
@@ -130,27 +129,6 @@ class BaselineConfig:
 # single steps
 
 
-def _direct_step(
-    u_next, lam, j, res_wv, forward_evals, resolvent_evals, certified=0, speculative=0
-) -> tuple[np.ndarray, StepOutcome]:
-    """Step record of a method that moves without a contraction direction."""
-    out = StepOutcome(
-        u_next=u_next,
-        theta=0.0,
-        lam=lam,
-        j=j,
-        delta=float("nan"),
-        res_wv=res_wv,
-        phi_norm=float("nan"),
-        phizero=False,
-        forward_evals=forward_evals,
-        resolvent_evals=resolvent_evals,
-        certified=certified,
-        speculative=speculative,
-    )
-    return u_next, out
-
-
 def fb_step(u, lam, forward, resolvent, space=None) -> tuple[np.ndarray, StepOutcome]:
     """Forward-backward step ``J(u - lam*B(u), lam)`` at a fixed step size."""
     if space is None:
@@ -158,7 +136,7 @@ def fb_step(u, lam, forward, resolvent, space=None) -> tuple[np.ndarray, StepOut
     b_u = _require_shape(forward(u), "B(w)", np.shape(u))
     u_next = _require_shape(resolvent(u - lam * b_u, lam), "J(w - lam*B(w))", b_u.shape)
     _guard_iterate(u_next, space, "forward-backward iterate")
-    return _direct_step(u_next, lam, -1, space.norm(u - u_next), 1, 1)
+    return u_next, StepOutcome(u_next, lam, -1, space.norm(u - u_next), forward_evals=1, resolvent_evals=1)
 
 
 def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> tuple[np.ndarray, StepOutcome]:
@@ -168,9 +146,11 @@ def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> t
     ls = backtrack(u, forward, resolvent, armijo, space=space)
     u_next = ls.v - ls.lam * (ls.b_v - ls.b_w)
     _guard_iterate(u_next, space, "tseng iterate")
-    return _direct_step(
-        u_next, ls.lam, ls.j, ls.res_wv, ls.forward_evals, ls.resolvent_evals, ls.certified, ls.speculative
+    out = StepOutcome(
+        u_next, ls.lam, ls.j, ls.res_wv, forward_evals=ls.forward_evals,
+        resolvent_evals=ls.resolvent_evals, certified=ls.certified, speculative=ls.speculative,
     )
+    return u_next, out
 
 
 def zw_step(
@@ -185,9 +165,9 @@ def zw_step(
     """Projection-contraction step at a given step size.
 
     With the step size forced equal, this is the zero-inertia special case
-    of the inertial contraction iteration; both run through
-    :func:`mvisolve.solver.contraction_update`, so the iterates agree
-    bitwise.
+    of the inertial contraction iteration; both run through the one
+    contraction kernel (public as :func:`mvisolve.solver.contraction_update`),
+    so the iterates agree bitwise.
     """
     if space is None:
         space = euclidean(len(u))
@@ -214,20 +194,16 @@ def tc_step(
     theta: float = 0.5,
     eps_k: float = 1.0,
     space=None,
-    literal: bool = False,
     phi_zero_tol: float = _PHI_ZERO_TOL,
 ) -> tuple[np.ndarray, StepOutcome]:
     """Inertial viscosity-type projection-contraction step.
 
     The adaptive inertia takes ``min(eps_k / ||u_k - u_{k-1}||, theta)``
-    and falls back to ``theta`` when the two iterates coincide.  By
-    default the forward-backward point is computed from the extrapolated
-    point ``w`` and one direction ``phi(w, v)`` is used throughout, which
-    is the internally consistent form.  ``literal=True`` keeps a
-    mixed-anchor variant for comparison: ``v`` from ``u_k``, the
-    contraction scalar from ``phi(w, v)``, but the update along
-    ``phi(u, v)``.  When ``phi(w, v)`` vanishes the contraction step is
-    skipped and only the averaging with ``f`` moves the iterate.
+    and falls back to ``theta`` when the two iterates coincide.  The
+    forward-backward point is computed from the extrapolated point ``w``
+    and one direction ``phi(w, v)`` is used throughout.  When it vanishes
+    the contraction step is skipped and only the averaging with ``f``
+    moves the iterate.
     """
     if space is None:
         space = euclidean(len(u_curr))
@@ -236,35 +212,24 @@ def tc_step(
     theta_k = theta if diff == 0.0 else min(eps_k / diff, theta)
     w = u_curr + theta_k * step
     _guard_iterate(w, space, f"extrapolated point at k={k}")
-    ls = backtrack(u_curr if literal else w, forward, resolvent, armijo, space=space)
-    b_w = _require_finite(forward(w), "B(w)", w.shape) if literal else ls.b_w
-    # literal: the search ran from u_k, so its u_k - v, B(u_k) - B(v) and
-    # their norms are not the quantities at w
-    known = () if literal else (ls.res_wv, ls.wv, ls.b_wv, ls.lam_bwv_norm)
-    _, phi, pp, phi_norm, res_wv, vanished = _direction(
-        w, ls.v, b_w, ls.b_v, ls.lam, space, phi_zero_tol, *known
-    )
+    ls = backtrack(w, forward, resolvent, armijo, space=space)
+    _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, phi_zero_tol)
     z, eta = w, float("nan")
     if not vanished:
         eta = (1.0 - mu_tc) * res_wv**2 / pp
-        # literal: the search's own direction, phi(u_k, v)
-        step_dir = ls.wv - ls.lam * ls.b_wv if literal else phi
-        z = w - (gamma * eta) * step_dir
+        z = w - (gamma * eta) * phi
     u_next = alpha_k * np.asarray(f(u_curr), dtype=float) + (1.0 - alpha_k) * z
     _guard_iterate(u_next, space, f"viscosity iterate at k={k}")
+    # phizero stays False: the averaging step still moves the iterate
     out = StepOutcome(
-        u_next=u_next,
+        u_next, ls.lam, ls.j, res_wv,
         theta=theta_k,
-        lam=ls.lam,
-        j=ls.j,
         delta=eta,
-        res_wv=res_wv,
         phi_norm=phi_norm,
-        phizero=False,  # the averaging step still moves the iterate
-        forward_evals=ls.forward_evals + int(literal),  # literal: B(w) outside the search
+        forward_evals=ls.forward_evals,
         resolvent_evals=ls.resolvent_evals,
         w=w,
-        sigma_check=None if literal else armijo.sigma,
+        sigma_check=armijo.sigma,
         certified=ls.certified,
         speculative=ls.speculative,
     )
@@ -302,7 +267,6 @@ def run_baseline(
     stop: StoppingRule,
     max_iters: int = 1000,
     check_invariants: bool = False,
-    reference: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Iterate a baseline method with the shared stopping/tracing semantics.
 
@@ -325,7 +289,7 @@ def run_baseline(
         "tc": lambda k, up, u: tc_step(
             up, u, k, fwd, res, armijo, gamma=cfg.gamma, mu_tc=cfg.mu_tc,
             alpha_k=cfg.alpha_fn(k), f=cfg.contraction_f, theta=cfg.theta,
-            eps_k=cfg.eps_fn(k), space=space, literal=cfg.literal, phi_zero_tol=cfg.phi_zero_tol,
+            eps_k=cfg.eps_fn(k), space=space, phi_zero_tol=cfg.phi_zero_tol,
         ),
         "jx": lambda k, up, u: jx_step(u, fwd, res, armijo, space, cfg.phi_zero_tol),
     }
@@ -335,7 +299,6 @@ def run_baseline(
         labels["lambda_mode"] = cfg.lambda_mode
     if m == "tc":
         labels["mu_tc"] = cfg.mu_tc
-        labels["literal"] = cfg.literal
     return _drive(
         steps[f"zw[{cfg.lambda_mode}]" if m == "zw" else m],
         problem,
@@ -347,5 +310,4 @@ def run_baseline(
         labels=labels,
         gamma=cfg.gamma,
         check_invariants=check_invariants,
-        reference=reference,
     )

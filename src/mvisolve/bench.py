@@ -109,7 +109,7 @@ _RETIRED_KEYS = ("workers", "timing_mode")  # accepted and ignored
 _STOP_KEYS = ("kind", "tol")
 _LS_KEYS = tuple(f.name for f in dataclasses.fields(LineSearchParams) if f.name != "warm_start")
 _IFB_KEYS = ("gamma", "warm_start", "inertia")
-_BASELINE_KEYS = {"zw": ("lambda_mode", "gamma"), "tc": ("gamma", "mu_tc", "theta", "literal")}
+_BASELINE_KEYS = {"zw": ("lambda_mode", "gamma"), "tc": ("gamma", "mu_tc", "theta")}
 
 
 def _pick(options: dict, keys) -> dict:
@@ -161,6 +161,8 @@ class SolverEntry:
     def __post_init__(self):
         entry = {"method": self.method} | self.options
         _check_keys(self.options, _solver_keys(self.method, self.options), f"solver entry {entry!r}")
+        if "inertia" in self.options:  # the schedule's own check names the accepted kinds
+            InertiaSchedule(self.options["inertia"], 0.0)
 
     @property
     def label(self) -> str:
@@ -242,11 +244,10 @@ def _build_ifb_config(options: dict, stop: StoppingRule, spec: RunSpec) -> Solve
         check_invariants=spec.check_invariants,
         **_pick(options, ("gamma",)),
     )
-    if options.get("inertia") == "constant":
-        # the constant schedule defaults to the default schedule's bound
-        theta = options.get("theta", cfg.inertia.theta_max)
-        cfg = dataclasses.replace(cfg, inertia=InertiaSchedule.constant(theta))
-    return cfg
+    # a named schedule takes the default schedule's bound (theta is read for "constant" only)
+    kind = options.get("inertia", cfg.inertia.kind)
+    theta = options.get("theta", cfg.inertia.theta_max)
+    return dataclasses.replace(cfg, inertia=InertiaSchedule(kind, theta))
 
 
 def _build_baseline_config(method: str, options: dict) -> BaselineConfig:
@@ -265,24 +266,38 @@ def _build_baseline_config(method: str, options: dict) -> BaselineConfig:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One row of ``report.csv``, whose columns are these fields in order and ``valid``.
+
+    The defaults are those of a cell that failed before producing a trace.
+    """
+
     solver: str
     problem_id: str
     repetition: int
-    iterations: int
-    seconds: float
-    final_err: float
-    final_dist2: float
-    status: str
-    min_lambda: float
-    delta_min: float
-    delta_max: float
-    violations: int
+    iterations: int = 0
+    seconds: float = float("nan")
+    final_err: float = float("nan")
+    final_dist2: float = float("nan")
+    status: str = "error"
+    min_lambda: float = float("nan")
+    delta_min: float = float("nan")
+    delta_max: float = float("nan")
+    violations: int = 0
     mode: str = ""  # solver mode labels (inertia kind, warm start, step mode)
     error: str = ""
 
     @property
     def valid(self) -> bool:
         return self.error == "" and self.violations == 0
+
+
+def _report_field(name: str, value) -> str:
+    """One ``report.csv`` field: floats round-trip, the free-text columns are JSON strings."""
+    if name in ("mode", "error"):
+        return json.dumps(value)
+    if isinstance(value, float):
+        return _FMT.format(value)
+    return str(value)
 
 
 @dataclass
@@ -327,30 +342,10 @@ class RunReport:
         return out
 
     def write(self, outdir: Path) -> None:
-        header = [f.name for f in dataclasses.fields(CellResult)] + ["valid"]
-        lines = [",".join(header)]
+        names = [f.name for f in dataclasses.fields(CellResult)]
+        lines = [",".join(names + ["valid"])]
         for c in self.cells:
-            lines.append(
-                ",".join(
-                    [
-                        c.solver,
-                        c.problem_id,
-                        str(c.repetition),
-                        str(c.iterations),
-                        _FMT.format(c.seconds),
-                        _FMT.format(c.final_err),
-                        _FMT.format(c.final_dist2),
-                        c.status,
-                        _FMT.format(c.min_lambda),
-                        _FMT.format(c.delta_min),
-                        _FMT.format(c.delta_max),
-                        str(c.violations),
-                        json.dumps(c.mode),
-                        json.dumps(c.error),
-                        str(c.valid),
-                    ]
-                )
-            )
+            lines.append(",".join([_report_field(n, getattr(c, n)) for n in names] + [str(c.valid)]))
         (outdir / "report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         width = max((len(r["problem"]) for r in self.aggregated()), default=10) + 2
@@ -396,24 +391,8 @@ def _run_cell(
             )
         seconds = time.perf_counter() - t0
     except Exception as exc:  # a cell failure must never abort the grid
-        return (
-            CellResult(
-                solver=entry.label,
-                problem_id=pid,
-                repetition=rep,
-                iterations=0,
-                seconds=time.perf_counter() - t0,
-                final_err=float("nan"),
-                final_dist2=float("nan"),
-                status="error",
-                min_lambda=float("nan"),
-                delta_min=float("nan"),
-                delta_max=float("nan"),
-                violations=0,
-                error=f"{type(exc).__name__}: {exc}",
-            ),
-            None,
-        )
+        seconds = time.perf_counter() - t0
+        return CellResult(entry.label, pid, rep, seconds=seconds, error=f"{type(exc).__name__}: {exc}"), None
     dmin, dmax = trace.delta_range
     mode = ";".join(f"{k}={v}" for k, v in sorted(trace.labels.items()))
     result = CellResult(

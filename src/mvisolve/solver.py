@@ -31,7 +31,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -178,12 +178,14 @@ class InertiaSchedule:
     which kind ran.
     """
 
-    kind: str  # "constant" | "experiment"
+    KINDS: ClassVar[tuple] = ("constant", "experiment")
+
+    kind: str
     theta_max: float
 
     def __post_init__(self):
-        if self.kind not in ("constant", "experiment"):
-            raise ValueError(f"unknown inertia schedule kind {self.kind!r}")
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown inertia schedule kind {self.kind!r}; accepted kinds: {', '.join(self.KINDS)}")
         if not 0.0 <= self.theta_max < 1.0:
             raise ValueError("theta_max must lie in [0, 1)")
 
@@ -405,51 +407,29 @@ class IterationTrace:
 # the contraction core, shared verbatim by every method that uses it
 
 
-@dataclass(slots=True)
-class ContractionResult:
-    u_next: np.ndarray
-    phi: np.ndarray
-    phi_norm: float
-    res_wv: float
-    delta: float
-    phizero: bool
-    phi_norm2: float  # ||phi||^2
-    wv_phi: float  # <w - v, phi>, nan where phi vanished
-
-
-def _direction(
-    w,
-    v,
-    b_w,
-    b_v,
-    lam: float,
-    space: InnerProductSpace,
-    phi_zero_tol: float,
-    res_wv: Optional[float] = None,
-    wv: Optional[np.ndarray] = None,
-    b_wv: Optional[np.ndarray] = None,
-    lam_bwv_norm: Optional[float] = None,
-):
+def _direction(w: np.ndarray, point: LineSearchOutcome, space: InnerProductSpace, phi_zero_tol: float):
     """``(w - v, phi, ||phi||^2, ||phi||, ||w - v||, vanished)`` for ``phi = (w - v) - lam*(B(w) - B(v))``.
 
-    The one place that rejects an overflowed direction and decides whether
-    ``phi`` vanishes relative to ``1 + ||w||``.  ``res_wv``, ``wv`` and
-    ``b_wv`` are ``||w - v||``, ``w - v`` and ``B(w) - B(v)`` when the caller
-    already has them (the line search forms them for the accepted trial);
-    they are computed here otherwise.  ``lam_bwv_norm`` is
-    ``lam*||B(w) - B(v)||`` as the caller computed it from ``b_wv``.
+    ``v``, ``B(w)``, ``B(v)`` and ``lam`` are those of the accepted
+    ``point``.  The one place that rejects an overflowed direction and
+    decides whether ``phi`` vanishes relative to ``1 + ||w||``.  The
+    point's ``res_wv``, ``wv`` and ``b_wv`` are ``||w - v||``, ``w - v``
+    and ``B(w) - B(v)`` when the line search formed them for the accepted
+    trial; they are computed here when they are ``None``.  Its
+    ``lam_bwv_norm`` is ``lam*||B(w) - B(v)||`` as the search computed it
+    from ``b_wv``.
 
     Overflow.  The ufuncs here (``w - v``, ``B(w) - B(v)``, ``lam*b_wv``,
     ``phi`` and, in a weighted space, ``weights*phi``) may overflow only
     silently, so that the finiteness test below raises
     :class:`DivergenceError`; the BLAS ``dot`` never warns.  They run under
-    ``np.errstate`` unless the caller's norms prove that nothing overflows:
+    ``np.errstate`` unless the point's norms prove that nothing overflows:
 
     * Let ``c`` be ``space._entry_scale``: ``max(w_min**-0.5, w_max**0.5)``
       for weights in ``[2**-256, 2**256]`` and ``inf`` otherwise (or for a
       space without the attribute), computed once per space.  Let
       ``u = 2**-53``, ``x = w - v`` and ``b = B(w) - B(v)`` as floats, ``N``
-      and ``L`` the given ``res_wv`` and ``lam_bwv_norm``.
+      and ``L`` the point's ``res_wv`` and ``lam_bwv_norm``.
     * An entry ``|x_i| >= 2**-300`` makes ``w_i*x_i`` and ``w_i*x_i**2``
       normal numbers, or overflows them and makes ``N`` infinite.  A float sum of non-negative terms, in any order and
       with or without fused multiply-adds, is at least its largest computed
@@ -466,23 +446,22 @@ def _direction(
     * A NaN or infinite ``N`` or ``L`` fails the test and runs guarded.
 
     The line search hands on ``N`` and ``L`` for its accepted point, so an
-    accepted step enters no ``np.errstate``.  A fixed-step ``zw`` point, the
-    literal ``tc`` anchor and callers that pass no ``lam_bwv_norm`` run
-    guarded.  Any limit up to about ``2**1022`` would be as sound;
-    ``2**512`` is where ``||phi||^2`` can start to overflow in the
-    Euclidean space, so a point beyond it is close to divergence anyway.
+    accepted step enters no ``np.errstate``.  A fixed-step ``zw`` point and
+    points built without ``lam_bwv_norm`` run guarded.  Any limit up to
+    about ``2**1022`` would be as sound; ``2**512`` is where ``||phi||^2``
+    can start to overflow in the Euclidean space, so a point beyond it is
+    close to divergence anyway.
     """
+    res_wv, lam_bwv_norm = point.res_wv, point.lam_bwv_norm
     bounded = (
         lam_bwv_norm is not None
         and res_wv is not None
         and (res_wv + lam_bwv_norm) * getattr(space, "_entry_scale", math.inf) <= _DIRECTION_BOUND
     )
     with _UNGUARDED if bounded else np.errstate(over="ignore", invalid="ignore"):
-        if wv is None:
-            wv = w - v
-        if b_wv is None:
-            b_wv = b_w - b_v
-        phi = wv - lam * b_wv
+        wv = w - point.v if point.wv is None else point.wv
+        b_wv = point.b_w - point.b_v if point.b_wv is None else point.b_wv
+        phi = wv - point.lam * b_wv
         pp = space.inner(phi, phi)
         if res_wv is None:
             res_wv = space.norm(wv)
@@ -493,70 +472,24 @@ def _direction(
     return wv, phi, pp, phi_norm, res_wv, phi_norm <= phi_zero_tol * (1.0 + space.norm(w))
 
 
-def _update(w, v, b_w, b_v, lam, gamma, space, phi_zero_tol, res_wv, wv, b_wv, lam_bwv_norm):
-    """The fields of :class:`ContractionResult`, in order, as a tuple."""
-    wv, phi, pp, phi_norm, res_wv, vanished = _direction(
-        w, v, b_w, b_v, lam, space, phi_zero_tol, res_wv, wv, b_wv, lam_bwv_norm
-    )
-    if vanished:
-        return v, phi, phi_norm, res_wv, float("nan"), True, pp, float("nan")
-    wv_phi = space.inner(wv, phi)
-    delta = wv_phi / pp
-    return w - (gamma * delta) * phi, phi, phi_norm, res_wv, delta, False, pp, wv_phi
-
-
-def contraction_update(
-    w: np.ndarray,
-    v: np.ndarray,
-    b_w: np.ndarray,
-    b_v: np.ndarray,
-    lam: float,
-    gamma: float,
-    space: InnerProductSpace,
-    phi_zero_tol: float,
-    res_wv: Optional[float] = None,
-    wv: Optional[np.ndarray] = None,
-    b_wv: Optional[np.ndarray] = None,
-    lam_bwv_norm: Optional[float] = None,
-) -> ContractionResult:
-    """Direction, optimal scalar and relaxed update shared by the contraction methods.
-
-    Kept as the single implementation so that methods which are
-    algebraically identical (e.g. zero inertia versus the plain
-    projection-contraction iteration) produce bitwise identical iterates.
-    ``res_wv``, ``wv`` and ``b_wv`` optionally pass in ``||w - v||``,
-    ``w - v`` and ``B(w) - B(v)``, and ``lam_bwv_norm`` the value
-    ``lam*||B(w) - B(v)||`` computed from that ``b_wv``, as
-    :class:`~mvisolve.linesearch.LineSearchOutcome` carries them.  With
-    ``res_wv`` and ``lam_bwv_norm`` given and small enough, the direction is
-    formed without ``np.errstate`` (see :func:`_direction`); they must then
-    be the norms of exactly these vectors.  Without them, or above the
-    bound, an overflow is kept silent as before.  Either way an overflowed
-    direction raises :class:`DivergenceError`.
-    """
-    return ContractionResult(
-        *_update(w, v, b_w, b_v, lam, gamma, space, phi_zero_tol, res_wv, wv, b_wv, lam_bwv_norm)
-    )
-
-
-# ---------------------------------------------------------------------------
-# single step and full solve
-
-
 @dataclass(slots=True)
 class StepOutcome:
-    """Everything one iteration produced, for tracing and invariant checks (read-only by convention)."""
+    """Everything one iteration produced, for tracing and invariant checks (read-only by convention).
+
+    The defaults describe a step without a contraction direction: no
+    inertia, no scalar, no evaluations and no checks.
+    """
 
     u_next: np.ndarray
-    theta: float
     lam: float
     j: int
-    delta: float
     res_wv: float
-    phi_norm: float
-    phizero: bool
-    forward_evals: int
-    resolvent_evals: int
+    theta: float = 0.0
+    delta: float = float("nan")
+    phi_norm: float = float("nan")
+    phizero: bool = False
+    forward_evals: int = 0
+    resolvent_evals: int = 0
     w: Optional[np.ndarray] = None
     sigma_check: Optional[float] = None  # Armijo ratio backing the bound checks
     delta_is_ratio: bool = False  # delta == <w-v, phi>/||phi||^2
@@ -595,25 +528,29 @@ def _contraction_step(
 ) -> tuple[np.ndarray, StepOutcome]:
     """The step every projection-contraction method shares.
 
-    Relaxed contraction update from the anchor ``w`` and its
+    Relaxed contraction update ``u_next = w - gamma*delta*phi`` with
+    ``delta = <w - v, phi> / ||phi||^2`` from the anchor ``w`` and its
     forward-backward ``point`` (from the line search, or at a fixed step
-    with ``j = -1``).  ``sigma_check`` is the Armijo ratio the point was
+    with ``j = -1``); where ``phi`` vanishes, ``v`` itself is returned with
+    ``phizero`` set.  ``sigma_check`` is the Armijo ratio the point was
     accepted with, which enables the direction and scalar bound checks;
     ``fejer`` enables the decrease check against a known solution.
     """
-    u_next, _, phi_norm, res_wv, delta, phizero, pp, wv_phi = _update(
-        w, point.v, point.b_w, point.b_v, point.lam, gamma, space, phi_zero_tol,
-        point.res_wv, point.wv, point.b_wv, point.lam_bwv_norm,
-    )
-    if not phizero:
+    wv, phi, pp, phi_norm, res_wv, phizero = _direction(w, point, space, phi_zero_tol)
+    if phizero:
+        u_next, delta, wv_phi = point.v, float("nan"), float("nan")
+    else:
+        wv_phi = space.inner(wv, phi)
+        delta = wv_phi / pp
+        u_next = w - (gamma * delta) * phi
         _guard_iterate(u_next, space, "contraction iterate")
     outcome = StepOutcome(
         u_next=u_next,
-        theta=theta,
         lam=point.lam,
         j=point.j,
-        delta=delta,
         res_wv=res_wv,
+        theta=theta,
+        delta=delta,
         phi_norm=phi_norm,
         phizero=phizero,
         forward_evals=point.forward_evals,
@@ -628,6 +565,45 @@ def _contraction_step(
         speculative=point.speculative,
     )
     return u_next, outcome
+
+
+def contraction_update(
+    w: np.ndarray,
+    v: np.ndarray,
+    b_w: np.ndarray,
+    b_v: np.ndarray,
+    lam: float,
+    gamma: float,
+    space: InnerProductSpace,
+    phi_zero_tol: float,
+    res_wv: Optional[float] = None,
+    wv: Optional[np.ndarray] = None,
+    b_wv: Optional[np.ndarray] = None,
+    lam_bwv_norm: Optional[float] = None,
+) -> StepOutcome:
+    """The step record of the relaxed contraction update from ``w`` and its point ``v``.
+
+    The public form of :func:`_contraction_step`, the one implementation
+    every contraction method runs, so that methods which are algebraically
+    identical (e.g. zero inertia versus the plain projection-contraction
+    iteration) produce bitwise identical iterates; ``u_next`` is the
+    record's first field.  ``res_wv``, ``wv`` and ``b_wv`` optionally pass in ``||w - v||``,
+    ``w - v`` and ``B(w) - B(v)``, and ``lam_bwv_norm`` the value
+    ``lam*||B(w) - B(v)||`` computed from that ``b_wv``, as
+    :class:`~mvisolve.linesearch.LineSearchOutcome` carries them.  With
+    ``res_wv`` and ``lam_bwv_norm`` given and small enough, the direction is
+    formed without ``np.errstate`` (see :func:`_direction`); they must then
+    be the norms of exactly these vectors.  Without them, or above the
+    bound, an overflow is kept silent.  Either way an overflowed
+    direction, or an update beyond the divergence guard, raises
+    :class:`DivergenceError`.  The record counts no evaluations.
+    """
+    point = LineSearchOutcome(lam, -1, v, b_w, b_v, 0, 0, res_wv, wv, b_wv, lam_bwv_norm=lam_bwv_norm)
+    return _contraction_step(w, point, gamma, space, phi_zero_tol)[1]
+
+
+# ---------------------------------------------------------------------------
+# single step and full solve
 
 
 def ifb_step(
@@ -713,20 +689,18 @@ def _drive(
     labels: Optional[dict] = None,
     gamma: float = float("nan"),
     check_invariants: bool = False,
-    reference: Optional[np.ndarray] = None,
     solution: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Shared iteration loop: tracing, stopping, divergence and invariant counting.
 
-    ``reference`` feeds the squared-distance column and defaults to the
-    stopping rule's reference, then to ``problem.reference``.  ``solution``
-    must be an exact solution of the inclusion and additionally enables the
+    The squared-distance column measures against the stopping rule's
+    reference, or else ``problem.reference``.  ``solution`` must be an
+    exact solution of the inclusion and additionally enables the
     per-iteration decrease check; it defaults to ``problem.reference`` when
     the problem marks it as an exact solution.
     """
     space = problem.space
-    if reference is None:
-        reference = stop.reference
+    reference = stop.reference
     if reference is None:
         reference = getattr(problem, "reference", None)
     if solution is None and getattr(problem, "reference_is_solution", False):
@@ -736,7 +710,6 @@ def _drive(
     ref = None if reference is None else space.check_member(reference, "reference")
     sol = None if solution is None else space.check_member(solution, "solution")
     # the squared distances the trace already computes are reused, not recomputed
-    dist2_is_err = stop.kind == "distance_to_reference" and reference is stop.reference
     dist2_is_fejer = sol is not None and solution is reference
     sol_norm2 = space.norm2(sol) if check_invariants and sol is not None else float("nan")
     trace = IterationTrace(method, labels)
@@ -757,10 +730,8 @@ def _drive(
 
         step_diff = space.norm(u_next - u_curr)
         dist2 = space.norm2(u_next - ref) if ref is not None else float("nan")
-        if dist2_is_err:
+        if stop.kind == "distance_to_reference":  # dist2 measures against its reference
             err = dist2
-        elif stop.kind == "distance_to_reference":
-            err = space.norm2(u_next - stop.reference)
         elif stop.kind == "residual":
             err = out.res_wv
         else:  # successive_diff, and the reported metric of iter_cap_only
@@ -804,7 +775,6 @@ def solve(
     u0: np.ndarray,
     u1: np.ndarray,
     cfg: SolverConfig,
-    reference: Optional[np.ndarray] = None,
     solution: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Run the inertial contraction solver on an inclusion problem.
@@ -817,10 +787,9 @@ def solve(
         The two starting points; ``u0 == u1`` is allowed (and is the
         benchmark default), in which case the first extrapolation vanishes.
     cfg : SolverConfig
-    reference : ndarray, optional
-        Comparison point for the squared-distance column of the trace
-        (e.g. the true signal of a recovery problem).  Defaults to the
-        stopping rule's reference, then to ``problem.reference``.
+        The squared-distance column of the trace measures against
+        ``cfg.stop.reference``, or else ``problem.reference`` (e.g. the
+        true signal of a recovery problem).
     solution : ndarray, optional
         An exact solution of the inclusion.  With
         ``cfg.check_invariants`` this enables the per-iteration decrease
@@ -864,7 +833,6 @@ def solve(
         labels=labels,
         gamma=cfg.gamma,
         check_invariants=cfg.check_invariants,
-        reference=reference,
         solution=solution,
     )
 

@@ -174,15 +174,12 @@ class TestTC:
         eta = float((u - v) @ (u - v)) / float(phi @ phi)
         np.testing.assert_allclose(u_next, u - 1.3 * eta * phi, rtol=1e-14)
 
-    def test_hand_computed_literal_vs_consistent_step(self):
+    def test_hand_computed_consistent_step(self):
         # scalar case, A=0, B=identity, u_prev=0, u_curr=1, theta=0.5,
         # eps=1, gamma=1, mu_tc=0.5, alpha=0.5, f(x)=x/2, armijo (1,.5,.5):
         #   inertia: theta_1 = min(1/1, 0.5) = 0.5, w = 1.5
-        #   literal: search from u=1: lam=.5, v=.5; phi_scalar from w: 0.5,
-        #            phi_update from u: 0.25; eta = .5*1/.25 = 2;
-        #            z = 1.5 - 2*.25 = 1.0; u_next = .25 + .5 = 0.75
-        #   consistent: search from w=1.5: v=.75; phi=.375; eta=2;
-        #            z = .75; u_next = .25 + .375 = 0.625
+        #   search from w=1.5: lam=.5, v=.75; phi=.375; eta=2;
+        #   z = .75; u_next = .25 + .375 = 0.625
         p = LineSearchParams(1.0, 0.5, 0.5)
         args = dict(
             forward=identity_forward(), resolvent=identity_resolvent(),
@@ -190,24 +187,10 @@ class TestTC:
             space=euclidean(1),
         )
         u_prev, u_curr = np.array([0.0]), np.array([1.0])
-        u_lit, out_lit = tc_step(u_prev, u_curr, 1, literal=True, **args)
-        np.testing.assert_allclose(u_lit, [0.75])
-        assert out_lit.theta == 0.5
-        u_con, out_con = tc_step(u_prev, u_curr, 1, literal=False, **args)
+        u_con, out_con = tc_step(u_prev, u_curr, 1, **args)
         np.testing.assert_allclose(u_con, [0.625])
+        assert out_con.theta == 0.5
         assert out_con.delta == pytest.approx(2.0)
-
-    def test_literal_mode_differs_and_is_labelled(self):
-        rng = np.random.default_rng(9)
-        u_prev = rng.standard_normal(3)
-        u_curr = rng.standard_normal(3)
-        p = LineSearchParams(1.0, 0.5, 0.5)
-        space = euclidean(3)
-        fwd = linear_forward(_random_monotone_linear(rng, 3))
-        res = l1_resolvent(0.2)
-        a, _ = tc_step(u_prev, u_curr, 2, fwd, res, p, space=space, literal=False)
-        b, _ = tc_step(u_prev, u_curr, 2, fwd, res, p, space=space, literal=True)
-        assert not np.array_equal(a, b)
 
     def test_phi_zero_tol_is_honoured(self):
         # u = 1, B = J = identity: lam = 0.5, v = 0.5, phi = 0.25.  At a
@@ -318,21 +301,16 @@ class TestRunBaseline:
 
     def test_eval_counters_exact_per_backtrack(self):
         # every search trial costs one resolvent and one forward evaluation,
-        # plus one forward evaluation for the anchor point
+        # plus one forward evaluation for the anchor point (for tc, the
+        # extrapolated point the search starts from)
         prob = self._problem()
         u = np.array([1.5, -1.0])
         stop = StoppingRule("iter_cap_only")
-        for cfg in (BaselineConfig("tseng"), BaselineConfig("zw", lambda_mode="armijo")):
+        for cfg in (BaselineConfig("tseng"), BaselineConfig("zw", lambda_mode="armijo"), BaselineConfig("tc")):
             uf, tr = run_baseline(cfg, prob, u, u, stop, max_iters=10)
             for rec in tr.records:
                 assert rec.forward_evals == rec.j + 2
                 assert rec.resolvent_evals == rec.j + 1
-        # the viscosity method in its verbatim mode needs one extra forward
-        # evaluation at the extrapolated point
-        uf, tr = run_baseline(BaselineConfig("tc", literal=True), prob, u, u, stop, max_iters=10)
-        for rec in tr.records:
-            assert rec.forward_evals == rec.j + 3
-            assert rec.resolvent_evals == rec.j + 1
         # fixed-step projection-contraction: two forwards, one resolvent
         uf, tr = run_baseline(BaselineConfig("zw", lam=0.01), prob, u, u, stop, max_iters=5)
         for rec in tr.records:
@@ -526,22 +504,19 @@ class TestDispatchWiring:
         step = lambda k, up, uc: jx_step(uc, prob.forward, prob.resolvent, cfg.armijo, prob.space)
         self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
 
-    def test_tc_both_variants(self):
+    def test_tc(self):
         prob, u0, u1 = self._problem()
-        for literal in (False, True):
-            cfg = BaselineConfig("tc", literal=literal)
+        cfg = BaselineConfig("tc")
 
-            def step(k, up, uc):
-                return tc_step(
-                    up, uc, k, prob.forward, prob.resolvent, cfg.armijo,
-                    gamma=cfg.gamma, mu_tc=cfg.mu_tc, alpha_k=cfg.alpha_fn(k),
-                    f=cfg.contraction_f, theta=cfg.theta, eps_k=cfg.eps_fn(k),
-                    space=prob.space, literal=literal,
-                )
-
-            self._assert_loop_matches(
-                self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1
+        def step(k, up, uc):
+            return tc_step(
+                up, uc, k, prob.forward, prob.resolvent, cfg.armijo,
+                gamma=cfg.gamma, mu_tc=cfg.mu_tc, alpha_k=cfg.alpha_fn(k),
+                f=cfg.contraction_f, theta=cfg.theta, eps_k=cfg.eps_fn(k),
+                space=prob.space,
             )
+
+        self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
 
     def test_solve(self):
         prob, u0, u1 = self._problem()

@@ -203,8 +203,9 @@ class TestRun:
             ({"problems": [{"family": "cs", "d": 32, "m": 16, "snr": 20.0}]}, "snr"),
             ({"stop": {"kind": "successive_diff", "tolerance": 1e-3}}, "tolerance"),
             ({"max_iter": 10}, "max_iter"),
+            ({"solvers": [{"method": "tc", "literal": True}]}, "literal"),
         ],
-        ids=["solver-option", "zw-option", "ifb-theta", "problem", "stop", "top-level"],
+        ids=["solver-option", "zw-option", "ifb-theta", "problem", "stop", "top-level", "tc-literal"],
     )
     def test_unknown_spec_keys_raise(self, tmp_path, overrides, key):
         with pytest.raises(ValueError, match=f"unknown key\\(s\\) '{key}' in .*; accepted keys: "):
@@ -218,6 +219,15 @@ class TestRun:
             "unknown key(s) 'sigam' in solver entry {'method': 'tseng', 'sigam': 0.1}; "
             "accepted keys: label, lam, s, mu, sigma, max_backtracks"
         )
+
+    def test_unknown_inertia_kind_raises_when_the_spec_loads(self, tmp_path):
+        raw = _tiny_spec(tmp_path, solvers=[{"method": "ifb", "inertia": "constnat"}])
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(raw)
+        assert str(err.value) == "unknown inertia schedule kind 'constnat'; accepted kinds: constant, experiment"
+        assert not (tmp_path / "out").exists()
+        for kind in InertiaSchedule.KINDS:
+            RunSpec.from_dict(_tiny_spec(tmp_path, solvers=[{"method": "ifb", "inertia": kind}]))
 
     def test_unknown_family_raises_when_the_spec_loads(self, tmp_path):
         with pytest.raises(ValueError, match="unknown problem family 'sc'"):
@@ -244,7 +254,7 @@ class TestRun:
                 {"method": "tseng", "sigma": 0.8},
                 {"method": "zw", "gamma": 0.9},
                 {"method": "zw", "lambda_mode": "armijo", "label": "zw-armijo"},
-                {"method": "tc", "literal": True},
+                {"method": "tc", "mu_tc": 0.25},
                 {"method": "jx"},
             ],
             repetitions=2,
@@ -306,8 +316,8 @@ class TestConfigBuilders:
             "zw": ({"lambda_mode": "armijo", "gamma": 1.0},
                    {"lambda_mode": "armijo", "gamma": 1.0}),
             # only the overridden search field moves off the method's defaults
-            "tc": ({"s": 4.0, "literal": True},
-                   {"armijo": LineSearchParams(s=4.0, mu=0.5, sigma=0.5), "literal": True}),
+            "tc": ({"s": 4.0, "mu_tc": 0.25},
+                   {"armijo": LineSearchParams(s=4.0, mu=0.5, sigma=0.5), "mu_tc": 0.25}),
             "jx": ({"max_backtracks": 9, "label": "proj"},
                    {"armijo": LineSearchParams(max_backtracks=9), "label": "proj"}),
         }

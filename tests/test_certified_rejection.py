@@ -57,7 +57,7 @@ class BareSpace:
 
 
 #: every method that runs the Armijo search
-LINE_SEARCH_METHODS = ["ifb", "ifb-warm", "tseng", "zw-armijo", "tc", "tc-literal", "jx"]
+LINE_SEARCH_METHODS = ["ifb", "ifb-warm", "tseng", "zw-armijo", "tc", "jx"]
 
 #: every trace column but the timing and the two path-dependent work counts
 COLUMNS = [

@@ -2,9 +2,9 @@
 
 Two groups of tests:
 
-* operator values a step takes outside the line search (fixed-step ``zw``,
-  the literal ``tc`` anchor) pass the search's finiteness checks and name
-  the failing evaluation;
+* operator values a step takes outside the line search (fixed-step ``zw``)
+  pass the search's finiteness checks and name the failing evaluation, and
+  ``tc`` names a non-finite forward value at its extrapolated point;
 * a direction that overflows raises ``DivergenceError`` without a
   ``RuntimeWarning``, on every path into the contraction kernel.
 """
@@ -36,16 +36,15 @@ def _nan_where(pred):
     return forward
 
 
-@pytest.mark.parametrize("literal", [False, True], ids=["consistent", "literal"])
-def test_tc_names_a_non_finite_forward_value_at_w(literal):
-    # u_k = (1, 1) and u_{k-1} = 0 extrapolate to w = (1.5, 1.5); the literal
-    # search runs from u_k and never sees B(w)
+def test_tc_names_a_non_finite_forward_value_at_w():
+    # u_k = (1, 1) and u_{k-1} = 0 extrapolate to w = (1.5, 1.5), where the
+    # search starts
     forward = _nan_where(lambda x: x[0] > 1.25)
     with pytest.raises(NonFiniteIterate, match=r"^B\(w\) is non-finite$"):
         tc_step(
             np.zeros(2), np.ones(2), 1, forward, identity_resolvent(),
             LineSearchParams(s=2.0, mu=0.5, sigma=0.5), theta=0.5, eps_k=1.0,
-            space=euclidean(2), literal=literal,
+            space=euclidean(2),
         )
 
 
@@ -91,6 +90,13 @@ def test_contraction_update_with_caller_supplied_overflowing_terms_raises_withou
             contraction_update(
                 w, v, np.zeros(2), -b_wv, 1.0, 1.0, euclidean(2), 1e-14, res_wv=1e308, wv=wv, b_wv=b_wv
             )
+
+
+def test_contraction_update_beyond_the_divergence_guard_raises():
+    # B = 0 makes phi = w - v and delta = 1, so u_next = gamma*v = (1.5e150, 0)
+    v = np.array([1e150, 0.0])
+    with pytest.raises(DivergenceError, match=r"^contraction iterate exceeded the divergence guard 1e\+150$"):
+        contraction_update(np.zeros(2), v, np.zeros(2), np.zeros(2), 1.0, 1.5, euclidean(2), 1e-14)
 
 
 @pytest.mark.parametrize("lam_bwv_norm", [1e308, np.inf, np.nan])

@@ -5,8 +5,7 @@ length, used to fail inside an inner product or a numpy broadcast, or not
 at all: a scalar resolvent value broadcasts, and ``ifb`` ran to its
 iteration cap.  Every place that takes an operator value checks its shape
 where it checks finiteness: the line search (per trial, through a split,
-and a resolvent's block form), fixed-step ``zw``, literal ``tc`` and
-``fb``.
+and a resolvent's block form), fixed-step ``zw`` and ``fb``.
 """
 
 import dataclasses
@@ -15,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from mvisolve.baselines import BaselineConfig, fb_step, run_baseline, tc_step, zw_step
+from mvisolve.baselines import BaselineConfig, fb_step, run_baseline, zw_step
 from mvisolve.linesearch import LineSearchParams, backtrack
 from mvisolve.operators import ResolventOperator, identity_resolvent, quartic_forward
 from mvisolve.problems import assemble, gen_cs, gen_l2
@@ -72,15 +71,6 @@ def test_fixed_step_zw_names_operator_values_of_the_wrong_shape(value, shape):
         zw_step(U, _zero, lambda x, lam: value, 0.5, 0.5)
     with _shape_error("B(v)", shape):
         zw_step(U, _at(0.5 * U, value), lambda x, lam: 0.5 * U, 0.5, 0.5)
-
-
-@pytest.mark.parametrize("value, shape", BAD, ids=BAD_IDS)
-def test_literal_tc_names_a_forward_value_at_w_of_the_wrong_shape(value, shape):
-    # the search runs from u_k; literal tc evaluates B at w = u_k + theta*(u_k - u_{k-1}) itself
-    u_prev = U - 1.0
-    w = U + 0.5 * (U - u_prev)
-    with _shape_error("B(w)", shape):
-        tc_step(u_prev, U, 1, _at(w, value), identity_resolvent(), LineSearchParams(), literal=True)
 
 
 @pytest.mark.parametrize("value, shape", BAD, ids=BAD_IDS)

@@ -373,7 +373,6 @@ SOLVERS = {
     "zw": {"method": "zw"},
     "zw-armijo": {"method": "zw", "lambda_mode": "armijo", "gamma": 1.0},
     "tc": {"method": "tc"},
-    "tc-literal": {"method": "tc", "literal": True},
     "jx": {"method": "jx"},
 }
 
