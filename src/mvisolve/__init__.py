@@ -42,6 +42,7 @@ from .solver import (
     TerminalStatus,
     IterationRecord,
     IterationTrace,
+    StepOutcome,
     Inclusion,
     DivergenceError,
     InsufficientTrace,

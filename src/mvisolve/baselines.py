@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .linesearch import LineSearchOutcome, LineSearchParams, _require_finite, backtrack
+from .linesearch import LineSearchOutcome, LineSearchParams, _require_finite, _search, backtrack
 from .solver import (
     _PHI_ZERO_TOL,
     IterationTrace,
@@ -212,7 +212,7 @@ def tc_step(
     theta_k = theta if diff == 0.0 else min(eps_k / diff, theta)
     w = u_curr + theta_k * step
     _guard_iterate(w, space, f"extrapolated point at k={k}")
-    ls = backtrack(w, forward, resolvent, armijo, space=space)
+    ls = _search(w, forward, resolvent, armijo, space, 0)  # the guard has proved w finite
     _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, phi_zero_tol)
     z, eta = w, float("nan")
     if not vanished:

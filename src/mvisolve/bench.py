@@ -309,9 +309,6 @@ class RunReport:
     def valid(self) -> bool:
         return all(c.valid for c in self.cells)
 
-    def rows(self) -> list[dict]:
-        return [vars(c) | {"valid": c.valid} for c in self.cells]
-
     def status_counts(self) -> dict[str, dict[str, int]]:
         """Cells per terminal status, per solver, both in order of first appearance."""
         counts: dict[str, dict[str, int]] = {}

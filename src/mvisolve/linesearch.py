@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import InnerProductSpace, _all_finite, _require_shape, _rounding_gamma, euclidean
+from .spaces import InnerProductSpace, NonFiniteIterate, _require_finite, _require_shape, _rounding_gamma, euclidean
 
 __all__ = [
     "LineSearchParams",
@@ -38,10 +38,6 @@ class BacktrackExhausted(RuntimeError):
     On valid inputs the search is guaranteed finite, so exhaustion signals
     a discontinuous forward map or misconfigured parameters.
     """
-
-
-class NonFiniteIterate(FloatingPointError):
-    """An operator evaluation produced NaN or infinity."""
 
 
 @dataclass(frozen=True)
@@ -128,13 +124,6 @@ _CERTIFY_FLOOR = 2.0**-450
 
 #: trials per block: the first block of a search, then each later one (see backtrack)
 _FIRST_BLOCK, _NEXT_BLOCK = 16, 8
-
-
-def _require_finite(x, what: str, shape: tuple) -> np.ndarray:
-    x = _require_shape(x, what, shape)
-    if not _all_finite(x):
-        raise NonFiniteIterate(f"{what} is non-finite")
-    return x
 
 
 def _block_rejections(w, b_w, st_w, lams, sigma, split, block, floor, c_block):
@@ -256,8 +245,20 @@ def backtrack(
     """
     if space is None:
         space = euclidean(len(w))
-    shape = np.asarray(w).shape
-    _require_finite(w, "line-search input", shape)
+    w = np.asarray(w)
+    _require_finite(w, "line-search input", w.shape)
+    return _search(w, forward, resolvent, params, space, j_start)
+
+
+def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, j_start: int) -> LineSearchOutcome:
+    """:func:`backtrack` for an array ``w`` its caller has already proved finite, as the steps' own guards do.
+
+    ``ForwardOperator.fn`` and ``ResolventOperator.apply`` are bound once
+    per search; any other callable is called as it is.
+    """
+    shape = w.shape
+    fn = getattr(forward, "fn", forward)
+    apply = getattr(resolvent, "apply", resolvent)
     steps = params._steps
     split = getattr(forward, "split", None)
     plain = getattr(space, "_plain", None)  # an InnerProductSpace decides it once; else read the weights
@@ -265,7 +266,7 @@ def backtrack(
         split = None
     block = None
     if split is None:
-        b_w = _require_finite(forward(w), "B(w)", shape)
+        b_w = _require_finite(fn(w), "B(w)", shape)
     else:
         st_w = split.first(w)
         b_w = _require_finite(split.finish(w, st_w), "B(w)", shape)
@@ -296,7 +297,7 @@ def backtrack(
                 continue
         lam = steps[j]
         if block is None:
-            v = _require_finite(resolvent(w - lam * b_w, lam), "J(w - lam*B(w))", shape)
+            v = _require_finite(apply(w - lam * b_w, lam), "J(w - lam*B(w))", shape)
         else:
             v = V[i].copy()
             # w is finite, so a finite norm of the row's w - v proves v finite
@@ -304,7 +305,7 @@ def backtrack(
                 v = _require_finite(v, "J(w - lam*B(w))", shape)
         wv = None
         if split is None:
-            b_v = _require_finite(forward(v), "B(v)", shape)
+            b_v = _require_finite(fn(v), "B(v)", shape)
         else:
             st_v = split.first(v)
             lower = lam * split.pairing(w, st_w, v, st_v)
@@ -323,20 +324,10 @@ def backtrack(
         b_wv = b_w - b_v
         lam_bwv_norm = lam * space.norm(b_wv)
         if lam_bwv_norm <= params.sigma * res_wv:
+            # one trial per exponent the search reached
             return LineSearchOutcome(
-                lam=lam,
-                j=j,
-                v=v,
-                b_w=b_w,
-                b_v=b_v,
-                resolvent_evals=j - start + 1,  # one trial per exponent the search reached
-                forward_evals=j - start + 2,
-                res_wv=res_wv,
-                wv=wv,
-                b_wv=b_wv,
-                certified=certified,
-                speculative=0 if V is None else j0 + len(V) - 1 - j,
-                lam_bwv_norm=lam_bwv_norm,
+                lam, j, v, b_w, b_v, j - start + 1, j - start + 2, res_wv, wv, b_wv,
+                certified, 0 if V is None else j0 + len(V) - 1 - j, lam_bwv_norm,
             )
         j += 1
     raise BacktrackExhausted(

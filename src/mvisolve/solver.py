@@ -40,9 +40,9 @@ from .linesearch import (
     LineSearchOutcome,
     LineSearchParams,
     NonFiniteIterate,
-    backtrack,
+    _search,
 )
-from .spaces import InnerProductSpace, _sum_of_squares, euclidean
+from .spaces import InnerProductSpace, euclidean
 
 __all__ = [
     "InertiaSchedule",
@@ -51,6 +51,7 @@ __all__ = [
     "TerminalStatus",
     "IterationRecord",
     "IterationTrace",
+    "StepOutcome",
     "Inclusion",
     "DivergenceError",
     "InsufficientTrace",
@@ -505,8 +506,8 @@ def _guard_iterate(u: np.ndarray, space: InnerProductSpace, what: str) -> None:
     # necessary: twenty entries of 1e149 pass the guard with a sum of squares
     # above 1e299, and 1e200 is finite with an overflowing square.  Those go
     # to the exact sup-norm test, whose maximum carries nan through, so it
-    # also names a non-finite entry.
-    if _sum_of_squares(u) <= _GUARD_SUM_OF_SQUARES:
+    # also names a non-finite entry.  The pass is spaces._require_finite's.
+    if np.vdot(u, u) <= _GUARD_SUM_OF_SQUARES:
         return
     peak = np.abs(u).max()
     if peak <= DIVERGENCE_NORM:
@@ -544,25 +545,11 @@ def _contraction_step(
         delta = wv_phi / pp
         u_next = w - (gamma * delta) * phi
         _guard_iterate(u_next, space, "contraction iterate")
+    # positional, in StepOutcome's field order
     outcome = StepOutcome(
-        u_next=u_next,
-        lam=point.lam,
-        j=point.j,
-        res_wv=res_wv,
-        theta=theta,
-        delta=delta,
-        phi_norm=phi_norm,
-        phizero=phizero,
-        forward_evals=point.forward_evals,
-        resolvent_evals=point.resolvent_evals,
-        w=w,
-        sigma_check=sigma_check,
-        delta_is_ratio=sigma_check is not None,
-        fejer_applicable=fejer,
-        phi_norm2=pp,
-        wv_phi=wv_phi,
-        certified=point.certified,
-        speculative=point.speculative,
+        u_next, point.lam, point.j, res_wv, theta, delta, phi_norm, phizero,
+        point.forward_evals, point.resolvent_evals, w, sigma_check, sigma_check is not None,
+        fejer, pp, wv_phi, point.certified, point.speculative,
     )
     return u_next, outcome
 
@@ -628,11 +615,9 @@ def ifb_step(
     theta = cfg.inertia.value(k)
     w = u_curr + theta * (u_curr - u_prev)
     _guard_iterate(w, space, f"extrapolated point at k={k}")
-    ls = backtrack(w, forward, resolvent, cfg.linesearch, space=space, j_start=j_start)
-    return _contraction_step(
-        w, ls, cfg.gamma, space, cfg.phi_zero_tol,
-        theta=theta, sigma_check=cfg.linesearch.sigma, fejer=True,
-    )
+    # the guard has proved w finite, so the search need not scan it again
+    ls = _search(w, forward, resolvent, cfg.linesearch, space, j_start)
+    return _contraction_step(w, ls, cfg.gamma, space, cfg.phi_zero_tol, theta, cfg.linesearch.sigma, True)
 
 
 def _check_invariants(
@@ -647,8 +632,12 @@ def _check_invariants(
     """Count the violated bounds of one step into ``trace.violations``.
 
     The decrease check reads ``||phi||^2`` and ``<w - v, phi>`` from the
-    step record.  ``solution_norm2`` is ``||solution||^2`` (it scales the
-    rounding allowance) and ``dist2_solution``, when given, is
+    step record.  Its rounding allowance is relative,
+    ``1e-12 * (||w - solution||^2 + ||solution||^2)``: the terms it compares
+    are squared norms of differences of vectors no larger than those two,
+    so an absolute allowance would pass any step once both are small, as
+    with the zero solutions of the integral problems.  ``solution_norm2`` is
+    ``||solution||^2`` and ``dist2_solution``, when given, is
     ``||out.u_next - solution||^2`` already computed by the caller.
     """
     trace.invariants_checked = True
@@ -670,10 +659,9 @@ def _check_invariants(
     # checked against a known solution, never the error-metric reference
     if solution is not None and out.fejer_applicable and out.phi_norm2 > 0.0:
         decrement = gamma * (2.0 - gamma) * out.wv_phi ** 2 / out.phi_norm2
-        eps_fp = 1e-8 * (1.0 + solution_norm2)
         lhs = space.norm2(out.u_next - solution) if dist2_solution is None else dist2_solution
-        rhs = space.norm2(out.w - solution) - decrement + eps_fp
-        if lhs > rhs:
+        w_dist2 = space.norm2(out.w - solution)
+        if lhs > w_dist2 - decrement + _CHECK_SLACK * (w_dist2 + solution_norm2):
             trace.violations["fejer"] += 1
 
 
@@ -715,9 +703,11 @@ def _drive(
     trace = IterationTrace(method, labels)
     final = u_curr
     trace.status = TerminalStatus.ITER_CAP
+    # the per-iteration lookups, bound once per run
+    clock, norm, norm2, kind, tol = time.perf_counter_ns, space.norm, space.norm2, stop.kind, stop.tol
 
     for k in range(1, max_iters + 1):
-        t0 = time.perf_counter_ns()
+        t0 = clock()
         try:
             u_next, out = step(k, u_prev, u_curr)
         except BacktrackExhausted:
@@ -726,13 +716,13 @@ def _drive(
         except (NonFiniteIterate, DivergenceError):
             trace.status = TerminalStatus.DIVERGED
             break
-        elapsed = time.perf_counter_ns() - t0
+        elapsed = clock() - t0
 
-        step_diff = space.norm(u_next - u_curr)
-        dist2 = space.norm2(u_next - ref) if ref is not None else float("nan")
-        if stop.kind == "distance_to_reference":  # dist2 measures against its reference
+        step_diff = norm(u_next - u_curr)
+        dist2 = norm2(u_next - ref) if ref is not None else math.nan
+        if kind == "distance_to_reference":  # dist2 measures against its reference
             err = dist2
-        elif stop.kind == "residual":
+        elif kind == "residual":
             err = out.res_wv
         else:  # successive_diff, and the reported metric of iter_cap_only
             err = step_diff
@@ -740,30 +730,17 @@ def _drive(
         if check_invariants:
             _check_invariants(trace, out, space, gamma, sol, sol_norm2, dist2 if dist2_is_fejer else None)
 
-        trace.append(
+        trace.append(  # positional, in IterationRecord's field order
             IterationRecord(
-                k=k,
-                theta=out.theta,
-                lam=out.lam,
-                j=out.j,
-                delta=out.delta,
-                res_wv=out.res_wv,
-                phi_norm=out.phi_norm,
-                step_diff=step_diff,
-                err=err,
-                dist2_ref=dist2,
-                elapsed_ns=elapsed,
-                forward_evals=out.forward_evals,
-                resolvent_evals=out.resolvent_evals,
-                certified=out.certified,
-                speculative=out.speculative,
+                k, out.theta, out.lam, out.j, out.delta, out.res_wv, out.phi_norm, step_diff, err, dist2,
+                elapsed, out.forward_evals, out.resolvent_evals, out.certified, out.speculative,
             )
         )
         final = u_next
         if out.phizero:
             trace.status = TerminalStatus.PHI_ZERO
             break
-        if stop.kind != "iter_cap_only" and err <= stop.tol:
+        if kind != "iter_cap_only" and err <= tol:
             trace.status = TerminalStatus.CONVERGED
             break
         u_prev, u_curr = u_curr, u_next

@@ -71,31 +71,50 @@ class InnerProductSpace:
             return float(u.dot(v))
         return float((self.weights * u).dot(v))
 
+    # norm2 and norm repeat inner's expression rather than call it: one
+    # frame less on the three or four norms of every iteration
     def norm2(self, u: np.ndarray) -> float:
         """Squared norm ``<u, u>``."""
-        return self.inner(u, u)
+        if self._plain:
+            return float(u.dot(u))
+        return float((self.weights * u).dot(u))
 
     def norm(self, u: np.ndarray) -> float:
-        return math.sqrt(self.inner(u, u))
+        if self._plain:
+            return math.sqrt(u.dot(u))
+        return math.sqrt((self.weights * u).dot(u))
 
     def check_member(self, u: np.ndarray, what: str = "vector") -> np.ndarray:
         """Validate shape and finiteness; returns the array as float64."""
-        u = _require_shape(u, what, (self.dimension,))
-        if not _all_finite(u):
-            raise ValueError(f"{what} contains non-finite entries")
-        return u
+        return _require_finite(u, what, (self.dimension,), ValueError, "contains non-finite entries")
 
 
-def _sum_of_squares(x: np.ndarray) -> float:
-    """``sum_i x_i**2`` in one BLAS pass, the primitive of every finiteness check.
+class NonFiniteIterate(FloatingPointError):
+    """An operator evaluation produced NaN or infinity."""
 
-    ``np.vdot`` rather than ``ndarray.dot``: on overflow it returns ``inf``
-    without a ``RuntimeWarning``.  Rounding a sum of non-negative terms never
-    falls below its largest term, so a finite sum proves every entry finite
-    and a small sum bounds every ``|x_i|``.  The converse fails, so a sum
-    that cannot decide falls back to an exact test (see the callers).
+
+def _require_finite(
+    x, what: str, shape: tuple, error: type = NonFiniteIterate, message: str = "is non-finite"
+) -> np.ndarray:
+    """``x`` as a float64 array of ``shape``, proved finite by one BLAS pass, else ``error(f"{what} {message}")``.
+
+    The finiteness primitive of the package, in one frame: the line search
+    checks every operator value with it, ``check_member`` its inputs, and
+    ``solver._guard_iterate`` makes the same pass with its own bound.  The
+    pass is ``np.vdot(x, x)``, not ``ndarray.dot``: on overflow it returns
+    ``inf`` without a ``RuntimeWarning``.  Rounding a sum of non-negative
+    terms never falls below its largest term, so a finite sum proves every
+    entry finite and a small sum bounds every ``|x_i|``.  The converse
+    fails (``1e200`` is finite, its square is not), so only a sum that
+    overflows runs the exact test.  A wrong shape raises a ``ValueError``
+    naming both shapes.
     """
-    return np.vdot(x, x)
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"{what} has shape {x.shape}, expected {shape}")
+    if math.isfinite(np.vdot(x, x)) or np.isfinite(x).all():
+        return x
+    raise error(f"{what} {message}")
 
 
 def _rounding_gamma(k: int) -> float:
@@ -110,15 +129,11 @@ def _rounding_gamma(k: int) -> float:
 
 
 def _require_shape(x, what: str, shape: tuple) -> np.ndarray:
+    """``x`` as a float64 array of ``shape``, for values that may be non-finite (see :func:`_require_finite`)."""
     x = np.asarray(x, dtype=float)
     if x.shape != shape:
         raise ValueError(f"{what} has shape {x.shape}, expected {shape}")
     return x
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    # exact test only when the sum overflows: 1e200 is finite, its square is not
-    return math.isfinite(_sum_of_squares(x)) or bool(np.isfinite(x).all())
 
 
 def euclidean(dimension: int) -> InnerProductSpace:

@@ -294,6 +294,54 @@ def test_checked_ifb_iteration_on_the_integral_problem_uses_at_most_8_inner_prod
     assert space.calls <= 8 * trace.iterations + 1
 
 
+class VdotCounter:
+    """Stands in for ``numpy.vdot``, the one finiteness scan of the package, and counts its calls."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.real(a, b)
+
+
+def test_checked_ifb_run_on_the_integral_problem_makes_at_most_5_finiteness_scans_per_iteration(monkeypatch):
+    problem = assemble(gen_l2(1))
+    cfg = SolverConfig(stop=StoppingRule("successive_diff", 1e-12), max_iters=600, check_invariants=True)
+    scans = VdotCounter(np.vdot)
+    monkeypatch.setattr(np, "vdot", scans)  # after the problem is built: only the run counts
+    _, trace = solve(problem, problem.u0, problem.u1, cfg)
+    assert trace.status is TerminalStatus.CONVERGED
+    assert trace.total_violations == 0
+    assert np.all(trace.array("resolvent_evals") == 1)  # every iteration is a single trial
+    # per iteration: the guards of w and u_next, and B(w), v and B(v); the
+    # search does not scan the w the guard has proved finite.  Once per run:
+    # u0, u1, the reference and the solution
+    assert scans.calls <= 5 * trace.iterations + 4
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+def test_fejer_check_counts_an_over_relaxed_update_on_the_integral_problem(scale):
+    # u* = 0 here, so the decrease check must judge a step relative to
+    # ||w - u*||^2: near the solution every term it compares is small
+    problem = assemble(gen_l2(1))
+    cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=140, check_invariants=True)
+
+    def over_relaxed(k, up, uc):
+        _, out = ifb_step(up, uc, k, problem.forward, problem.resolvent, cfg, problem.space)
+        u_next = out.w + 1.05 * (out.u_next - out.w)
+        return u_next, dataclasses.replace(out, u_next=u_next)
+
+    u1 = scale * problem.u1
+    _, trace = _drive(
+        over_relaxed, problem, u1, u1, cfg.stop, cfg.max_iters, method="over-relaxed",
+        gamma=cfg.gamma, check_invariants=True,
+    )
+    assert trace.iterations == 140
+    assert trace.violations == {**ZERO_COUNTS, "fejer": 140}
+
+
 class ErrstateCounter:
     """Stands in for ``numpy.errstate`` and records the function that asked for each context.
 

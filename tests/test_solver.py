@@ -360,3 +360,17 @@ class TestRateEstimate:
         assert isinstance(tr, IterationTrace)
         slope = rate_estimate(tr)
         assert slope < 0.0
+
+
+def test_public_steps_return_the_exported_step_record():
+    import mvisolve as mv
+
+    assert "StepOutcome" in mv.solver.__all__ and mv.StepOutcome is mv.solver.StepOutcome
+    w, v = np.array([1.0, -1.0]), np.array([0.5, -0.25])
+    record = mv.contraction_update(w, v, w, v, 0.5, 1.0, euclidean(2), 1e-14)
+    assert type(record) is mv.StepOutcome
+    prob = cubic_problem((2.0, -2.0))
+    _, out = mv.ifb_step(prob.u0, prob.u1, 1, prob.forward, prob.resolvent, _cfg(), prob.space)
+    assert type(out) is mv.StepOutcome
+    _, out = mv.fb_step(prob.u1, 0.1, prob.forward, prob.resolvent, prob.space)
+    assert type(out) is mv.StepOutcome
