@@ -50,66 +50,88 @@ __all__ = [
     "run_baseline",
 ]
 
-METHODS = ("fb", "tseng", "zw", "tc", "jx")
-
-
 def _default_half_contraction(x):
     return 0.5 * x
 
 
-def _default_zw_schedule(k):
-    return k / (1.0 + k)
+def _tc_alpha(k):
+    """The viscosity weight ``alpha_k = 1/(k+1)`` of ``tc``."""
+    return 1.0 / (k + 1.0)
+
+
+def _tc_eps(k):
+    """The inertia allowance ``eps_k = 100/(k+1)^2`` of ``tc``."""
+    return 100.0 / (k + 1.0) ** 2
+
+
+#: The settings each step of :func:`run_baseline` reads, with their defaults;
+#: ``zw`` has one entry per ``lambda_mode``.  :class:`BaselineConfig` fills
+#: its defaults from here and rejects a setting its entry does not name, and
+#: the benchmark spec accepts these keys (``armijo`` as the search fields).
+SETTINGS = {
+    "fb": {"lam": 0.01},
+    "tseng": {"armijo": LineSearchParams()},
+    "zw[schedule]": {"lambda_mode": "schedule", "lam": lambda k: k / (1.0 + k), "gamma": 0.5},
+    "zw[armijo]": {"lambda_mode": "armijo", "armijo": LineSearchParams(), "gamma": 0.5},
+    "tc": {"armijo": LineSearchParams(s=2.0, mu=0.5, sigma=0.5), "gamma": 1.0, "mu_tc": 0.5, "theta": 0.5},
+    "jx": {"armijo": LineSearchParams()},
+}
+
+#: the settings a trace labels, where its method reads them
+_LABELLED = ("gamma", "lambda_mode", "mu_tc")
+
+
+def _entry(method: str, lambda_mode: Optional[str]) -> str:
+    """The key of :data:`SETTINGS` for ``method``; ``zw`` runs ``schedule`` unless told otherwise."""
+    if method == "zw":
+        entry = f"zw[{'schedule' if lambda_mode is None else lambda_mode}]"
+        if entry not in SETTINGS:
+            raise ValueError("lambda_mode must be 'schedule' or 'armijo'")
+        return entry
+    if method not in SETTINGS:
+        raise ValueError(f"unknown baseline method {method!r}")
+    return method
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Method selector plus the per-method scalars.
+    """Method selector plus the settings its step reads.
 
-    Only the fields relevant to ``method`` are read.  Defaults follow the
-    standard benchmark settings: ``zw`` runs the step schedule
-    ``lam_k = k/(k+1)`` with relaxation 0.5 (an ``armijo`` step mode is
-    available for forward maps without a global Lipschitz constant),
-    ``tc`` uses search start 2, halving, ``mu = 0.5``, relaxation 1,
-    ``alpha_k = 1/(k+1)``, ``eps_k = 100/(k+1)^2``, inertia bound 0.5 and
-    the contraction ``f(x) = x/2``.
+    A setting left at ``None`` takes its method's default from
+    :data:`SETTINGS`; giving one that the method does not read raises.  The
+    defaults follow the standard benchmark settings: ``zw`` runs the step
+    schedule ``lam_k = k/(k+1)`` with relaxation 0.5 (an ``armijo`` step
+    mode is available for forward maps without a global Lipschitz
+    constant), ``tc`` uses search start 2, halving, ``mu = 0.5``,
+    relaxation 1 and inertia bound 0.5, with the fixed ``alpha_k = 1/(k+1)``,
+    ``eps_k = 100/(k+1)^2`` and contraction ``f(x) = x/2``.  Every search
+    restarts at ``j = 0``, so ``armijo.warm_start`` must stay off.
     """
 
     method: str = "fb"
     # fb / zw (schedule mode): constant value or callable k -> lam
     lam: Union[float, Callable[[int], float], None] = None
-    lambda_mode: str = "schedule"  # zw only: "schedule" | "armijo"
-    gamma: Optional[float] = None  # zw / tc relaxation; None selects the method default
-    armijo: Optional[LineSearchParams] = None  # None selects the method default
-    # tc specific
-    mu_tc: float = 0.5
-    theta: float = 0.5
-    alpha_fn: Callable[[int], float] = lambda k: 1.0 / (k + 1.0)
-    eps_fn: Callable[[int], float] = lambda k: 100.0 / (k + 1.0) ** 2
-    contraction_f: Callable[[np.ndarray], np.ndarray] = _default_half_contraction
-    phi_zero_tol: float = _PHI_ZERO_TOL
+    lambda_mode: Optional[str] = None  # zw only: "schedule" | "armijo"
+    gamma: Optional[float] = None  # zw / tc relaxation
+    armijo: Optional[LineSearchParams] = None
+    mu_tc: Optional[float] = None
+    theta: Optional[float] = None  # tc inertia bound
     label: Optional[str] = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown baseline method {self.method!r}")
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", 0.5 if self.method == "zw" else 1.0)
-        if self.armijo is None:
-            default = (
-                LineSearchParams(s=2.0, mu=0.5, sigma=0.5)
-                if self.method == "tc"
-                else LineSearchParams()
-            )
-            object.__setattr__(self, "armijo", default)
-        if self.method in ("zw", "tc") and not 0.0 < self.gamma < 2.0:
+        entry = _entry(self.method, self.lambda_mode)
+        settings = SETTINGS[entry]
+        for name in ("lam", "lambda_mode", "gamma", "armijo", "mu_tc", "theta"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, settings.get(name))
+            elif name not in settings:
+                raise ValueError(f"baseline {entry!r} does not read {name!r}; it reads {', '.join(settings)}")
+        if self.armijo is not None and self.armijo.warm_start:
+            raise ValueError("armijo.warm_start must be False: every baseline search restarts at j = 0")
+        if self.gamma is not None and not 0.0 < self.gamma < 2.0:
             raise ValueError("relaxation gamma must lie in (0, 2)")
-        if self.method == "tc" and not 0.0 <= self.mu_tc < 1.0:
+        if self.mu_tc is not None and not 0.0 <= self.mu_tc < 1.0:
             raise ValueError("mu_tc must lie in [0, 1)")
-        if self.lambda_mode not in ("schedule", "armijo"):
-            raise ValueError("lambda_mode must be 'schedule' or 'armijo'")
-        if self.lam is None and self.method in ("fb", "zw"):
-            default = 0.01 if self.method == "fb" else _default_zw_schedule
-            object.__setattr__(self, "lam", default)
 
     def lam_at(self, k: int) -> float:
         lam = self.lam(k) if callable(self.lam) else float(self.lam)
@@ -118,11 +140,7 @@ class BaselineConfig:
         return lam
 
     def display_label(self) -> str:
-        if self.label:
-            return self.label
-        if self.method == "zw":
-            return f"zw[{self.lambda_mode}]"
-        return self.method
+        return self.label or _entry(self.method, self.lambda_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +153,7 @@ def fb_step(u, lam, forward, resolvent, space=None) -> tuple[np.ndarray, StepOut
         space = euclidean(len(u))
     b_u = _require_shape(forward(u), "B(w)", np.shape(u))
     u_next = _require_shape(resolvent(u - lam * b_u, lam), "J(w - lam*B(w))", b_u.shape)
-    _guard_iterate(u_next, space, "forward-backward iterate")
+    _guard_iterate(u_next, "forward-backward iterate")
     return u_next, StepOutcome(u_next, lam, -1, space.norm(u - u_next), forward_evals=1, resolvent_evals=1)
 
 
@@ -145,7 +163,7 @@ def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> t
         space = euclidean(len(u))
     ls = backtrack(u, forward, resolvent, armijo, space=space)
     u_next = ls.v - ls.lam * (ls.b_v - ls.b_w)
-    _guard_iterate(u_next, space, "tseng iterate")
+    _guard_iterate(u_next, "tseng iterate")
     out = StepOutcome(
         u_next, ls.lam, ls.j, ls.res_wv, forward_evals=ls.forward_evals,
         resolvent_evals=ls.resolvent_evals, certified=ls.certified, speculative=ls.speculative,
@@ -160,7 +178,6 @@ def zw_step(
     lam: float,
     gamma: float,
     space=None,
-    phi_zero_tol: float = _PHI_ZERO_TOL,
 ) -> tuple[np.ndarray, StepOutcome]:
     """Projection-contraction step at a given step size.
 
@@ -177,7 +194,7 @@ def zw_step(
         v = _require_finite(resolvent(u - lam * b_u, lam), "J(w - lam*B(w))", b_u.shape)
         b_v = _require_finite(forward(v), "B(v)", b_u.shape)
     point = LineSearchOutcome(lam, -1, v, b_u, b_v, resolvent_evals=1, forward_evals=2)
-    return _contraction_step(u, point, gamma, space, phi_zero_tol)
+    return _contraction_step(u, point, gamma, space, _PHI_ZERO_TOL)
 
 
 def tc_step(
@@ -194,7 +211,6 @@ def tc_step(
     theta: float = 0.5,
     eps_k: float = 1.0,
     space=None,
-    phi_zero_tol: float = _PHI_ZERO_TOL,
 ) -> tuple[np.ndarray, StepOutcome]:
     """Inertial viscosity-type projection-contraction step.
 
@@ -211,15 +227,15 @@ def tc_step(
     diff = space.norm(step)
     theta_k = theta if diff == 0.0 else min(eps_k / diff, theta)
     w = u_curr + theta_k * step
-    _guard_iterate(w, space, f"extrapolated point at k={k}")
+    _guard_iterate(w, "extrapolated point", k)
     ls = _search(w, forward, resolvent, armijo, space, 0)  # the guard has proved w finite
-    _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, phi_zero_tol)
+    _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, _PHI_ZERO_TOL)
     z, eta = w, float("nan")
     if not vanished:
         eta = (1.0 - mu_tc) * res_wv**2 / pp
         z = w - (gamma * eta) * phi
     u_next = alpha_k * np.asarray(f(u_curr), dtype=float) + (1.0 - alpha_k) * z
-    _guard_iterate(u_next, space, f"viscosity iterate at k={k}")
+    _guard_iterate(u_next, "viscosity iterate", k)
     # phizero stays False: the averaging step still moves the iterate
     out = StepOutcome(
         u_next, ls.lam, ls.j, res_wv,
@@ -242,7 +258,6 @@ def jx_step(
     projection,
     armijo: LineSearchParams,
     space=None,
-    phi_zero_tol: float = _PHI_ZERO_TOL,
 ) -> tuple[np.ndarray, StepOutcome]:
     """Projection-type step for variational inequalities (relaxation fixed at 1).
 
@@ -252,7 +267,7 @@ def jx_step(
     if space is None:
         space = euclidean(len(u))
     ls = backtrack(u, forward, projection, armijo, space=space)
-    return _contraction_step(u, ls, 1.0, space, phi_zero_tol, sigma_check=armijo.sigma)
+    return _contraction_step(u, ls, 1.0, space, _PHI_ZERO_TOL, sigma_check=armijo.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -271,43 +286,36 @@ def run_baseline(
     """Iterate a baseline method with the shared stopping/tracing semantics.
 
     ``u0`` is only consumed by the inertial ``tc`` method; the others start
-    from ``u1``.
+    from ``u1``.  The trace labels those of ``gamma``, ``lambda_mode`` and
+    ``mu_tc`` that the method reads.
     """
     space: InnerProductSpace = problem.space
     fwd, res, armijo = problem.forward, problem.resolvent, cfg.armijo
     steps = {
         "fb": lambda k, up, u: fb_step(u, cfg.lam_at(k), fwd, res, space),
         "tseng": lambda k, up, u: tseng_step(u, fwd, res, armijo, space),
-        "zw[schedule]": lambda k, up, u: zw_step(
-            u, fwd, res, cfg.lam_at(k), cfg.gamma, space, cfg.phi_zero_tol
-        ),
+        "zw[schedule]": lambda k, up, u: zw_step(u, fwd, res, cfg.lam_at(k), cfg.gamma, space),
         # the projection-type step with a free relaxation
         "zw[armijo]": lambda k, up, u: _contraction_step(
             u, backtrack(u, fwd, res, armijo, space=space), cfg.gamma, space,
-            cfg.phi_zero_tol, sigma_check=armijo.sigma,
+            _PHI_ZERO_TOL, sigma_check=armijo.sigma,
         ),
         "tc": lambda k, up, u: tc_step(
             up, u, k, fwd, res, armijo, gamma=cfg.gamma, mu_tc=cfg.mu_tc,
-            alpha_k=cfg.alpha_fn(k), f=cfg.contraction_f, theta=cfg.theta,
-            eps_k=cfg.eps_fn(k), space=space, phi_zero_tol=cfg.phi_zero_tol,
+            alpha_k=_tc_alpha(k), f=_default_half_contraction, theta=cfg.theta,
+            eps_k=_tc_eps(k), space=space,
         ),
-        "jx": lambda k, up, u: jx_step(u, fwd, res, armijo, space, cfg.phi_zero_tol),
+        "jx": lambda k, up, u: jx_step(u, fwd, res, armijo, space),
     }
-    m = cfg.method
-    labels = {"gamma": cfg.gamma}
-    if m == "zw":
-        labels["lambda_mode"] = cfg.lambda_mode
-    if m == "tc":
-        labels["mu_tc"] = cfg.mu_tc
+    entry = _entry(cfg.method, cfg.lambda_mode)
     return _drive(
-        steps[f"zw[{cfg.lambda_mode}]" if m == "zw" else m],
+        steps[entry],
         problem,
         u0,
         u1,
         stop,
         max_iters,
         method=cfg.display_label(),
-        labels=labels,
-        gamma=cfg.gamma,
+        labels={name: getattr(cfg, name) for name in _LABELLED if name in SETTINGS[entry]},
         check_invariants=check_invariants,
     )

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import BaselineConfig, run_baseline
+from .baselines import SETTINGS, BaselineConfig, _entry, run_baseline
 from .linesearch import LineSearchParams
 from .problems import GENERATORS, Problem, assemble, save_instance
 from .solver import (
@@ -97,19 +97,17 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 # run configuration
 
 
-# The key tuples below are the whole spec schema: the builders pick from
-# them, and a key outside them raises (see _check_keys).
+# The key tuples below and baselines.SETTINGS are the whole spec schema: the
+# builders pick from them, and a key outside them raises (see _check_keys).
 _FAMILY_DIMS = {
     family: tuple(p for p in inspect.signature(gen).parameters if p != "seed")
     for family, gen in GENERATORS.items()
 }
 _SPEC_KEYS = ("problems", "solvers", "stop", "output_dir")
 _RUN_KEYS = ("repetitions", "max_iters", "check_invariants")
-_RETIRED_KEYS = ("workers", "timing_mode")  # accepted and ignored
 _STOP_KEYS = ("kind", "tol")
 _LS_KEYS = tuple(f.name for f in dataclasses.fields(LineSearchParams) if f.name != "warm_start")
 _IFB_KEYS = ("gamma", "warm_start", "inertia")
-_BASELINE_KEYS = {"zw": ("lambda_mode", "gamma"), "tc": ("gamma", "mu_tc", "theta")}
 
 
 def _pick(options: dict, keys) -> dict:
@@ -133,8 +131,9 @@ def _instance_for(family: str, dims: dict, seed: int):
 
 def _solver_keys(method: str, options: dict) -> tuple:
     """The option keys the builder of ``method`` reads."""
-    if method != "ifb":
-        return ("label", "lam") + _LS_KEYS + _BASELINE_KEYS.get(method, ())
+    if method != "ifb":  # a baseline's settings, its search as the search fields
+        settings = SETTINGS[_entry(method, options.get("lambda_mode"))]
+        return ("label",) + sum((_LS_KEYS if s == "armijo" else (s,) for s in settings), ())
     # only the constant schedule reads theta
     theta = ("theta",) if options.get("inertia") == "constant" else ()
     return ("label",) + _LS_KEYS + _IFB_KEYS + theta
@@ -192,7 +191,7 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSpec":
-        _check_keys(raw, _SPEC_KEYS + _RUN_KEYS + _RETIRED_KEYS, "the run spec")
+        _check_keys(raw, _SPEC_KEYS + _RUN_KEYS, "the run spec")
         cells = []
         for p in raw["problems"]:
             family = p["family"]
@@ -251,13 +250,10 @@ def _build_ifb_config(options: dict, stop: StoppingRule, spec: RunSpec) -> Solve
 
 
 def _build_baseline_config(method: str, options: dict) -> BaselineConfig:
-    default = BaselineConfig(method)
-    return dataclasses.replace(
-        default,
-        armijo=dataclasses.replace(default.armijo, **_pick(options, _LS_KEYS)),
-        label=options.get("label"),
-        **_pick(options, ("lam",) + _BASELINE_KEYS.get(method, ())),
-    )
+    settings = SETTINGS[_entry(method, options.get("lambda_mode"))]
+    if "armijo" in settings:  # the search fields move off the method's default search
+        options = {**options, "armijo": dataclasses.replace(settings["armijo"], **_pick(options, _LS_KEYS))}
+    return BaselineConfig(method, **_pick(options, ("label",) + tuple(settings)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +462,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    # the options are named after the generators' parameters; an unset --rho
+    # the options are named after the generators' parameters; an unset option
     # leaves the generator's default
     dims = {k: v for k, v in vars(args).items() if v is not None}
     instance = _instance_for(args.family, dims, args.seed)
@@ -496,15 +492,17 @@ def main(argv=None) -> int:
 
     p_gen = sub.add_parser("gen", help="generate and save a problem instance")
     p_gen.add_argument("family", choices=list(GENERATORS))
+    # only --d, --m, --case and --seed carry a default here: the generators
+    # have none for the first three, and the file name reads --seed
     p_gen.add_argument("--d", type=int, default=512)
     p_gen.add_argument("--m", type=int, default=256)
-    p_gen.add_argument("--l", type=int, default=10)
-    p_gen.add_argument("--snr", dest="snr_db", type=float, default=40.0)
-    p_gen.add_argument("--rho", type=float, default=None)
-    p_gen.add_argument("--mu", type=float, default=0.01, help="lpa penalty weight")
-    p_gen.add_argument("--alpha", type=float, default=1.5, help="lpa penalty exponent in (1,2)")
+    p_gen.add_argument("--l", type=int)
+    p_gen.add_argument("--snr", dest="snr_db", type=float)
+    p_gen.add_argument("--rho", type=float)
+    p_gen.add_argument("--mu", type=float, help="lpa penalty weight")
+    p_gen.add_argument("--alpha", type=float, help="lpa penalty exponent in (1,2)")
     p_gen.add_argument("--case", dest="case_id", type=int, default=1, help="l2 initial-value case (1..4)")
-    p_gen.add_argument("--n", type=int, default=1001, help="l2 grid size")
+    p_gen.add_argument("--n", type=int, help="l2 grid size")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(fn=_cmd_gen)

@@ -246,16 +246,14 @@ class SolverConfig:
     inertia: Optional[InertiaSchedule] = None
     stop: StoppingRule = field(default_factory=StoppingRule)
     max_iters: int = 1000
-    phi_zero_tol: float = _PHI_ZERO_TOL
     check_invariants: bool = False
+    phi_zero_tol: ClassVar[float] = _PHI_ZERO_TOL  # a constant, not a field (see _direction)
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 2.0:
             raise ValueError("gamma must lie in (0, 2)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.phi_zero_tol < 0:
-            raise ValueError("phi_zero_tol must be nonnegative")
         if self.inertia is None:
             cap = inertia_cap(self.gamma, self.linesearch.sigma)
             object.__setattr__(self, "inertia", InertiaSchedule.experiment(0.99 * cap))
@@ -501,17 +499,19 @@ class StepOutcome:
     speculative: int = 0  # block rows computed past the accepted trial
 
 
-def _guard_iterate(u: np.ndarray, space: InnerProductSpace, what: str) -> None:
+def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> None:
     # one BLAS pass admits almost every iterate.  The sum is sufficient, not
     # necessary: twenty entries of 1e149 pass the guard with a sum of squares
     # above 1e299, and 1e200 is finite with an overflowing square.  Those go
     # to the exact sup-norm test, whose maximum carries nan through, so it
     # also names a non-finite entry.  The pass is spaces._require_finite's.
+    # The message names ``what`` at iteration ``k``, and is built only to raise.
     if np.vdot(u, u) <= _GUARD_SUM_OF_SQUARES:
         return
     peak = np.abs(u).max()
     if peak <= DIVERGENCE_NORM:
         return
+    what = what if k is None else f"{what} at k={k}"
     if not math.isfinite(peak):
         raise DivergenceError(f"{what} is non-finite")
     raise DivergenceError(f"{what} exceeded the divergence guard {DIVERGENCE_NORM:g}")
@@ -544,7 +544,7 @@ def _contraction_step(
         wv_phi = space.inner(wv, phi)
         delta = wv_phi / pp
         u_next = w - (gamma * delta) * phi
-        _guard_iterate(u_next, space, "contraction iterate")
+        _guard_iterate(u_next, "contraction iterate")
     # positional, in StepOutcome's field order
     outcome = StepOutcome(
         u_next, point.lam, point.j, res_wv, theta, delta, phi_norm, phizero,
@@ -614,10 +614,10 @@ def ifb_step(
         space = euclidean(len(u_curr))
     theta = cfg.inertia.value(k)
     w = u_curr + theta * (u_curr - u_prev)
-    _guard_iterate(w, space, f"extrapolated point at k={k}")
+    _guard_iterate(w, "extrapolated point", k)
     # the guard has proved w finite, so the search need not scan it again
     ls = _search(w, forward, resolvent, cfg.linesearch, space, j_start)
-    return _contraction_step(w, ls, cfg.gamma, space, cfg.phi_zero_tol, theta, cfg.linesearch.sigma, True)
+    return _contraction_step(w, ls, cfg.gamma, space, _PHI_ZERO_TOL, theta, cfg.linesearch.sigma, True)
 
 
 def _check_invariants(

@@ -6,6 +6,9 @@ import pytest
 
 from mvisolve.baselines import (
     BaselineConfig,
+    _default_half_contraction,
+    _tc_alpha,
+    _tc_eps,
     fb_step,
     jx_step,
     run_baseline,
@@ -24,6 +27,7 @@ from mvisolve.operators import (
     zero_forward,
 )
 from mvisolve.solver import (
+    _PHI_ZERO_TOL,
     Inclusion,
     InertiaSchedule,
     SolverConfig,
@@ -193,14 +197,13 @@ class TestTC:
         assert out_con.delta == pytest.approx(2.0)
 
     def test_phi_zero_tol_is_honoured(self):
-        # u = 1, B = J = identity: lam = 0.5, v = 0.5, phi = 0.25.  At a
-        # tolerance of 1e3 the direction counts as vanished, so the
-        # contraction is skipped: u_next = 0.5*f(1) + 0.5*w = 0.75 and eta
-        # is nan (a contraction step would give 0.5 with eta = 2)
-        prob = Inclusion(identity_forward(), identity_resolvent(), euclidean(1))
+        # u = 1, B = 0, J = identity: v = w = 1 and phi = 0, so the direction
+        # vanishes and the contraction is skipped: u_next = 0.5*f(1) + 0.5*w
+        # = 0.75 with alpha_1 = 1/2, and eta is nan
+        prob = Inclusion(zero_forward(), identity_resolvent(), euclidean(1))
         u = np.array([1.0])
         uf, tr = run_baseline(
-            BaselineConfig("tc", phi_zero_tol=1e3), prob, u, u,
+            BaselineConfig("tc"), prob, u, u,
             StoppingRule("iter_cap_only"), max_iters=1,
         )
         np.testing.assert_array_equal(uf, [0.75])
@@ -396,6 +399,38 @@ class TestRunBaseline:
         with pytest.raises(ValueError):
             BaselineConfig("nope")
 
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            ({"method": "jx", "gamma": 5.0}, "gamma"),
+            ({"method": "tseng", "lam": 5.0}, "lam"),
+            ({"method": "fb", "armijo": LineSearchParams()}, "armijo"),
+            ({"method": "tc", "lambda_mode": "armijo"}, "lambda_mode"),
+            ({"method": "tseng", "armijo": LineSearchParams(warm_start=True)}, "warm_start"),
+        ],
+        ids=["jx-gamma", "tseng-lam", "fb-armijo", "tc-lambda_mode", "warm_start"],
+    )
+    def test_settings_the_method_does_not_read_are_rejected(self, options, name):
+        with pytest.raises(ValueError, match=name):
+            BaselineConfig(**options)
+
+    def test_defaults_and_labels_are_the_settings_read(self):
+        prob = self._problem()
+        u = np.array([0.5, -0.5])
+        stop = StoppingRule("iter_cap_only")
+        expected = {
+            "fb": {},
+            "tseng": {},
+            "jx": {},
+            "zw": {"gamma": 0.5, "lambda_mode": "schedule"},
+            "tc": {"gamma": 1.0, "mu_tc": 0.5},
+        }
+        for method, labels in expected.items():
+            cfg = BaselineConfig(method)
+            assert (cfg.gamma is None) == (method in ("fb", "tseng", "jx"))
+            _, tr = run_baseline(cfg, prob, u, u, stop, max_iters=1)
+            assert tr.labels == labels
+
     @pytest.mark.parametrize("lam", [float("inf"), float("nan"), lambda k: float("inf"), 0.0])
     def test_step_must_be_positive_and_finite(self, lam):
         # an infinite fb step used to run on and end diverged
@@ -483,7 +518,7 @@ class TestDispatchWiring:
             def step(k, up, uc):
                 ls = backtrack(uc, prob.forward, prob.resolvent, cfg.armijo, space=prob.space)
                 core = contraction_update(
-                    uc, ls.v, ls.b_w, ls.b_v, ls.lam, cfg.gamma, prob.space, cfg.phi_zero_tol
+                    uc, ls.v, ls.b_w, ls.b_v, ls.lam, cfg.gamma, prob.space, _PHI_ZERO_TOL
                 )
                 if gamma == 1.0:  # at relaxation 1 this is the projection-type step
                     u_jx, _ = jx_step(uc, prob.forward, prob.resolvent, cfg.armijo, prob.space)
@@ -511,8 +546,8 @@ class TestDispatchWiring:
         def step(k, up, uc):
             return tc_step(
                 up, uc, k, prob.forward, prob.resolvent, cfg.armijo,
-                gamma=cfg.gamma, mu_tc=cfg.mu_tc, alpha_k=cfg.alpha_fn(k),
-                f=cfg.contraction_f, theta=cfg.theta, eps_k=cfg.eps_fn(k),
+                gamma=cfg.gamma, mu_tc=cfg.mu_tc, alpha_k=_tc_alpha(k),
+                f=_default_half_contraction, theta=cfg.theta, eps_k=_tc_eps(k),
                 space=prob.space,
             )
 

@@ -1,20 +1,23 @@
 import csv
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from mvisolve.baselines import BaselineConfig
+from mvisolve.baselines import SETTINGS, BaselineConfig
 from mvisolve.bench import (
     RunSpec,
     _build_baseline_config,
     _build_ifb_config,
+    _solver_keys,
     emit_convergence_csv,
     main,
     read_trace_csv,
     run,
 )
-from mvisolve.problems import cubic_problem
+from mvisolve.problems import cubic_problem, gen_l2, gen_lpa, load_instance
 from mvisolve.linesearch import LineSearchParams
 from mvisolve.solver import InertiaSchedule, SolverConfig, StoppingRule, rate_estimate, solve
 
@@ -204,8 +207,14 @@ class TestRun:
             ({"stop": {"kind": "successive_diff", "tolerance": 1e-3}}, "tolerance"),
             ({"max_iter": 10}, "max_iter"),
             ({"solvers": [{"method": "tc", "literal": True}]}, "literal"),
+            # the keys of the removed thread pool raise like any other
+            ({"workers": 4}, "workers"),
+            ({"timing_mode": True}, "timing_mode"),
         ],
-        ids=["solver-option", "zw-option", "ifb-theta", "problem", "stop", "top-level", "tc-literal"],
+        ids=[
+            "solver-option", "zw-option", "ifb-theta", "problem", "stop", "top-level", "tc-literal",
+            "retired-workers", "retired-timing-mode",
+        ],
     )
     def test_unknown_spec_keys_raise(self, tmp_path, overrides, key):
         with pytest.raises(ValueError, match=f"unknown key\\(s\\) '{key}' in .*; accepted keys: "):
@@ -217,8 +226,51 @@ class TestRun:
             RunSpec.from_dict(raw)
         assert str(err.value) == (
             "unknown key(s) 'sigam' in solver entry {'method': 'tseng', 'sigam': 0.1}; "
-            "accepted keys: label, lam, s, mu, sigma, max_backtracks"
+            "accepted keys: label, s, mu, sigma, max_backtracks"
         )
+
+    @pytest.mark.parametrize(
+        "entry, accepted",
+        [
+            ({"method": "tseng", "lam": 5}, "label, s, mu, sigma, max_backtracks"),
+            ({"method": "fb", "sigma": 0.1}, "label, lam"),
+            ({"method": "fb", "sigma": 0.1, "max_backtracks": 3}, "label, lam"),
+            ({"method": "zw", "mu": 0.25}, "label, lambda_mode, lam, gamma"),
+            ({"method": "tc", "lam": 0.2}, "label, s, mu, sigma, max_backtracks, gamma, mu_tc, theta"),
+            ({"method": "jx", "gamma": 1.0}, "label, s, mu, sigma, max_backtracks"),
+        ],
+        ids=["tseng-lam", "fb-sigma", "fb-search", "zw-schedule-mu", "tc-lam", "jx-gamma"],
+    )
+    def test_baseline_entries_accept_only_the_settings_they_read(self, tmp_path, entry, accepted):
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, solvers=[entry]))
+        unknown = ", ".join(repr(k) for k in entry if k != "method")
+        assert str(err.value) == f"unknown key(s) {unknown} in solver entry {entry!r}; accepted keys: {accepted}"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"method": "zw", "lambda_mode": "armjio"}, "^lambda_mode must be 'schedule' or 'armijo'$"),
+            ({"method": "tsneg"}, "^unknown baseline method 'tsneg'$"),
+        ],
+        ids=["lambda_mode", "method"],
+    )
+    def test_misspelt_baseline_raises_when_the_spec_loads(self, tmp_path, entry, message):
+        with pytest.raises(ValueError, match=message):
+            RunSpec.from_dict(_tiny_spec(tmp_path, solvers=[entry]))
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_lists_the_keys_each_baseline_accepts(self):
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        for entry in SETTINGS:
+            method, _, mode = entry.rstrip("]").partition("[")
+            options = {"lambda_mode": mode} if mode else {}
+            rows = [line for line in readme.splitlines() if line.startswith(f"| solver, `{entry}` |")]
+            assert len(rows) == 1, entry
+            keys = tuple(re.findall(r"`(\w+)`", rows[0].split("|")[2]))
+            assert keys == ("method",) + _solver_keys(method, options), entry
 
     def test_unknown_inertia_kind_raises_when_the_spec_loads(self, tmp_path):
         raw = _tiny_spec(tmp_path, solvers=[{"method": "ifb", "inertia": "constnat"}])
@@ -232,12 +284,6 @@ class TestRun:
     def test_unknown_family_raises_when_the_spec_loads(self, tmp_path):
         with pytest.raises(ValueError, match="unknown problem family 'sc'"):
             RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": "sc", "d": 32, "m": 16}]))
-
-    def test_retired_spec_keys_still_load(self, tmp_path):
-        # specs written for the removed thread pool keep loading and running
-        raw = _tiny_spec(tmp_path, workers=4, timing_mode=True)
-        report = run(RunSpec.from_dict(raw))
-        assert report.valid and len(report.cells) == 1
 
     def test_written_spec_reproduces_the_report(self, tmp_path):
         raw = _tiny_spec(
@@ -395,6 +441,22 @@ class TestCLI:
 
         inst = load_instance(out)
         assert inst.alpha == 1.3 and inst.mu == 0.05 and inst.seed == 4
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["lpa", "--d", "32", "--m", "16"], lambda: gen_lpa(32, 16)),
+            (["l2", "--case", "2"], lambda: gen_l2(2)),
+        ],
+        ids=["lpa", "l2"],
+    )
+    def test_gen_defaults_are_the_generators(self, tmp_path, argv, expected):
+        out = tmp_path / "inst.npz"
+        assert main(["gen", *argv, "--out", str(out)]) == 0
+        got, want = load_instance(out), expected()
+        assert type(got) is type(want)
+        for f in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), err_msg=f.name)
 
     def test_rate_subcommand(self, tmp_path, capsys):
         tr = _trace(120)
