@@ -204,12 +204,12 @@ def tc_step(
     forward,
     resolvent,
     armijo: LineSearchParams,
-    gamma: float = 1.0,
-    mu_tc: float = 0.5,
-    alpha_k: float = 0.5,
+    gamma: Optional[float] = None,
+    mu_tc: Optional[float] = None,
+    alpha_k: Optional[float] = None,
     f: Callable[[np.ndarray], np.ndarray] = _default_half_contraction,
-    theta: float = 0.5,
-    eps_k: float = 1.0,
+    theta: Optional[float] = None,
+    eps_k: Optional[float] = None,
     space=None,
 ) -> tuple[np.ndarray, StepOutcome]:
     """Inertial viscosity-type projection-contraction step.
@@ -219,17 +219,25 @@ def tc_step(
     forward-backward point is computed from the extrapolated point ``w``
     and one direction ``phi(w, v)`` is used throughout.  When it vanishes
     the contraction step is skipped and only the averaging with ``f``
-    moves the iterate.
+    moves the iterate.  ``gamma``, ``mu_tc`` and ``theta`` left at ``None``
+    take their values from ``SETTINGS["tc"]``, ``alpha_k`` and ``eps_k``
+    those of the ``tc`` schedules at ``k``.
     """
     if space is None:
         space = euclidean(len(u_curr))
+    settings = SETTINGS["tc"]
+    gamma = settings["gamma"] if gamma is None else gamma
+    mu_tc = settings["mu_tc"] if mu_tc is None else mu_tc
+    theta = settings["theta"] if theta is None else theta
+    alpha_k = _tc_alpha(k) if alpha_k is None else alpha_k
+    eps_k = _tc_eps(k) if eps_k is None else eps_k
     step = u_curr - u_prev
     diff = space.norm(step)
     theta_k = theta if diff == 0.0 else min(eps_k / diff, theta)
     w = u_curr + theta_k * step
-    _guard_iterate(w, "extrapolated point", k)
+    w_sum2 = _guard_iterate(w, "extrapolated point", k)
     ls = _search(w, forward, resolvent, armijo, space, 0)  # the guard has proved w finite
-    _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, _PHI_ZERO_TOL)
+    _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, _PHI_ZERO_TOL, w_sum2)
     z, eta = w, float("nan")
     if not vanished:
         eta = (1.0 - mu_tc) * res_wv**2 / pp
@@ -301,9 +309,7 @@ def run_baseline(
             _PHI_ZERO_TOL, sigma_check=armijo.sigma,
         ),
         "tc": lambda k, up, u: tc_step(
-            up, u, k, fwd, res, armijo, gamma=cfg.gamma, mu_tc=cfg.mu_tc,
-            alpha_k=_tc_alpha(k), f=_default_half_contraction, theta=cfg.theta,
-            eps_k=_tc_eps(k), space=space,
+            up, u, k, fwd, res, armijo, gamma=cfg.gamma, mu_tc=cfg.mu_tc, theta=cfg.theta, space=space,
         ),
         "jx": lambda k, up, u: jx_step(u, fwd, res, armijo, space),
     }

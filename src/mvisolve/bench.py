@@ -103,6 +103,8 @@ _FAMILY_DIMS = {
     family: tuple(p for p in inspect.signature(gen).parameters if p != "seed")
     for family, gen in GENERATORS.items()
 }
+#: the grid size of an l2 cell whose spec entry gives no ``n``: the generator's default
+_L2_N = inspect.signature(GENERATORS["l2"]).parameters["n"].default
 _SPEC_KEYS = ("problems", "solvers", "stop", "output_dir")
 _RUN_KEYS = ("repetitions", "max_iters", "check_invariants")
 _STOP_KEYS = ("kind", "tol")
@@ -148,7 +150,8 @@ class ProblemCell:
     @property
     def cell_id(self) -> str:
         if self.family == "l2":
-            return f"l2-case{self.dims.get('case_id', 1)}-n{self.dims.get('n', 1001)}"
+            # from_dict gives every l2 cell a case_id; n may be left to the generator
+            return f"l2-case{self.dims['case_id']}-n{self.dims.get('n', _L2_N)}"
         return f"{self.family}-d{self.dims['d']}m{self.dims['m']}-seed{self.seed}"
 
 

@@ -117,7 +117,11 @@ def soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
     """Componentwise shrinkage ``sgn(u_i) * max(0, |u_i| - tau)``.
 
     This is the proximal map of ``tau * ||.||_1``; with ``tau = lam * rho``
-    it is the resolvent of the scaled l1 subdifferential.
+    it is the resolvent of the scaled l1 subdifferential.  It is computed
+    in Moreau form, ``u - clip(u, -tau, tau)`` (the residual of the
+    projection onto the dual ball; Combettes and Wajs, *Multiscale Model.
+    Simul.* 4, 2005), in three ufunc passes and one temporary: see
+    :func:`_shrink`.
 
     Parameters
     ----------
@@ -128,7 +132,27 @@ def soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
     """
     if not tau >= 0:
         raise ValueError(f"threshold tau must be nonnegative, got {tau!r}")
-    return np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
+    return _shrink(u, tau)
+
+
+def _shrink(x, t):
+    """``x - max(min(x, t), -t)``, elementwise, for thresholds ``t >= 0`` broadcast against ``x``.
+
+    Every value is that of ``sgn(x) * max(|x| - t, 0)``, rounding included:
+    above the threshold the result is ``fl(x - t)`` and below it
+    ``fl(x + t) = -fl(|x| - t)``, as rounding to nearest is symmetric.  In
+    the dead zone ``|x| <= t`` the clip is ``x`` itself and the result is
+    ``x - x = +0.0``, also for ``x = -0.0``; at ``t = +0.0`` that needs
+    ``minimum`` and ``maximum`` to return the same operand of a tie
+    ``-0.0 == +0.0``, as numpy's do (at ``t = -0.0`` the entry ``-0.0``
+    stays ``-0.0``).  NaN stays NaN, and an infinite ``x`` at an infinite
+    ``t`` gives NaN, as ``|x| - t`` does.  So only the sign of a zero
+    differs from the product form, whose dead zone carries the sign of
+    ``x``.
+    """
+    clip = np.minimum(x, t)
+    np.maximum(clip, -t, out=clip)
+    return np.subtract(x, clip, out=clip)
 
 
 def quartic_fidelity_gradient(C: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -370,7 +394,7 @@ def l1_resolvent(rho: float) -> ResolventOperator:
         # the same exactly rounded elementwise operations as soft_threshold,
         # so each row is bitwise apply(X[i], lams[i]); lam > 0 and rho >= 0
         # make every threshold nonnegative
-        return np.sign(X) * np.maximum(np.abs(X) - (lams * rho)[:, None], 0.0)
+        return _shrink(X, (lams * rho)[:, None])
 
     return ResolventOperator(lambda x, lam: soft_threshold(x, lam * rho), label=f"soft[rho={rho:g}]", block=block)
 

@@ -406,7 +406,13 @@ class IterationTrace:
 # the contraction core, shared verbatim by every method that uses it
 
 
-def _direction(w: np.ndarray, point: LineSearchOutcome, space: InnerProductSpace, phi_zero_tol: float):
+def _direction(
+    w: np.ndarray,
+    point: LineSearchOutcome,
+    space: InnerProductSpace,
+    phi_zero_tol: float,
+    w_sum2: Optional[float] = None,
+):
     """``(w - v, phi, ||phi||^2, ||phi||, ||w - v||, vanished)`` for ``phi = (w - v) - lam*(B(w) - B(v))``.
 
     ``v``, ``B(w)``, ``B(v)`` and ``lam`` are those of the accepted
@@ -416,7 +422,8 @@ def _direction(w: np.ndarray, point: LineSearchOutcome, space: InnerProductSpace
     and ``B(w) - B(v)`` when the line search formed them for the accepted
     trial; they are computed here when they are ``None``.  Its
     ``lam_bwv_norm`` is ``lam*||B(w) - B(v)||`` as the search computed it
-    from ``b_wv``.
+    from ``b_wv``.  ``w_sum2``, when given, is ``np.vdot(w, w)`` as the
+    divergence guard computed it.
 
     Overflow.  The ufuncs here (``w - v``, ``B(w) - B(v)``, ``lam*b_wv``,
     ``phi`` and, in a weighted space, ``weights*phi``) may overflow only
@@ -450,6 +457,36 @@ def _direction(w: np.ndarray, point: LineSearchOutcome, space: InnerProductSpace
     about ``2**1022`` would be as sound; ``2**512`` is where ``||phi||^2``
     can start to overflow in the Euclidean space, so a point beyond it is
     close to divergence anyway.
+
+    Vanishing.  The test is ``||phi|| <= tol*(1 + N_w)`` with the computed
+    ``N_w = space.norm(w)`` and ``tol >= 0``.  With ``w_sum2`` given, let
+    ``s`` be it and ``W = space._norm_scale * sqrt(s)``, which is
+    ``2*w_max**0.5*sqrt(s)`` as floats (``inf`` for a space without the
+    attribute or with weights outside ``[2**-256, 2**256]``).  When
+    ``W <= 2**512`` and ``||phi|| > tol*(1 + W)``, ``phi`` does not vanish
+    and ``N_w`` is never computed; otherwise the test runs as above:
+
+    * Let ``x = w`` have ``n <= 2**49`` entries and ``S = sum x_i**2``
+      exactly.  Each rounding of a product or sum of non-negative terms has
+      relative error at most ``u`` or, on underflow, absolute error at most
+      ``2**-1075``; a weight product ``w_i*x_i`` underflows only for
+      ``|x_i| < 2**-766``.  So ``S <= (s + n*2**-1075)/(1 - g_{n+1})`` and
+      the computed weighted sum of squares ``q`` (of which ``N_w`` is the
+      rounded root) is at most ``(1 + g_{3n+4})*w_max*s + 2**-767``, where
+      ``g_k`` is ``spaces._rounding_gamma(k)`` and ``1 + g_{3n+4} < 1.25``.
+    * ``W`` is at least ``(1-u)**3 * 2*sqrt(w_max*s)``: its three roundings
+      cannot underflow, as ``s > 0`` is at least ``2**-1074``.  So
+      ``W <= 2**512`` gives ``w_max*s < 2**1023``, and ``q`` and every
+      partial sum of it stay finite.
+    * If ``N_w > 2**-54``, then ``q > 2**-109``, the absolute term is below
+      ``2**-650*q`` and ``N_w <= (1+u)*sqrt(q) < 1.2*sqrt(w_max*s) <= W``.
+      If ``N_w <= 2**-54``, then ``fl(1 + N_w) = 1 <= fl(1 + W)``.
+    * Either way rounding is monotone, so ``fl(tol*fl(1 + N_w))`` is at most
+      ``fl(tol*fl(1 + W))``, which ``||phi||`` exceeds: the verdict is the
+      exact test's.  A NaN ``W`` (``inf*0``) fails both comparisons.
+
+    ``ifb_step`` and ``tc_step`` pass the guard's sum for ``w``, so an
+    iteration that does not vanish takes no ``space.norm(w)``.
     """
     res_wv, lam_bwv_norm = point.res_wv, point.lam_bwv_norm
     bounded = (
@@ -468,6 +505,10 @@ def _direction(w: np.ndarray, point: LineSearchOutcome, space: InnerProductSpace
         # an overflowed ||phi||^2 would silently zero the contraction scalar
         raise DivergenceError("contraction direction overflowed")
     phi_norm = math.sqrt(pp)
+    if w_sum2 is not None:
+        w_hi = getattr(space, "_norm_scale", math.inf) * math.sqrt(w_sum2)
+        if phi_zero_tol * (1.0 + w_hi) < phi_norm and w_hi <= _DIRECTION_BOUND:
+            return wv, phi, pp, phi_norm, res_wv, False
     return wv, phi, pp, phi_norm, res_wv, phi_norm <= phi_zero_tol * (1.0 + space.norm(w))
 
 
@@ -499,18 +540,21 @@ class StepOutcome:
     speculative: int = 0  # block rows computed past the accepted trial
 
 
-def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> None:
-    # one BLAS pass admits almost every iterate.  The sum is sufficient, not
-    # necessary: twenty entries of 1e149 pass the guard with a sum of squares
-    # above 1e299, and 1e200 is finite with an overflowing square.  Those go
-    # to the exact sup-norm test, whose maximum carries nan through, so it
-    # also names a non-finite entry.  The pass is spaces._require_finite's.
-    # The message names ``what`` at iteration ``k``, and is built only to raise.
-    if np.vdot(u, u) <= _GUARD_SUM_OF_SQUARES:
-        return
+def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> float:
+    # one BLAS pass admits almost every iterate, and is returned: the
+    # computed np.vdot(u, u), from which _direction bounds ||u||.  The sum is
+    # sufficient, not necessary: twenty entries of 1e149 pass the guard with
+    # a sum of squares above 1e299, and 1e200 is finite with an overflowing
+    # square.  Those go to the exact sup-norm test, whose maximum carries nan
+    # through, so it also names a non-finite entry.  The pass is
+    # spaces._require_finite's.  The message names ``what`` at iteration
+    # ``k``, and is built only to raise.
+    sum2 = np.vdot(u, u)
+    if sum2 <= _GUARD_SUM_OF_SQUARES:
+        return sum2
     peak = np.abs(u).max()
     if peak <= DIVERGENCE_NORM:
-        return
+        return sum2
     what = what if k is None else f"{what} at k={k}"
     if not math.isfinite(peak):
         raise DivergenceError(f"{what} is non-finite")
@@ -526,6 +570,7 @@ def _contraction_step(
     theta: float = 0.0,
     sigma_check: Optional[float] = None,
     fejer: bool = False,
+    w_sum2: Optional[float] = None,
 ) -> tuple[np.ndarray, StepOutcome]:
     """The step every projection-contraction method shares.
 
@@ -535,9 +580,10 @@ def _contraction_step(
     with ``j = -1``); where ``phi`` vanishes, ``v`` itself is returned with
     ``phizero`` set.  ``sigma_check`` is the Armijo ratio the point was
     accepted with, which enables the direction and scalar bound checks;
-    ``fejer`` enables the decrease check against a known solution.
+    ``fejer`` enables the decrease check against a known solution, and
+    ``w_sum2`` is the guard's ``np.vdot(w, w)`` (see :func:`_direction`).
     """
-    wv, phi, pp, phi_norm, res_wv, phizero = _direction(w, point, space, phi_zero_tol)
+    wv, phi, pp, phi_norm, res_wv, phizero = _direction(w, point, space, phi_zero_tol, w_sum2)
     if phizero:
         u_next, delta, wv_phi = point.v, float("nan"), float("nan")
     else:
@@ -614,10 +660,10 @@ def ifb_step(
         space = euclidean(len(u_curr))
     theta = cfg.inertia.value(k)
     w = u_curr + theta * (u_curr - u_prev)
-    _guard_iterate(w, "extrapolated point", k)
+    w_sum2 = _guard_iterate(w, "extrapolated point", k)
     # the guard has proved w finite, so the search need not scan it again
     ls = _search(w, forward, resolvent, cfg.linesearch, space, j_start)
-    return _contraction_step(w, ls, cfg.gamma, space, _PHI_ZERO_TOL, theta, cfg.linesearch.sigma, True)
+    return _contraction_step(w, ls, cfg.gamma, space, _PHI_ZERO_TOL, theta, cfg.linesearch.sigma, True, w_sum2)
 
 
 def _check_invariants(

@@ -40,7 +40,7 @@ class InnerProductSpace:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        # a private read-only copy: _plain and _entry_scale are cached from it
+        # a private read-only copy: _plain and the two scales are cached from it
         w = _require_shape(np.array(self.weights, dtype=float), "weights", (self.dimension,))
         if not np.all(w > 0.0):
             raise ValueError("all quadrature weights must be strictly positive")
@@ -64,6 +64,19 @@ class InnerProductSpace:
         if not (2.0**-256 <= lo and hi <= 2.0**256):
             return math.inf
         return max(lo**-0.5, hi**0.5)
+
+    @functools.cached_property
+    def _norm_scale(self) -> float:
+        """``2*w_max**0.5``, or ``inf`` for weights outside ``[2**-256, 2**256]``.
+
+        Times the root of a computed sum of squares ``np.vdot(x, x)``, an
+        upper bound on the computed ``norm(x)`` while the result is at most
+        ``2**512`` (see ``solver._direction``); ``inf`` turns that bound off.
+        Computed on first use, once per space.
+        """
+        if self._entry_scale == math.inf:  # the same range of weights
+            return math.inf
+        return 2.0 * math.sqrt(float(self.weights.max()))
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         # ndarray.dot runs the same ddot as ``@`` with a cheaper dispatch

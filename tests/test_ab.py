@@ -1,6 +1,7 @@
 """The statistics and the gate of ``tools/ab.py``, on synthetic perfbench results."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,22 @@ def test_last_json_skips_text_and_earlier_results():
     out = 'manifest {"a": 1}\n{"correct": false}\nfailed_frac 0.0\n{"correct": true}\n'
     assert ab.last_json(out) == {"correct": True}
     assert ab.last_json("no result\n[1, 2]\n") is None
+
+
+def test_copied_working_tree_holds_uncommitted_edits_and_no_git(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    dest.mkdir()
+    (repo / "pkg" / "mod.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("")
+    (repo / ".gitignore").write_text("*.log\n")
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+    (repo / "pkg" / "mod.py").write_text("x = 2\n")  # an edit not in the index
+    (repo / "gone.py").unlink()  # a tracked file deleted on disk
+    (repo / "new.py").write_text("y = 3\n")  # untracked, not ignored
+    (repo / "run.log").write_text("ignored\n")
+    ab.copy_worktree(repo, dest)
+    assert (dest / "pkg" / "mod.py").read_text() == "x = 2\n"
+    assert (dest / "new.py").read_text() == "y = 3\n"
+    assert sorted(p.name for p in dest.iterdir()) == [".gitignore", "new.py", "pkg"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mvisolve.baselines import (
+    SETTINGS,
     BaselineConfig,
     _default_half_contraction,
     _tc_alpha,
@@ -158,6 +159,25 @@ class TestTC:
             LineSearchParams(1.0, 0.5, 0.5), theta=0.37, eps_k=1.0, space=euclidean(1),
         )
         assert out.theta == 0.37
+
+    def test_omitted_settings_follow_the_table_and_the_schedules(self, monkeypatch):
+        # gamma, mu_tc and theta come from SETTINGS["tc"] as it reads at the
+        # call, alpha_k and eps_k from the tc schedules at k
+        monkeypatch.setitem(SETTINGS, "tc", {**SETTINGS["tc"], "gamma": 1.5, "mu_tc": 0.25, "theta": 0.125})
+        rng = np.random.default_rng(3)
+        u_prev, u_curr = rng.standard_normal(3), rng.standard_normal(3)
+        fwd, res = linear_forward(_random_monotone_linear(rng, 3)), l1_resolvent(0.2)
+        p, space = LineSearchParams(2.0, 0.5, 0.5), euclidean(3)
+        u_default, out_default = tc_step(u_prev, u_curr, 3, fwd, res, p, space=space)
+        u_stated, out_stated = tc_step(
+            u_prev, u_curr, 3, fwd, res, p, gamma=1.5, mu_tc=0.25, alpha_k=_tc_alpha(3),
+            theta=0.125, eps_k=_tc_eps(3), space=space,
+        )
+        assert u_default.tobytes() == u_stated.tobytes()
+        assert out_default.theta == out_stated.theta == 0.125
+        u_old, _ = tc_step(u_prev, u_curr, 3, fwd, res, p, gamma=1.0, mu_tc=0.5, theta=0.5, space=space)
+        assert u_old.tobytes() != u_default.tobytes()
+        assert _tc_alpha(1) == 0.5  # the step's former fixed alpha_k, at k = 1
 
     def test_vanishing_viscosity_reduces_to_contraction_step(self):
         # alpha_k = 0, theta = 0, mu_tc = 0: u_next = w - gamma*eta*phi with

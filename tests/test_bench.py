@@ -11,6 +11,7 @@ from mvisolve.bench import (
     RunSpec,
     _build_baseline_config,
     _build_ifb_config,
+    _instance_for,
     _solver_keys,
     emit_convergence_csv,
     main,
@@ -172,6 +173,12 @@ class TestRun:
         report = run(RunSpec.from_dict(raw))
         assert len(report.cells) == 2
         assert report.valid
+
+    def test_l2_cell_without_n_is_named_after_its_instance(self, tmp_path):
+        spec = RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": "l2", "cases": [2]}]))
+        (cell,) = spec.problems
+        instance = _instance_for(cell.family, cell.dims, cell.seed)
+        assert cell.cell_id == f"l2-case{instance.case_id}-n{instance.n}"
 
     def test_mode_labels_reported(self, tmp_path):
         raw = _tiny_spec(

@@ -76,17 +76,23 @@ def test_block_and_per_trial_searches_agree_bitwise(name, check_invariants):
 def test_l1_block_is_row_wise_apply_bitwise(rho):
     rng = np.random.default_rng(7)
     n = 64
-    X = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-3, 3, size=(6, n))
+    X = rng.standard_normal((8, n)) * 10.0 ** rng.uniform(-3, 3, size=(8, n))
     X[0, :8] = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-320, 1.7e308, -1.7e308]
     X[1] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
     X[2, :4] = [1e300, -1e300, 1e-300, -1e-300]
     X[3] = 0.1 * rho  # exactly at the threshold of its row
-    lams = np.array([1.0, 0.5, 2.0**-40, 1e-300, 1.0, 2.0**20])
+    # infinite and NaN entries, and on the last two rows a subnormal
+    # threshold (for rho > 0) and an infinite one (for rho = 3.7)
+    for i in (4, 6, 7):
+        X[i, -7:] = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324]
+    lams = np.array([1.0, 0.5, 2.0**-40, 1e-300, 1.0, 2.0**20, 2.0**-1060, 1e308])
     res = l1_resolvent(rho)
-    V = res.block(X, lams)
-    assert V.shape == X.shape
-    for i in range(len(lams)):
-        assert V[i].tobytes() == res.apply(X[i], lams[i]).tobytes(), i
+    # an infinite threshold overflows lam*rho and meets infinite entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = res.block(X, lams)
+        assert V.shape == X.shape
+        for i in range(len(lams)):
+            assert V[i].tobytes() == res.apply(X[i], lams[i]).tobytes(), i
 
 
 # ---------------------------------------------------------------------------

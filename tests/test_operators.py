@@ -47,6 +47,27 @@ class TestSoftThreshold:
         # and the closed-form identity on all 1000
         np.testing.assert_allclose(exact, np.sign(us) * np.maximum(np.abs(us) - tau, 0))
 
+    @given(
+        st.lists(
+            st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])),
+            min_size=1,
+            max_size=24,
+        ),
+        st.one_of(
+            st.just(0.0), st.floats(5e-324, 2.0**-1022, exclude_max=True), st.floats(0.0, 1e300), st.just(np.inf)
+        ),
+    )
+    def test_moreau_form_equals_the_product_form(self, entries, tau):
+        u = np.array(entries)
+        # an infinite threshold meets infinite entries: inf - inf is NaN in both forms
+        with np.errstate(invalid="ignore"):
+            out = soft_threshold(u, tau)
+            product = np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
+        assert np.array_equal(out, product, equal_nan=True)
+        # the dead zone |u| <= tau gives +0.0, whatever the sign of u
+        dead = out[np.isfinite(u) & (np.abs(u) <= tau)]
+        assert np.all(dead == 0.0) and not np.signbit(dead).any()
+
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 10))
     def test_nonexpansive(self, a, b, tau):
         fa = soft_threshold(np.array([a]), tau)[0]

@@ -7,10 +7,13 @@ Four groups of tests:
   the kernel computed;
 * a checked ``ifb`` iteration on the integral problem stays within its
   inner-product budget, and an accepted step enters no ``np.errstate``;
+* the vanishing test decided from the guard's sum of squares reaches the
+  exact test's verdict;
 * turning invariant checks on never changes an iterate or a trace column.
 """
 
 import dataclasses
+import math
 import sys
 import warnings
 
@@ -19,23 +22,26 @@ import pytest
 
 from mvisolve import linesearch
 from mvisolve.baselines import BaselineConfig, run_baseline
-from mvisolve.linesearch import LineSearchParams, NonFiniteIterate, _require_finite, backtrack
-from mvisolve.operators import identity_resolvent
+from mvisolve.linesearch import LineSearchOutcome, LineSearchParams, NonFiniteIterate, _require_finite, backtrack
+from mvisolve.operators import identity_resolvent, zero_forward
 from mvisolve.problems import assemble, cubic_problem, gen_cs, gen_l2
 from mvisolve.solver import (
+    _PHI_ZERO_TOL,
     DivergenceError,
+    Inclusion,
     IterationRecord,
     IterationTrace,
     SolverConfig,
     StoppingRule,
     TerminalStatus,
     _check_invariants,
+    _direction,
     _drive,
     _guard_iterate,
     ifb_step,
     solve,
 )
-from mvisolve.spaces import euclidean, trapezoid_unit_interval
+from mvisolve.spaces import InnerProductSpace, euclidean, trapezoid_unit_interval
 from test_direction_overflow import aligned_search_problem
 
 
@@ -65,6 +71,14 @@ class CountingSpace:
     def norm2(self, u):
         self.calls += 1
         return self.base.norm2(u)
+
+
+class BoundedCountingSpace(CountingSpace):
+    """A :class:`CountingSpace` that carries its base's norm scale, so that ``_direction`` may bound ``||w||``."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self._norm_scale = base._norm_scale
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +114,9 @@ class TestGuards:
 
     @pytest.mark.parametrize("x", [1e150, -1e150, 0.0])
     def test_guard_iterate_admits_the_guard_value(self, x):
-        assert _guard_iterate(_with_entry(x), "u") is None
+        # an admitted iterate returns its sum of squares, for _direction's bound
+        u = _with_entry(x)
+        assert _guard_iterate(u, "u") == np.vdot(u, u)
 
     @pytest.mark.parametrize("x", BAD_ENTRIES)
     def test_require_finite(self, x):
@@ -142,7 +158,7 @@ class TestGuards:
     def test_guard_iterate_admits_what_the_sum_cannot_decide(self, u):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _guard_iterate(u, "u") is None
+            assert _guard_iterate(u, "u") == np.vdot(u, u)
 
     @pytest.mark.parametrize("d", [1, 5])
     def test_guard_iterate_rejects_the_next_double_above_the_guard(self, d):
@@ -174,7 +190,7 @@ class TestGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _require_finite(u, "B(w)", u.shape) is u
-            assert _guard_iterate(u, "u") is None
+            assert _guard_iterate(u, "u") == np.vdot(u, u)
             np.testing.assert_array_equal(euclidean(len(u)).check_member(u, "u0"), u)
 
     def test_non_finite_b_v_raises_before_the_acceptance_test(self):
@@ -294,6 +310,21 @@ def test_checked_ifb_iteration_on_the_integral_problem_uses_at_most_8_inner_prod
     assert space.calls <= 8 * trace.iterations + 1
 
 
+def test_checked_ifb_iteration_with_the_norm_bound_uses_at_most_7_inner_products():
+    problem = assemble(gen_l2(1))
+    cfg = SolverConfig(stop=StoppingRule("successive_diff", 1e-12), max_iters=600, check_invariants=True)
+    space = BoundedCountingSpace(problem.space)
+    u, trace = solve(dataclasses.replace(problem, space=space), problem.u0, problem.u1, cfg)
+    assert trace.status is TerminalStatus.CONVERGED
+    assert trace.total_violations == 0
+    assert np.all(trace.array("resolvent_evals") == 1)
+    # the eight above but ||w||: the guard's sum of squares of w bounds it,
+    # and the bound decides that phi does not vanish
+    assert space.calls <= 7 * trace.iterations + 1
+    u_exact, exact = solve(dataclasses.replace(problem, space=CountingSpace(problem.space)), problem.u0, problem.u1, cfg)
+    assert u.tobytes() == u_exact.tobytes() and trace.iterations == exact.iterations
+
+
 class VdotCounter:
     """Stands in for ``numpy.vdot``, the one finiteness scan of the package, and counts its calls."""
 
@@ -409,6 +440,86 @@ def test_accepted_point_just_below_the_direction_bound_enters_no_errstate(monkey
         with pytest.raises(DivergenceError, match="^contraction iterate exceeded"):
             ifb_step(np.zeros(1), np.zeros(1), 1, forward, resolvent, SolverConfig(), euclidean(1))
     assert errstate.callers == []
+
+
+# ---------------------------------------------------------------------------
+# the vanishing test decided by a bound
+
+
+SPACES = {
+    "plain": euclidean,
+    "trapezoid": trapezoid_unit_interval,
+    "wide-weights": lambda n: InnerProductSpace(n, np.geomspace(2.0**-200, 2.0**200, n)),
+    "weights-out-of-range": lambda n: InnerProductSpace(n, np.geomspace(2.0**-300, 1.0, n)),
+}
+
+
+def _vanishing_verdicts(space, w, phi, tol):
+    """``(exact verdict, bounded verdict, bound decided)`` of ``_direction`` at ``phi = w - v``."""
+    zeros, v = np.zeros_like(w), w - phi
+    point = LineSearchOutcome(0.5, 0, v, zeros, zeros, 1, 2, space.norm(w - v), w - v, zeros)
+    exact = _direction(w, point, space, tol)
+    counting = BoundedCountingSpace(space)
+    bounded = _direction(w, point, counting, tol, np.vdot(w, w))
+    for a, b in zip(exact[:5], bounded[:5]):  # w - v, phi, ||phi||^2, ||phi||, ||w - v||
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    # inner(phi, phi) always; norm(w) only where the bound cannot decide
+    return exact[5], bounded[5], counting.calls == 1
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+def test_bounded_vanishing_verdict_is_the_exact_one(name):
+    n = 64
+    space = SPACES[name](n)
+    rng = np.random.default_rng(11)
+    direction, shape = rng.standard_normal(n), rng.standard_normal(n)
+    decided = 0
+    for w_scale in [0.0, 1e-310, 1e-170, 1e-8, 1.0, 1e100, 1e149]:
+        w = w_scale * shape
+        for phi_scale in [0.0, 5e-324, 1e-300, 1e-30, 1e-14, 1.0, 1e50]:
+            phi = phi_scale * direction
+            # with weights up to 2**200, ||w|| overflows at the largest scale:
+            # the exact test then calls every phi vanished (tol*inf), and the
+            # bound, beyond 2**512 there, must leave the verdict to it
+            with np.errstate(over="ignore"):
+                # tolerances on both sides of the one at which phi just vanishes
+                edge = math.sqrt(space.norm2(phi)) / (1.0 + space.norm(w))
+                for tol in [0.0, 1e-200, 1e-14, 0.5 * edge, edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 2.0 * edge]:
+                    exact, bounded, by_bound = _vanishing_verdicts(space, w, phi, float(tol))
+                    assert exact == bounded, (w_scale, phi_scale, tol)
+                    assert not (by_bound and bounded)
+                    decided += by_bound
+    if name == "weights-out-of-range":
+        assert decided == 0  # the scale is inf: every verdict is the exact test's
+    else:
+        assert decided > 50
+
+
+def test_the_bound_leaves_an_overflowing_norm_to_the_exact_test():
+    # the weighted ||w|| overflows while np.vdot(w, w) and ||phi|| stay
+    # finite: the exact test calls phi vanished (tol*inf), and the bound,
+    # beyond 2**512 here, must not decide otherwise
+    n = 64
+    space = SPACES["wide-weights"](n)
+    w = np.full(n, 1e149)
+    phi = np.where(np.arange(n) < n // 2, 1e149, 0.0)  # on the weights below 1
+    with np.errstate(over="ignore"):
+        exact, bounded, by_bound = _vanishing_verdicts(space, w, phi, 1e-200)
+    assert exact and bounded and not by_bound
+
+
+def test_a_vanishing_direction_in_a_weighted_space_takes_the_exact_norm():
+    space = trapezoid_unit_interval(11)
+    w = np.linspace(-1.0, 1.0, 11)
+    exact, bounded, by_bound = _vanishing_verdicts(space, w, np.zeros(11), _PHI_ZERO_TOL)
+    assert exact and bounded and not by_bound
+    # B = 0 and J = identity make every point a solution, so the first
+    # direction vanishes; only the exact test can say so
+    counting = BoundedCountingSpace(space)
+    cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=5)
+    u, trace = solve(Inclusion(zero_forward(), identity_resolvent(), counting), w, w, cfg)
+    assert trace.status is TerminalStatus.PHI_ZERO and trace.iterations == 1
+    assert u.tobytes() == w.tobytes()
 
 
 COLUMNS = [f.name for f in dataclasses.fields(IterationRecord) if f.name != "elapsed_ns"]

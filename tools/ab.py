@@ -6,8 +6,9 @@ Usage::
 
 Each ref is exported with ``git archive`` into a temporary directory (no
 worktree is registered, so an interrupted run leaves nothing in ``.git``);
-without ``--head`` the head side is the working tree, uncommitted changes
-included.  Each pair runs ``perfbench/run.py --workload W --seed K
+without ``--head`` the head side is a copy of the working tree, uncommitted
+changes included, in a sibling directory, so that neither side runs from
+the checkout.  Each pair runs ``perfbench/run.py --workload W --seed K
 --seconds S`` once per side with this interpreter, one after the other,
 base first in even pairs and head first in odd ones, and reads the last
 JSON line each run prints.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -61,6 +63,26 @@ def export(ref: str, dest: Path) -> str:
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {sha} failed")
     return sha
+
+
+def copy_worktree(root: Path, dest: Path) -> None:
+    """Copy the working tree of the repository at ``root`` into ``dest``, without ``.git``.
+
+    The files copied are the tracked ones as they are on disk, and the
+    untracked ones that are not ignored (``git ls-files -co
+    --exclude-standard``); a tracked file deleted on disk is left out.
+    """
+    listed = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z", "-co", "--exclude-standard"],
+        capture_output=True, check=True,
+    ).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = root / name
+        if not source.exists():
+            continue
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
 
 
 def last_json(stdout: str):
@@ -152,13 +174,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {}
         for side, ref in (("base", args.base), ("head", args.head)):
-            if ref is None:
-                trees[side] = ROOT
-                print(f"{side}: working tree {ROOT}")
-                continue
             trees[side] = Path(tmp) / side
             trees[side].mkdir()
-            print(f"{side}: {ref} = {export(ref, trees[side])}")
+            if ref is None:
+                copy_worktree(ROOT, trees[side])
+                print(f"{side}: copy of the working tree {ROOT}")
+            else:
+                print(f"{side}: {ref} = {export(ref, trees[side])}")
         results = {"base": [], "head": []}
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
