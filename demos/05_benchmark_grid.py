@@ -44,6 +44,5 @@ print(f"\n{trace_file.name}: {len(cols['k'])} rows, "
 
 print("\nequivalent CLI usage:")
 print("  mvibench run spec.json")
-print("  mvibench gen cs --d 128 --m 64 --l 5 --seed 1 --out instance.npz")
 print(f"  mvibench rate {trace_file}")
 (Path(outdir) / "spec_used.json").write_text(json.dumps(spec_dict, indent=2))

@@ -73,8 +73,6 @@ from .problems import (
     gen_l2,
     table_initials,
     assemble,
-    save_instance,
-    load_instance,
     cubic_problem,
     strongly_monotone_problem,
 )

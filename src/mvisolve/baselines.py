@@ -38,7 +38,7 @@ from .solver import (
     _drive,
     _guard_iterate,
 )
-from .spaces import InnerProductSpace, _require_shape, euclidean
+from .spaces import InnerProductSpace, euclidean
 
 __all__ = [
     "BaselineConfig",
@@ -147,12 +147,22 @@ class BaselineConfig:
 # single steps
 
 
+def _forward_backward(u, lam, forward, resolvent) -> tuple[np.ndarray, np.ndarray]:
+    """``(B(u), J(u - lam*B(u), lam))`` at a fixed step, with the line search's finiteness checks and messages.
+
+    The evaluations run under ``np.errstate``, so an overflow raises
+    :class:`NonFiniteIterate` under any warning filter.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_u = _require_finite(forward(u), "B(w)", np.shape(u))
+        return b_u, _require_finite(resolvent(u - lam * b_u, lam), "J(w - lam*B(w))", b_u.shape)
+
+
 def fb_step(u, lam, forward, resolvent, space=None) -> tuple[np.ndarray, StepOutcome]:
     """Forward-backward step ``J(u - lam*B(u), lam)`` at a fixed step size."""
     if space is None:
         space = euclidean(len(u))
-    b_u = _require_shape(forward(u), "B(w)", np.shape(u))
-    u_next = _require_shape(resolvent(u - lam * b_u, lam), "J(w - lam*B(w))", b_u.shape)
+    _, u_next = _forward_backward(u, lam, forward, resolvent)
     _guard_iterate(u_next, "forward-backward iterate")
     return u_next, StepOutcome(u_next, lam, -1, space.norm(u - u_next), forward_evals=1, resolvent_evals=1)
 
@@ -189,9 +199,8 @@ def zw_step(
     if space is None:
         space = euclidean(len(u))
     # the line search's finiteness checks and messages, without its test
+    b_u, v = _forward_backward(u, lam, forward, resolvent)
     with np.errstate(over="ignore", invalid="ignore"):
-        b_u = _require_finite(forward(u), "B(w)", np.shape(u))
-        v = _require_finite(resolvent(u - lam * b_u, lam), "J(w - lam*B(w))", b_u.shape)
         b_v = _require_finite(forward(v), "B(v)", b_u.shape)
     point = LineSearchOutcome(lam, -1, v, b_u, b_v, resolvent_evals=1, forward_evals=2)
     return _contraction_step(u, point, gamma, space, _PHI_ZERO_TOL)

@@ -10,7 +10,6 @@ human-readable table reports the median time.
 CLI subcommands::
 
     mvibench run <specfile>                 execute a grid, exit 0 iff VALID
-    mvibench gen <family> [dims] --seed S   write an instance file (.npz)
     mvibench rate <trace.csv>               decay slope of a trace file
 
 Trace CSV layout: header ``k,err,res_wv,seconds`` with 17-significant-digit
@@ -35,7 +34,7 @@ import numpy as np
 
 from .baselines import SETTINGS, BaselineConfig, _entry, run_baseline
 from .linesearch import LineSearchParams
-from .problems import GENERATORS, Problem, assemble, save_instance
+from .problems import GENERATORS, Problem, assemble
 from .solver import (
     InertiaSchedule,
     IterationTrace,
@@ -464,17 +463,6 @@ def _cmd_run(args) -> int:
     return 0 if report.valid else 1
 
 
-def _cmd_gen(args) -> int:
-    # the options are named after the generators' parameters; an unset option
-    # leaves the generator's default
-    dims = {k: v for k, v in vars(args).items() if v is not None}
-    instance = _instance_for(args.family, dims, args.seed)
-    out = args.out or f"{args.family}_seed{args.seed}.npz"
-    save_instance(instance, out)
-    print(f"wrote {out}")
-    return 0
-
-
 def _cmd_rate(args) -> int:
     cols = read_trace_csv(args.trace)
     slope = slope_of_min_residuals(cols["res_wv"], min_iterations=args.min_iterations)
@@ -492,23 +480,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a benchmark grid from a JSON spec")
     p_run.add_argument("specfile")
     p_run.set_defaults(fn=_cmd_run)
-
-    p_gen = sub.add_parser("gen", help="generate and save a problem instance")
-    p_gen.add_argument("family", choices=list(GENERATORS))
-    # only --d, --m, --case and --seed carry a default here: the generators
-    # have none for the first three, and the file name reads --seed
-    p_gen.add_argument("--d", type=int, default=512)
-    p_gen.add_argument("--m", type=int, default=256)
-    p_gen.add_argument("--l", type=int)
-    p_gen.add_argument("--snr", dest="snr_db", type=float)
-    p_gen.add_argument("--rho", type=float)
-    p_gen.add_argument("--mu", type=float, help="lpa penalty weight")
-    p_gen.add_argument("--alpha", type=float, help="lpa penalty exponent in (1,2)")
-    p_gen.add_argument("--case", dest="case_id", type=int, default=1, help="l2 initial-value case (1..4)")
-    p_gen.add_argument("--n", type=int, help="l2 grid size")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", default=None)
-    p_gen.set_defaults(fn=_cmd_gen)
 
     p_rate = sub.add_parser("rate", help="decay slope of a trace CSV")
     p_rate.add_argument("trace")

@@ -16,16 +16,16 @@ and an ambient space:
 Reproducibility: every random component draws from its own child stream of
 ``numpy.random.SeedSequence(seed)``, spawned in a fixed order (0 matrix,
 1 spike support and values, 2 noise, 3 initial point) and fed to a PCG64
-generator.  The same seed therefore rebuilds the same instance on any
-platform, and instances serialize to ``.npz`` files with little-endian
-float64 arrays plus a JSON metadata record.
+generator.  An instance is what its generator returns for a family,
+dimensions and seed: the same seed under the same numpy version rebuilds
+the same instance.  NumPy does not promise ``Generator`` streams across
+its versions (NEP 19), so a frozen copy is ``np.savez`` of its fields.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
-from typing import Optional, get_type_hints
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -52,8 +52,6 @@ __all__ = [
     "table_initials",
     "assemble",
     "GENERATORS",
-    "save_instance",
-    "load_instance",
     "cubic_problem",
     "strongly_monotone_problem",
 ]
@@ -391,47 +389,8 @@ def strongly_monotone_problem(
 
 
 # ---------------------------------------------------------------------------
-# family table and serialization
+# family table
 
 # The instance families by name.  A run spec's problem keys are the
-# generator's parameters, and the family's instance type is the generator's
-# return annotation.
+# generator's parameters.
 GENERATORS = {"cs": gen_cs, "lpa": gen_lpa, "l2": gen_l2}
-_INSTANCE_TYPES = {family: get_type_hints(gen)["return"] for family, gen in GENERATORS.items()}
-
-
-def save_instance(instance, path) -> None:
-    """Write an instance to ``.npz``, one entry per dataclass field.
-
-    Array fields become little-endian float64 arrays; the family name and
-    every other field that is not ``None`` form one JSON metadata record.
-    """
-    family = next((f for f, cls in _INSTANCE_TYPES.items() if type(instance) is cls), None)
-    if family is None:
-        raise TypeError(f"cannot serialize {type(instance).__name__}")
-    meta, payload = {"family": family}, {}
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        if isinstance(value, np.ndarray):
-            payload[f.name] = np.ascontiguousarray(value, dtype="<f8")
-        elif value is not None:
-            meta[f.name] = value
-    payload["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **payload)
-
-
-def load_instance(path):
-    """Rebuild an instance saved by :func:`save_instance`.
-
-    Only entries named after a field of the family's instance type are
-    read, so files that also carry the derived sizes ``d``, ``m`` and ``l``
-    load unchanged; a field with a default that the file lacks keeps it.
-    """
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        values = {k: np.asarray(data[k], dtype=float) for k in data.files if k != "meta_json"}
-    cls = _INSTANCE_TYPES.get(meta["family"])
-    if cls is None:
-        raise ValueError(f"unknown family {meta['family']!r} in {path}")
-    values.update(meta)
-    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})

@@ -426,10 +426,13 @@ def _direction(
     divergence guard computed it.
 
     Overflow.  The ufuncs here (``w - v``, ``B(w) - B(v)``, ``lam*b_wv``,
-    ``phi`` and, in a weighted space, ``weights*phi``) may overflow only
-    silently, so that the finiteness test below raises
-    :class:`DivergenceError`; the BLAS ``dot`` never warns.  They run under
-    ``np.errstate`` unless the point's norms prove that nothing overflows:
+    ``phi`` and, in a weighted space, ``weights*phi``) and the inner
+    products may overflow only silently, so that the finiteness test below
+    raises :class:`DivergenceError`.  ``space.inner`` and ``space.norm`` use
+    ``ndarray.dot``, which warns ``overflow encountered in dot`` (numpy
+    2.4); only ``np.vdot`` returns ``inf`` silently.  So all of them run
+    under ``np.errstate``, which silences that warning too, unless the
+    point's norms prove that nothing overflows:
 
     * Let ``c`` be ``space._entry_scale``: ``max(w_min**-0.5, w_max**0.5)``
       for weights in ``[2**-256, 2**256]`` and ``inf`` otherwise (or for a
@@ -484,6 +487,10 @@ def _direction(
     * Either way rounding is monotone, so ``fl(tol*fl(1 + N_w))`` is at most
       ``fl(tol*fl(1 + W))``, which ``||phi||`` exceeds: the verdict is the
       exact test's.  A NaN ``W`` (``inf*0``) fails both comparisons.
+    * The exact test's ``space.norm(w)`` runs outside ``np.errstate``.
+      When that weighted norm overflows, the call warns, and for
+      ``tol > 0`` ``phi`` is then called vanished, as ``tol*inf`` exceeds
+      any finite ``||phi||``.
 
     ``ifb_step`` and ``tc_step`` pass the guard's sum for ``w``, so an
     iteration that does not vanish takes no ``space.norm(w)``.

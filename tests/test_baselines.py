@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from mvisolve.operators import (
     linear_forward,
     zero_forward,
 )
+from mvisolve.problems import assemble, gen_cs
 from mvisolve.solver import (
     _PHI_ZERO_TOL,
     Inclusion,
@@ -68,6 +70,20 @@ class TestFB:
         for u0 in ([5.0], [-3.0], [0.0]):
             u_next, _ = fb_step(np.array(u0), 1.0, B, l1_resolvent(1.0), euclidean(1))
             np.testing.assert_allclose(u_next, [1.0])  # soft(2, 1)
+
+    def test_an_overflowing_fixed_step_ends_diverged_under_any_warning_filter(self):
+        # the quartic map's local Lipschitz constant grows like ||r||^2: from
+        # 3*d a fixed step of 1e-4 overflows B within a few iterations, which
+        # must end the run as diverged rather than leak an overflow warning
+        problem = assemble(gen_cs(512, 256, seed=1))
+        d = np.random.default_rng(0).standard_normal(512)
+        u = 3.0 * d / np.linalg.norm(d)
+        stop = StoppingRule("distance_to_reference", 1e-2, reference=problem.reference)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, trace = run_baseline(BaselineConfig("fb", lam=1e-4), problem, u, u, stop, 3000)
+        assert trace.status is TerminalStatus.DIVERGED
+        assert trace.iterations == 4
 
 
 class TestTseng:

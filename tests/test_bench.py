@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import re
 
@@ -18,7 +17,7 @@ from mvisolve.bench import (
     read_trace_csv,
     run,
 )
-from mvisolve.problems import cubic_problem, gen_l2, gen_lpa, load_instance
+from mvisolve.problems import cubic_problem
 from mvisolve.linesearch import LineSearchParams
 from mvisolve.solver import InertiaSchedule, SolverConfig, StoppingRule, rate_estimate, solve
 
@@ -417,54 +416,6 @@ class TestCLI:
         specfile.write_text(json.dumps(raw))
         assert main(["run", str(specfile)]) == 1
 
-    def test_gen_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "inst.npz"
-        code = main(
-            ["gen", "cs", "--d", "32", "--m", "16", "--l", "3", "--seed", "7", "--out", str(out)]
-        )
-        assert code == 0
-        assert out.exists()
-        from mvisolve.problems import load_instance
-
-        inst = load_instance(out)
-        assert inst.seed == 7 and inst.d == 32
-
-    def test_gen_l2_subcommand(self, tmp_path):
-        out = tmp_path / "l2.npz"
-        assert main(["gen", "l2", "--case", "2", "--n", "101", "--out", str(out)]) == 0
-        from mvisolve.problems import load_instance
-
-        inst = load_instance(out)
-        assert inst.case_id == 2 and inst.n == 101
-
-    def test_gen_lpa_subcommand(self, tmp_path):
-        out = tmp_path / "lpa.npz"
-        code = main(
-            ["gen", "lpa", "--d", "32", "--m", "16", "--alpha", "1.3", "--mu", "0.05",
-             "--seed", "4", "--out", str(out)]
-        )
-        assert code == 0
-        from mvisolve.problems import load_instance
-
-        inst = load_instance(out)
-        assert inst.alpha == 1.3 and inst.mu == 0.05 and inst.seed == 4
-
-    @pytest.mark.parametrize(
-        "argv, expected",
-        [
-            (["lpa", "--d", "32", "--m", "16"], lambda: gen_lpa(32, 16)),
-            (["l2", "--case", "2"], lambda: gen_l2(2)),
-        ],
-        ids=["lpa", "l2"],
-    )
-    def test_gen_defaults_are_the_generators(self, tmp_path, argv, expected):
-        out = tmp_path / "inst.npz"
-        assert main(["gen", *argv, "--out", str(out)]) == 0
-        got, want = load_instance(out), expected()
-        assert type(got) is type(want)
-        for f in dataclasses.fields(want):
-            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), err_msg=f.name)
-
     def test_rate_subcommand(self, tmp_path, capsys):
         tr = _trace(120)
         path = tmp_path / "trace.csv"
@@ -472,3 +423,15 @@ class TestCLI:
         assert main(["rate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "slope" in out
+
+    def test_the_docs_name_only_real_subcommands(self, capsys):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        docs = [root / "README.md", *sorted((root / "demos").glob("*.py"))]
+        words = {w for f in docs for w in re.findall(r"\bmvibench\s+([\w-]+)", f.read_text(encoding="utf-8"))}
+        assert {"run", "rate"} <= words
+        for word in sorted(words):
+            with pytest.raises(SystemExit) as exc:
+                main([word, "--help"])
+            assert exc.value.code == 0, f"mvibench {word}"

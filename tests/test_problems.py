@@ -1,6 +1,3 @@
-import dataclasses
-import json
-
 import numpy as np
 import pytest
 
@@ -10,9 +7,6 @@ from mvisolve.problems import (
     cubic_problem,
     gen_cs,
     gen_l2,
-    gen_lpa,
-    load_instance,
-    save_instance,
     strongly_monotone_problem,
     table_initials,
 )
@@ -169,60 +163,3 @@ class TestConstructedProblems:
             )
             got = prob.resolvent(np.array([x]), lam)[0]
             assert abs(got - brute) <= 1e-3
-
-
-def _assert_same_instance(back, instance):
-    assert type(back) is type(instance)
-    for f in dataclasses.fields(instance):
-        got, want = getattr(back, f.name), getattr(instance, f.name)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == np.float64
-            np.testing.assert_array_equal(got, want)
-        else:
-            assert type(got) is type(want) and got == want, f.name
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "instance",
-        [
-            gen_cs(32, 16, 3, seed=9),
-            gen_lpa(32, 16, 3, seed=9),
-            gen_l2(3, 101),
-            dataclasses.replace(gen_lpa(32, 16, 3, seed=9), u_true=None),
-            gen_cs(32, 16, 3, snr_db=np.inf, seed=9),
-        ],
-        ids=["cs", "lpa", "l2", "lpa-without-truth", "cs-noiseless"],
-    )
-    def test_roundtrip(self, instance, tmp_path):
-        path = tmp_path / "inst.npz"
-        save_instance(instance, path)
-        _assert_same_instance(load_instance(path), instance)
-
-    @pytest.mark.parametrize("family", ["cs", "lpa"])
-    def test_files_with_derived_sizes_load(self, family, tmp_path):
-        # the earlier layout also stored the derived sizes d, m (and l for cs)
-        # in the metadata; the loader reads only the dataclass fields
-        if family == "cs":
-            instance = gen_cs(16, 8, 2, seed=3)
-            arrays = {k: getattr(instance, k) for k in ("C", "u_true", "v_obs", "u_init")}
-            extra = {"l": instance.l, "rho": instance.rho, "snr_db": instance.snr_db}
-        else:
-            instance = gen_lpa(16, 8, 2, seed=3)
-            arrays = {k: getattr(instance, k) for k in ("Q", "q", "u_init", "u_true")}
-            extra = {"mu": instance.mu, "alpha": instance.alpha, "rho": instance.rho}
-        meta = {"family": family, "d": instance.d, "m": instance.m, **extra, "seed": 3}
-        path = tmp_path / "old.npz"
-        np.savez(
-            path,
-            **{k: np.ascontiguousarray(v, dtype="<f8") for k, v in arrays.items()},
-            meta_json=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        )
-        _assert_same_instance(load_instance(path), instance)
-
-    def test_arrays_are_little_endian_float64(self, tmp_path):
-        path = tmp_path / "inst.npz"
-        save_instance(gen_cs(16, 8, 2, seed=0), path)
-        with np.load(path) as data:
-            for name in ("C", "u_true", "v_obs", "u_init"):
-                assert data[name].dtype == np.dtype("<f8")
