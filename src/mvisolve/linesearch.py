@@ -89,12 +89,10 @@ class LineSearchOutcome:
 
     ``lam == s * mu**j`` exactly, ``v`` is the accepted forward-backward
     point ``J(w - lam*B(w), lam)``, and ``b_w``, ``b_v`` cache ``B(w)`` and
-    ``B(v)``.  ``wv``, ``b_wv``, ``res_wv`` and ``lam_bwv_norm`` are
-    ``w - v``, ``B(w) - B(v)``, ``||w - v||`` and the left-hand side
-    ``lam*||B(w) - B(v)||`` as the acceptance test formed them, or ``None``
-    for a point built outside :func:`backtrack`.  The acceptance
-    inequality can be re-checked from these fields alone, and they bound
-    every entry of the contraction direction (see
+    ``B(v)``.  ``wv``, ``b_wv`` and ``res_wv`` are ``w - v``,
+    ``B(w) - B(v)`` and ``||w - v||`` as the acceptance test formed them,
+    or ``None`` for a point built outside :func:`backtrack`; the
+    contraction kernel reuses them (see
     :func:`mvisolve.solver.contraction_update`).  ``certified`` counts the
     rejected trials whose ``B(v)`` was never finished (see
     :func:`backtrack`); ``forward_evals`` counts them too.  ``speculative``
@@ -116,7 +114,6 @@ class LineSearchOutcome:
     b_wv: np.ndarray | None = None
     certified: int = 0
     speculative: int = 0
-    lam_bwv_norm: float | None = None
 
 
 #: a certified rejection needs ``sigma*||w - v|| >= max(s, 1) * _CERTIFY_FLOOR`` (see backtrack)
@@ -187,6 +184,14 @@ def backtrack(
     scaling of the left-hand side.  The comparison is an exact
     floating-point ``<=``: both sides are same-scale norms, and any slack
     would silently change the accepted exponent.
+
+    Floating-point state.  Inside :func:`~mvisolve.solver.solve` and
+    :func:`~mvisolve.baselines.run_baseline` the search runs under the
+    run's ``np.errstate``, so an overflow stays silent until a
+    finiteness check raises :class:`NonFiniteIterate`.  Called directly it
+    follows the caller's error state: under numpy's default an overflowing
+    trial warns before it raises.  Only a block (below) enters its own
+    ``np.errstate``, as the search may never reach its later rows.
 
     Certified rejection.  It applies only when ``forward`` has a ``split``
     (:class:`~mvisolve.operators.ForwardSplit`) and ``space.weights`` are
@@ -322,12 +327,11 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
             wv = w - v
             res_wv = space.norm(wv)
         b_wv = b_w - b_v
-        lam_bwv_norm = lam * space.norm(b_wv)
-        if lam_bwv_norm <= params.sigma * res_wv:
+        if lam * space.norm(b_wv) <= params.sigma * res_wv:
             # one trial per exponent the search reached
             return LineSearchOutcome(
                 lam, j, v, b_w, b_v, j - start + 1, j - start + 2, res_wv, wv, b_wv,
-                certified, 0 if V is None else j0 + len(V) - 1 - j, lam_bwv_norm,
+                certified, 0 if V is None else j0 + len(V) - 1 - j,
             )
         j += 1
     raise BacktrackExhausted(

@@ -26,7 +26,6 @@ counter is zero.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 import time
@@ -78,12 +77,9 @@ _CHECK_SLACK = 1e-12
 #: a contraction direction with ``||phi|| <= tol * (1 + ||w||)`` counts as vanished
 _PHI_ZERO_TOL = 1e-14
 
-#: ``c * (||w - v|| + lam*||B(w) - B(v)||)`` at most this proves no entry of
-#: ``phi`` overflows, so ``_direction`` needs no ``np.errstate`` (see there)
+#: a bound on ``||w||`` at most this decides that ``phi`` does not vanish
+#: without computing ``||w||`` (see ``_direction``)
 _DIRECTION_BOUND = 2.0**512
-
-#: the context ``_direction`` enters when the bound holds
-_UNGUARDED = contextlib.nullcontext()
 
 
 class DivergenceError(FloatingPointError):
@@ -420,46 +416,14 @@ def _direction(
     decides whether ``phi`` vanishes relative to ``1 + ||w||``.  The
     point's ``res_wv``, ``wv`` and ``b_wv`` are ``||w - v||``, ``w - v``
     and ``B(w) - B(v)`` when the line search formed them for the accepted
-    trial; they are computed here when they are ``None``.  Its
-    ``lam_bwv_norm`` is ``lam*||B(w) - B(v)||`` as the search computed it
-    from ``b_wv``.  ``w_sum2``, when given, is ``np.vdot(w, w)`` as the
-    divergence guard computed it.
+    trial; they are computed here when they are ``None``.  ``w_sum2``, when
+    given, is ``np.vdot(w, w)`` as the divergence guard computed it.
 
-    Overflow.  The ufuncs here (``w - v``, ``B(w) - B(v)``, ``lam*b_wv``,
-    ``phi`` and, in a weighted space, ``weights*phi``) and the inner
-    products may overflow only silently, so that the finiteness test below
-    raises :class:`DivergenceError`.  ``space.inner`` and ``space.norm`` use
-    ``ndarray.dot``, which warns ``overflow encountered in dot`` (numpy
-    2.4); only ``np.vdot`` returns ``inf`` silently.  So all of them run
-    under ``np.errstate``, which silences that warning too, unless the
-    point's norms prove that nothing overflows:
-
-    * Let ``c`` be ``space._entry_scale``: ``max(w_min**-0.5, w_max**0.5)``
-      for weights in ``[2**-256, 2**256]`` and ``inf`` otherwise (or for a
-      space without the attribute), computed once per space.  Let
-      ``u = 2**-53``, ``x = w - v`` and ``b = B(w) - B(v)`` as floats, ``N``
-      and ``L`` the point's ``res_wv`` and ``lam_bwv_norm``.
-    * An entry ``|x_i| >= 2**-300`` makes ``w_i*x_i`` and ``w_i*x_i**2``
-      normal numbers, or overflows them and makes ``N`` infinite.  A float sum of non-negative terms, in any order and
-      with or without fused multiply-adds, is at least its largest computed
-      term, so ``N >= (1-u)**3 * w_i**0.5 * |x_i|``.  Hence ``|x_i|`` and
-      ``w_i*|x_i|`` are at most ``(1+4u)*c*N``.  Smaller entries give at
-      most ``2**-44``.
-    * In the same way ``lam*|b_i|`` and ``w_i*lam*|b_i|`` are at most
-      ``(1+6u)*c*L``.  For ``|b_i| < 2**-300`` they stay below ``2**980``,
-      as ``lam <= s`` is a finite float.
-    * So every entry the ufuncs above form is at most
-      ``(1+10u)*c*(N + L) + 2**981``.  When ``c*(N + L) <= 2**512`` that is
-      below ``2**982``, far from overflow at ``2**1024``, and finite
-      operands that do not overflow give no NaN either.
-    * A NaN or infinite ``N`` or ``L`` fails the test and runs guarded.
-
-    The line search hands on ``N`` and ``L`` for its accepted point, so an
-    accepted step enters no ``np.errstate``.  A fixed-step ``zw`` point and
-    points built without ``lam_bwv_norm`` run guarded.  Any limit up to
-    about ``2**1022`` would be as sound; ``2**512`` is where ``||phi||^2``
-    can start to overflow in the Euclidean space, so a point beyond it is
-    close to divergence anyway.
+    Overflow.  Inside a run the ufuncs and inner products here overflow
+    silently under :func:`_drive`'s ``np.errstate``, and outside one they
+    follow the caller's error state.  Either way an overflowed ``||phi||^2``
+    or ``||w - v||``, or a weighted ``||w||`` that overflows, raises
+    :class:`DivergenceError`, so a run ends ``diverged``.
 
     Vanishing.  The test is ``||phi|| <= tol*(1 + N_w)`` with the computed
     ``N_w = space.norm(w)`` and ``tol >= 0``.  With ``w_sum2`` given, let
@@ -470,13 +434,14 @@ def _direction(
     and ``N_w`` is never computed; otherwise the test runs as above:
 
     * Let ``x = w`` have ``n <= 2**49`` entries and ``S = sum x_i**2``
-      exactly.  Each rounding of a product or sum of non-negative terms has
-      relative error at most ``u`` or, on underflow, absolute error at most
-      ``2**-1075``; a weight product ``w_i*x_i`` underflows only for
-      ``|x_i| < 2**-766``.  So ``S <= (s + n*2**-1075)/(1 - g_{n+1})`` and
-      the computed weighted sum of squares ``q`` (of which ``N_w`` is the
-      rounded root) is at most ``(1 + g_{3n+4})*w_max*s + 2**-767``, where
-      ``g_k`` is ``spaces._rounding_gamma(k)`` and ``1 + g_{3n+4} < 1.25``.
+      exactly, and ``u = 2**-53``.  Each rounding of a product or sum of
+      non-negative terms has relative error at most ``u`` or, on
+      underflow, absolute error at most ``2**-1075``; a weight product
+      ``w_i*x_i`` underflows only for ``|x_i| < 2**-766``.  So
+      ``S <= (s + n*2**-1075)/(1 - g_{n+1})`` and the computed weighted sum
+      of squares ``q`` (of which ``N_w`` is the rounded root) is at most
+      ``(1 + g_{3n+4})*w_max*s + 2**-767``, where ``g_k`` is
+      ``spaces._rounding_gamma(k)`` and ``1 + g_{3n+4} < 1.25``.
     * ``W`` is at least ``(1-u)**3 * 2*sqrt(w_max*s)``: its three roundings
       cannot underflow, as ``s > 0`` is at least ``2**-1074``.  So
       ``W <= 2**512`` gives ``w_max*s < 2**1023``, and ``q`` and every
@@ -487,27 +452,17 @@ def _direction(
     * Either way rounding is monotone, so ``fl(tol*fl(1 + N_w))`` is at most
       ``fl(tol*fl(1 + W))``, which ``||phi||`` exceeds: the verdict is the
       exact test's.  A NaN ``W`` (``inf*0``) fails both comparisons.
-    * The exact test's ``space.norm(w)`` runs outside ``np.errstate``.
-      When that weighted norm overflows, the call warns, and for
-      ``tol > 0`` ``phi`` is then called vanished, as ``tol*inf`` exceeds
-      any finite ``||phi||``.
+    * An infinite ``N_w`` raises instead, as ``tol*inf`` would call any
+      finite ``phi`` vanished, a false exact-solution verdict.
 
     ``ifb_step`` and ``tc_step`` pass the guard's sum for ``w``, so an
     iteration that does not vanish takes no ``space.norm(w)``.
     """
-    res_wv, lam_bwv_norm = point.res_wv, point.lam_bwv_norm
-    bounded = (
-        lam_bwv_norm is not None
-        and res_wv is not None
-        and (res_wv + lam_bwv_norm) * getattr(space, "_entry_scale", math.inf) <= _DIRECTION_BOUND
-    )
-    with _UNGUARDED if bounded else np.errstate(over="ignore", invalid="ignore"):
-        wv = w - point.v if point.wv is None else point.wv
-        b_wv = point.b_w - point.b_v if point.b_wv is None else point.b_wv
-        phi = wv - point.lam * b_wv
-        pp = space.inner(phi, phi)
-        if res_wv is None:
-            res_wv = space.norm(wv)
+    wv = w - point.v if point.wv is None else point.wv
+    b_wv = point.b_w - point.b_v if point.b_wv is None else point.b_wv
+    phi = wv - point.lam * b_wv
+    pp = space.inner(phi, phi)
+    res_wv = space.norm(wv) if point.res_wv is None else point.res_wv
     if not (math.isfinite(pp) and math.isfinite(res_wv)):
         # an overflowed ||phi||^2 would silently zero the contraction scalar
         raise DivergenceError("contraction direction overflowed")
@@ -516,7 +471,10 @@ def _direction(
         w_hi = getattr(space, "_norm_scale", math.inf) * math.sqrt(w_sum2)
         if phi_zero_tol * (1.0 + w_hi) < phi_norm and w_hi <= _DIRECTION_BOUND:
             return wv, phi, pp, phi_norm, res_wv, False
-    return wv, phi, pp, phi_norm, res_wv, phi_norm <= phi_zero_tol * (1.0 + space.norm(w))
+    w_norm = space.norm(w)
+    if not math.isfinite(w_norm):
+        raise DivergenceError("norm of w overflowed")
+    return wv, phi, pp, phi_norm, res_wv, phi_norm <= phi_zero_tol * (1.0 + w_norm)
 
 
 @dataclass(slots=True)
@@ -619,7 +577,6 @@ def contraction_update(
     res_wv: Optional[float] = None,
     wv: Optional[np.ndarray] = None,
     b_wv: Optional[np.ndarray] = None,
-    lam_bwv_norm: Optional[float] = None,
 ) -> StepOutcome:
     """The step record of the relaxed contraction update from ``w`` and its point ``v``.
 
@@ -627,18 +584,15 @@ def contraction_update(
     every contraction method runs, so that methods which are algebraically
     identical (e.g. zero inertia versus the plain projection-contraction
     iteration) produce bitwise identical iterates; ``u_next`` is the
-    record's first field.  ``res_wv``, ``wv`` and ``b_wv`` optionally pass in ``||w - v||``,
-    ``w - v`` and ``B(w) - B(v)``, and ``lam_bwv_norm`` the value
-    ``lam*||B(w) - B(v)||`` computed from that ``b_wv``, as
-    :class:`~mvisolve.linesearch.LineSearchOutcome` carries them.  With
-    ``res_wv`` and ``lam_bwv_norm`` given and small enough, the direction is
-    formed without ``np.errstate`` (see :func:`_direction`); they must then
-    be the norms of exactly these vectors.  Without them, or above the
-    bound, an overflow is kept silent.  Either way an overflowed
-    direction, or an update beyond the divergence guard, raises
-    :class:`DivergenceError`.  The record counts no evaluations.
+    record's first field.  ``res_wv``, ``wv`` and ``b_wv`` optionally pass
+    in ``||w - v||``, ``w - v`` and ``B(w) - B(v)``, as
+    :class:`~mvisolve.linesearch.LineSearchOutcome` carries them.  It
+    follows the caller's floating-point error state, so under numpy's
+    default an overflow warns; an overflowed direction, or an update beyond
+    the divergence guard, raises :class:`DivergenceError` either way.  The
+    record counts no evaluations.
     """
-    point = LineSearchOutcome(lam, -1, v, b_w, b_v, 0, 0, res_wv, wv, b_wv, lam_bwv_norm=lam_bwv_norm)
+    point = LineSearchOutcome(lam, -1, v, b_w, b_v, 0, 0, res_wv, wv, b_wv)
     return _contraction_step(w, point, gamma, space, phi_zero_tol)[1]
 
 
@@ -661,7 +615,8 @@ def ifb_step(
     Returns the next iterate and the full step record.  When the
     contraction direction vanishes (relative to ``1 + ||w||``), the
     forward-backward point ``v`` is itself a solution and is returned with
-    ``phizero`` set.
+    ``phizero`` set.  Called outside :func:`solve`, it follows the caller's
+    floating-point error state (see :func:`_drive`).
     """
     if space is None:
         space = euclidean(len(u_curr))
@@ -739,6 +694,14 @@ def _drive(
     exact solution of the inclusion and additionally enables the
     per-iteration decrease check; it defaults to ``problem.reference`` when
     the problem marks it as an exact solution.
+
+    The loop runs under ``np.errstate(over="ignore", invalid="ignore")``,
+    entered once per run, so an overflow stays silent and the run ends
+    with a named status: ``diverged`` once a finiteness check raises
+    :class:`NonFiniteIterate` or :class:`DivergenceError`, or
+    ``backtrack_exhausted`` when overflowed norms fail every acceptance
+    test.  Any other exception a step raises, e.g. from the forward map or
+    the resolvent, propagates unchanged.
     """
     space = problem.space
     reference = stop.reference
@@ -759,44 +722,45 @@ def _drive(
     # the per-iteration lookups, bound once per run
     clock, norm, norm2, kind, tol = time.perf_counter_ns, space.norm, space.norm2, stop.kind, stop.tol
 
-    for k in range(1, max_iters + 1):
-        t0 = clock()
-        try:
-            u_next, out = step(k, u_prev, u_curr)
-        except BacktrackExhausted:
-            trace.status = TerminalStatus.BACKTRACK_EXHAUSTED
-            break
-        except (NonFiniteIterate, DivergenceError):
-            trace.status = TerminalStatus.DIVERGED
-            break
-        elapsed = clock() - t0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iters + 1):
+            t0 = clock()
+            try:
+                u_next, out = step(k, u_prev, u_curr)
+            except BacktrackExhausted:
+                trace.status = TerminalStatus.BACKTRACK_EXHAUSTED
+                break
+            except (NonFiniteIterate, DivergenceError):
+                trace.status = TerminalStatus.DIVERGED
+                break
+            elapsed = clock() - t0
 
-        step_diff = norm(u_next - u_curr)
-        dist2 = norm2(u_next - ref) if ref is not None else math.nan
-        if kind == "distance_to_reference":  # dist2 measures against its reference
-            err = dist2
-        elif kind == "residual":
-            err = out.res_wv
-        else:  # successive_diff, and the reported metric of iter_cap_only
-            err = step_diff
+            step_diff = norm(u_next - u_curr)
+            dist2 = norm2(u_next - ref) if ref is not None else math.nan
+            if kind == "distance_to_reference":  # dist2 measures against its reference
+                err = dist2
+            elif kind == "residual":
+                err = out.res_wv
+            else:  # successive_diff, and the reported metric of iter_cap_only
+                err = step_diff
 
-        if check_invariants:
-            _check_invariants(trace, out, space, gamma, sol, sol_norm2, dist2 if dist2_is_fejer else None)
+            if check_invariants:
+                _check_invariants(trace, out, space, gamma, sol, sol_norm2, dist2 if dist2_is_fejer else None)
 
-        trace.append(  # positional, in IterationRecord's field order
-            IterationRecord(
-                k, out.theta, out.lam, out.j, out.delta, out.res_wv, out.phi_norm, step_diff, err, dist2,
-                elapsed, out.forward_evals, out.resolvent_evals, out.certified, out.speculative,
+            trace.append(  # positional, in IterationRecord's field order
+                IterationRecord(
+                    k, out.theta, out.lam, out.j, out.delta, out.res_wv, out.phi_norm, step_diff, err, dist2,
+                    elapsed, out.forward_evals, out.resolvent_evals, out.certified, out.speculative,
+                )
             )
-        )
-        final = u_next
-        if out.phizero:
-            trace.status = TerminalStatus.PHI_ZERO
-            break
-        if kind != "iter_cap_only" and err <= tol:
-            trace.status = TerminalStatus.CONVERGED
-            break
-        u_prev, u_curr = u_curr, u_next
+            final = u_next
+            if out.phizero:
+                trace.status = TerminalStatus.PHI_ZERO
+                break
+            if kind != "iter_cap_only" and err <= tol:
+                trace.status = TerminalStatus.CONVERGED
+                break
+            u_prev, u_curr = u_curr, u_next
     return final, trace
 
 

@@ -40,7 +40,7 @@ class InnerProductSpace:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        # a private read-only copy: _plain and the two scales are cached from it
+        # a private read-only copy: _plain and the norm scale are cached from it
         w = _require_shape(np.array(self.weights, dtype=float), "weights", (self.dimension,))
         if not np.all(w > 0.0):
             raise ValueError("all quadrature weights must be strictly positive")
@@ -49,34 +49,19 @@ class InnerProductSpace:
         object.__setattr__(self, "_plain", bool(np.all(w == 1.0)))
 
     @functools.cached_property
-    def _entry_scale(self) -> float:
-        """``c = max(w_min**-0.5, w_max**0.5)``, or ``inf`` for weights outside ``[2**-256, 2**256]``.
-
-        Every entry obeys ``|x_i| <= c*||x||`` and ``w_i*|x_i| <= c*||x||``:
-        ``w_i * x_i**2 <= ||x||**2`` gives ``|x_i| <= w_min**-0.5 * ||x||``
-        and ``w_i*|x_i| = w_i**0.5 * (w_i**0.5 * |x_i|) <= w_max**0.5 * ||x||``.
-        The range keeps every product a norm forms from an entry
-        ``|x_i| >= 2**-300`` a normal number or an overflow, which is what
-        lets a computed norm bound the entries (see ``solver._direction``);
-        ``inf`` turns that bound off.  Computed on first use, once per space.
-        """
-        lo, hi = float(self.weights.min()), float(self.weights.max())
-        if not (2.0**-256 <= lo and hi <= 2.0**256):
-            return math.inf
-        return max(lo**-0.5, hi**0.5)
-
-    @functools.cached_property
     def _norm_scale(self) -> float:
         """``2*w_max**0.5``, or ``inf`` for weights outside ``[2**-256, 2**256]``.
 
         Times the root of a computed sum of squares ``np.vdot(x, x)``, an
         upper bound on the computed ``norm(x)`` while the result is at most
-        ``2**512`` (see ``solver._direction``); ``inf`` turns that bound off.
-        Computed on first use, once per space.
+        ``2**512``; the range keeps the weight products of that proof from
+        underflowing (see ``solver._direction``), and ``inf`` turns the bound
+        off.  Computed on first use, once per space.
         """
-        if self._entry_scale == math.inf:  # the same range of weights
+        lo, hi = float(self.weights.min()), float(self.weights.max())
+        if not (2.0**-256 <= lo and hi <= 2.0**256):
             return math.inf
-        return 2.0 * math.sqrt(float(self.weights.max()))
+        return 2.0 * math.sqrt(hi)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         # ndarray.dot runs the same ddot as ``@`` with a cheaper dispatch

@@ -1,15 +1,20 @@
 """The iteration kernel computes each shared quantity once and keeps every check.
 
-Four groups of tests:
+Six groups of tests:
 
 * the finiteness guards still name each failure exactly;
 * each invariant counter can reach 1, also when the check reads a quantity
   the kernel computed;
 * a checked ``ifb`` iteration on the integral problem stays within its
-  inner-product budget, and an accepted step enters no ``np.errstate``;
+  inner-product budget, and a run enters ``np.errstate`` once, from
+  ``_drive``, while its accepted steps enter none;
 * the vanishing test decided from the guard's sum of squares reaches the
-  exact test's verdict;
-* turning invariant checks on never changes an iterate or a trace column.
+  exact test's verdict, and an overflowing ``||w||`` ends a run
+  ``diverged``;
+* turning invariant checks on never changes an iterate or a trace column;
+* a run enters one ``np.errstate``: every method started far out ends with
+  a named status and no warning, and an exception from the forward map or
+  the resolvent propagates out of the run unchanged.
 """
 
 import dataclasses
@@ -398,6 +403,7 @@ def _count_errstate(monkeypatch):
 
 @pytest.mark.parametrize("name", ["ifb", "zw-armijo", "tc", "jx"])
 def test_accepted_steps_on_the_integral_problem_enter_no_errstate(name, monkeypatch):
+    # the run enters one np.errstate, from _drive, and its steps enter none
     problem = assemble(gen_l2(1))
     stop = StoppingRule("successive_diff", 1e-12)
     errstate = _count_errstate(monkeypatch)
@@ -409,10 +415,12 @@ def test_accepted_steps_on_the_integral_problem_enter_no_errstate(name, monkeypa
         _, trace = run_baseline(cfg, problem, problem.u0, problem.u1, stop, 600, True)
     assert trace.status in (TerminalStatus.CONVERGED, TerminalStatus.PHI_ZERO)
     assert trace.total_violations == 0
-    assert errstate.callers == []
+    assert errstate.callers == ["_drive"]
 
 
 def test_restart_ifb_on_cs_512_enters_errstate_only_once_per_block(monkeypatch):
+    # once from _drive for the run, then at most once per block: block rows
+    # the search never reaches must not warn under any caller's error state
     blocks = []
     block_rejections = linesearch._block_rejections
 
@@ -427,11 +435,13 @@ def test_restart_ifb_on_cs_512_enters_errstate_only_once_per_block(monkeypatch):
     _, trace = solve(problem, problem.u0, problem.u1, cfg)
     assert trace.iterations == 20 and trace.total_violations == 0
     assert len(blocks) >= 20  # every restarting search takes at least one block
-    assert set(errstate.callers) == {"_block_rejections"}
-    assert len(errstate.callers) <= len(blocks)
+    assert errstate.callers[0] == "_drive"
+    assert set(errstate.callers[1:]) == {"_block_rejections"}
+    assert len(errstate.callers) - 1 <= len(blocks)
 
 
 def test_accepted_point_just_below_the_direction_bound_enters_no_errstate(monkeypatch):
+    # a step called directly enters none, and ||phi||^2 just below overflow does not warn
     forward, resolvent = aligned_search_problem(0.999)
     errstate = _count_errstate(monkeypatch)
     with warnings.catch_warnings():
@@ -455,11 +465,20 @@ SPACES = {
 
 
 def _vanishing_verdicts(space, w, phi, tol):
-    """``(exact verdict, bounded verdict, bound decided)`` of ``_direction`` at ``phi = w - v``."""
+    """``(exact verdict, bounded verdict, bound decided)`` of ``_direction`` at ``phi = w - v``.
+
+    A verdict is ``"diverged"`` where ``_direction`` raises, which both
+    paths must then do with the same message.
+    """
     zeros, v = np.zeros_like(w), w - phi
     point = LineSearchOutcome(0.5, 0, v, zeros, zeros, 1, 2, space.norm(w - v), w - v, zeros)
-    exact = _direction(w, point, space, tol)
     counting = BoundedCountingSpace(space)
+    try:
+        exact = _direction(w, point, space, tol)
+    except DivergenceError as error:
+        with pytest.raises(DivergenceError, match=f"^{error}$"):
+            _direction(w, point, counting, tol, np.vdot(w, w))
+        return "diverged", "diverged", False
     bounded = _direction(w, point, counting, tol, np.vdot(w, w))
     for a, b in zip(exact[:5], bounded[:5]):  # w - v, phi, ||phi||^2, ||phi||, ||w - v||
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -479,8 +498,9 @@ def test_bounded_vanishing_verdict_is_the_exact_one(name):
         for phi_scale in [0.0, 5e-324, 1e-300, 1e-30, 1e-14, 1.0, 1e50]:
             phi = phi_scale * direction
             # with weights up to 2**200, ||w|| overflows at the largest scale:
-            # the exact test then calls every phi vanished (tol*inf), and the
-            # bound, beyond 2**512 there, must leave the verdict to it
+            # the exact test then raises, as tol*inf would call every phi
+            # vanished, and the bound, beyond 2**512 there, must leave the
+            # verdict to it
             with np.errstate(over="ignore"):
                 # tolerances on both sides of the one at which phi just vanishes
                 edge = math.sqrt(space.norm2(phi)) / (1.0 + space.norm(w))
@@ -497,15 +517,35 @@ def test_bounded_vanishing_verdict_is_the_exact_one(name):
 
 def test_the_bound_leaves_an_overflowing_norm_to_the_exact_test():
     # the weighted ||w|| overflows while np.vdot(w, w) and ||phi|| stay
-    # finite: the exact test calls phi vanished (tol*inf), and the bound,
-    # beyond 2**512 here, must not decide otherwise
+    # finite: tol*inf would call phi vanished, so the exact test raises, and
+    # the bound, beyond 2**512 here, must not decide otherwise
     n = 64
     space = SPACES["wide-weights"](n)
     w = np.full(n, 1e149)
     phi = np.where(np.arange(n) < n // 2, 1e149, 0.0)  # on the weights below 1
+    zeros = np.zeros(n)
+    point = LineSearchOutcome(0.5, 0, w - phi, zeros, zeros, 1, 2, None, None, zeros)
     with np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError, match="^norm of w overflowed$"):
+            _direction(w, point, space, 1e-200)
         exact, bounded, by_bound = _vanishing_verdicts(space, w, phi, 1e-200)
-    assert exact and bounded and not by_bound
+    assert exact == bounded == "diverged" and not by_bound
+
+
+def test_a_run_whose_weighted_norm_of_w_overflows_ends_diverged():
+    # the setting above as a run: B = 0 and J(x) = x - lam*c accept lam = 1
+    # with phi = c, which lives on the weights below 1 and stays finite in
+    # norm, while ||u1|| overflows; a phi_zero status would claim a solution
+    n = 64
+    space = SPACES["wide-weights"](n)
+    c = np.where(np.arange(n) < n // 2, 1e149, 0.0)
+    u1 = np.full(n, 1e149)
+    problem = Inclusion(zero_forward(), lambda x, lam: x - lam * c, space)
+    cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=5, check_invariants=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, trace = solve(problem, u1, u1, cfg)
+    assert trace.status is TerminalStatus.DIVERGED and trace.iterations == 0
 
 
 def test_a_vanishing_direction_in_a_weighted_space_takes_the_exact_norm():
@@ -541,10 +581,8 @@ INSTANCES = {
 }
 
 
-def _run(name, instance, check_invariants):
-    make, kind, tol, max_iters = INSTANCES[instance]
-    problem = make()
-    stop = StoppingRule(kind, tol, reference=problem.reference if kind == "distance_to_reference" else None)
+def _solve(name, problem, u0, u1, stop, max_iters, check_invariants):
+    """A run of the method ``name`` of :data:`SOLVERS`."""
     options = dict(SOLVERS[name])
     method = options.pop("method", "ifb")
     if method == "ifb":
@@ -552,9 +590,16 @@ def _run(name, instance, check_invariants):
             linesearch=LineSearchParams(**options), stop=stop, max_iters=max_iters,
             check_invariants=check_invariants,
         )
-        return solve(problem, problem.u0, problem.u1, cfg)
+        return solve(problem, u0, u1, cfg)
     cfg = BaselineConfig(method=method, **options)
-    return run_baseline(cfg, problem, problem.u0, problem.u1, stop, max_iters, check_invariants)
+    return run_baseline(cfg, problem, u0, u1, stop, max_iters, check_invariants)
+
+
+def _run(name, instance, check_invariants):
+    make, kind, tol, max_iters = INSTANCES[instance]
+    problem = make()
+    stop = StoppingRule(kind, tol, reference=problem.reference if kind == "distance_to_reference" else None)
+    return _solve(name, problem, problem.u0, problem.u1, stop, max_iters, check_invariants)
 
 
 @pytest.mark.parametrize("instance", list(INSTANCES))
@@ -567,3 +612,51 @@ def test_invariant_checks_leave_iterates_bitwise_unchanged(name, instance):
     assert u_on.tobytes() == u_off.tobytes()
     for column in COLUMNS:
         assert on.array(column).tobytes() == off.array(column).tobytes(), column
+
+
+# ---------------------------------------------------------------------------
+# the floating-point policy of a run
+
+
+@pytest.fixture(scope="module")
+def cs_512():
+    return INSTANCES["cs-512-seed1"][0]()
+
+
+@pytest.mark.parametrize("radius", [1e20, 1e40, 1e100])
+@pytest.mark.parametrize("name", ["ifb", "fb", "tseng", "zw-armijo", "tc", "jx"])
+def test_a_run_started_far_out_ends_with_a_named_status_and_no_warning(name, radius, cs_512):
+    # the first trials overflow the forward map or the acceptance test's
+    # norms; the run's np.errstate keeps that silent, and the checks name it
+    d = np.random.default_rng(0).standard_normal(512)
+    d /= np.linalg.norm(d)
+    u = radius * d
+    stop = StoppingRule("distance_to_reference", 1e-2, reference=cs_512.reference)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, trace = _solve(name, cs_512, u, u, stop, 50, True)
+    assert trace.status in (TerminalStatus.DIVERGED, TerminalStatus.BACKTRACK_EXHAUSTED)
+    assert trace.total_violations == 0
+
+
+class OperatorFailure(Exception):
+    """Raised by a forward map or resolvent that cannot evaluate."""
+
+
+@pytest.mark.parametrize("where", ["B", "J"])
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_an_exception_inside_an_operator_propagates_out_of_the_run_unchanged(name, where):
+    error = OperatorFailure(f"{where} failed")
+    forward, resolvent = (lambda x: 0.5 * x), identity_resolvent()
+    if where == "B":
+        def forward(x):
+            raise error
+    else:
+        def resolvent(x, lam):
+            raise error
+    problem = Inclusion(forward, resolvent, euclidean(3))
+    before = np.geterr()
+    with pytest.raises(OperatorFailure) as info:
+        _solve(name, problem, np.ones(3), np.ones(3), StoppingRule(), 5, True)
+    assert info.value is error
+    assert np.geterr() == before  # the run's np.errstate is left on the way out
