@@ -79,7 +79,7 @@ _PHI_ZERO_TOL = 1e-14
 
 #: a bound on ``||w||`` at most this decides that ``phi`` does not vanish
 #: without computing ``||w||`` (see ``_direction``)
-_DIRECTION_BOUND = 2.0**512
+_W_NORM_BOUND = 2.0**512
 
 
 class DivergenceError(FloatingPointError):
@@ -422,8 +422,9 @@ def _direction(
     Overflow.  Inside a run the ufuncs and inner products here overflow
     silently under :func:`_drive`'s ``np.errstate``, and outside one they
     follow the caller's error state.  Either way an overflowed ``||phi||^2``
-    or ``||w - v||``, or a weighted ``||w||`` that overflows, raises
-    :class:`DivergenceError`, so a run ends ``diverged``.
+    or ``||w - v||``, or a weighted ``||w||`` that overflows while
+    ``phi != 0``, raises :class:`DivergenceError`, so a run ends
+    ``diverged``.
 
     Vanishing.  The test is ``||phi|| <= tol*(1 + N_w)`` with the computed
     ``N_w = space.norm(w)`` and ``tol >= 0``.  With ``w_sum2`` given, let
@@ -453,7 +454,8 @@ def _direction(
       ``fl(tol*fl(1 + W))``, which ``||phi||`` exceeds: the verdict is the
       exact test's.  A NaN ``W`` (``inf*0``) fails both comparisons.
     * An infinite ``N_w`` raises instead, as ``tol*inf`` would call any
-      finite ``phi`` vanished, a false exact-solution verdict.
+      finite ``phi`` vanished, a false exact-solution verdict.  A zero
+      ``phi`` is left to the test, as ``w = v`` then solves the inclusion.
 
     ``ifb_step`` and ``tc_step`` pass the guard's sum for ``w``, so an
     iteration that does not vanish takes no ``space.norm(w)``.
@@ -469,10 +471,10 @@ def _direction(
     phi_norm = math.sqrt(pp)
     if w_sum2 is not None:
         w_hi = getattr(space, "_norm_scale", math.inf) * math.sqrt(w_sum2)
-        if phi_zero_tol * (1.0 + w_hi) < phi_norm and w_hi <= _DIRECTION_BOUND:
+        if phi_zero_tol * (1.0 + w_hi) < phi_norm and w_hi <= _W_NORM_BOUND:
             return wv, phi, pp, phi_norm, res_wv, False
     w_norm = space.norm(w)
-    if not math.isfinite(w_norm):
+    if not math.isfinite(w_norm) and phi_norm > 0.0:
         raise DivergenceError("norm of w overflowed")
     return wv, phi, pp, phi_norm, res_wv, phi_norm <= phi_zero_tol * (1.0 + w_norm)
 

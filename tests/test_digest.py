@@ -61,8 +61,9 @@ def test_differences_lists_each_differing_field_and_missing_cell():
 
 
 def test_parse_args():
-    args = digest.parse_args(["--base", "HEAD", "--seeds", "1,3", "--allow", "final_iterate,column.lam"])
-    assert args.seeds == [1, 3] and args.allow == {"final_iterate", "column.lam"} and not args.array_equal
+    args = digest.parse_args(["--base", "HEAD", "--seeds", "1,3"])
+    assert args.seeds == [1, 3] and not args.array_equal
+    assert digest.parse_args(["--base", "HEAD", "--array-equal"]).array_equal
     assert digest.parse_args(["--tree", "."]).seeds == [1, 2]
     bad = [
         ["--base", "HEAD", "--seeds", "1,x"],
@@ -76,7 +77,7 @@ def test_parse_args():
             digest.parse_args(argv)
 
 
-def test_the_comparison_exits_1_only_on_a_field_not_allowed(monkeypatch, capsys):
+def test_the_comparison_exits_1_on_any_difference_or_failed_tree(monkeypatch, capsys):
     digests = {
         "base": {"a/ifb": {"final_iterate": "1", "status": "converged"}},
         "head": {"a/ifb": {"final_iterate": "2", "status": "converged"}},
@@ -84,8 +85,11 @@ def test_the_comparison_exits_1_only_on_a_field_not_allowed(monkeypatch, capsys)
     monkeypatch.setattr(digest, "export", lambda ref, dest: ref)
     monkeypatch.setattr(digest, "run_tree", lambda tree, args: digests[tree.name])
     assert digest.main(["--base", "x", "--head", "y"]) == 1
-    assert "DIFFERS a/ifb final_iterate: base 1 head 2" in capsys.readouterr().out
-    assert digest.main(["--base", "x", "--head", "y", "--allow", "final_iterate"]) == 0
-    assert "allowed a/ifb final_iterate" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "DIFFERS a/ifb final_iterate: base 1 head 2" in out
+    assert "1 cells, 1 differing fields" in out
+    digests["head"] = digests["base"]
+    assert digest.main(["--base", "x", "--head", "y"]) == 0
+    assert "1 cells, 0 differing fields" in capsys.readouterr().out
     monkeypatch.setattr(digest, "run_tree", lambda tree, args: None)  # a tree's process failed
-    assert digest.main(["--base", "x", "--head", "y", "--allow", "final_iterate"]) == 1
+    assert digest.main(["--base", "x", "--head", "y"]) == 1

@@ -101,9 +101,10 @@ def test_contraction_update_beyond_the_divergence_guard_raises():
         contraction_update(np.zeros(2), v, np.zeros(2), np.zeros(2), 1.0, 1.5, euclidean(2), 1e-14)
 
 
-@pytest.mark.parametrize("res_wv", [1e308, np.inf, np.nan])
+@pytest.mark.parametrize("res_wv", [1e308, 1.0, 0.0])
 def test_contraction_update_with_an_unproven_bound_raises_without_a_warning(res_wv):
-    # whatever ||w - v|| the caller hands in, the overflowed direction raises
+    # a finite ||w - v|| from the caller proves no bound on ||phi||: whatever
+    # value it hands in, the overflowed ||phi||^2 raises
     wv, b_wv = np.array([1e308, 0.0]), np.array([-1e308, 0.0])
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
@@ -115,9 +116,10 @@ def test_contraction_update_with_an_unproven_bound_raises_without_a_warning(res_
 
 
 def aligned_search_problem(scale):
-    """An accepted search point with ``||w - v|| + lam*||B(w) - B(v)|| = scale * 2**512``.
+    """An accepted search point with ``||phi|| = scale * 2**512``, the direction bound.
 
-    With ``B(x) = -x/2`` and ``J(x) = x - d`` from ``w = 0``, the first trial
+    ``2**512`` bounds the norms whose square is finite.  With
+    ``B(x) = -x/2`` and ``J(x) = x - d`` from ``w = 0``, the first trial
     ``lam = 1`` gives ``w - v = d`` and ``B(w) - B(v) = -d/2``, accepted as
     ``1/2 <= sigma = 0.9``.  So ``phi = 1.5*d``, and ``||phi||^2`` overflows
     once ``1.5*d`` exceeds ``2**512``.
@@ -130,7 +132,8 @@ def test_accepted_point_just_above_the_direction_bound_raises_without_a_warning(
     forward, resolvent = aligned_search_problem(1.001)
     ls = backtrack(np.zeros(1), forward, resolvent, LineSearchParams(), euclidean(1))
     assert ls.j == 0
-    assert 2.0**512 < ls.res_wv + ls.lam * abs(ls.b_wv[0]) < 1.002 * 2.0**512
+    phi = -ls.v[0] - ls.lam * (ls.b_w[0] - ls.b_v[0])  # w = 0
+    assert 2.0**512 < abs(phi) < 1.002 * 2.0**512
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match=OVERFLOWED):

@@ -10,7 +10,7 @@ Six groups of tests:
   ``_drive``, while its accepted steps enter none;
 * the vanishing test decided from the guard's sum of squares reaches the
   exact test's verdict, and an overflowing ``||w||`` ends a run
-  ``diverged``;
+  ``diverged`` unless ``phi = 0``;
 * turning invariant checks on never changes an iterate or a trace column;
 * a run enters one ``np.errstate``: every method started far out ends with
   a named status and no warning, and an exception from the forward map or
@@ -401,25 +401,10 @@ def _count_errstate(monkeypatch):
     return counter
 
 
-@pytest.mark.parametrize("name", ["ifb", "zw-armijo", "tc", "jx"])
-def test_accepted_steps_on_the_integral_problem_enter_no_errstate(name, monkeypatch):
-    # the run enters one np.errstate, from _drive, and its steps enter none
-    problem = assemble(gen_l2(1))
-    stop = StoppingRule("successive_diff", 1e-12)
-    errstate = _count_errstate(monkeypatch)
-    if name == "ifb":
-        cfg = SolverConfig(stop=stop, max_iters=600, check_invariants=True)
-        _, trace = solve(problem, problem.u0, problem.u1, cfg)
-    else:
-        cfg = BaselineConfig(**SOLVERS[name])
-        _, trace = run_baseline(cfg, problem, problem.u0, problem.u1, stop, 600, True)
-    assert trace.status in (TerminalStatus.CONVERGED, TerminalStatus.PHI_ZERO)
-    assert trace.total_violations == 0
-    assert errstate.callers == ["_drive"]
-
-
-def test_restart_ifb_on_cs_512_enters_errstate_only_once_per_block(monkeypatch):
-    # once from _drive for the run, then at most once per block: block rows
+@pytest.mark.parametrize("name", ["ifb", "zw-armijo", "tc", "jx", "ifb-cs-512"])
+def test_errstate_is_entered_once_per_run_and_block(name, monkeypatch):
+    # a checked run enters one np.errstate, from _drive, and its steps none;
+    # only a line-search block enters its own, at most once, as block rows
     # the search never reaches must not warn under any caller's error state
     blocks = []
     block_rejections = linesearch._block_rejections
@@ -428,20 +413,29 @@ def test_restart_ifb_on_cs_512_enters_errstate_only_once_per_block(monkeypatch):
         blocks.append(args[3])
         return block_rejections(*args)
 
-    problem = assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
+    if name == "ifb-cs-512":  # restarting searches, each taking blocks
+        problem, stop, max_iters = INSTANCES["cs-512-seed1"][0](), StoppingRule("iter_cap_only"), 20
+    else:
+        problem, stop, max_iters = assemble(gen_l2(1)), StoppingRule("successive_diff", 1e-12), 600
     monkeypatch.setattr(linesearch, "_block_rejections", counted)
     errstate = _count_errstate(monkeypatch)
-    cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=20, check_invariants=True)
-    _, trace = solve(problem, problem.u0, problem.u1, cfg)
-    assert trace.iterations == 20 and trace.total_violations == 0
-    assert len(blocks) >= 20  # every restarting search takes at least one block
-    assert errstate.callers[0] == "_drive"
-    assert set(errstate.callers[1:]) == {"_block_rejections"}
-    assert len(errstate.callers) - 1 <= len(blocks)
+    _, trace = _solve(name.removesuffix("-cs-512"), problem, problem.u0, problem.u1, stop, max_iters, True)
+    assert trace.total_violations == 0
+    if name == "ifb-cs-512":
+        assert trace.iterations == 20
+        assert len(blocks) >= 20  # every restarting search takes at least one block
+        assert errstate.callers[0] == "_drive"
+        assert set(errstate.callers[1:]) == {"_block_rejections"}
+        assert len(errstate.callers) - 1 <= len(blocks)
+    else:
+        assert trace.status in (TerminalStatus.CONVERGED, TerminalStatus.PHI_ZERO)
+        assert errstate.callers == ["_drive"]
 
 
 def test_accepted_point_just_below_the_direction_bound_enters_no_errstate(monkeypatch):
-    # a step called directly enters none, and ||phi||^2 just below overflow does not warn
+    # called directly, a step enters no np.errstate and follows the
+    # caller's error state: with ||phi|| just below 2**512, ||phi||^2 stays
+    # finite, so nothing warns even with warnings as errors
     forward, resolvent = aligned_search_problem(0.999)
     errstate = _count_errstate(monkeypatch)
     with warnings.catch_warnings():
@@ -498,9 +492,9 @@ def test_bounded_vanishing_verdict_is_the_exact_one(name):
         for phi_scale in [0.0, 5e-324, 1e-300, 1e-30, 1e-14, 1.0, 1e50]:
             phi = phi_scale * direction
             # with weights up to 2**200, ||w|| overflows at the largest scale:
-            # the exact test then raises, as tol*inf would call every phi
-            # vanished, and the bound, beyond 2**512 there, must leave the
-            # verdict to it
+            # the exact test then raises for a nonzero phi, as tol*inf would
+            # call every phi vanished, and calls phi = 0 vanished (tol > 0);
+            # the bound, beyond 2**512 there, must leave the verdict to it
             with np.errstate(over="ignore"):
                 # tolerances on both sides of the one at which phi just vanishes
                 edge = math.sqrt(space.norm2(phi)) / (1.0 + space.norm(w))
@@ -529,23 +523,33 @@ def test_the_bound_leaves_an_overflowing_norm_to_the_exact_test():
         with pytest.raises(DivergenceError, match="^norm of w overflowed$"):
             _direction(w, point, space, 1e-200)
         exact, bounded, by_bound = _vanishing_verdicts(space, w, phi, 1e-200)
+        # a zero phi means w = v, an exact solution, whatever ||w||
+        assert _vanishing_verdicts(space, w, zeros, 1e-200) == (True, True, False)
     assert exact == bounded == "diverged" and not by_bound
 
 
-def test_a_run_whose_weighted_norm_of_w_overflows_ends_diverged():
+@pytest.mark.parametrize(
+    "c, status, iterations",
+    [(1e149, TerminalStatus.DIVERGED, 0), (0.0, TerminalStatus.PHI_ZERO, 1)],
+    ids=["nonzero-phi", "zero-phi"],
+)
+def test_a_run_whose_weighted_norm_of_w_overflows(c, status, iterations):
     # the setting above as a run: B = 0 and J(x) = x - lam*c accept lam = 1
     # with phi = c, which lives on the weights below 1 and stays finite in
-    # norm, while ||u1|| overflows; a phi_zero status would claim a solution
+    # norm, while ||u1|| overflows; for c != 0 a phi_zero status would claim
+    # a solution, while c = 0 makes u1 one
     n = 64
     space = SPACES["wide-weights"](n)
-    c = np.where(np.arange(n) < n // 2, 1e149, 0.0)
+    c = np.where(np.arange(n) < n // 2, c, 0.0)
     u1 = np.full(n, 1e149)
     problem = Inclusion(zero_forward(), lambda x, lam: x - lam * c, space)
     cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=5, check_invariants=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, trace = solve(problem, u1, u1, cfg)
-    assert trace.status is TerminalStatus.DIVERGED and trace.iterations == 0
+        u, trace = solve(problem, u1, u1, cfg)
+    assert trace.status is status and trace.iterations == iterations
+    if status is TerminalStatus.PHI_ZERO:
+        assert u.tobytes() == u1.tobytes()
 
 
 def test_a_vanishing_direction_in_a_weighted_space_takes_the_exact_norm():

@@ -2,8 +2,7 @@
 
 Usage::
 
-    python tools/digest.py --base <ref> [--head <ref>] [--workload W] [--seeds 1,2]
-                           [--allow FIELD,...] [--array-equal]
+    python tools/digest.py --base <ref> [--head <ref>] [--workload W] [--seeds 1,2] [--array-equal]
     python tools/digest.py --tree <dir> [--workload W] [--seeds 1,2] [--array-equal]
 
 The trees are prepared as ``tools/ab.py`` prepares them: ``--base`` and
@@ -25,9 +24,8 @@ and records per cell:
 With ``--array-equal`` the arrays are hashed after adding ``0.0``, which
 turns ``-0.0`` into ``0.0``, so arrays equal under ``np.array_equal``
 (NaN aside) hash alike.  The comparison prints one line per cell and field
-that differ and exits 1 if any of them is a field ``--allow`` does not name,
-or if a tree's process fails; otherwise it exits 0.  It reads
-``perfbench/`` and changes nothing there.
+that differ and exits 1 if any differ or a tree's process fails; otherwise
+it exits 0.  It reads ``perfbench/`` and changes nothing there.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ def parse_args(argv):
     parser.add_argument("--head", help="git ref of the head tree (default: the working tree)")
     parser.add_argument("--workload", help="one perfbench workload (default: all)")
     parser.add_argument("--seeds", default="1,2", help="comma-separated seeds (default: 1,2)")
-    parser.add_argument("--allow", default="", help="comma-separated fields whose differences do not fail")
     parser.add_argument("--array-equal", action="store_true", help="hash arrays by value: -0.0 equals 0.0")
     args = parser.parse_args(argv)
     try:
@@ -64,7 +61,6 @@ def parse_args(argv):
         parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     if any(s < 0 for s in args.seeds):
         parser.error("--seeds must be nonnegative")
-    args.allow = set(filter(None, args.allow.split(",")))
     if args.tree is not None and args.head is not None:
         parser.error("--head compares trees; --tree digests one")
     return args
@@ -186,13 +182,10 @@ def main(argv=None) -> int:
     if digests["base"] is None or digests["head"] is None:
         return 1
     found = differences(digests["base"], digests["head"])
-    failing = 0
     for cell, field, b, h in found:
-        allowed = field in args.allow
-        failing += not allowed
-        print(f"{'allowed' if allowed else 'DIFFERS'} {cell} {field}: base {b} head {h}")
-    print(f"{len(digests['base'])} cells, {len(found)} differing fields, {failing} not allowed")
-    return 1 if failing else 0
+        print(f"DIFFERS {cell} {field}: base {b} head {h}")
+    print(f"{len(digests['base'])} cells, {len(found)} differing fields")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
