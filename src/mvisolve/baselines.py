@@ -32,12 +32,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .linesearch import LineSearchOutcome, LineSearchParams, _require_finite, _search, backtrack
+from .linesearch import LineSearchOutcome, LineSearchParams, _require_finite
 from .solver import (
     _PHI_ZERO_TOL,
     IterationTrace,
     StepOutcome,
     StoppingRule,
+    _anchored_search,
     _contraction_step,
     _direction,
     _drive,
@@ -167,23 +168,29 @@ def fb_step(u, lam, forward, resolvent, space=None) -> tuple[np.ndarray, StepOut
     """Forward-backward step ``J(u - lam*B(u), lam)`` at a fixed step size."""
     if space is None:
         space = euclidean(len(u))
-    _, u_next = _forward_backward(u, lam, forward, resolvent)
+    b_u, u_next = _forward_backward(u, lam, forward, resolvent)
     _guard_iterate(u_next, "forward-backward iterate")
-    return u_next, StepOutcome(u_next, lam, -1, space.norm(u - u_next), forward_evals=1, resolvent_evals=1)
+    point = LineSearchOutcome(lam, -1, u_next, b_u, None, resolvent_evals=1, forward_evals=1)
+    return u_next, StepOutcome(u_next, point, space.norm(u - u_next))
 
 
 def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> tuple[np.ndarray, StepOutcome]:
     """Forward-backward-forward step with Armijo-selected step size."""
     if space is None:
         space = euclidean(len(u))
-    ls = backtrack(u, forward, resolvent, armijo, space=space)
+    _, ls = _anchored_search(u, forward, resolvent, armijo, space, 0, "iterate")
     u_next = ls.v - ls.lam * (ls.b_v - ls.b_w)
     _guard_iterate(u_next, "tseng iterate")
-    out = StepOutcome(
-        u_next, ls.lam, ls.j, ls.res_wv, forward_evals=ls.forward_evals,
-        resolvent_evals=ls.resolvent_evals, certified=ls.certified, speculative=ls.speculative,
-    )
-    return u_next, out
+    return u_next, StepOutcome(u_next, ls, ls.res_wv)
+
+
+def _armijo_contraction_step(u, forward, resolvent, armijo: LineSearchParams, gamma: float, space):
+    """The projection-contraction step from the anchor ``u`` at its Armijo point.
+
+    This is the ``zw[armijo]`` step, and ``jx`` at ``gamma = 1``.
+    """
+    u_sum2, ls = _anchored_search(u, forward, resolvent, armijo, space, 0, "iterate")
+    return _contraction_step(u, ls, gamma, space, _PHI_ZERO_TOL, 0.0, u_sum2)
 
 
 def zw_step(
@@ -248,8 +255,7 @@ def tc_step(
     diff = space.norm(step)
     theta_k = theta if diff == 0.0 else min(eps_k / diff, theta)
     w = u_curr + theta_k * step
-    w_sum2 = _guard_iterate(w, "extrapolated point", k)
-    ls = _search(w, forward, resolvent, armijo, space, 0)  # the guard has proved w finite
+    w_sum2, ls = _anchored_search(w, forward, resolvent, armijo, space, 0, "extrapolated point", k)
     _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, _PHI_ZERO_TOL, w_sum2)
     z, eta = w, float("nan")
     if not vanished:
@@ -258,19 +264,7 @@ def tc_step(
     u_next = alpha_k * np.asarray(f(u_curr), dtype=float) + (1.0 - alpha_k) * z
     _guard_iterate(u_next, "viscosity iterate", k)
     # phizero stays False: the averaging step still moves the iterate
-    out = StepOutcome(
-        u_next, ls.lam, ls.j, res_wv,
-        theta=theta_k,
-        delta=eta,
-        phi_norm=phi_norm,
-        forward_evals=ls.forward_evals,
-        resolvent_evals=ls.resolvent_evals,
-        w=w,
-        sigma_check=armijo.sigma,
-        certified=ls.certified,
-        speculative=ls.speculative,
-    )
-    return u_next, out
+    return u_next, StepOutcome(u_next, ls, res_wv, theta_k, eta, phi_norm, w=w)
 
 
 def jx_step(
@@ -287,8 +281,7 @@ def jx_step(
     """
     if space is None:
         space = euclidean(len(u))
-    ls = backtrack(u, forward, projection, armijo, space=space)
-    return _contraction_step(u, ls, 1.0, space, _PHI_ZERO_TOL, sigma_check=armijo.sigma)
+    return _armijo_contraction_step(u, forward, projection, armijo, 1.0, space)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +310,7 @@ def run_baseline(
         "tseng": lambda k, up, u: tseng_step(u, fwd, res, armijo, space),
         "zw[schedule]": lambda k, up, u: zw_step(u, fwd, res, cfg.lam_at(k), cfg.gamma, space),
         # the projection-type step with a free relaxation
-        "zw[armijo]": lambda k, up, u: _contraction_step(
-            u, backtrack(u, fwd, res, armijo, space=space), cfg.gamma, space,
-            _PHI_ZERO_TOL, sigma_check=armijo.sigma,
-        ),
+        "zw[armijo]": lambda k, up, u: _armijo_contraction_step(u, fwd, res, armijo, cfg.gamma, space),
         "tc": lambda k, up, u: tc_step(
             up, u, k, fwd, res, armijo, gamma=cfg.gamma, mu_tc=cfg.mu_tc, theta=cfg.theta, space=space,
         ),

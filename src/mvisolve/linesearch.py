@@ -85,7 +85,7 @@ class LineSearchParams:
 
 @dataclass(slots=True)
 class LineSearchOutcome:
-    """Accepted step with everything the caller needs to avoid re-evaluations.
+    """An accepted forward-backward point, with everything the caller needs to avoid re-evaluations.
 
     ``lam == s * mu**j`` exactly, ``v`` is the accepted forward-backward
     point ``J(w - lam*B(w), lam)``, and ``b_w``, ``b_v`` cache ``B(w)`` and
@@ -97,16 +97,21 @@ class LineSearchOutcome:
     rejected trials whose ``B(v)`` was never finished (see
     :func:`backtrack`); ``forward_evals`` counts them too.  ``speculative``
     counts the block rows computed past the accepted trial, which neither
-    ``forward_evals`` nor ``resolvent_evals`` counts.  The record is a
-    slotted, not frozen, dataclass, as it is built every iteration; treat
-    it as read-only.
+    ``forward_evals`` nor ``resolvent_evals`` counts.  ``sigma`` is the
+    acceptance ratio the point passed, and ``None`` for a point taken at a
+    fixed step (``j = -1``), as ``fb_step``, ``zw_step`` and
+    ``contraction_update`` build them; ``fb_step``'s has ``b_v = None``.
+    The step record of every method holds its point (see
+    :class:`mvisolve.solver.StepOutcome`).  The record is a slotted, not
+    frozen, dataclass, as it is built every iteration; treat it as
+    read-only.
     """
 
     lam: float
     j: int
     v: np.ndarray
     b_w: np.ndarray
-    b_v: np.ndarray
+    b_v: np.ndarray | None
     resolvent_evals: int
     forward_evals: int
     res_wv: float | None = None
@@ -114,6 +119,7 @@ class LineSearchOutcome:
     b_wv: np.ndarray | None = None
     certified: int = 0
     speculative: int = 0
+    sigma: float | None = None
 
 
 #: a certified rejection needs ``sigma*||w - v|| >= max(s, 1) * _CERTIFY_FLOOR`` (see backtrack)
@@ -331,7 +337,7 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
             # one trial per exponent the search reached
             return LineSearchOutcome(
                 lam, j, v, b_w, b_v, j - start + 1, j - start + 2, res_wv, wv, b_wv,
-                certified, 0 if V is None else j0 + len(V) - 1 - j,
+                certified, 0 if V is None else j0 + len(V) - 1 - j, params.sigma,
             )
         j += 1
     raise BacktrackExhausted(

@@ -122,11 +122,12 @@ class CompressedSensingInstance:
 
     @property
     def achieved_snr_db(self) -> float:
-        noise = self.v_obs - self.C @ self.u_true
+        clean = self.C @ self.u_true
+        noise = self.v_obs - clean
         p_noise = float(noise @ noise)
         if p_noise == 0.0:
             return float("inf")
-        p_signal = float((self.C @ self.u_true) @ (self.C @ self.u_true))
+        p_signal = float(clean @ clean)
         return 10.0 * np.log10(p_signal / p_noise)
 
 

@@ -457,8 +457,10 @@ def _direction(
       finite ``phi`` vanished, a false exact-solution verdict.  A zero
       ``phi`` is left to the test, as ``w = v`` then solves the inclusion.
 
-    ``ifb_step`` and ``tc_step`` pass the guard's sum for ``w``, so an
-    iteration that does not vanish takes no ``space.norm(w)``.
+    Every Armijo contraction step (``ifb_step``, ``tc_step``, ``jx_step``
+    and the ``zw[armijo]`` step) takes its point with
+    :func:`_anchored_search` and passes the guard's sum for its anchor, so
+    an iteration that does not vanish takes no ``space.norm(w)``.
     """
     wv = w - point.v if point.wv is None else point.wv
     b_wv = point.b_w - point.b_v if point.b_wv is None else point.b_wv
@@ -483,28 +485,29 @@ def _direction(
 class StepOutcome:
     """Everything one iteration produced, for tracing and invariant checks (read-only by convention).
 
-    The defaults describe a step without a contraction direction: no
-    inertia, no scalar, no evaluations and no checks.
+    Every step is an anchor ``w``, an accepted ``point`` and an update
+    ``u_next``.  The record holds the point itself, a
+    :class:`~mvisolve.linesearch.LineSearchOutcome`, so its step ``lam``,
+    exponent ``j``, evaluation counts and acceptance ratio ``sigma`` are
+    read from ``point``.  ``decrement`` is
+    ``gamma*(2-gamma)*<w - v, phi>**2/||phi||**2``, the guaranteed decrease
+    of the squared distance to any solution.  The contraction kernel sets
+    it for a point with ``sigma`` set whose ``phi`` did not vanish, and only
+    a finite one has the scalar and decrease bounds checked; it is NaN
+    otherwise, and ``tc``'s viscosity step, whose point has ``sigma`` set,
+    leaves it NaN too.  The defaults describe a step without a contraction
+    direction: no inertia, no scalar and no decrement.
     """
 
     u_next: np.ndarray
-    lam: float
-    j: int
+    point: LineSearchOutcome
     res_wv: float
     theta: float = 0.0
     delta: float = float("nan")
     phi_norm: float = float("nan")
     phizero: bool = False
-    forward_evals: int = 0
-    resolvent_evals: int = 0
     w: Optional[np.ndarray] = None
-    sigma_check: Optional[float] = None  # Armijo ratio backing the bound checks
-    delta_is_ratio: bool = False  # delta == <w-v, phi>/||phi||^2
-    fejer_applicable: bool = False
-    phi_norm2: float = float("nan")  # ||phi||^2 as the kernel computed it
-    wv_phi: float = float("nan")  # <w - v, phi> as the kernel computed it
-    certified: int = 0  # line-search trials rejected before their second pass
-    speculative: int = 0  # block rows computed past the accepted trial
+    decrement: float = float("nan")
 
 
 def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> float:
@@ -528,6 +531,20 @@ def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> float:
     raise DivergenceError(f"{what} exceeded the divergence guard {DIVERGENCE_NORM:g}")
 
 
+def _anchored_search(
+    w: np.ndarray, forward, resolvent, params, space: InnerProductSpace, j_start: int, what: str,
+    k: Optional[int] = None,
+) -> tuple[float, LineSearchOutcome]:
+    """The Armijo point of the anchor ``w``, as every Armijo step takes it.
+
+    The anchor passes :func:`_guard_iterate` (as ``what`` at ``k``) first,
+    which proves it finite, so the search need not scan it again; returns
+    the guard's ``np.vdot(w, w)`` for :func:`_direction`, and the point.
+    """
+    w_sum2 = _guard_iterate(w, what, k)
+    return w_sum2, _search(w, forward, resolvent, params, space, j_start)
+
+
 def _contraction_step(
     w: np.ndarray,
     point: LineSearchOutcome,
@@ -535,8 +552,6 @@ def _contraction_step(
     space: InnerProductSpace,
     phi_zero_tol: float,
     theta: float = 0.0,
-    sigma_check: Optional[float] = None,
-    fejer: bool = False,
     w_sum2: Optional[float] = None,
 ) -> tuple[np.ndarray, StepOutcome]:
     """The step every projection-contraction method shares.
@@ -545,26 +560,23 @@ def _contraction_step(
     ``delta = <w - v, phi> / ||phi||^2`` from the anchor ``w`` and its
     forward-backward ``point`` (from the line search, or at a fixed step
     with ``j = -1``); where ``phi`` vanishes, ``v`` itself is returned with
-    ``phizero`` set.  ``sigma_check`` is the Armijo ratio the point was
-    accepted with, which enables the direction and scalar bound checks;
-    ``fejer`` enables the decrease check against a known solution, and
-    ``w_sum2`` is the guard's ``np.vdot(w, w)`` (see :func:`_direction`).
+    ``phizero`` set.  The record holds ``point``, and its ``decrement`` is
+    set when ``point.sigma`` is, i.e. for every point that passed the
+    Armijo test, so that every such step gets the scalar and decrease
+    checks.  ``w_sum2`` is the guard's ``np.vdot(w, w)`` (see
+    :func:`_direction`).
     """
     wv, phi, pp, phi_norm, res_wv, phizero = _direction(w, point, space, phi_zero_tol, w_sum2)
     if phizero:
-        u_next, delta, wv_phi = point.v, float("nan"), float("nan")
+        u_next, delta, decrement = point.v, float("nan"), float("nan")
     else:
         wv_phi = space.inner(wv, phi)
         delta = wv_phi / pp
         u_next = w - (gamma * delta) * phi
         _guard_iterate(u_next, "contraction iterate")
-    # positional, in StepOutcome's field order
-    outcome = StepOutcome(
-        u_next, point.lam, point.j, res_wv, theta, delta, phi_norm, phizero,
-        point.forward_evals, point.resolvent_evals, w, sigma_check, sigma_check is not None,
-        fejer, pp, wv_phi, point.certified, point.speculative,
-    )
-    return u_next, outcome
+        # wv_phi is a Python float, whose ** raises OverflowError where * gives inf
+        decrement = float("nan") if point.sigma is None else gamma * (2.0 - gamma) * (wv_phi * wv_phi) / pp
+    return u_next, StepOutcome(u_next, point, res_wv, theta, delta, phi_norm, phizero, w, decrement)
 
 
 def contraction_update(
@@ -624,25 +636,24 @@ def ifb_step(
         space = euclidean(len(u_curr))
     theta = cfg.inertia.value(k)
     w = u_curr + theta * (u_curr - u_prev)
-    w_sum2 = _guard_iterate(w, "extrapolated point", k)
-    # the guard has proved w finite, so the search need not scan it again
-    ls = _search(w, forward, resolvent, cfg.linesearch, space, j_start)
-    return _contraction_step(w, ls, cfg.gamma, space, _PHI_ZERO_TOL, theta, cfg.linesearch.sigma, True, w_sum2)
+    w_sum2, ls = _anchored_search(w, forward, resolvent, cfg.linesearch, space, j_start, "extrapolated point", k)
+    return _contraction_step(w, ls, cfg.gamma, space, _PHI_ZERO_TOL, theta, w_sum2)
 
 
 def _check_invariants(
     trace: IterationTrace,
     out: StepOutcome,
     space: InnerProductSpace,
-    gamma: float,
     solution: Optional[np.ndarray],
     solution_norm2: float,
     dist2_solution: Optional[float] = None,
 ) -> None:
     """Count the violated bounds of one step into ``trace.violations``.
 
-    The decrease check reads ``||phi||^2`` and ``<w - v, phi>`` from the
-    step record.  Its rounding allowance is relative,
+    The direction bound is checked for every point that passed an Armijo
+    test (``out.point.sigma`` set), and the scalar and decrease bounds for
+    every step with a finite ``decrement``.  The decrease check reads the
+    decrement from the step record.  Its rounding allowance is relative,
     ``1e-12 * (||w - solution||^2 + ||solution||^2)``: the terms it compares
     are squared norms of differences of vectors no larger than those two,
     so an absolute allowance would pass any step once both are small, as
@@ -651,27 +662,27 @@ def _check_invariants(
     ``||out.u_next - solution||^2`` already computed by the caller.
     """
     trace.invariants_checked = True
-    if out.phizero or out.sigma_check is None:
+    sigma = out.point.sigma
+    if out.phizero or sigma is None:
         return
-    sigma = out.sigma_check
     res, phi_norm = out.res_wv, out.phi_norm
     if math.isfinite(phi_norm):
         slack = _CHECK_SLACK * (1.0 + res)
         if not ((1.0 - sigma) * res - slack <= phi_norm <= (1.0 + sigma) * res + slack):
             trace.violations["phi_sandwich"] += 1
-    if out.delta_is_ratio and math.isfinite(out.delta):
-        lo = (1.0 - sigma) / (1.0 + sigma) ** 2
-        hi = 1.0 / (1.0 - sigma)
-        dslack = _CHECK_SLACK * hi
-        if not (lo - dslack <= out.delta <= hi + dslack):
-            trace.violations["delta_bound"] += 1
+    if not math.isfinite(out.decrement):
+        return
+    lo = (1.0 - sigma) / (1.0 + sigma) ** 2
+    hi = 1.0 / (1.0 - sigma)
+    dslack = _CHECK_SLACK * hi
+    if not (lo - dslack <= out.delta <= hi + dslack):
+        trace.violations["delta_bound"] += 1
     # the decrease inequality holds against exact solutions only, so it is
     # checked against a known solution, never the error-metric reference
-    if solution is not None and out.fejer_applicable and out.phi_norm2 > 0.0:
-        decrement = gamma * (2.0 - gamma) * out.wv_phi ** 2 / out.phi_norm2
+    if solution is not None:
         lhs = space.norm2(out.u_next - solution) if dist2_solution is None else dist2_solution
         w_dist2 = space.norm2(out.w - solution)
-        if lhs > w_dist2 - decrement + _CHECK_SLACK * (w_dist2 + solution_norm2):
+        if lhs > w_dist2 - out.decrement + _CHECK_SLACK * (w_dist2 + solution_norm2):
             trace.violations["fejer"] += 1
 
 
@@ -685,7 +696,6 @@ def _drive(
     *,
     method: str,
     labels: Optional[dict] = None,
-    gamma: float = float("nan"),
     check_invariants: bool = False,
     solution: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, IterationTrace]:
@@ -747,12 +757,13 @@ def _drive(
                 err = step_diff
 
             if check_invariants:
-                _check_invariants(trace, out, space, gamma, sol, sol_norm2, dist2 if dist2_is_fejer else None)
+                _check_invariants(trace, out, space, sol, sol_norm2, dist2 if dist2_is_fejer else None)
 
+            point = out.point
             trace.append(  # positional, in IterationRecord's field order
                 IterationRecord(
-                    k, out.theta, out.lam, out.j, out.delta, out.res_wv, out.phi_norm, step_diff, err, dist2,
-                    elapsed, out.forward_evals, out.resolvent_evals, out.certified, out.speculative,
+                    k, out.theta, point.lam, point.j, out.delta, out.res_wv, out.phi_norm, step_diff, err, dist2,
+                    elapsed, point.forward_evals, point.resolvent_evals, point.certified, point.speculative,
                 )
             )
             final = u_next
@@ -808,7 +819,7 @@ def solve(
         u_next, out = ifb_step(
             u_prev, u_curr, k, problem.forward, problem.resolvent, cfg, problem.space, j_start
         )
-        prev_j = out.j
+        prev_j = out.point.j
         return u_next, out
 
     labels = {
@@ -827,7 +838,6 @@ def solve(
         cfg.max_iters,
         method="ifb",
         labels=labels,
-        gamma=cfg.gamma,
         check_invariants=cfg.check_invariants,
         solution=solution,
     )

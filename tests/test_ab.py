@@ -1,6 +1,7 @@
 """The statistics and the gate of ``tools/ab.py``, on synthetic perfbench results."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -101,3 +102,37 @@ def test_copied_working_tree_holds_uncommitted_edits_and_no_git(tmp_path):
     assert (dest / "pkg" / "mod.py").read_text() == "x = 2\n"
     assert (dest / "new.py").read_text() == "y = 3\n"
     assert sorted(p.name for p in dest.iterdir()) == [".gitignore", "new.py", "pkg"]
+    # the copy's tree hash is the tree the working tree would commit
+    subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+    staged = subprocess.run(["git", "-C", str(repo), "write-tree"], capture_output=True, text=True, check=True)
+    assert ab.tree_hash(dest) == staged.stdout.strip()
+    assert sorted(p.name for p in dest.iterdir()) == [".gitignore", "new.py", "pkg"]
+
+
+def test_the_last_line_is_one_json_result_naming_every_end_to_end_metric(monkeypatch, capsys):
+    spec = json.loads((ab.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["end_to_end"]]
+    runs = iter(range(100))
+
+    def run_once(tree, args):
+        value = 1.0 + next(runs)
+        metrics = {name: {"value": value, "unit": "x"} for name in names}
+        metrics.update({name: {"value": 7, "unit": "count"} for name in ab.COUNTERS})
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    monkeypatch.setattr(ab, "export", lambda ref, dest: "b" * 40)
+    monkeypatch.setattr(ab, "commit_of", lambda ref: "h" * 40)
+    monkeypatch.setattr(ab, "copy_worktree", lambda root, dest: None)
+    argv = ["--base", "parent", "--workload", "integral", "--pairs", "3", "--seconds", "2.5", "--seed", "4"]
+    assert ab.main(argv) == 0
+    line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    empty_tree = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"  # nothing was copied or exported
+    assert line["base"] == {"ref": "parent", "sha": "b" * 40, "tree": empty_tree}
+    assert line["head"] == {"ref": None, "sha": "h" * 40, "tree": empty_tree}  # the copy of the working tree
+    assert (line["workload"], line["seed"], line["seconds"], line["pairs"]) == ("integral", 4, 2.5, 3)
+    assert sorted(line["metrics"]) == sorted(names)
+    for name in names:
+        assert set(line["metrics"][name]) == {"base", "head", "ratio", "wins"}
+        assert len(line["metrics"][name]["base"]) == len(line["metrics"][name]["head"]) == 3
+    assert line["problems"] == []

@@ -225,7 +225,7 @@ def test_criterion_6_bitwise_equivalence_zero_inertia():
             max_iters=1,
         )
         u_ifb, out_ifb = ifb_step(u, u, 1, fwd, res, cfg, space)
-        assert out_ifb.j == 0
+        assert out_ifb.point.j == 0
         u_zw, out_zw = zw_step(u, fwd, res, lam, gamma, space)
         assert np.array_equal(u_ifb, u_zw)
         assert out_ifb.delta == out_zw.delta or (

@@ -1,6 +1,5 @@
 import dataclasses
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,14 +91,14 @@ class TestTseng:
         p = LineSearchParams(1.0, 0.5, 0.9)
         u_next, out = tseng_step(u, zero_forward(), l1_resolvent(1.0), p, euclidean(1))
         np.testing.assert_array_equal(u_next, [2.0])
-        assert out.j == 0
+        assert out.point.j == 0
 
     def test_linear_closed_form(self):
         # lam accepted at 0.5: v = 0.5u, u_next = v - lam*(Bv - Bu) = 0.75u
         u = np.array([1.0])
         p = LineSearchParams(1.0, 0.5, 0.9)
         u_next, out = tseng_step(u, identity_forward(), identity_resolvent(), p, euclidean(1))
-        assert out.lam == 0.5
+        assert out.point.lam == 0.5
         np.testing.assert_allclose(u_next, [0.75])
 
     def test_fixed_point_is_stationary(self):
@@ -145,7 +144,7 @@ class TestZW:
                 max_iters=5,
             )
             u_ifb, out_ifb = ifb_step(u, u, 1, fwd, res, cfg, space)
-            assert out_ifb.j == 0 and out_ifb.lam == lam
+            assert out_ifb.point.j == 0 and out_ifb.point.lam == lam
             u_zw, out_zw = zw_step(u, fwd, res, lam, gamma, space)
             np.testing.assert_array_equal(u_ifb, u_zw)
             assert out_ifb.delta == out_zw.delta
@@ -164,7 +163,7 @@ class TestTC:
             gamma=1.0, mu_tc=0.5, alpha_k=0.5, theta=0.0, eps_k=1.0,
             space=euclidean(1),
         )
-        assert out.lam == 0.5
+        assert out.point.lam == 0.5
         assert out.delta == pytest.approx(2.0)  # eta
         np.testing.assert_allclose(u_next, [0.5])
 
@@ -209,8 +208,9 @@ class TestTC:
             u, u, 1, fwd, res, p, gamma=1.3, mu_tc=0.0, alpha_k=0.0,
             theta=0.0, eps_k=1.0, space=space,
         )
-        v = res(u - out.lam * fwd(u), out.lam)
-        phi = (u - v) - out.lam * (fwd(u) - fwd(v))
+        lam = out.point.lam
+        v = res(u - lam * fwd(u), lam)
+        phi = (u - v) - lam * (fwd(u) - fwd(v))
         eta = float((u - v) @ (u - v)) / float(phi @ phi)
         np.testing.assert_allclose(u_next, u - 1.3 * eta * phi, rtol=1e-14)
 
@@ -255,7 +255,7 @@ class TestJX:
         fwd = linear_forward(_random_monotone_linear(rng, 4))
         res = identity_resolvent()  # K is the whole space
         u_jx, out_jx = jx_step(u, fwd, res, p, space)
-        u_zw, out_zw = zw_step(u, fwd, res, out_jx.lam, 1.0, space)
+        u_zw, out_zw = zw_step(u, fwd, res, out_jx.point.lam, 1.0, space)
         np.testing.assert_array_equal(u_jx, u_zw)
 
     def test_stationary_point_in_set(self):
@@ -272,7 +272,7 @@ class TestJX:
         u = np.array([2.0])
         p = LineSearchParams(1.0, 0.5, 0.9)
         u_next, out = jx_step(u, identity_forward(), proj, p, euclidean(1))
-        assert out.lam == 0.5
+        assert out.point.lam == 0.5
         assert out.delta == pytest.approx(2.0)
         np.testing.assert_allclose(u_next, [1.0])
 
@@ -501,8 +501,8 @@ class TestDispatchWiring:
         for k in range(1, TestDispatchWiring.ITERS + 1):
             u_next, out = step(k, u_prev, u_curr)
             rows.append(
-                (out.theta, out.lam, out.j, out.delta, out.res_wv, out.phi_norm,
-                 space.norm(u_next - u_curr), out.forward_evals, out.resolvent_evals)
+                (out.theta, out.point.lam, out.point.j, out.delta, out.res_wv, out.phi_norm,
+                 space.norm(u_next - u_curr), out.point.forward_evals, out.point.resolvent_evals)
             )
             iterates.append(u_next)
             u_prev, u_curr = u_curr, u_next
@@ -559,11 +559,7 @@ class TestDispatchWiring:
                 if gamma == 1.0:  # at relaxation 1 this is the projection-type step
                     u_jx, _ = jx_step(uc, prob.forward, prob.resolvent, cfg.armijo, prob.space)
                     assert u_jx.tobytes() == core.u_next.tobytes()
-                return core.u_next, SimpleNamespace(
-                    theta=0.0, lam=ls.lam, j=ls.j, delta=core.delta, res_wv=core.res_wv,
-                    phi_norm=core.phi_norm, forward_evals=ls.forward_evals,
-                    resolvent_evals=ls.resolvent_evals,
-                )
+                return core.u_next, dataclasses.replace(core, point=ls)
 
             self._assert_loop_matches(
                 self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1
@@ -602,7 +598,7 @@ class TestDispatchWiring:
             def step(k, up, uc):
                 j_start = max(0, last_j[0] - 1) if warm else 0
                 u_next, out = ifb_step(up, uc, k, prob.forward, prob.resolvent, base, prob.space, j_start)
-                last_j[0] = out.j
+                last_j[0] = out.point.j
                 return u_next, out
 
             drive = lambda n: solve(prob, u0, u1, dataclasses.replace(base, max_iters=n))

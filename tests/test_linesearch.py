@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mvisolve.operators import (
     quartic_forward,
     zero_forward,
 )
+from mvisolve.baselines import fb_step, zw_step
 from mvisolve.problems import assemble, gen_cs
 from mvisolve.solver import SolverConfig, ifb_step
 from mvisolve.spaces import euclidean
@@ -78,6 +80,18 @@ def test_zero_forward_accepts_immediately():
     assert out.lam == 0.7
     assert out.forward_evals == 2  # B(w) plus the single trial's B(v)
     assert out.resolvent_evals == 1
+
+
+def test_an_accepted_point_carries_its_ratio_and_a_fixed_step_point_none():
+    p = LineSearchParams(s=0.7, mu=0.5, sigma=0.3)
+    w = np.array([1.0, 2.0, 3.0])
+    assert backtrack(w, zero_forward(), l1_resolvent(0.1), p).sigma == 0.3
+    _, fixed = zw_step(w, zero_forward(), l1_resolvent(0.1), 0.7, 1.0)
+    _, fb = fb_step(w, 0.7, zero_forward(), l1_resolvent(0.1))
+    assert (fixed.point.j, fixed.point.sigma) == (fb.point.j, fb.point.sigma) == (-1, None)
+    assert fb.point.b_v is None and fb.point.v is fb.u_next
+    # a fixed-step point gets no scalar or decrease check
+    assert math.isnan(fixed.decrement) and math.isnan(fb.decrement)
 
 
 def test_fixed_point_accepts_with_equal_zeros():

@@ -37,6 +37,23 @@ class TestGenCS:
             assert abs(inst.achieved_snr_db - 40.0) <= 0.5
             assert inst.achieved_snr_db == pytest.approx(40.0, abs=1e-9)
 
+    def test_achieved_snr_forms_the_clean_signal_once_and_keeps_its_value(self):
+        inst = gen_cs(512, 256, 10, snr_db=40.0, seed=1)
+        clean = inst.C @ inst.u_true
+        noise = inst.v_obs - clean
+        # the value the three-GEMV expression gave, bit for bit
+        expected = 10.0 * np.log10(float(clean @ clean) / float(noise @ noise))
+        products = []
+
+        class CountingMatrix(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.asarray(self) @ other
+
+        object.__setattr__(inst, "C", inst.C.view(CountingMatrix))  # the instance is frozen
+        assert inst.achieved_snr_db == expected
+        assert products == [(512,)]
+
     def test_noiseless_flag(self):
         inst = gen_cs(64, 32, 4, snr_db=np.inf, seed=1)
         np.testing.assert_array_equal(inst.v_obs, inst.C @ inst.u_true)

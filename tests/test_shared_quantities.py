@@ -1,6 +1,6 @@
 """The iteration kernel computes each shared quantity once and keeps every check.
 
-Six groups of tests:
+Eight groups of tests:
 
 * the finiteness guards still name each failure exactly;
 * each invariant counter can reach 1, also when the check reads a quantity
@@ -14,7 +14,12 @@ Six groups of tests:
 * turning invariant checks on never changes an iterate or a trace column;
 * a run enters one ``np.errstate``: every method started far out ends with
   a named status and no warning, and an exception from the forward map or
-  the resolvent propagates out of the run unchanged.
+  the resolvent propagates out of the run unchanged;
+* an integer start or an integer-valued forward map runs as its float64
+  conversion, bitwise;
+* every Armijo contraction step is anchored and checked alike: the
+  decrease check counts on ``zw[armijo]`` and ``jx`` as on ``ifb``, and a
+  start beyond the divergence guard ends every Armijo method at once.
 """
 
 import dataclasses
@@ -26,10 +31,10 @@ import numpy as np
 import pytest
 
 from mvisolve import linesearch
-from mvisolve.baselines import BaselineConfig, run_baseline
+from mvisolve.baselines import BaselineConfig, jx_step, run_baseline, tseng_step
 from mvisolve.linesearch import LineSearchOutcome, LineSearchParams, NonFiniteIterate, _require_finite, backtrack
-from mvisolve.operators import identity_resolvent, zero_forward
-from mvisolve.problems import assemble, cubic_problem, gen_cs, gen_l2
+from mvisolve.operators import box_resolvent, identity_resolvent, l1_resolvent, zero_forward
+from mvisolve.problems import assemble, cubic_problem, gen_cs, gen_l2, strongly_monotone_problem
 from mvisolve.solver import (
     _PHI_ZERO_TOL,
     DivergenceError,
@@ -234,13 +239,13 @@ def _valid_step():
     """A real checked iteration on the cubic problem, whose solution is zero."""
     prob = cubic_problem((2.0, -2.0))
     _, out = ifb_step(prob.u0, prob.u1, 1, prob.forward, prob.resolvent, _cfg(), prob.space)
-    assert out.fejer_applicable and out.delta_is_ratio and not out.phizero
+    assert math.isfinite(out.decrement) and not out.phizero
     return prob, out
 
 
 def _counts(out, space, solution, dist2_solution=None):
     trace = IterationTrace("control")
-    _check_invariants(trace, out, space, GAMMA, solution, space.norm2(solution), dist2_solution)
+    _check_invariants(trace, out, space, solution, space.norm2(solution), dist2_solution)
     assert trace.invariants_checked
     return trace.violations
 
@@ -266,10 +271,10 @@ class TestViolationControls:
         bad = _broken(out)[kind]
         assert _counts(bad, prob.space, np.zeros(2)) == {**ZERO_COUNTS, kind: 1}
 
-    def test_decrease_check_reads_the_carried_inner_product(self):
-        # a larger <w - v, phi> claims a larger decrement than the step made
+    def test_decrease_check_reads_the_carried_decrement(self):
+        # a larger decrement claims more decrease than the step made
         prob, out = _valid_step()
-        bad = dataclasses.replace(out, wv_phi=10.0 * out.wv_phi)
+        bad = dataclasses.replace(out, decrement=100.0 * out.decrement)
         assert _counts(bad, prob.space, np.zeros(2)) == {**ZERO_COUNTS, "fejer": 1}
 
     def test_decrease_check_reads_the_carried_squared_distance(self):
@@ -291,7 +296,7 @@ class TestViolationControls:
             return bad.u_next, bad
 
         _, trace = _drive(
-            step, prob, prob.u0, prob.u1, cfg.stop, 1, method="control", gamma=GAMMA,
+            step, prob, prob.u0, prob.u1, cfg.stop, 1, method="control",
             check_invariants=True, solution=None if same_object else np.zeros(2),
         )
         assert trace.violations == {**ZERO_COUNTS, kind: 1}
@@ -372,7 +377,7 @@ def test_fejer_check_counts_an_over_relaxed_update_on_the_integral_problem(scale
     u1 = scale * problem.u1
     _, trace = _drive(
         over_relaxed, problem, u1, u1, cfg.stop, cfg.max_iters, method="over-relaxed",
-        gamma=cfg.gamma, check_invariants=True,
+        check_invariants=True,
     )
     assert trace.iterations == 140
     assert trace.violations == {**ZERO_COUNTS, "fejer": 140}
@@ -664,3 +669,102 @@ def test_an_exception_inside_an_operator_propagates_out_of_the_run_unchanged(nam
         _solve(name, problem, np.ones(3), np.ones(3), StoppingRule(), 5, True)
     assert info.value is error
     assert np.geterr() == before  # the run's np.errstate is left on the way out
+
+
+# ---------------------------------------------------------------------------
+# integer inputs run as their float64 conversion
+
+
+def _assert_runs_bitwise_equal(a, b):
+    (u_a, trace_a), (u_b, trace_b) = a, b
+    assert trace_a.status == trace_b.status and trace_a.iterations == trace_b.iterations > 0
+    assert trace_a.violations == trace_b.violations
+    assert u_a.dtype == u_b.dtype == np.float64 and u_a.tobytes() == u_b.tobytes()
+    for column in COLUMNS:
+        assert trace_a.array(column).tobytes() == trace_b.array(column).tobytes(), column
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_an_integer_start_runs_as_its_float64_conversion(name):
+    problem = cubic_problem((2.0, -3.0))
+    start = np.array([2, -3])
+    assert start.dtype.kind == "i"
+    stop = StoppingRule("successive_diff", 1e-10)
+    _assert_runs_bitwise_equal(
+        _solve(name, problem, start, start, stop, 100, True),
+        _solve(name, problem, start.astype(float), start.astype(float), stop, 100, True),
+    )
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_an_integer_forward_map_runs_as_its_float64_conversion(name):
+    # B(u) = c is monotone and continuous, and with |c_i| <= rho zero solves it
+    shift = np.array([1, -1, 0])
+    u = np.array([3.0, -2.0, 0.5])
+    stop = StoppingRule("successive_diff", 1e-10)
+    runs = [
+        _solve(name, Inclusion(lambda x, c=c: c.copy(), l1_resolvent(2.0), euclidean(3)), u, u, stop, 100, True)
+        for c in (shift, shift.astype(float))
+    ]
+    _assert_runs_bitwise_equal(*runs)
+
+
+# ---------------------------------------------------------------------------
+# every Armijo contraction step is anchored and checked alike
+
+
+@pytest.mark.parametrize("name", ["ifb", "zw-armijo", "jx"])
+def test_every_armijo_contraction_method_counts_a_failed_decrease(name):
+    # B(u) = -u is not monotone, so against u* = 0, marked as the solution,
+    # the decrease inequality fails at every step
+    problem = dataclasses.replace(cubic_problem((2.0, -2.0)), forward=lambda u: -u, resolvent=l1_resolvent(0.1))
+    _, trace = _solve(name, problem, problem.u0, problem.u1, StoppingRule("iter_cap_only"), 5, True)
+    assert trace.iterations == 5
+    assert trace.violations == {**ZERO_COUNTS, "fejer": 5}
+
+
+@pytest.mark.parametrize(
+    "method, gamma", [("zw", 0.5), ("zw", 1.0), ("zw", 1.5), ("zw", 1.9), ("jx", None)]
+)
+@pytest.mark.parametrize("problem", ["cubic", "strong"])
+def test_armijo_contraction_baselines_keep_the_decrease_on_monotone_problems(method, gamma, problem):
+    if problem == "cubic":
+        problem = cubic_problem()
+    else:
+        problem = strongly_monotone_problem(np.array([1.0, -0.7, 0.4, 2.0]))
+    cfg = BaselineConfig(method, lambda_mode="armijo", gamma=gamma) if method == "zw" else BaselineConfig(method)
+    _, trace = run_baseline(cfg, problem, problem.u0, problem.u1, StoppingRule("successive_diff", 1e-12), 600, True)
+    assert trace.status in (TerminalStatus.CONVERGED, TerminalStatus.PHI_ZERO)
+    assert np.isfinite(trace.array("delta")).sum() >= 2  # each such step was checked
+    assert trace.violations == ZERO_COUNTS
+
+
+@pytest.mark.parametrize("name", ["ifb", "ifb-warm", "tseng", "zw-armijo", "tc", "jx"])
+def test_an_armijo_method_started_beyond_the_divergence_guard_ends_diverged_at_once(name):
+    # a finite entry beyond 1e150 fails the guard of the search's anchor
+    # before any evaluation, although the projection would map it back
+    problem = Inclusion(zero_forward(), box_resolvent(np.zeros(2), np.ones(2)), euclidean(2))
+    u = np.array([1e152, 0.5])
+    _, trace = _solve(name, problem, u, u, StoppingRule(), 5, True)
+    assert trace.status is TerminalStatus.DIVERGED and trace.iterations == 0
+
+
+@pytest.mark.parametrize("step", [tseng_step, jx_step])
+def test_an_anchor_beyond_the_divergence_guard_is_named(step):
+    with pytest.raises(DivergenceError, match="^iterate exceeded the divergence guard"):
+        step(np.array([1e152, 0.5]), zero_forward(), box_resolvent(np.zeros(2), np.ones(2)), LineSearchParams())
+    with pytest.raises(DivergenceError, match="^iterate is non-finite$"):
+        step(np.array([np.nan, 0.5]), zero_forward(), box_resolvent(np.zeros(2), np.ones(2)), LineSearchParams())
+
+
+@pytest.mark.parametrize("name", ["ifb", "zw-armijo", "jx"])
+def test_a_decrement_that_overflows_is_left_unchecked(name):
+    # from 1e100 the first point has <w - v, phi> near 1e199, whose square
+    # overflows to inf; that step's bounds go unchecked and the run goes on
+    problem = dataclasses.replace(cubic_problem((2.0, -2.0)), forward=lambda u: u, resolvent=identity_resolvent())
+    u = np.full(2, 1e100)
+    stop = StoppingRule("successive_diff", 1e-12)
+    runs = [_solve(name, problem, u, u, stop, 600, check) for check in (True, False)]
+    _assert_runs_bitwise_equal(*runs)
+    assert runs[0][1].status is TerminalStatus.CONVERGED and runs[0][1].invariants_checked
+    assert runs[0][1].violations == ZERO_COUNTS

@@ -96,7 +96,7 @@ class TestIfbStep:
         # A = l1 subdifferential (rho=1), B = 0: one step is the prox
         u = np.array([3.0])
         u_next, out = ifb_step(u, u, 1, zero_forward(), l1_resolvent(1.0), _cfg())
-        assert out.lam == 1.0 and out.j == 0
+        assert out.point.lam == 1.0 and out.point.j == 0
         assert out.delta == 1.0
         np.testing.assert_array_equal(u_next, [2.0])
 
@@ -111,7 +111,7 @@ class TestIfbStep:
         # phi=0.25, delta=2, u_next=0.5; delta inside [0.0277, 10].
         u = np.array([1.0])
         u_next, out = ifb_step(u, u, 1, identity_forward(), identity_resolvent(), _cfg())
-        assert out.lam == 0.5
+        assert out.point.lam == 0.5
         assert out.delta == pytest.approx(2.0)
         np.testing.assert_allclose(u_next, [0.5])
         lo = (1 - 0.9) / (1 + 0.9) ** 2

@@ -16,7 +16,14 @@ JSON line each run prints.
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the median of the per-pair ratios head/base and the
 number of pairs the head wins (a strictly better value in the metric's
-``better`` direction).  The exit code is 1 if any run reports
+``better`` direction).  Its last line is the same result as one JSON
+object: each side's ``ref``, ``sha`` and ``tree`` (a ``null`` ref is the
+copy of the working tree, and its sha the commit checked out under it;
+the tree is the git tree hash of the files the side ran, which names an
+uncommitted copy too), the workload,
+seed, seconds and pairs, per end-to-end metric both sides' quartiles, the
+median ratio and the wins, and the problems below.  ``BENCH_<n>.json``
+holds a list of these objects.  The exit code is 1 if any run reports
 ``correct: false`` or prints no result, or if the two sides'
 ``forward_evals`` or ``resolvent_evals`` differ, and 0 otherwise.
 """
@@ -51,12 +58,17 @@ def parse_args(argv):
     return args
 
 
-def export(ref: str, dest: Path) -> str:
-    """Extract the tree of ``ref`` into ``dest``; returns the commit it names."""
-    sha = subprocess.run(
+def commit_of(ref: str) -> str:
+    """The sha of the commit ``ref`` names."""
+    return subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{ref}^{{commit}}"],
         capture_output=True, text=True, check=True,
     ).stdout.strip()
+
+
+def export(ref: str, dest: Path) -> str:
+    """Extract the tree of ``ref`` into ``dest``; returns the commit it names."""
+    sha = commit_of(ref)
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", sha], stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     archive.stdout.close()
@@ -83,6 +95,18 @@ def copy_worktree(root: Path, dest: Path) -> None:
         target = dest / name
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy2(source, target)
+
+
+def tree_hash(tree: Path) -> str:
+    """The git tree hash of the files under ``tree``, as ``git add -A`` would stage them.
+
+    The index and objects go to a throwaway repository beside ``tree``, so
+    neither ``tree`` nor this repository is touched.
+    """
+    git = ["git", f"--git-dir={tree}.git", f"--work-tree={tree}"]
+    for command in (["init", "-q"], ["add", "-A"], ["write-tree"]):
+        out = subprocess.run(git + command, capture_output=True, text=True, check=True).stdout
+    return out.strip()
 
 
 def last_json(stdout: str):
@@ -167,10 +191,25 @@ def report(summaries: list) -> None:
         print(f"{s['metric']:<16} {sides[0]:<40} {sides[1]:<40} {s['ratio']:>7.4f} {s['wins']:>3}/{s['pairs']:<3}")
 
 
+def result_line(sides: dict, args, summaries: list, failures: list) -> str:
+    """The run's result as one JSON object: ``sides`` maps base and head to their ``ref``, ``sha`` and ``tree``."""
+    metrics = {
+        s["metric"]: {"base": list(s["base"]), "head": list(s["head"]), "ratio": s["ratio"], "wins": s["wins"]}
+        for s in summaries
+    }
+    return json.dumps(
+        {
+            **sides, "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+            "pairs": args.pairs, "metrics": metrics, "problems": failures,
+        }
+    )
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides = {}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {}
         for side, ref in (("base", args.base), ("head", args.head)):
@@ -178,9 +217,12 @@ def main(argv=None) -> int:
             trees[side].mkdir()
             if ref is None:
                 copy_worktree(ROOT, trees[side])
+                sides[side] = {"ref": None, "sha": commit_of("HEAD")}
                 print(f"{side}: copy of the working tree {ROOT}")
             else:
-                print(f"{side}: {ref} = {export(ref, trees[side])}")
+                sides[side] = {"ref": ref, "sha": export(ref, trees[side])}
+                print(f"{side}: {ref} = {sides[side]['sha']}")
+            sides[side]["tree"] = tree_hash(trees[side])
         results = {"base": [], "head": []}
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -188,10 +230,13 @@ def main(argv=None) -> int:
                 results[side].append(run_once(trees[side], args))
             print(f"pair {i + 1}/{args.pairs} done ({' first, '.join(order)} second)", flush=True)
     failures = problems(results["base"], results["head"])
+    summaries = []
     if not any(r is None for r in results["base"] + results["head"]):
-        report(summarize(results["base"], results["head"], better))
+        summaries = summarize(results["base"], results["head"], better)
+        report(summaries)
     for line in failures:
         print("FAILED", line)
+    print(result_line(sides, args, summaries, failures))
     return 1 if failures else 0
 
 
