@@ -178,7 +178,7 @@ def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> t
     """Forward-backward-forward step with Armijo-selected step size."""
     if space is None:
         space = euclidean(len(u))
-    _, ls = _anchored_search(u, forward, resolvent, armijo, space, 0, "iterate")
+    ls = _anchored_search(u, forward, resolvent, armijo, space, 0, "iterate")
     u_next = ls.v - ls.lam * (ls.b_v - ls.b_w)
     _guard_iterate(u_next, "tseng iterate")
     return u_next, StepOutcome(u_next, ls, ls.res_wv)
@@ -189,8 +189,8 @@ def _armijo_contraction_step(u, forward, resolvent, armijo: LineSearchParams, ga
 
     This is the ``zw[armijo]`` step, and ``jx`` at ``gamma = 1``.
     """
-    u_sum2, ls = _anchored_search(u, forward, resolvent, armijo, space, 0, "iterate")
-    return _contraction_step(u, ls, gamma, space, _PHI_ZERO_TOL, 0.0, u_sum2)
+    ls = _anchored_search(u, forward, resolvent, armijo, space, 0, "iterate")
+    return _contraction_step(u, ls, gamma, space, _PHI_ZERO_TOL)
 
 
 def zw_step(
@@ -255,8 +255,8 @@ def tc_step(
     diff = space.norm(step)
     theta_k = theta if diff == 0.0 else min(eps_k / diff, theta)
     w = u_curr + theta_k * step
-    w_sum2, ls = _anchored_search(w, forward, resolvent, armijo, space, 0, "extrapolated point", k)
-    _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, _PHI_ZERO_TOL, w_sum2)
+    ls = _anchored_search(w, forward, resolvent, armijo, space, 0, "extrapolated point", k)
+    _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, _PHI_ZERO_TOL)
     z, eta = w, float("nan")
     if not vanished:
         eta = (1.0 - mu_tc) * res_wv**2 / pp

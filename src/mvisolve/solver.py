@@ -77,10 +77,6 @@ _CHECK_SLACK = 1e-12
 #: a contraction direction with ``||phi|| <= tol * (1 + ||w||)`` counts as vanished
 _PHI_ZERO_TOL = 1e-14
 
-#: a bound on ``||w||`` at most this decides that ``phi`` does not vanish
-#: without computing ``||w||`` (see ``_direction``)
-_W_NORM_BOUND = 2.0**512
-
 
 class DivergenceError(FloatingPointError):
     """An iterate left the trust region ``||u|| <= 1e150`` or went non-finite."""
@@ -407,60 +403,24 @@ def _direction(
     point: LineSearchOutcome,
     space: InnerProductSpace,
     phi_zero_tol: float,
-    w_sum2: Optional[float] = None,
 ):
     """``(w - v, phi, ||phi||^2, ||phi||, ||w - v||, vanished)`` for ``phi = (w - v) - lam*(B(w) - B(v))``.
 
     ``v``, ``B(w)``, ``B(v)`` and ``lam`` are those of the accepted
     ``point``.  The one place that rejects an overflowed direction and
-    decides whether ``phi`` vanishes relative to ``1 + ||w||``.  The
+    decides whether ``phi`` vanishes, ``||phi|| <= tol*(1 + ||w||)``.  The
     point's ``res_wv``, ``wv`` and ``b_wv`` are ``||w - v||``, ``w - v``
     and ``B(w) - B(v)`` when the line search formed them for the accepted
-    trial; they are computed here when they are ``None``.  ``w_sum2``, when
-    given, is ``np.vdot(w, w)`` as the divergence guard computed it.
+    trial; they are computed here when they are ``None``.
 
     Overflow.  Inside a run the ufuncs and inner products here overflow
     silently under :func:`_drive`'s ``np.errstate``, and outside one they
     follow the caller's error state.  Either way an overflowed ``||phi||^2``
-    or ``||w - v||``, or a weighted ``||w||`` that overflows while
-    ``phi != 0``, raises :class:`DivergenceError`, so a run ends
-    ``diverged``.
-
-    Vanishing.  The test is ``||phi|| <= tol*(1 + N_w)`` with the computed
-    ``N_w = space.norm(w)`` and ``tol >= 0``.  With ``w_sum2`` given, let
-    ``s`` be it and ``W = space._norm_scale * sqrt(s)``, which is
-    ``2*w_max**0.5*sqrt(s)`` as floats (``inf`` for a space without the
-    attribute or with weights outside ``[2**-256, 2**256]``).  When
-    ``W <= 2**512`` and ``||phi|| > tol*(1 + W)``, ``phi`` does not vanish
-    and ``N_w`` is never computed; otherwise the test runs as above:
-
-    * Let ``x = w`` have ``n <= 2**49`` entries and ``S = sum x_i**2``
-      exactly, and ``u = 2**-53``.  Each rounding of a product or sum of
-      non-negative terms has relative error at most ``u`` or, on
-      underflow, absolute error at most ``2**-1075``; a weight product
-      ``w_i*x_i`` underflows only for ``|x_i| < 2**-766``.  So
-      ``S <= (s + n*2**-1075)/(1 - g_{n+1})`` and the computed weighted sum
-      of squares ``q`` (of which ``N_w`` is the rounded root) is at most
-      ``(1 + g_{3n+4})*w_max*s + 2**-767``, where ``g_k`` is
-      ``spaces._rounding_gamma(k)`` and ``1 + g_{3n+4} < 1.25``.
-    * ``W`` is at least ``(1-u)**3 * 2*sqrt(w_max*s)``: its three roundings
-      cannot underflow, as ``s > 0`` is at least ``2**-1074``.  So
-      ``W <= 2**512`` gives ``w_max*s < 2**1023``, and ``q`` and every
-      partial sum of it stay finite.
-    * If ``N_w > 2**-54``, then ``q > 2**-109``, the absolute term is below
-      ``2**-650*q`` and ``N_w <= (1+u)*sqrt(q) < 1.2*sqrt(w_max*s) <= W``.
-      If ``N_w <= 2**-54``, then ``fl(1 + N_w) = 1 <= fl(1 + W)``.
-    * Either way rounding is monotone, so ``fl(tol*fl(1 + N_w))`` is at most
-      ``fl(tol*fl(1 + W))``, which ``||phi||`` exceeds: the verdict is the
-      exact test's.  A NaN ``W`` (``inf*0``) fails both comparisons.
-    * An infinite ``N_w`` raises instead, as ``tol*inf`` would call any
-      finite ``phi`` vanished, a false exact-solution verdict.  A zero
-      ``phi`` is left to the test, as ``w = v`` then solves the inclusion.
-
-    Every Armijo contraction step (``ifb_step``, ``tc_step``, ``jx_step``
-    and the ``zw[armijo]`` step) takes its point with
-    :func:`_anchored_search` and passes the guard's sum for its anchor, so
-    an iteration that does not vanish takes no ``space.norm(w)``.
+    or ``||w - v||`` raises :class:`DivergenceError`, so a run ends
+    ``diverged``.  So does a weighted ``||w||`` that overflows while
+    ``phi != 0``, as ``tol*inf`` would call any finite ``phi`` vanished, a
+    false exact-solution verdict; a zero ``phi`` still vanishes, as
+    ``w = v`` then solves the inclusion.
     """
     wv = w - point.v if point.wv is None else point.wv
     b_wv = point.b_w - point.b_v if point.b_wv is None else point.b_wv
@@ -471,10 +431,6 @@ def _direction(
         # an overflowed ||phi||^2 would silently zero the contraction scalar
         raise DivergenceError("contraction direction overflowed")
     phi_norm = math.sqrt(pp)
-    if w_sum2 is not None:
-        w_hi = getattr(space, "_norm_scale", math.inf) * math.sqrt(w_sum2)
-        if phi_zero_tol * (1.0 + w_hi) < phi_norm and w_hi <= _W_NORM_BOUND:
-            return wv, phi, pp, phi_norm, res_wv, False
     w_norm = space.norm(w)
     if not math.isfinite(w_norm) and phi_norm > 0.0:
         raise DivergenceError("norm of w overflowed")
@@ -510,21 +466,19 @@ class StepOutcome:
     decrement: float = float("nan")
 
 
-def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> float:
-    # one BLAS pass admits almost every iterate, and is returned: the
-    # computed np.vdot(u, u), from which _direction bounds ||u||.  The sum is
-    # sufficient, not necessary: twenty entries of 1e149 pass the guard with
-    # a sum of squares above 1e299, and 1e200 is finite with an overflowing
-    # square.  Those go to the exact sup-norm test, whose maximum carries nan
-    # through, so it also names a non-finite entry.  The pass is
-    # spaces._require_finite's.  The message names ``what`` at iteration
-    # ``k``, and is built only to raise.
-    sum2 = np.vdot(u, u)
-    if sum2 <= _GUARD_SUM_OF_SQUARES:
-        return sum2
+def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> None:
+    # one BLAS pass admits almost every iterate.  The sum is sufficient, not
+    # necessary: twenty entries of 1e149 pass the guard with a sum of squares
+    # above 1e299, and 1e200 is finite with an overflowing square.  Those go
+    # to the exact sup-norm test, whose maximum carries nan through, so it
+    # also names a non-finite entry.  The pass is spaces._require_finite's.
+    # The message names ``what`` at iteration ``k``, and is built only to
+    # raise.
+    if np.vdot(u, u) <= _GUARD_SUM_OF_SQUARES:
+        return
     peak = np.abs(u).max()
     if peak <= DIVERGENCE_NORM:
-        return sum2
+        return
     what = what if k is None else f"{what} at k={k}"
     if not math.isfinite(peak):
         raise DivergenceError(f"{what} is non-finite")
@@ -534,15 +488,14 @@ def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> float:
 def _anchored_search(
     w: np.ndarray, forward, resolvent, params, space: InnerProductSpace, j_start: int, what: str,
     k: Optional[int] = None,
-) -> tuple[float, LineSearchOutcome]:
+) -> LineSearchOutcome:
     """The Armijo point of the anchor ``w``, as every Armijo step takes it.
 
     The anchor passes :func:`_guard_iterate` (as ``what`` at ``k``) first,
-    which proves it finite, so the search need not scan it again; returns
-    the guard's ``np.vdot(w, w)`` for :func:`_direction`, and the point.
+    which proves it finite, so the search need not scan it again.
     """
-    w_sum2 = _guard_iterate(w, what, k)
-    return w_sum2, _search(w, forward, resolvent, params, space, j_start)
+    _guard_iterate(w, what, k)
+    return _search(w, forward, resolvent, params, space, j_start)
 
 
 def _contraction_step(
@@ -552,7 +505,6 @@ def _contraction_step(
     space: InnerProductSpace,
     phi_zero_tol: float,
     theta: float = 0.0,
-    w_sum2: Optional[float] = None,
 ) -> tuple[np.ndarray, StepOutcome]:
     """The step every projection-contraction method shares.
 
@@ -563,10 +515,9 @@ def _contraction_step(
     ``phizero`` set.  The record holds ``point``, and its ``decrement`` is
     set when ``point.sigma`` is, i.e. for every point that passed the
     Armijo test, so that every such step gets the scalar and decrease
-    checks.  ``w_sum2`` is the guard's ``np.vdot(w, w)`` (see
-    :func:`_direction`).
+    checks.
     """
-    wv, phi, pp, phi_norm, res_wv, phizero = _direction(w, point, space, phi_zero_tol, w_sum2)
+    wv, phi, pp, phi_norm, res_wv, phizero = _direction(w, point, space, phi_zero_tol)
     if phizero:
         u_next, delta, decrement = point.v, float("nan"), float("nan")
     else:
@@ -636,8 +587,8 @@ def ifb_step(
         space = euclidean(len(u_curr))
     theta = cfg.inertia.value(k)
     w = u_curr + theta * (u_curr - u_prev)
-    w_sum2, ls = _anchored_search(w, forward, resolvent, cfg.linesearch, space, j_start, "extrapolated point", k)
-    return _contraction_step(w, ls, cfg.gamma, space, _PHI_ZERO_TOL, theta, w_sum2)
+    ls = _anchored_search(w, forward, resolvent, cfg.linesearch, space, j_start, "extrapolated point", k)
+    return _contraction_step(w, ls, cfg.gamma, space, _PHI_ZERO_TOL, theta)
 
 
 def _check_invariants(

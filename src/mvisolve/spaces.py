@@ -8,7 +8,6 @@ through an :class:`InnerProductSpace` so that the same code runs on plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import functools
 import math
 
 import numpy as np
@@ -40,28 +39,13 @@ class InnerProductSpace:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        # a private read-only copy: _plain and the norm scale are cached from it
+        # a private read-only copy: _plain is cached from it
         w = _require_shape(np.array(self.weights, dtype=float), "weights", (self.dimension,))
         if not np.all(w > 0.0):
             raise ValueError("all quadrature weights must be strictly positive")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_plain", bool(np.all(w == 1.0)))
-
-    @functools.cached_property
-    def _norm_scale(self) -> float:
-        """``2*w_max**0.5``, or ``inf`` for weights outside ``[2**-256, 2**256]``.
-
-        Times the root of a computed sum of squares ``np.vdot(x, x)``, an
-        upper bound on the computed ``norm(x)`` while the result is at most
-        ``2**512``; the range keeps the weight products of that proof from
-        underflowing (see ``solver._direction``), and ``inf`` turns the bound
-        off.  Computed on first use, once per space.
-        """
-        lo, hi = float(self.weights.min()), float(self.weights.max())
-        if not (2.0**-256 <= lo and hi <= 2.0**256):
-            return math.inf
-        return 2.0 * math.sqrt(hi)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         # ndarray.dot runs the same ddot as ``@`` with a cheaper dispatch

@@ -47,7 +47,7 @@ def test_weight_validation():
 
 
 def test_weights_are_a_read_only_private_copy():
-    # _plain and _norm_scale are cached from the weights, so they must not change
+    # _plain is cached from the weights, so they must not change
     weights = np.linspace(0.5, 2.0, 4)
     space = InnerProductSpace(4, weights)
     for sp in (space, euclidean(4)):
@@ -55,26 +55,6 @@ def test_weights_are_a_read_only_private_copy():
             sp.weights[0] = 1.0
     weights[0] = 1.0  # the caller's array stays writable and is not the space's
     assert space.weights[0] == 0.5 and not space._plain
-
-
-@pytest.mark.parametrize(
-    "space, scale",
-    [
-        (euclidean(4), 2.0),
-        (trapezoid_unit_interval(5), 1.0),  # weights 0.125 at the ends, 0.25 inside
-        (InnerProductSpace(2, np.array([1.0, 4.0**100])), 2.0**101),
-        (InnerProductSpace(2, np.array([2.0**-256, 2.0**256])), 2.0**129),
-        (InnerProductSpace(2, np.array([2.0**-257, 1.0])), np.inf),
-        (InnerProductSpace(2, np.array([1.0, 2.0**257])), np.inf),
-    ],
-    ids=["plain", "trapezoid", "heavy", "range-ends", "below-range", "above-range"],
-)
-def test_norm_scale_bounds_the_norm_by_the_sum_of_squares(space, scale):
-    # 2*w_max**0.5 inside [2**-256, 2**256]; inf outside turns the bound off
-    assert space._norm_scale == scale
-    n = space.dimension
-    for x in [*(3.0 * np.eye(n)), np.random.default_rng(3).standard_normal(n)]:
-        assert space.norm(x) <= scale * np.sqrt(np.vdot(x, x))
 
 
 def test_check_member_rejects_nonfinite():
