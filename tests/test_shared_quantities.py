@@ -434,6 +434,50 @@ def _wide_weights(n):
     return InnerProductSpace(n, np.geomspace(2.0**-200, 2.0**200, n))
 
 
+SPACES = {
+    "plain": euclidean,
+    "trapezoid": trapezoid_unit_interval,
+    "wide-weights": _wide_weights,
+    "weights-out-of-range": lambda n: InnerProductSpace(n, np.geomspace(2.0**-300, 1.0, n)),
+}
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+def test_vanishing_verdict_is_the_exact_test(name):
+    # phi vanishes iff ||phi|| <= tol*(1 + ||w||), where ||w|| is the space's
+    # norm, taken at one inner product beside <phi, phi>
+    n = 64
+    space = SPACES[name](n)
+    rng = np.random.default_rng(11)
+    direction, shape = rng.standard_normal(n), rng.standard_normal(n)
+    zeros = np.zeros(n)
+    verdicts = {"vanished": 0, "kept": 0}
+    overflowed = 0
+    with np.errstate(over="ignore"):
+        for w_scale in [0.0, 1e-310, 1e-170, 1e-8, 1.0, 1e100, 1e149]:
+            w = w_scale * shape
+            w_norm = space.norm(w)
+            for phi_scale in [0.0, 5e-324, 1e-300, 1e-30, 1e-14, 1.0, 1e50]:
+                v = w - phi_scale * direction
+                phi = w - v  # the direction _direction forms, as B = 0 here
+                point = LineSearchOutcome(0.5, 0, v, zeros, zeros, 1, 2, space.norm(phi), phi, zeros)
+                phi_norm = math.sqrt(space.inner(phi, phi))
+                # tolerances on both sides of the one at which phi just vanishes
+                edge = phi_norm / (1.0 + w_norm)
+                for tol in [0.0, 1e-200, 1e-14, 0.5 * edge, edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 2.0 * edge]:
+                    tol, counting = float(tol), CountingSpace(space)
+                    wv, phi_out, pp, phi_norm_out, res_wv, vanished = _direction(w, point, counting, tol)
+                    assert counting.calls == 2, (w_scale, phi_scale, tol)
+                    assert phi_out.tobytes() == phi.tobytes() and phi_norm_out == phi_norm
+                    assert vanished == (phi_norm <= tol * (1.0 + w_norm)), (w_scale, phi_scale, tol)
+                    verdicts["vanished" if vanished else "kept"] += 1
+                    overflowed += not math.isfinite(w_norm)
+    assert verdicts["vanished"] > 0 and verdicts["kept"] > 0
+    # with weights up to 2**200, ||w|| overflows at the largest scale, where
+    # w absorbs every phi of the sweep: phi = 0 is then decided, not raised
+    assert (overflowed > 0) == (name == "wide-weights")
+
+
 @pytest.mark.parametrize("name", ["ifb", "tc"])
 def test_a_duck_typed_space_takes_the_inner_products_of_the_space_it_wraps(name, monkeypatch):
     # a tracing wrapper forwards inner, norm and norm2 and nothing private,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +57,29 @@ def test_weights_are_a_read_only_private_copy():
             sp.weights[0] = 1.0
     weights[0] = 1.0  # the caller's array stays writable and is not the space's
     assert space.weights[0] == 0.5 and not space._plain
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        euclidean(4),
+        trapezoid_unit_interval(5),  # weights 0.125 at the ends, 0.25 inside
+        InnerProductSpace(2, np.array([1.0, 4.0**100])),
+        InnerProductSpace(2, np.array([2.0**-256, 2.0**256])),
+        InnerProductSpace(2, np.array([2.0**-257, 1.0])),
+        InnerProductSpace(2, np.array([1.0, 2.0**257])),
+    ],
+    ids=["plain", "trapezoid", "heavy", "range-ends", "below-range", "above-range"],
+)
+def test_norm_is_the_root_of_the_weighted_sum_of_squares(space):
+    # the solver's vanishing test takes ||w|| from norm on every step, and
+    # norm2 and norm repeat inner's expression, so all three must agree
+    n = space.dimension
+    for x in [*(3.0 * np.eye(n)), np.random.default_rng(3).standard_normal(n)]:
+        assert space.norm2(x).hex() == space.inner(x, x).hex()
+        assert space.norm(x).hex() == math.sqrt(space.norm2(x)).hex()
+        reference = math.sqrt(math.fsum(space.weights * x * x))
+        assert space.norm(x) == pytest.approx(reference, rel=_rounding_gamma(n + 2), abs=0)
 
 
 def test_check_member_rejects_nonfinite():
