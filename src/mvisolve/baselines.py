@@ -56,9 +56,6 @@ __all__ = [
     "run_baseline",
 ]
 
-def _default_half_contraction(x):
-    return 0.5 * x
-
 
 def _tc_alpha(k):
     """The viscosity weight ``alpha_k = 1/(k+1)`` of ``tc``."""
@@ -145,9 +142,6 @@ class BaselineConfig:
             raise ValueError(f"step lam_{k} = {lam} must be positive and finite")
         return lam
 
-    def display_label(self) -> str:
-        return self.label or _entry(self.method, self.lambda_mode)
-
 
 # ---------------------------------------------------------------------------
 # single steps
@@ -226,10 +220,7 @@ def tc_step(
     armijo: LineSearchParams,
     gamma: Optional[float] = None,
     mu_tc: Optional[float] = None,
-    alpha_k: Optional[float] = None,
-    f: Callable[[np.ndarray], np.ndarray] = _default_half_contraction,
     theta: Optional[float] = None,
-    eps_k: Optional[float] = None,
     space=None,
 ) -> tuple[np.ndarray, StepOutcome]:
     """Inertial viscosity-type projection-contraction step.
@@ -238,10 +229,10 @@ def tc_step(
     and falls back to ``theta`` when the two iterates coincide.  The
     forward-backward point is computed from the extrapolated point ``w``
     and one direction ``phi(w, v)`` is used throughout.  When it vanishes
-    the contraction step is skipped and only the averaging with ``f``
-    moves the iterate.  ``gamma``, ``mu_tc`` and ``theta`` left at ``None``
-    take their values from ``SETTINGS["tc"]``, ``alpha_k`` and ``eps_k``
-    those of the ``tc`` schedules at ``k``.
+    the contraction step is skipped and only the averaging with
+    ``f(x) = x/2`` moves the iterate.  ``alpha_k = 1/(k+1)`` and
+    ``eps_k = 100/(k+1)^2`` are fixed; ``gamma``, ``mu_tc`` and ``theta``
+    left at ``None`` take their values from ``SETTINGS["tc"]``.
     """
     if space is None:
         space = euclidean(len(u_curr))
@@ -249,11 +240,10 @@ def tc_step(
     gamma = settings["gamma"] if gamma is None else gamma
     mu_tc = settings["mu_tc"] if mu_tc is None else mu_tc
     theta = settings["theta"] if theta is None else theta
-    alpha_k = _tc_alpha(k) if alpha_k is None else alpha_k
-    eps_k = _tc_eps(k) if eps_k is None else eps_k
+    alpha_k = _tc_alpha(k)
     step = u_curr - u_prev
     diff = space.norm(step)
-    theta_k = theta if diff == 0.0 else min(eps_k / diff, theta)
+    theta_k = theta if diff == 0.0 else min(_tc_eps(k) / diff, theta)
     w = u_curr + theta_k * step
     ls = _anchored_search(w, forward, resolvent, armijo, space, 0, "extrapolated point", k)
     _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, _PHI_ZERO_TOL)
@@ -261,7 +251,8 @@ def tc_step(
     if not vanished:
         eta = (1.0 - mu_tc) * res_wv**2 / pp
         z = w - (gamma * eta) * phi
-    u_next = alpha_k * np.asarray(f(u_curr), dtype=float) + (1.0 - alpha_k) * z
+    # the averaging with the contraction f(x) = x/2
+    u_next = alpha_k * (0.5 * u_curr) + (1.0 - alpha_k) * z
     _guard_iterate(u_next, "viscosity iterate", k)
     # phizero stays False: the averaging step still moves the iterate
     return u_next, StepOutcome(u_next, ls, res_wv, theta_k, eta, phi_norm, w=w)
@@ -324,7 +315,7 @@ def run_baseline(
         u1,
         stop,
         max_iters,
-        method=cfg.display_label(),
+        method=cfg.label or entry,
         labels={name: getattr(cfg, name) for name in _LABELLED if name in SETTINGS[entry]},
         check_invariants=check_invariants,
     )

@@ -202,14 +202,15 @@ class RunSpec:
             # "cases" expands l2 cells, "seeds" every other family's
             expand = ("cases",) if family == "l2" else ("seeds",)
             _check_keys(p, ("family", "seed") + expand + _FAMILY_DIMS[family], f"problem {p!r}")
+            for one, many in (("seed", "seeds"), ("case_id", "cases")):
+                if one in p and many in p:  # the plural would silently win
+                    raise ValueError(f"problem {p!r} gives both {one!r} and {many!r}; give one of them")
             dims = _pick(p, _FAMILY_DIMS[family])
-            seeds = p.get("seeds", [p.get("seed", 0)])
             if family == "l2":
-                cases = p.get("cases", [p.get("case_id", 1)])
-                for case in cases:
+                for case in p.get("cases", [p.get("case_id", 1)]):
                     cells.append(ProblemCell(family, {**dims, "case_id": case}, seed=0))
             else:
-                for s in seeds:
+                for s in p.get("seeds", [p.get("seed", 0)]):
                     cells.append(ProblemCell(family, dims, seed=int(s)))
         solvers = tuple(
             SolverEntry(s["method"], {k: v for k, v in s.items() if k != "method"})

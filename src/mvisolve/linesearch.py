@@ -92,16 +92,15 @@ class LineSearchOutcome:
     ``B(v)``.  ``wv``, ``b_wv`` and ``res_wv`` are ``w - v``,
     ``B(w) - B(v)`` and ``||w - v||`` as the acceptance test formed them,
     or ``None`` for a point built outside :func:`backtrack`; the
-    contraction kernel reuses them (see
-    :func:`mvisolve.solver.contraction_update`).  ``certified`` counts the
-    rejected trials whose ``B(v)`` was never finished (see
-    :func:`backtrack`); ``forward_evals`` counts them too.  ``speculative``
-    counts the block rows computed past the accepted trial, which neither
-    ``forward_evals`` nor ``resolvent_evals`` counts.  ``sigma`` is the
-    acceptance ratio the point passed, and ``None`` for a point taken at a
-    fixed step (``j = -1``), as ``fb_step``, ``zw_step`` and
-    ``contraction_update`` build them; ``fb_step``'s has ``b_v = None``.
-    The step record of every method holds its point (see
+    contraction kernel reuses them, and forms those left at ``None``.
+    ``certified`` counts the rejected trials whose ``B(v)`` was never
+    finished (see :func:`backtrack`); ``forward_evals`` counts them too.
+    ``speculative`` counts the block rows computed past the accepted
+    trial, which neither ``forward_evals`` nor ``resolvent_evals`` counts.
+    ``sigma`` is the acceptance ratio the point passed, and ``None`` for a
+    point taken at a fixed step (``j = -1``), as ``fb_step``, ``zw_step``
+    and ``contraction_update`` build them; ``fb_step``'s has
+    ``b_v = None``.  The step record of every method holds its point (see
     :class:`mvisolve.solver.StepOutcome`).  The record is a slotted, not
     frozen, dataclass, as it is built every iteration; treat it as
     read-only.

@@ -3,10 +3,10 @@
 The solvers only ever touch two things: a monotone single-valued map
 evaluated directly, and a set-valued maximal monotone operator exposed
 through its resolvent ``(I + lam*A)^{-1}``.  Both are wrapped in thin
-immutable carriers so traces can label them.  Every callable a carrier
-holds is pure: the line search evaluates splits, block pairings and block
-forms on trial points it may never reach, and one operator is reused
-across cells and passes.
+immutable carriers, which hold the optional split and block forms the
+line search uses.  Every callable a carrier holds is pure: the line
+search evaluates splits, block pairings and block forms on trial points
+it may never reach, and one operator is reused across cells and passes.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class ForwardOperator:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    label: str = "forward"
     split: Optional[ForwardSplit] = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -102,7 +101,6 @@ class ResolventOperator:
     """
 
     apply: Callable[[np.ndarray, float], np.ndarray]
-    label: str = "resolvent"
     block: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, x: np.ndarray, lam: float) -> np.ndarray:
@@ -198,20 +196,20 @@ def log_operator(u: np.ndarray) -> np.ndarray:
 
 
 def zero_forward() -> ForwardOperator:
-    return ForwardOperator(lambda u: np.zeros_like(u), label="zero")
+    return ForwardOperator(lambda u: np.zeros_like(u))
 
 
 def identity_forward() -> ForwardOperator:
-    return ForwardOperator(lambda u: u, label="identity")
+    return ForwardOperator(lambda u: u)
 
 
 def cubic_forward() -> ForwardOperator:
     """Componentwise ``u -> u^3``: monotone, continuous, not globally Lipschitz."""
-    return ForwardOperator(lambda u: u ** 3, label="cubic")
+    return ForwardOperator(lambda u: u ** 3)
 
 
 def log_forward() -> ForwardOperator:
-    return ForwardOperator(log_operator, label="x*log1p|x|")
+    return ForwardOperator(log_operator)
 
 
 #: the quartic pairing bound is certified only while its scales lie in this window
@@ -358,31 +356,24 @@ def quartic_forward(C: np.ndarray, v: np.ndarray) -> ForwardOperator:
     """The quartic fidelity gradient, with the two-pass split the line search can use."""
     C = np.asarray(C, dtype=float)
     v = np.asarray(v, dtype=float)
-    return ForwardOperator(
-        lambda u: quartic_fidelity_gradient(C, v, u),
-        label=f"quartic-fidelity[{C.shape[0]}x{C.shape[1]}]",
-        split=_quartic_split(C, v),
-    )
+    return ForwardOperator(lambda u: quartic_fidelity_gradient(C, v, u), split=_quartic_split(C, v))
 
 
 def lpa_forward(Q: np.ndarray, q: np.ndarray, mu: float, alpha: float) -> ForwardOperator:
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
-    return ForwardOperator(
-        lambda u: lpa_gradient(Q, q, mu, alpha, u),
-        label=f"lsq+l^{alpha}[{Q.shape[0]}x{Q.shape[1]}]",
-    )
+    return ForwardOperator(lambda u: lpa_gradient(Q, q, mu, alpha, u))
 
 
-def linear_forward(M: np.ndarray, label: str = "linear") -> ForwardOperator:
+def linear_forward(M: np.ndarray) -> ForwardOperator:
     """``u -> M u``; monotone whenever ``M + M^T`` is positive semidefinite."""
     M = np.asarray(M, dtype=float)
-    return ForwardOperator(lambda u: M.dot(u), label=label)
+    return ForwardOperator(lambda u: M.dot(u))
 
 
 def identity_resolvent() -> ResolventOperator:
     """Resolvent of the zero operator: the identity for every step size."""
-    return ResolventOperator(lambda x, lam: x, label="identity")
+    return ResolventOperator(lambda x, lam: x)
 
 
 def l1_resolvent(rho: float) -> ResolventOperator:
@@ -396,7 +387,7 @@ def l1_resolvent(rho: float) -> ResolventOperator:
         # make every threshold nonnegative
         return _shrink(X, (lams * rho)[:, None])
 
-    return ResolventOperator(lambda x, lam: soft_threshold(x, lam * rho), label=f"soft[rho={rho:g}]", block=block)
+    return ResolventOperator(lambda x, lam: soft_threshold(x, lam * rho), block=block)
 
 
 def box_resolvent(lo: np.ndarray, hi: np.ndarray) -> ResolventOperator:
@@ -408,7 +399,7 @@ def box_resolvent(lo: np.ndarray, hi: np.ndarray) -> ResolventOperator:
             raise ValueError(f"box bound {name} contains NaN")
     if np.any(lo > hi):
         raise ValueError("box is empty: lo > hi in some coordinate")
-    return ResolventOperator(lambda x, lam: np.clip(x, lo, hi), label="box-projection")
+    return ResolventOperator(lambda x, lam: np.clip(x, lo, hi))
 
 
 def shifted_l1_resolvent(rho: float, beta: float) -> ResolventOperator:
@@ -424,4 +415,4 @@ def shifted_l1_resolvent(rho: float, beta: float) -> ResolventOperator:
         c = 1.0 + lam * beta
         return soft_threshold(x / c, lam * rho / c)
 
-    return ResolventOperator(apply, label=f"soft-shifted[rho={rho:g},beta={beta:g}]")
+    return ResolventOperator(apply)

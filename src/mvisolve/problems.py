@@ -15,10 +15,9 @@ and an ambient space:
 
 Reproducibility: every random component draws from its own child stream of
 ``numpy.random.SeedSequence(seed)``, spawned in a fixed order (0 matrix,
-1 spike support and values, 2 noise, 3 initial point) and fed to a PCG64
-generator.  An instance is what its generator returns for a family,
-dimensions and seed: the same seed under the same numpy version rebuilds
-the same instance.  NumPy does not promise ``Generator`` streams across
+1 spike support and values, 2 noise) and fed to a PCG64 generator.  An
+instance is what its generator returns for a family, dimensions and seed:
+the same seed under the same numpy version rebuilds the same instance.  NumPy does not promise ``Generator`` streams across
 its versions (NEP 19), so a frozen copy is ``np.savez`` of its fields.
 """
 
@@ -56,7 +55,7 @@ __all__ = [
     "strongly_monotone_problem",
 ]
 
-_STREAMS = {"matrix": 0, "spikes": 1, "noise": 2, "init": 3}
+_STREAMS = {"matrix": 0, "spikes": 1, "noise": 2}
 
 
 def _rng(seed: int, component: str) -> np.random.Generator:
@@ -106,7 +105,6 @@ class CompressedSensingInstance:
     rho: float
     seed: int
     snr_db: float
-    u_init: np.ndarray
 
     @property
     def d(self) -> int:
@@ -170,8 +168,7 @@ def gen_cs(
 
     if rho is None:
         rho = 0.005 * float(np.max(np.abs(C.T @ v_obs)))
-    u_init = _rng(seed, "init").standard_normal(d)
-    return CompressedSensingInstance(C, u_true, v_obs, float(rho), seed, float(snr_db), u_init)
+    return CompressedSensingInstance(C, u_true, v_obs, float(rho), seed, float(snr_db))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,6 @@ class LpaInstance:
     alpha: float
     rho: float
     seed: int
-    u_init: np.ndarray
     u_true: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -226,7 +222,6 @@ def gen_lpa(
         alpha=float(alpha),
         rho=float(rho),
         seed=seed,
-        u_init=cs.u_init,
         u_true=cs.u_true,
     )
 
@@ -290,7 +285,7 @@ def assemble(instance) -> Problem:
     if isinstance(instance, CompressedSensingInstance):
         d = instance.d
         # benchmark initialization: the zero vector, the usual sparse-recovery
-        # starting point; instance.u_init carries a seeded random alternative
+        # starting point
         return Problem(
             forward=quartic_forward(instance.C, instance.v_obs),
             resolvent=l1_resolvent(instance.rho),

@@ -182,14 +182,6 @@ class InertiaSchedule:
         if not 0.0 <= self.theta_max < 1.0:
             raise ValueError("theta_max must lie in [0, 1)")
 
-    @classmethod
-    def constant(cls, theta: float) -> "InertiaSchedule":
-        return cls("constant", theta)
-
-    @classmethod
-    def experiment(cls, theta_max: float) -> "InertiaSchedule":
-        return cls("experiment", theta_max)
-
     def value(self, k: int) -> float:
         if self.kind == "constant":
             return self.theta_max
@@ -248,15 +240,7 @@ class SolverConfig:
             raise ValueError("max_iters must be positive")
         if self.inertia is None:
             cap = inertia_cap(self.gamma, self.linesearch.sigma)
-            object.__setattr__(self, "inertia", InertiaSchedule.experiment(0.99 * cap))
-
-    @property
-    def contraction_margin(self) -> float:
-        return contraction_margin(self.gamma, self.linesearch.sigma)
-
-    @property
-    def inertia_cap(self) -> float:
-        return inertia_cap(self.gamma, self.linesearch.sigma)
+            object.__setattr__(self, "inertia", InertiaSchedule("experiment", 0.99 * cap))
 
     def analysis(
         self,
@@ -539,9 +523,6 @@ def contraction_update(
     gamma: float,
     space: InnerProductSpace,
     phi_zero_tol: float,
-    res_wv: Optional[float] = None,
-    wv: Optional[np.ndarray] = None,
-    b_wv: Optional[np.ndarray] = None,
 ) -> StepOutcome:
     """The step record of the relaxed contraction update from ``w`` and its point ``v``.
 
@@ -549,15 +530,14 @@ def contraction_update(
     every contraction method runs, so that methods which are algebraically
     identical (e.g. zero inertia versus the plain projection-contraction
     iteration) produce bitwise identical iterates; ``u_next`` is the
-    record's first field.  ``res_wv``, ``wv`` and ``b_wv`` optionally pass
-    in ``||w - v||``, ``w - v`` and ``B(w) - B(v)``, as
-    :class:`~mvisolve.linesearch.LineSearchOutcome` carries them.  It
-    follows the caller's floating-point error state, so under numpy's
-    default an overflow warns; an overflowed direction, or an update beyond
-    the divergence guard, raises :class:`DivergenceError` either way.  The
+    record's first field.  It forms ``w - v``, ``B(w) - B(v)`` and
+    ``||w - v||`` itself, as its point carries none of them.  It follows
+    the caller's floating-point error state, so under numpy's default an
+    overflow warns; an overflowed direction, or an update beyond the
+    divergence guard, raises :class:`DivergenceError` either way.  The
     record counts no evaluations.
     """
-    point = LineSearchOutcome(lam, -1, v, b_w, b_v, 0, 0, res_wv, wv, b_wv)
+    point = LineSearchOutcome(lam, -1, v, b_w, b_v, 0, 0)
     return _contraction_step(w, point, gamma, space, phi_zero_tol)[1]
 
 
@@ -681,7 +661,6 @@ def _drive(
     sol_norm2 = space.norm2(sol) if check_invariants and sol is not None else float("nan")
     trace = IterationTrace(method, labels)
     final = u_curr
-    trace.status = TerminalStatus.ITER_CAP
     # the per-iteration lookups, bound once per run
     clock, norm, norm2, kind, tol = time.perf_counter_ns, space.norm, space.norm2, stop.kind, stop.tol
 
@@ -820,13 +799,9 @@ def slope_of_min_residuals(residuals: Sequence[float], min_iterations: int = 50)
     return float(slope)
 
 
-def rate_estimate(trace_or_residuals, min_iterations: int = 50) -> float:
+def rate_estimate(trace: IterationTrace) -> float:
     """Decay-rate exponent of a run, from its ``||w - v||`` residual history.
 
-    Accepts an :class:`IterationTrace` or a plain residual sequence.
+    For a plain residual sequence use :func:`slope_of_min_residuals`.
     """
-    if isinstance(trace_or_residuals, IterationTrace):
-        residuals = trace_or_residuals.array("res_wv")
-    else:
-        residuals = trace_or_residuals
-    return slope_of_min_residuals(residuals, min_iterations)
+    return slope_of_min_residuals(trace.array("res_wv"))

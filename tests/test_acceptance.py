@@ -220,7 +220,7 @@ def test_criterion_6_bitwise_equivalence_zero_inertia():
         cfg = SolverConfig(
             gamma=gamma,
             linesearch=LineSearchParams(s=lam, mu=0.5, sigma=0.9),
-            inertia=InertiaSchedule.constant(0.0),
+            inertia=InertiaSchedule("constant", 0.0),
             stop=StoppingRule("iter_cap_only"),
             max_iters=1,
         )
@@ -281,7 +281,7 @@ def test_criterion_8_reduction_tests():
     cfg = SolverConfig(
         gamma=1.0,
         linesearch=LineSearchParams(0.25, 0.5, 0.9),
-        inertia=InertiaSchedule.constant(0.0),
+        inertia=InertiaSchedule("constant", 0.0),
         stop=StoppingRule("iter_cap_only"),
         max_iters=1,
     )
@@ -306,7 +306,7 @@ def test_criterion_8_reduction_tests():
     cfg2 = SolverConfig(
         gamma=1.0,
         linesearch=p,
-        inertia=InertiaSchedule.constant(0.0),
+        inertia=InertiaSchedule("constant", 0.0),
         stop=StoppingRule("iter_cap_only"),
         max_iters=1,
     )

@@ -7,7 +7,6 @@ import pytest
 from mvisolve.baselines import (
     SETTINGS,
     BaselineConfig,
-    _default_half_contraction,
     _tc_alpha,
     _tc_eps,
     fb_step,
@@ -27,11 +26,12 @@ from mvisolve.operators import (
     linear_forward,
     zero_forward,
 )
-from mvisolve.problems import assemble, gen_cs
+from mvisolve.problems import assemble, gen_cs, gen_l2, gen_lpa
 from mvisolve.solver import (
     _PHI_ZERO_TOL,
     Inclusion,
     InertiaSchedule,
+    IterationRecord,
     SolverConfig,
     StoppingRule,
     TerminalStatus,
@@ -65,7 +65,7 @@ class TestFB:
     def test_translation_prox_case(self):
         # B = gradient of 0.5*||u - a||^2, lam = 1: input to the prox is a
         a = np.array([2.0])
-        B = ForwardOperator(lambda u: u - a, label="translation")
+        B = ForwardOperator(lambda u: u - a)
         for u0 in ([5.0], [-3.0], [0.0]):
             u_next, _ = fb_step(np.array(u0), 1.0, B, l1_resolvent(1.0), euclidean(1))
             np.testing.assert_allclose(u_next, [1.0])  # soft(2, 1)
@@ -139,7 +139,7 @@ class TestZW:
             cfg = SolverConfig(
                 gamma=gamma,
                 linesearch=LineSearchParams(s=lam, mu=0.5, sigma=0.9),
-                inertia=InertiaSchedule.constant(0.0),
+                inertia=InertiaSchedule("constant", 0.0),
                 stop=StoppingRule("iter_cap_only"),
                 max_iters=5,
             )
@@ -154,14 +154,13 @@ class TestZW:
 class TestTC:
     def test_hand_computed_scalar_step(self):
         # A=0, B=identity, u_prev=u_curr=1, theta=0, gamma=1, mu_tc=0.5,
-        # alpha=0.5, f(x)=0.5x, armijo (1, 0.5, 0.5):
+        # alpha_1=0.5, f(x)=0.5x, armijo (1, 0.5, 0.5):
         # lam=0.5, v=0.5, phi=0.25, eta=2, z=0.5, u_next=0.25+0.25=0.5
         u = np.array([1.0])
         p = LineSearchParams(1.0, 0.5, 0.5)
         u_next, out = tc_step(
             u, u, 1, identity_forward(), identity_resolvent(), p,
-            gamma=1.0, mu_tc=0.5, alpha_k=0.5, theta=0.0, eps_k=1.0,
-            space=euclidean(1),
+            gamma=1.0, mu_tc=0.5, theta=0.0, space=euclidean(1),
         )
         assert out.point.lam == 0.5
         assert out.delta == pytest.approx(2.0)  # eta
@@ -171,7 +170,7 @@ class TestTC:
         u = np.array([1.0])
         u_next, out = tc_step(
             u, u, 1, identity_forward(), identity_resolvent(),
-            LineSearchParams(1.0, 0.5, 0.5), theta=0.37, eps_k=1.0, space=euclidean(1),
+            LineSearchParams(1.0, 0.5, 0.5), theta=0.37, space=euclidean(1),
         )
         assert out.theta == 0.37
 
@@ -185,17 +184,24 @@ class TestTC:
         p, space = LineSearchParams(2.0, 0.5, 0.5), euclidean(3)
         u_default, out_default = tc_step(u_prev, u_curr, 3, fwd, res, p, space=space)
         u_stated, out_stated = tc_step(
-            u_prev, u_curr, 3, fwd, res, p, gamma=1.5, mu_tc=0.25, alpha_k=_tc_alpha(3),
-            theta=0.125, eps_k=_tc_eps(3), space=space,
+            u_prev, u_curr, 3, fwd, res, p, gamma=1.5, mu_tc=0.25, theta=0.125, space=space,
         )
         assert u_default.tobytes() == u_stated.tobytes()
         assert out_default.theta == out_stated.theta == 0.125
         u_old, _ = tc_step(u_prev, u_curr, 3, fwd, res, p, gamma=1.0, mu_tc=0.5, theta=0.5, space=space)
         assert u_old.tobytes() != u_default.tobytes()
-        assert _tc_alpha(1) == 0.5  # the step's former fixed alpha_k, at k = 1
+        # iterates 500 apart: theta_k = eps_k/500 < theta, and with B = 0,
+        # J = I the direction vanishes, so u_next = alpha_k*u/2 + (1 - alpha_k)*w
+        u_prev, u_curr = np.zeros(2), np.array([300.0, 400.0])
+        for k in (1, 3, 10):
+            u_next, out = tc_step(u_prev, u_curr, k, zero_forward(), identity_resolvent(), p, space=euclidean(2))
+            assert out.theta == _tc_eps(k) / 500.0 < 0.125
+            a = _tc_alpha(k)
+            assert u_next.tobytes() == (a * (0.5 * u_curr) + (1.0 - a) * out.w).tobytes()
 
-    def test_vanishing_viscosity_reduces_to_contraction_step(self):
-        # alpha_k = 0, theta = 0, mu_tc = 0: u_next = w - gamma*eta*phi with
+    def test_viscosity_step_averages_half_u_with_the_contraction_step(self):
+        # theta = 0, mu_tc = 0: u_next = a*f(u) + (1 - a)*(w - gamma*eta*phi)
+        # with a = alpha_1 = 1/2, f(x) = x/2, w = u and
         # eta = ||w-v||^2/||phi||^2, checked term by term
         rng = np.random.default_rng(5)
         u = rng.standard_normal(3)
@@ -204,27 +210,25 @@ class TestTC:
         M = _random_monotone_linear(rng, 3)
         fwd = linear_forward(M)
         res = l1_resolvent(0.3)
-        u_next, out = tc_step(
-            u, u, 1, fwd, res, p, gamma=1.3, mu_tc=0.0, alpha_k=0.0,
-            theta=0.0, eps_k=1.0, space=space,
-        )
+        u_next, out = tc_step(u, u, 1, fwd, res, p, gamma=1.3, mu_tc=0.0, theta=0.0, space=space)
         lam = out.point.lam
         v = res(u - lam * fwd(u), lam)
         phi = (u - v) - lam * (fwd(u) - fwd(v))
         eta = float((u - v) @ (u - v)) / float(phi @ phi)
-        np.testing.assert_allclose(u_next, u - 1.3 * eta * phi, rtol=1e-14)
+        a = _tc_alpha(1)
+        assert a == 0.5
+        np.testing.assert_allclose(u_next, a * u / 2 + (1 - a) * (u - 1.3 * eta * phi), rtol=1e-14)
 
     def test_hand_computed_consistent_step(self):
         # scalar case, A=0, B=identity, u_prev=0, u_curr=1, theta=0.5,
-        # eps=1, gamma=1, mu_tc=0.5, alpha=0.5, f(x)=x/2, armijo (1,.5,.5):
-        #   inertia: theta_1 = min(1/1, 0.5) = 0.5, w = 1.5
+        # eps_1=25, gamma=1, mu_tc=0.5, alpha_1=0.5, f(x)=x/2, armijo (1,.5,.5):
+        #   inertia: theta_1 = min(25/1, 0.5) = 0.5, w = 1.5
         #   search from w=1.5: lam=.5, v=.75; phi=.375; eta=2;
         #   z = .75; u_next = .25 + .375 = 0.625
         p = LineSearchParams(1.0, 0.5, 0.5)
         args = dict(
             forward=identity_forward(), resolvent=identity_resolvent(),
-            armijo=p, gamma=1.0, mu_tc=0.5, alpha_k=0.5, theta=0.5, eps_k=1.0,
-            space=euclidean(1),
+            armijo=p, gamma=1.0, mu_tc=0.5, theta=0.5, space=euclidean(1),
         )
         u_prev, u_curr = np.array([0.0]), np.array([1.0])
         u_con, out_con = tc_step(u_prev, u_curr, 1, **args)
@@ -289,7 +293,7 @@ class TestJX:
         cfg = SolverConfig(
             gamma=1.0,
             linesearch=p,
-            inertia=InertiaSchedule.constant(0.0),
+            inertia=InertiaSchedule("constant", 0.0),
             stop=StoppingRule("iter_cap_only"),
             max_iters=1,
         )
@@ -305,7 +309,7 @@ class TestJX:
 class TestRunBaseline:
     def _problem(self):
         return Inclusion(
-            forward=ForwardOperator(lambda u: u**3, label="cubic"),
+            forward=ForwardOperator(lambda u: u**3),
             resolvent=l1_resolvent(1.0),
             space=euclidean(2),
         )
@@ -419,7 +423,7 @@ class TestRunBaseline:
         a = np.array([2.0, -3.0, 0.25])
         lo, hi = np.zeros(3), np.ones(3)
         prob = Inclusion(
-            forward=ForwardOperator(lambda u: u - a, label="translation"),
+            forward=ForwardOperator(lambda u: u - a),
             resolvent=box_resolvent(lo, hi),
             space=euclidean(3),
         )
@@ -578,9 +582,7 @@ class TestDispatchWiring:
         def step(k, up, uc):
             return tc_step(
                 up, uc, k, prob.forward, prob.resolvent, cfg.armijo,
-                gamma=cfg.gamma, mu_tc=cfg.mu_tc, alpha_k=_tc_alpha(k),
-                f=_default_half_contraction, theta=cfg.theta, eps_k=_tc_eps(k),
-                space=prob.space,
+                gamma=cfg.gamma, mu_tc=cfg.mu_tc, theta=cfg.theta, space=prob.space,
             )
 
         self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
@@ -590,7 +592,7 @@ class TestDispatchWiring:
         for warm in (False, True):
             base = SolverConfig(
                 linesearch=LineSearchParams(warm_start=warm),
-                inertia=InertiaSchedule.constant(0.3),
+                inertia=InertiaSchedule("constant", 0.3),
                 stop=StoppingRule("iter_cap_only"),
             )
             last_j = [0]
@@ -603,3 +605,37 @@ class TestDispatchWiring:
 
             drive = lambda n: solve(prob, u0, u1, dataclasses.replace(base, max_iters=n))
             self._assert_loop_matches(drive, step, prob, u0, u1)
+
+
+_SCALAR_PROBLEMS = {
+    "cs": lambda: assemble(gen_cs(32, 16, 3, seed=1)),
+    "lpa": lambda: assemble(gen_lpa(32, 16, 3, seed=1)),
+    "l2": lambda: assemble(gen_l2(1, 101)),
+}
+
+
+@pytest.mark.parametrize("family", list(_SCALAR_PROBLEMS))
+def test_traces_hand_out_python_scalars(family):
+    # perfbench json-dumps record fields and trace totals, and
+    # json.dumps(np.int64(3)) raises: every value must be a Python int or float
+    prob = _SCALAR_PROBLEMS[family]()
+    stop = StoppingRule("iter_cap_only")
+    runs = {"ifb": lambda: solve(prob, prob.u0, prob.u1, SolverConfig(stop=stop, max_iters=12))}
+    for entry in SETTINGS:
+        method, _, mode = entry.rstrip("]").partition("[")
+        cfg = BaselineConfig(method, lambda_mode=mode or None)
+        runs[entry] = lambda cfg=cfg: run_baseline(cfg, prob, prob.u0, prob.u1, stop, max_iters=12)
+    fields = [(f.name, {"int": int, "float": float}[f.type]) for f in dataclasses.fields(IterationRecord)]
+    totals = (
+        "iterations", "total_forward_evals", "total_resolvent_evals", "total_violations",
+        "total_certified", "total_speculative",
+    )
+    for name, run in runs.items():
+        _, tr = run()
+        assert tr.records, name
+        for record in tr.records:
+            for field, kind in fields:
+                assert type(getattr(record, field)) is kind, (name, record.k, field)
+        for total in totals:
+            assert type(getattr(tr, total)) is int, (name, total)
+        assert type(tr.min_lambda) is float, name

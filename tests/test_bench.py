@@ -291,6 +291,23 @@ class TestRun:
         with pytest.raises(ValueError, match="unknown problem family 'sc'"):
             RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": "sc", "d": 32, "m": 16}]))
 
+    @pytest.mark.parametrize(
+        "problem, one, many",
+        [
+            ({"family": "cs", "d": 32, "m": 16, "seed": 1, "seeds": [2, 3]}, "seed", "seeds"),
+            ({"family": "lpa", "d": 32, "m": 16, "seed": 1, "seeds": [2]}, "seed", "seeds"),
+            ({"family": "l2", "n": 101, "case_id": 3, "cases": [1]}, "case_id", "cases"),
+        ],
+        ids=["cs-seeds", "lpa-seeds", "l2-cases"],
+    )
+    def test_a_singular_key_beside_its_plural_raises(self, tmp_path, problem, one, many):
+        # the plural would expand the cells and leave the singular unread
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, problems=[problem]))
+        assert str(err.value) == f"problem {problem!r} gives both {one!r} and {many!r}; give one of them"
+        alone = {k: v for k, v in problem.items() if k != many}
+        assert len(RunSpec.from_dict(_tiny_spec(tmp_path, problems=[alone])).problems) == 1
+
     def test_written_spec_reproduces_the_report(self, tmp_path):
         raw = _tiny_spec(
             tmp_path,
@@ -357,9 +374,9 @@ class TestConfigBuilders:
         )
         # a constant schedule defaults to the default schedule's bound
         cfg = _build_ifb_config({"inertia": "constant"}, stop, spec)
-        assert cfg.inertia == InertiaSchedule.constant(SolverConfig().inertia.theta_max)
+        assert cfg.inertia == InertiaSchedule("constant", SolverConfig().inertia.theta_max)
         cfg = _build_ifb_config({"inertia": "constant", "theta": 0.25}, stop, spec)
-        assert cfg.inertia == InertiaSchedule.constant(0.25)
+        assert cfg.inertia == InertiaSchedule("constant", 0.25)
 
     def test_baseline_overrides(self, tmp_path):
         options = {

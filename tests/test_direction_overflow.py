@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from mvisolve.baselines import tc_step, zw_step
-from mvisolve.linesearch import LineSearchParams, NonFiniteIterate, backtrack
+from mvisolve.linesearch import LineSearchOutcome, LineSearchParams, NonFiniteIterate, backtrack
 from mvisolve.operators import identity_resolvent
-from mvisolve.solver import DivergenceError, SolverConfig, contraction_update, ifb_step
+from mvisolve.solver import DivergenceError, SolverConfig, _direction, contraction_update, ifb_step
 from mvisolve.spaces import euclidean
 
 OVERFLOWED = "^contraction direction overflowed$"
@@ -45,8 +45,7 @@ def test_tc_names_a_non_finite_forward_value_at_w():
     with pytest.raises(NonFiniteIterate, match=r"^B\(w\) is non-finite$"):
         tc_step(
             np.zeros(2), np.ones(2), 1, forward, identity_resolvent(),
-            LineSearchParams(s=2.0, mu=0.5, sigma=0.5), theta=0.5, eps_k=1.0,
-            space=euclidean(2),
+            LineSearchParams(s=2.0, mu=0.5, sigma=0.5), theta=0.5, space=euclidean(2),
         )
 
 
@@ -83,15 +82,14 @@ def test_fixed_step_zw_direction_overflow_raises_without_a_warning():
             zw_step(np.zeros(1), lambda x: -x, lambda x, lam: x - shift, 1.0, 0.5, euclidean(1))
 
 
-def test_contraction_update_with_caller_supplied_overflowing_terms_raises_without_a_warning():
+def test_direction_with_point_supplied_overflowing_terms_raises_without_a_warning():
     wv, b_wv = np.array([1e308, 0.0]), np.array([-1e308, 0.0])
     w, v = np.zeros(2), -wv
+    point = LineSearchOutcome(1.0, 0, v, np.zeros(2), -b_wv, 1, 2, 1e308, wv, b_wv)
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match=OVERFLOWED):
-            contraction_update(
-                w, v, np.zeros(2), -b_wv, 1.0, 1.0, euclidean(2), 1e-14, res_wv=1e308, wv=wv, b_wv=b_wv
-            )
+            _direction(w, point, euclidean(2), 1e-14)
 
 
 def test_contraction_update_beyond_the_divergence_guard_raises():
@@ -102,17 +100,15 @@ def test_contraction_update_beyond_the_divergence_guard_raises():
 
 
 @pytest.mark.parametrize("res_wv", [1e308, 1.0, 0.0])
-def test_contraction_update_with_an_unproven_bound_raises_without_a_warning(res_wv):
-    # a finite ||w - v|| from the caller proves no bound on ||phi||: whatever
-    # value it hands in, the overflowed ||phi||^2 raises
+def test_direction_with_an_unproven_bound_raises_without_a_warning(res_wv):
+    # a finite ||w - v|| carried by the point proves no bound on ||phi||:
+    # whatever value it carries, the overflowed ||phi||^2 raises
     wv, b_wv = np.array([1e308, 0.0]), np.array([-1e308, 0.0])
+    point = LineSearchOutcome(1.0, 0, -wv, np.zeros(2), -b_wv, 1, 2, res_wv, wv, b_wv)
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match=OVERFLOWED):
-            contraction_update(
-                np.zeros(2), -wv, np.zeros(2), -b_wv, 1.0, 1.0, euclidean(2), 1e-14,
-                res_wv=res_wv, wv=wv, b_wv=b_wv,
-            )
+            _direction(np.zeros(2), point, euclidean(2), 1e-14)
 
 
 def aligned_search_problem(scale):

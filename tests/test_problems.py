@@ -65,7 +65,6 @@ class TestGenCS:
         np.testing.assert_array_equal(a.C, b.C)
         np.testing.assert_array_equal(a.u_true, b.u_true)
         np.testing.assert_array_equal(a.v_obs, b.v_obs)
-        np.testing.assert_array_equal(a.u_init, b.u_init)
         c = gen_cs(64, 32, 4, seed=12)
         assert not np.array_equal(a.C, c.C)
 
@@ -149,11 +148,12 @@ class TestAssemble:
         # step is essentially the prox
         inst = LpaInstance(
             Q=np.zeros((3, 3)), q=np.zeros(3), mu=1e-12, alpha=1.5, rho=1.0,
-            seed=0, u_init=np.array([3.0, -2.0, 0.5]),
+            seed=0,
         )
         prob = assemble(inst)
         cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=1, gamma=1.0)
-        uf, tr = solve(prob, inst.u_init, inst.u_init, cfg)
+        u = np.array([3.0, -2.0, 0.5])
+        uf, tr = solve(prob, u, u, cfg)
         np.testing.assert_allclose(uf, [2.0, -1.0, 0.0], atol=1e-10)
 
     def test_rejects_unknown(self):

@@ -35,7 +35,7 @@ def _cfg(**kw):
     defaults = dict(
         gamma=1.0,
         linesearch=LineSearchParams(1.0, 0.5, 0.9),
-        inertia=InertiaSchedule.constant(0.0),
+        inertia=InertiaSchedule("constant", 0.0),
         stop=StoppingRule("iter_cap_only"),
         max_iters=50,
     )
@@ -52,10 +52,10 @@ class TestConfig:
 
     def test_inertia_bounds(self):
         with pytest.raises(ValueError):
-            InertiaSchedule.constant(1.0)
+            InertiaSchedule("constant", 1.0)
 
     def test_experiment_schedule_shape(self):
-        sched = InertiaSchedule.experiment(0.12)
+        sched = InertiaSchedule("experiment", 0.12)
         vals = [sched.value(k) for k in range(1, 30)]
         assert vals[4] == pytest.approx(0.12 * np.sqrt(5) / 10)
         assert max(vals) <= 0.12
@@ -80,7 +80,7 @@ class TestConfig:
     def test_default_inertia_is_99pct_of_cap(self):
         cfg = SolverConfig()
         assert cfg.inertia.kind == "experiment"
-        assert cfg.inertia.theta_max == pytest.approx(0.99 * cfg.inertia_cap)
+        assert cfg.inertia.theta_max == pytest.approx(0.99 * cfg.analysis()["inertia_cap"])
 
     def test_analysis_constants_with_strong_monotonicity(self):
         c = analysis_constants(1.0, 0.5, lam_min=1.0, beta=0.2)
@@ -310,7 +310,7 @@ def test_contraction_scalar_and_direction_bounds_hold(gamma, sigma, scale, seed)
     cfg = SolverConfig(
         gamma=gamma,
         linesearch=LineSearchParams(1.0, 0.5, sigma),
-        inertia=InertiaSchedule.constant(0.0),
+        inertia=InertiaSchedule("constant", 0.0),
         stop=StoppingRule("iter_cap_only"),
         max_iters=8,
         check_invariants=True,
