@@ -50,17 +50,11 @@ from .solver import (
     inertia_cap,
     analysis_constants,
     contraction_update,
-    ifb_step,
     solve,
     rate_estimate,
 )
 from .baselines import (
     BaselineConfig,
-    fb_step,
-    tseng_step,
-    zw_step,
-    tc_step,
-    jx_step,
     run_baseline,
 )
 from .problems import (

@@ -1,15 +1,18 @@
 """Comparison splitting methods sharing the operator and trace machinery.
 
-Five classical iterations for ``0 in A(u) + B(u)``, each exposed both as a
-single-step function and through :func:`run_baseline`, which reuses the
-same driver, stopping rules and trace schema as the inertial contraction
-solver so benchmark tables compare like with like.
+Five classical iterations for ``0 in A(u) + B(u)``, each a row of the
+method table of :mod:`mvisolve.solver` (an anchor, a point and an update
+rule) and run by :func:`run_baseline`, which hands the same step, driver,
+stopping rules and trace schema to it as the inertial contraction solver
+uses, so benchmark tables compare like with like.  One step of a method is
+``run_baseline(..., max_iters=1)``.
 
 ``fb``     forward-backward: ``u_next = J(u - lam*B(u), lam)``.
 ``tseng``  forward-backward-forward: the forward-backward point plus the
            correction ``-lam*(B(v) - B(u))``, step from the Armijo search.
 ``zw``     projection-contraction: forward-backward point from ``u``, then
-           the relaxed contraction update (no inertia).
+           the relaxed contraction update (no inertia), at the step
+           schedule or the Armijo step.
 ``tc``     inertial viscosity scheme: adaptive inertia capped by
            ``eps_k / ||u_k - u_{k-1}||``, a contraction step with scalar
            ``(1 - mu) * ||w - v||^2 / ||phi||^2``, then averaging with a
@@ -18,53 +21,23 @@ solver so benchmark tables compare like with like.
            convex set (the resolvent is a metric projection); identical to
            ``zw`` with relaxation 1 and Armijo steps.
 
-Called directly, the single steps follow the caller's floating-point error
-state; :func:`run_baseline` runs them under the one ``np.errstate`` of
-its run loop, so an overflow ends the run with a named status and no
-warning.
+:func:`run_baseline` runs its steps under the one ``np.errstate`` of its
+run loop, so an overflow ends the run with a named status and no warning.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .linesearch import LineSearchOutcome, LineSearchParams, _require_finite
-from .solver import (
-    _PHI_ZERO_TOL,
-    IterationTrace,
-    StepOutcome,
-    StoppingRule,
-    _anchored_search,
-    _contraction_step,
-    _direction,
-    _drive,
-    _guard_iterate,
-)
-from .spaces import InnerProductSpace, euclidean
+from .linesearch import LineSearchParams
+from .solver import IterationTrace, StoppingRule, _drive, _Row, _step
 
-__all__ = [
-    "BaselineConfig",
-    "fb_step",
-    "tseng_step",
-    "zw_step",
-    "tc_step",
-    "jx_step",
-    "run_baseline",
-]
-
-
-def _tc_alpha(k):
-    """The viscosity weight ``alpha_k = 1/(k+1)`` of ``tc``."""
-    return 1.0 / (k + 1.0)
-
-
-def _tc_eps(k):
-    """The inertia allowance ``eps_k = 100/(k+1)^2`` of ``tc``."""
-    return 100.0 / (k + 1.0) ** 2
+__all__ = ["BaselineConfig", "run_baseline"]
 
 
 #: The settings each step of :func:`run_baseline` reads, with their defaults;
@@ -142,141 +115,11 @@ class BaselineConfig:
             raise ValueError(f"step lam_{k} = {lam} must be positive and finite")
         return lam
 
-
-# ---------------------------------------------------------------------------
-# single steps
-
-
-def _forward_backward(u, lam, forward, resolvent) -> tuple[np.ndarray, np.ndarray]:
-    """``(B(u), J(u - lam*B(u), lam))`` at a fixed step, with the line search's finiteness checks and messages.
-
-    A non-finite value raises :class:`NonFiniteIterate`; an overflow on the
-    way follows the floating-point error state of the caller, which
-    :func:`run_baseline` keeps silent.
-    """
-    b_u = _require_finite(forward(u), "B(w)", np.shape(u))
-    return b_u, _require_finite(resolvent(u - lam * b_u, lam), "J(w - lam*B(w))", b_u.shape)
-
-
-def fb_step(u, lam, forward, resolvent, space=None) -> tuple[np.ndarray, StepOutcome]:
-    """Forward-backward step ``J(u - lam*B(u), lam)`` at a fixed step size."""
-    if space is None:
-        space = euclidean(len(u))
-    b_u, u_next = _forward_backward(u, lam, forward, resolvent)
-    _guard_iterate(u_next, "forward-backward iterate")
-    point = LineSearchOutcome(lam, -1, u_next, b_u, None, resolvent_evals=1, forward_evals=1)
-    return u_next, StepOutcome(u_next, point, space.norm(u - u_next))
-
-
-def tseng_step(u, forward, resolvent, armijo: LineSearchParams, space=None) -> tuple[np.ndarray, StepOutcome]:
-    """Forward-backward-forward step with Armijo-selected step size."""
-    if space is None:
-        space = euclidean(len(u))
-    ls = _anchored_search(u, forward, resolvent, armijo, space, 0, "iterate")
-    u_next = ls.v - ls.lam * (ls.b_v - ls.b_w)
-    _guard_iterate(u_next, "tseng iterate")
-    return u_next, StepOutcome(u_next, ls, ls.res_wv)
-
-
-def _armijo_contraction_step(u, forward, resolvent, armijo: LineSearchParams, gamma: float, space):
-    """The projection-contraction step from the anchor ``u`` at its Armijo point.
-
-    This is the ``zw[armijo]`` step, and ``jx`` at ``gamma = 1``.
-    """
-    ls = _anchored_search(u, forward, resolvent, armijo, space, 0, "iterate")
-    return _contraction_step(u, ls, gamma, space, _PHI_ZERO_TOL)
-
-
-def zw_step(
-    u,
-    forward,
-    resolvent,
-    lam: float,
-    gamma: float,
-    space=None,
-) -> tuple[np.ndarray, StepOutcome]:
-    """Projection-contraction step at a given step size.
-
-    With the step size forced equal, this is the zero-inertia special case
-    of the inertial contraction iteration; both run through the one
-    contraction kernel (public as :func:`mvisolve.solver.contraction_update`),
-    so the iterates agree bitwise.
-    """
-    if space is None:
-        space = euclidean(len(u))
-    # the line search's finiteness checks and messages, without its test
-    b_u, v = _forward_backward(u, lam, forward, resolvent)
-    b_v = _require_finite(forward(v), "B(v)", b_u.shape)
-    point = LineSearchOutcome(lam, -1, v, b_u, b_v, resolvent_evals=1, forward_evals=2)
-    return _contraction_step(u, point, gamma, space, _PHI_ZERO_TOL)
-
-
-def tc_step(
-    u_prev,
-    u_curr,
-    k: int,
-    forward,
-    resolvent,
-    armijo: LineSearchParams,
-    gamma: Optional[float] = None,
-    mu_tc: Optional[float] = None,
-    theta: Optional[float] = None,
-    space=None,
-) -> tuple[np.ndarray, StepOutcome]:
-    """Inertial viscosity-type projection-contraction step.
-
-    The adaptive inertia takes ``min(eps_k / ||u_k - u_{k-1}||, theta)``
-    and falls back to ``theta`` when the two iterates coincide.  The
-    forward-backward point is computed from the extrapolated point ``w``
-    and one direction ``phi(w, v)`` is used throughout.  When it vanishes
-    the contraction step is skipped and only the averaging with
-    ``f(x) = x/2`` moves the iterate.  ``alpha_k = 1/(k+1)`` and
-    ``eps_k = 100/(k+1)^2`` are fixed; ``gamma``, ``mu_tc`` and ``theta``
-    left at ``None`` take their values from ``SETTINGS["tc"]``.
-    """
-    if space is None:
-        space = euclidean(len(u_curr))
-    settings = SETTINGS["tc"]
-    gamma = settings["gamma"] if gamma is None else gamma
-    mu_tc = settings["mu_tc"] if mu_tc is None else mu_tc
-    theta = settings["theta"] if theta is None else theta
-    alpha_k = _tc_alpha(k)
-    step = u_curr - u_prev
-    diff = space.norm(step)
-    theta_k = theta if diff == 0.0 else min(_tc_eps(k) / diff, theta)
-    w = u_curr + theta_k * step
-    ls = _anchored_search(w, forward, resolvent, armijo, space, 0, "extrapolated point", k)
-    _, phi, pp, phi_norm, res_wv, vanished = _direction(w, ls, space, _PHI_ZERO_TOL)
-    z, eta = w, float("nan")
-    if not vanished:
-        eta = (1.0 - mu_tc) * res_wv**2 / pp
-        z = w - (gamma * eta) * phi
-    # the averaging with the contraction f(x) = x/2
-    u_next = alpha_k * (0.5 * u_curr) + (1.0 - alpha_k) * z
-    _guard_iterate(u_next, "viscosity iterate", k)
-    # phizero stays False: the averaging step still moves the iterate
-    return u_next, StepOutcome(u_next, ls, res_wv, theta_k, eta, phi_norm, w=w)
-
-
-def jx_step(
-    u,
-    forward,
-    projection,
-    armijo: LineSearchParams,
-    space=None,
-) -> tuple[np.ndarray, StepOutcome]:
-    """Projection-type step for variational inequalities (relaxation fixed at 1).
-
-    ``projection`` must be a resolvent that ignores its step argument,
-    i.e. a metric projection onto the constraint set.
-    """
-    if space is None:
-        space = euclidean(len(u))
-    return _armijo_contraction_step(u, forward, projection, armijo, 1.0, space)
-
-
-# ---------------------------------------------------------------------------
-# driver
+    def _row(self) -> _Row:
+        """This method's row of the method table with these settings, for one run."""
+        # jx relaxes by 1; fb and tseng read no gamma
+        gamma = 1.0 if self.gamma is None else self.gamma
+        return _Row(_entry(self.method, self.lambda_mode), self.theta, self.armijo, self.lam_at, gamma, self.mu_tc)
 
 
 def run_baseline(
@@ -294,22 +137,9 @@ def run_baseline(
     from ``u1``.  The trace labels those of ``gamma``, ``lambda_mode`` and
     ``mu_tc`` that the method reads.
     """
-    space: InnerProductSpace = problem.space
-    fwd, res, armijo = problem.forward, problem.resolvent, cfg.armijo
-    steps = {
-        "fb": lambda k, up, u: fb_step(u, cfg.lam_at(k), fwd, res, space),
-        "tseng": lambda k, up, u: tseng_step(u, fwd, res, armijo, space),
-        "zw[schedule]": lambda k, up, u: zw_step(u, fwd, res, cfg.lam_at(k), cfg.gamma, space),
-        # the projection-type step with a free relaxation
-        "zw[armijo]": lambda k, up, u: _armijo_contraction_step(u, fwd, res, armijo, cfg.gamma, space),
-        "tc": lambda k, up, u: tc_step(
-            up, u, k, fwd, res, armijo, gamma=cfg.gamma, mu_tc=cfg.mu_tc, theta=cfg.theta, space=space,
-        ),
-        "jx": lambda k, up, u: jx_step(u, fwd, res, armijo, space),
-    }
     entry = _entry(cfg.method, cfg.lambda_mode)
     return _drive(
-        steps[entry],
+        functools.partial(_step, cfg._row()),
         problem,
         u0,
         u1,

@@ -36,7 +36,10 @@ class BacktrackExhausted(RuntimeError):
     """The acceptance inequality failed for every tried exponent.
 
     On valid inputs the search is guaranteed finite, so exhaustion signals
-    a discontinuous forward map or misconfigured parameters.
+    a discontinuous forward map or misconfigured parameters.  When some
+    trial's test overflowed (far from the origin ``||B(w) - B(v)||`` can),
+    the message says so instead: the step the test needs lies below the
+    smallest trial step ``s*mu**max_backtracks``.
     """
 
 
@@ -98,9 +101,9 @@ class LineSearchOutcome:
     ``speculative`` counts the block rows computed past the accepted
     trial, which neither ``forward_evals`` nor ``resolvent_evals`` counts.
     ``sigma`` is the acceptance ratio the point passed, and ``None`` for a
-    point taken at a fixed step (``j = -1``), as ``fb_step``, ``zw_step``
-    and ``contraction_update`` build them; ``fb_step``'s has
-    ``b_v = None``.  The step record of every method holds its point (see
+    point taken at a fixed step (``j = -1``), as the ``fixed`` point rule
+    of ``fb`` and ``zw[schedule]`` (see ``mvisolve.solver._METHODS``) and
+    ``contraction_update`` build them; ``fb``'s has ``b_v = None``.  The step record of every method holds its point (see
     :class:`mvisolve.solver.StepOutcome`).  The record is a slotted, not
     frozen, dataclass, as it is built every iteration; treat it as
     read-only.
@@ -286,7 +289,7 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
             block = getattr(resolvent, "block", None)
             c_block = 1.0 + 4.0 * _rounding_gamma(len(w) + 8)
 
-    certified = 0
+    certified = overflowed = 0
     j = start = int(j_start)
     if j < 0:
         raise ValueError("j_start must be nonnegative")
@@ -332,13 +335,23 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
             wv = w - v
             res_wv = space.norm(wv)
         b_wv = b_w - b_v
-        if lam * space.norm(b_wv) <= params.sigma * res_wv:
+        lhs = lam * space.norm(b_wv)
+        if lhs <= params.sigma * res_wv:
             # one trial per exponent the search reached
             return LineSearchOutcome(
                 lam, j, v, b_w, b_v, j - start + 1, j - start + 2, res_wv, wv, b_wv,
                 certified, 0 if V is None else j0 + len(V) - 1 - j, params.sigma,
             )
+        # a rejected test overflowed on its left side only, as an infinite ||w - v|| accepts
+        overflowed += lhs == math.inf
         j += 1
+    if overflowed:
+        tested = params.max_backtracks - start + 1 - certified
+        raise BacktrackExhausted(
+            f"no step accepted down to {steps[-1]:.3e} ({params.max_backtracks} backtracks); "
+            f"the acceptance test's norms overflowed in {overflowed} of the {tested} trials it read, "
+            f"and the step it needs lies below s*mu**max_backtracks = {steps[-1]:.3e}"
+        )
     raise BacktrackExhausted(
         f"no step accepted down to {steps[-1]:.3e} "
         f"({params.max_backtracks} backtracks); the forward map may be discontinuous, "

@@ -27,10 +27,11 @@ counter is zero.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .linesearch import (
     NonFiniteIterate,
     _search,
 )
-from .spaces import InnerProductSpace, euclidean
+from .spaces import InnerProductSpace, _require_finite
 
 __all__ = [
     "InertiaSchedule",
@@ -58,7 +59,6 @@ __all__ = [
     "inertia_cap",
     "analysis_constants",
     "contraction_update",
-    "ifb_step",
     "solve",
     "rate_estimate",
     "slope_of_min_residuals",
@@ -251,6 +251,10 @@ class SolverConfig:
         if theta is None:
             theta = self.inertia.theta_max
         return analysis_constants(self.gamma, self.linesearch.sigma, lam_min, beta, theta)
+
+    def _row(self) -> _Row:
+        """The ``ifb`` row of the method table with these settings, for one run."""
+        return _Row("ifb", self.inertia, self.linesearch, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -469,19 +473,6 @@ def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> None:
     raise DivergenceError(f"{what} exceeded the divergence guard {DIVERGENCE_NORM:g}")
 
 
-def _anchored_search(
-    w: np.ndarray, forward, resolvent, params, space: InnerProductSpace, j_start: int, what: str,
-    k: Optional[int] = None,
-) -> LineSearchOutcome:
-    """The Armijo point of the anchor ``w``, as every Armijo step takes it.
-
-    The anchor passes :func:`_guard_iterate` (as ``what`` at ``k``) first,
-    which proves it finite, so the search need not scan it again.
-    """
-    _guard_iterate(w, what, k)
-    return _search(w, forward, resolvent, params, space, j_start)
-
-
 def _contraction_step(
     w: np.ndarray,
     point: LineSearchOutcome,
@@ -542,33 +533,125 @@ def contraction_update(
 
 
 # ---------------------------------------------------------------------------
-# single step and full solve
+# the method table: every method is an anchor, a point and an update over one step
+
+#: Each method's anchor, point and update rule, as :func:`_step` runs them.
+#:
+#: anchor  ``iterate``      ``w = u_k``;
+#:         ``inertia``      ``w = u_k + theta_k*(u_k - u_{k-1})``, ``theta_k`` from an
+#:                          :class:`InertiaSchedule`;
+#:         ``summable``     the same with ``theta_k = min(eps_k/||u_k - u_{k-1}||, theta)``,
+#:                          ``eps_k = 100/(k+1)^2``, and ``theta`` where the iterates coincide.
+#: point   ``armijo``       the Armijo search from ``w`` (see ``linesearch.backtrack``),
+#:                          from ``j = 0`` or, warm-started, from ``max(0, j_{k-1} - 1)``;
+#:         ``fixed``        ``v = J(w - lam_k*B(w), lam_k)`` at the step ``lam_k``, with
+#:                          ``B(v)`` unless the update is ``v``.
+#: update  ``contraction``  ``w - gamma*delta*phi`` (see :func:`_contraction_step`);
+#:         ``tseng``        ``v - lam*(B(v) - B(w))``;
+#:         ``v``            ``v`` itself;
+#:         ``viscosity``    ``z = w - gamma*eta*phi``, ``eta = (1 - mu_tc)*||w - v||^2/||phi||^2``
+#:                          (``z = w`` where ``phi`` vanishes), then the average
+#:                          ``alpha_k*u_k/2 + (1 - alpha_k)*z``, ``alpha_k = 1/(k+1)``.
+_METHODS = {
+    "ifb": ("inertia", "armijo", "contraction"),
+    "fb": ("iterate", "fixed", "v"),
+    "tseng": ("iterate", "armijo", "tseng"),
+    "zw[schedule]": ("iterate", "fixed", "contraction"),
+    "zw[armijo]": ("iterate", "armijo", "contraction"),
+    "tc": ("summable", "armijo", "viscosity"),
+    "jx": ("iterate", "armijo", "contraction"),
+}
 
 
-def ifb_step(
-    u_prev: np.ndarray,
-    u_curr: np.ndarray,
-    k: int,
-    forward,
-    resolvent,
-    cfg: SolverConfig,
-    space: Optional[InnerProductSpace] = None,
-    j_start: int = 0,
-) -> tuple[np.ndarray, StepOutcome]:
-    """One inertial contraction iteration.
+@dataclass(slots=True)
+class _Row:
+    """One method of :data:`_METHODS` with the settings its rules read, built once per run.
 
-    Returns the next iterate and the full step record.  When the
-    contraction direction vanishes (relative to ``1 + ||w||``), the
-    forward-backward point ``v`` is itself a solution and is returned with
-    ``phizero`` set.  Called outside :func:`solve`, it follows the caller's
-    floating-point error state (see :func:`_drive`).
+    ``theta`` is the anchor's :class:`InertiaSchedule` (``inertia``) or
+    bound (``summable``), ``search`` the Armijo point's
+    :class:`~mvisolve.linesearch.LineSearchParams` and ``lam`` the fixed
+    point's ``k -> lam_k``; ``gamma`` and ``mu_tc`` are the update's.
+    ``j_start`` is the exponent the next search starts from: 0, or one below
+    the last accepted one when ``search.warm_start`` is set.
     """
-    if space is None:
-        space = euclidean(len(u_curr))
-    theta = cfg.inertia.value(k)
-    w = u_curr + theta * (u_curr - u_prev)
-    ls = _anchored_search(w, forward, resolvent, cfg.linesearch, space, j_start, "extrapolated point", k)
-    return _contraction_step(w, ls, cfg.gamma, space, _PHI_ZERO_TOL, theta)
+
+    method: str
+    theta: Union[InertiaSchedule, float, None] = None
+    search: Optional[LineSearchParams] = None
+    lam: Optional[Callable[[int], float]] = None
+    gamma: float = 1.0
+    mu_tc: Optional[float] = None
+    j_start: int = 0
+    anchor: str = field(init=False)
+    point: str = field(init=False)
+    update: str = field(init=False)
+
+    def __post_init__(self):
+        self.anchor, self.point, self.update = _METHODS[self.method]
+
+
+def _step(row: _Row, k: int, u_prev: np.ndarray, u_curr: np.ndarray, problem) -> tuple[np.ndarray, StepOutcome]:
+    """One iteration of the method ``row``: its anchor ``w``, its point at ``w``, then its update.
+
+    Returns the next iterate and the step record.  An Armijo point's anchor
+    passes :func:`_guard_iterate` first (as ``iterate``, or as
+    ``extrapolated point`` at ``k``), which proves it finite, so the search
+    need not scan it again; a fixed point takes the line search's
+    finiteness checks and messages without its test.  When a contraction
+    direction vanishes (relative to ``1 + ||w||``), the forward-backward
+    point ``v`` is itself a solution and is returned with ``phizero`` set;
+    the viscosity update skips its contraction there, and its average still
+    moves the iterate.  Called outside :func:`_drive`, it follows the
+    caller's floating-point error state.
+    """
+    space, forward = problem.space, problem.forward
+    theta = 0.0
+    if row.anchor == "iterate":
+        w, what, at = u_curr, "iterate", None
+    else:
+        step = u_curr - u_prev
+        if row.anchor == "inertia":
+            theta = row.theta.value(k)
+        else:
+            diff = space.norm(step)
+            theta = row.theta if diff == 0.0 else min(100.0 / (k + 1.0) ** 2 / diff, row.theta)
+        w, what, at = u_curr + theta * step, "extrapolated point", k
+
+    if row.point == "armijo":
+        _guard_iterate(w, what, at)
+        point = _search(w, forward, problem.resolvent, row.search, space, row.j_start)
+        if row.search.warm_start:
+            row.j_start = max(0, point.j - 1)
+    else:
+        lam = row.lam(k)
+        b_w = _require_finite(forward(w), "B(w)", np.shape(w))
+        v = _require_finite(problem.resolvent(w - lam * b_w, lam), "J(w - lam*B(w))", b_w.shape)
+        if row.update == "v":
+            point = LineSearchOutcome(lam, -1, v, b_w, None, 1, 1)
+        else:
+            point = LineSearchOutcome(lam, -1, v, b_w, _require_finite(forward(v), "B(v)", b_w.shape), 1, 2)
+
+    update = row.update
+    if update == "contraction":
+        return _contraction_step(w, point, row.gamma, space, _PHI_ZERO_TOL, theta)
+    if update == "tseng":
+        u_next = point.v - point.lam * (point.b_v - point.b_w)
+        _guard_iterate(u_next, "tseng iterate")
+        return u_next, StepOutcome(u_next, point, point.res_wv)
+    if update == "v":
+        _guard_iterate(point.v, "forward-backward iterate")
+        return point.v, StepOutcome(point.v, point, space.norm(w - point.v))
+    # viscosity: the one direction phi(w, v) scaled by eta, then the average
+    _, phi, pp, phi_norm, res_wv, vanished = _direction(w, point, space, _PHI_ZERO_TOL)
+    z, eta = w, float("nan")
+    if not vanished:
+        eta = (1.0 - row.mu_tc) * res_wv**2 / pp
+        z = w - (row.gamma * eta) * phi
+    alpha = 1.0 / (k + 1.0)
+    u_next = alpha * (0.5 * u_curr) + (1.0 - alpha) * z  # the average with the contraction f(x) = x/2
+    _guard_iterate(u_next, "viscosity iterate", k)
+    # phizero stays False: the average still moves the iterate
+    return u_next, StepOutcome(u_next, point, res_wv, theta, eta, phi_norm, w=w)
 
 
 def _check_invariants(
@@ -618,7 +701,7 @@ def _check_invariants(
 
 
 def _drive(
-    step: Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, StepOutcome]],
+    step: Callable[[int, np.ndarray, np.ndarray, object], tuple[np.ndarray, StepOutcome]],
     problem,
     u0: np.ndarray,
     u1: np.ndarray,
@@ -631,6 +714,10 @@ def _drive(
     solution: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Shared iteration loop: tracing, stopping, divergence and invariant counting.
+
+    ``step(k, u_prev, u_curr, problem)`` makes one iteration; :func:`solve`
+    and :func:`~mvisolve.baselines.run_baseline` pass :func:`_step` bound
+    to their method's row.
 
     The squared-distance column measures against the stopping rule's
     reference, or else ``problem.reference``.  ``solution`` must be an
@@ -668,7 +755,7 @@ def _drive(
         for k in range(1, max_iters + 1):
             t0 = clock()
             try:
-                u_next, out = step(k, u_prev, u_curr)
+                u_next, out = step(k, u_prev, u_curr, problem)
             except BacktrackExhausted:
                 trace.status = TerminalStatus.BACKTRACK_EXHAUSTED
                 break
@@ -740,27 +827,15 @@ def solve(
         contraction direction (the exact-solution case), the iteration
         cap, divergence, and an exhausted line search.
     """
-    warm = cfg.linesearch.warm_start
-    prev_j = 0
-
-    def step(k, u_prev, u_curr):
-        nonlocal prev_j
-        j_start = max(0, prev_j - 1) if warm else 0
-        u_next, out = ifb_step(
-            u_prev, u_curr, k, problem.forward, problem.resolvent, cfg, problem.space, j_start
-        )
-        prev_j = out.point.j
-        return u_next, out
-
     labels = {
         "inertia": cfg.inertia.kind,
         "theta_max": cfg.inertia.theta_max,
         "gamma": cfg.gamma,
         "sigma": cfg.linesearch.sigma,
-        "warm_start": warm,
+        "warm_start": cfg.linesearch.warm_start,
     }
     return _drive(
-        step,
+        functools.partial(_step, cfg._row()),
         problem,
         u0,
         u1,

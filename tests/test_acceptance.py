@@ -7,7 +7,8 @@ import time
 
 import numpy as np
 
-from mvisolve.baselines import BaselineConfig, run_baseline, zw_step
+from _table import one_step
+from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.bench import RunSpec, run
 from mvisolve.linesearch import LineSearchParams
 from mvisolve.operators import (
@@ -33,12 +34,10 @@ from mvisolve.solver import (
     SolverConfig,
     StoppingRule,
     TerminalStatus,
-    ifb_step,
     rate_estimate,
     solve,
 )
 from mvisolve.spaces import euclidean
-from mvisolve.baselines import fb_step, jx_step
 
 from _oracles import (
     central_diff_gradient,
@@ -224,9 +223,9 @@ def test_criterion_6_bitwise_equivalence_zero_inertia():
             stop=StoppingRule("iter_cap_only"),
             max_iters=1,
         )
-        u_ifb, out_ifb = ifb_step(u, u, 1, fwd, res, cfg, space)
+        u_ifb, out_ifb = one_step(cfg, 1, u, u, fwd, res, space)
         assert out_ifb.point.j == 0
-        u_zw, out_zw = zw_step(u, fwd, res, lam, gamma, space)
+        u_zw, out_zw = one_step(BaselineConfig("zw", lam=lam, gamma=gamma), 1, u, u, fwd, res, space)
         assert np.array_equal(u_ifb, u_zw)
         assert out_ifb.delta == out_zw.delta or (
             np.isnan(out_ifb.delta) and np.isnan(out_zw.delta)
@@ -285,13 +284,13 @@ def test_criterion_8_reduction_tests():
         stop=StoppingRule("iter_cap_only"),
         max_iters=1,
     )
-    u_next, _ = ifb_step(u, u, 1, zero_forward(), res, cfg)
+    u_next, _ = one_step(cfg, 1, u, u, zero_forward(), res)
     prox_exact = np.array_equal(u_next, res(u, 0.25))
 
     # explicit step: A = 0 in the forward-backward iteration
     w = rng.standard_normal(4)
     fwd = identity_forward()
-    u_fb, _ = fb_step(w, 0.3, fwd, identity_resolvent(), euclidean(4))
+    u_fb, _ = one_step(BaselineConfig("fb", lam=0.3), 1, w, w, fwd, identity_resolvent(), euclidean(4))
     explicit_exact = np.array_equal(u_fb, w - 0.3 * fwd(w))
 
     # normal-cone reduction: box projection, gamma=1, zero inertia matches
@@ -313,8 +312,8 @@ def test_criterion_8_reduction_tests():
     u_a = u_b = rng.standard_normal(d) * 2
     box_matches = True
     for k in range(1, 11):
-        u_a, out_a = ifb_step(u_a, u_a, k, fwd2, proj, cfg2, euclidean(d))
-        u_b, out_b = jx_step(u_b, fwd2, proj, p, euclidean(d))
+        u_a, out_a = one_step(cfg2, k, u_a, u_a, fwd2, proj, euclidean(d))
+        u_b, out_b = one_step(BaselineConfig("jx", armijo=p), 1, u_b, u_b, fwd2, proj, euclidean(d))
         if not np.array_equal(u_a, u_b):
             box_matches = False
             break

@@ -1,21 +1,12 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from mvisolve.baselines import (
-    SETTINGS,
-    BaselineConfig,
-    _tc_alpha,
-    _tc_eps,
-    fb_step,
-    jx_step,
-    run_baseline,
-    tc_step,
-    tseng_step,
-    zw_step,
-)
+from _table import one_step
+from mvisolve.baselines import SETTINGS, BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchParams, backtrack
 from mvisolve.operators import (
     ForwardOperator,
@@ -28,6 +19,7 @@ from mvisolve.operators import (
 )
 from mvisolve.problems import assemble, gen_cs, gen_l2, gen_lpa
 from mvisolve.solver import (
+    _METHODS,
     _PHI_ZERO_TOL,
     Inclusion,
     InertiaSchedule,
@@ -35,8 +27,8 @@ from mvisolve.solver import (
     SolverConfig,
     StoppingRule,
     TerminalStatus,
+    _step,
     contraction_update,
-    ifb_step,
     solve,
 )
 from mvisolve.spaces import euclidean
@@ -54,12 +46,12 @@ class TestFB:
     def test_pure_backward_step(self):
         u = np.array([3.0, -1.0])
         res = l1_resolvent(1.0)
-        u_next, out = fb_step(u, 0.5, zero_forward(), res, euclidean(2))
+        u_next, out = one_step(BaselineConfig("fb", lam=0.5), 1, u, u, zero_forward(), res, euclidean(2))
         np.testing.assert_array_equal(u_next, res(u, 0.5))
 
     def test_pure_forward_step(self):
         u = np.array([2.0, 4.0])
-        u_next, _ = fb_step(u, 0.25, identity_forward(), identity_resolvent(), euclidean(2))
+        u_next, _ = one_step(BaselineConfig("fb", lam=0.25), 1, u, u, identity_forward(), identity_resolvent(), euclidean(2))
         np.testing.assert_allclose(u_next, 0.75 * u)
 
     def test_translation_prox_case(self):
@@ -67,7 +59,7 @@ class TestFB:
         a = np.array([2.0])
         B = ForwardOperator(lambda u: u - a)
         for u0 in ([5.0], [-3.0], [0.0]):
-            u_next, _ = fb_step(np.array(u0), 1.0, B, l1_resolvent(1.0), euclidean(1))
+            u_next, _ = one_step(BaselineConfig("fb", lam=1.0), 1, np.array(u0), np.array(u0), B, l1_resolvent(1.0), euclidean(1))
             np.testing.assert_allclose(u_next, [1.0])  # soft(2, 1)
 
     def test_an_overflowing_fixed_step_ends_diverged_under_any_warning_filter(self):
@@ -89,7 +81,7 @@ class TestTseng:
     def test_b_zero_reduces_to_resolvent(self):
         u = np.array([3.0])
         p = LineSearchParams(1.0, 0.5, 0.9)
-        u_next, out = tseng_step(u, zero_forward(), l1_resolvent(1.0), p, euclidean(1))
+        u_next, out = one_step(BaselineConfig("tseng", armijo=p), 1, u, u, zero_forward(), l1_resolvent(1.0), euclidean(1))
         np.testing.assert_array_equal(u_next, [2.0])
         assert out.point.j == 0
 
@@ -97,14 +89,14 @@ class TestTseng:
         # lam accepted at 0.5: v = 0.5u, u_next = v - lam*(Bv - Bu) = 0.75u
         u = np.array([1.0])
         p = LineSearchParams(1.0, 0.5, 0.9)
-        u_next, out = tseng_step(u, identity_forward(), identity_resolvent(), p, euclidean(1))
+        u_next, out = one_step(BaselineConfig("tseng", armijo=p), 1, u, u, identity_forward(), identity_resolvent(), euclidean(1))
         assert out.point.lam == 0.5
         np.testing.assert_allclose(u_next, [0.75])
 
     def test_fixed_point_is_stationary(self):
         u = np.zeros(2)
         p = LineSearchParams(1.0, 0.5, 0.9)
-        u_next, _ = tseng_step(u, identity_forward(), identity_resolvent(), p, euclidean(2))
+        u_next, _ = one_step(BaselineConfig("tseng", armijo=p), 1, u, u, identity_forward(), identity_resolvent(), euclidean(2))
         np.testing.assert_array_equal(u_next, u)
 
 
@@ -112,13 +104,13 @@ class TestZW:
     def test_b_zero_step(self):
         # phi = u - v, delta = 1, gamma = 1: u_next = v
         u = np.array([4.0])
-        u_next, out = zw_step(u, zero_forward(), l1_resolvent(1.0), 1.0, 1.0, euclidean(1))
+        u_next, out = one_step(BaselineConfig("zw", lam=1.0, gamma=1.0), 1, u, u, zero_forward(), l1_resolvent(1.0), euclidean(1))
         np.testing.assert_array_equal(u_next, [3.0])
         assert out.delta == 1.0
 
     def test_linear_case_matches_contraction_solver(self):
         u = np.array([1.0])
-        u_next, out = zw_step(u, identity_forward(), identity_resolvent(), 0.5, 1.0, euclidean(1))
+        u_next, out = one_step(BaselineConfig("zw", lam=0.5, gamma=1.0), 1, u, u, identity_forward(), identity_resolvent(), euclidean(1))
         np.testing.assert_allclose(u_next, [0.5])
         assert out.delta == pytest.approx(2.0)
 
@@ -143,9 +135,9 @@ class TestZW:
                 stop=StoppingRule("iter_cap_only"),
                 max_iters=5,
             )
-            u_ifb, out_ifb = ifb_step(u, u, 1, fwd, res, cfg, space)
+            u_ifb, out_ifb = one_step(cfg, 1, u, u, fwd, res, space)
             assert out_ifb.point.j == 0 and out_ifb.point.lam == lam
-            u_zw, out_zw = zw_step(u, fwd, res, lam, gamma, space)
+            u_zw, out_zw = one_step(BaselineConfig("zw", lam=lam, gamma=gamma), 1, u, u, fwd, res, space)
             np.testing.assert_array_equal(u_ifb, u_zw)
             assert out_ifb.delta == out_zw.delta
             assert out_ifb.phi_norm == out_zw.phi_norm
@@ -158,45 +150,42 @@ class TestTC:
         # lam=0.5, v=0.5, phi=0.25, eta=2, z=0.5, u_next=0.25+0.25=0.5
         u = np.array([1.0])
         p = LineSearchParams(1.0, 0.5, 0.5)
-        u_next, out = tc_step(
-            u, u, 1, identity_forward(), identity_resolvent(), p,
-            gamma=1.0, mu_tc=0.5, theta=0.0, space=euclidean(1),
-        )
+        cfg = BaselineConfig("tc", armijo=p, gamma=1.0, mu_tc=0.5, theta=0.0)
+        u_next, out = one_step(cfg, 1, u, u, identity_forward(), identity_resolvent(), euclidean(1))
         assert out.point.lam == 0.5
         assert out.delta == pytest.approx(2.0)  # eta
         np.testing.assert_allclose(u_next, [0.5])
 
     def test_equal_iterates_take_constant_inertia_branch(self):
         u = np.array([1.0])
-        u_next, out = tc_step(
-            u, u, 1, identity_forward(), identity_resolvent(),
-            LineSearchParams(1.0, 0.5, 0.5), theta=0.37, space=euclidean(1),
-        )
+        cfg = BaselineConfig("tc", armijo=LineSearchParams(1.0, 0.5, 0.5), theta=0.37)
+        u_next, out = one_step(cfg, 1, u, u, identity_forward(), identity_resolvent(), euclidean(1))
         assert out.theta == 0.37
 
     def test_omitted_settings_follow_the_table_and_the_schedules(self, monkeypatch):
-        # gamma, mu_tc and theta come from SETTINGS["tc"] as it reads at the
-        # call, alpha_k and eps_k from the tc schedules at k
+        # gamma, mu_tc and theta come from SETTINGS["tc"] as it reads when the
+        # configuration is made, alpha_k = 1/(k+1) and eps_k = 100/(k+1)^2 at k
         monkeypatch.setitem(SETTINGS, "tc", {**SETTINGS["tc"], "gamma": 1.5, "mu_tc": 0.25, "theta": 0.125})
         rng = np.random.default_rng(3)
         u_prev, u_curr = rng.standard_normal(3), rng.standard_normal(3)
         fwd, res = linear_forward(_random_monotone_linear(rng, 3)), l1_resolvent(0.2)
         p, space = LineSearchParams(2.0, 0.5, 0.5), euclidean(3)
-        u_default, out_default = tc_step(u_prev, u_curr, 3, fwd, res, p, space=space)
-        u_stated, out_stated = tc_step(
-            u_prev, u_curr, 3, fwd, res, p, gamma=1.5, mu_tc=0.25, theta=0.125, space=space,
-        )
+        u_default, out_default = one_step(BaselineConfig("tc", armijo=p), 3, u_prev, u_curr, fwd, res, space)
+        stated = BaselineConfig("tc", armijo=p, gamma=1.5, mu_tc=0.25, theta=0.125)
+        u_stated, out_stated = one_step(stated, 3, u_prev, u_curr, fwd, res, space)
         assert u_default.tobytes() == u_stated.tobytes()
         assert out_default.theta == out_stated.theta == 0.125
-        u_old, _ = tc_step(u_prev, u_curr, 3, fwd, res, p, gamma=1.0, mu_tc=0.5, theta=0.5, space=space)
+        old = BaselineConfig("tc", armijo=p, gamma=1.0, mu_tc=0.5, theta=0.5)
+        u_old, _ = one_step(old, 3, u_prev, u_curr, fwd, res, space)
         assert u_old.tobytes() != u_default.tobytes()
         # iterates 500 apart: theta_k = eps_k/500 < theta, and with B = 0,
         # J = I the direction vanishes, so u_next = alpha_k*u/2 + (1 - alpha_k)*w
         u_prev, u_curr = np.zeros(2), np.array([300.0, 400.0])
         for k in (1, 3, 10):
-            u_next, out = tc_step(u_prev, u_curr, k, zero_forward(), identity_resolvent(), p, space=euclidean(2))
-            assert out.theta == _tc_eps(k) / 500.0 < 0.125
-            a = _tc_alpha(k)
+            cfg = BaselineConfig("tc", armijo=p)
+            u_next, out = one_step(cfg, k, u_prev, u_curr, zero_forward(), identity_resolvent(), euclidean(2))
+            assert out.theta == 100.0 / (k + 1.0) ** 2 / 500.0 < 0.125
+            a = 1.0 / (k + 1.0)
             assert u_next.tobytes() == (a * (0.5 * u_curr) + (1.0 - a) * out.w).tobytes()
 
     def test_viscosity_step_averages_half_u_with_the_contraction_step(self):
@@ -210,12 +199,13 @@ class TestTC:
         M = _random_monotone_linear(rng, 3)
         fwd = linear_forward(M)
         res = l1_resolvent(0.3)
-        u_next, out = tc_step(u, u, 1, fwd, res, p, gamma=1.3, mu_tc=0.0, theta=0.0, space=space)
+        cfg = BaselineConfig("tc", armijo=p, gamma=1.3, mu_tc=0.0, theta=0.0)
+        u_next, out = one_step(cfg, 1, u, u, fwd, res, space)
         lam = out.point.lam
         v = res(u - lam * fwd(u), lam)
         phi = (u - v) - lam * (fwd(u) - fwd(v))
         eta = float((u - v) @ (u - v)) / float(phi @ phi)
-        a = _tc_alpha(1)
+        a = 1.0 / (1 + 1.0)  # alpha_1
         assert a == 0.5
         np.testing.assert_allclose(u_next, a * u / 2 + (1 - a) * (u - 1.3 * eta * phi), rtol=1e-14)
 
@@ -226,12 +216,9 @@ class TestTC:
         #   search from w=1.5: lam=.5, v=.75; phi=.375; eta=2;
         #   z = .75; u_next = .25 + .375 = 0.625
         p = LineSearchParams(1.0, 0.5, 0.5)
-        args = dict(
-            forward=identity_forward(), resolvent=identity_resolvent(),
-            armijo=p, gamma=1.0, mu_tc=0.5, theta=0.5, space=euclidean(1),
-        )
+        cfg = BaselineConfig("tc", armijo=p, gamma=1.0, mu_tc=0.5, theta=0.5)
         u_prev, u_curr = np.array([0.0]), np.array([1.0])
-        u_con, out_con = tc_step(u_prev, u_curr, 1, **args)
+        u_con, out_con = one_step(cfg, 1, u_prev, u_curr, identity_forward(), identity_resolvent(), euclidean(1))
         np.testing.assert_allclose(u_con, [0.625])
         assert out_con.theta == 0.5
         assert out_con.delta == pytest.approx(2.0)
@@ -258,15 +245,15 @@ class TestJX:
         space = euclidean(4)
         fwd = linear_forward(_random_monotone_linear(rng, 4))
         res = identity_resolvent()  # K is the whole space
-        u_jx, out_jx = jx_step(u, fwd, res, p, space)
-        u_zw, out_zw = zw_step(u, fwd, res, out_jx.point.lam, 1.0, space)
+        u_jx, out_jx = one_step(BaselineConfig("jx", armijo=p), 1, u, u, fwd, res, space)
+        u_zw, out_zw = one_step(BaselineConfig("zw", lam=out_jx.point.lam, gamma=1.0), 1, u, u, fwd, res, space)
         np.testing.assert_array_equal(u_jx, u_zw)
 
     def test_stationary_point_in_set(self):
         # u in K with B(u) = 0: v = u, phi = 0
         proj = box_resolvent(np.zeros(2), np.ones(2))
         u = np.array([0.5, 0.25])
-        u_next, out = jx_step(u, zero_forward(), proj, LineSearchParams(), euclidean(2))
+        u_next, out = one_step(BaselineConfig("jx", armijo=LineSearchParams()), 1, u, u, zero_forward(), proj, euclidean(2))
         assert out.phizero
         np.testing.assert_array_equal(u_next, u)
 
@@ -275,7 +262,7 @@ class TestJX:
         proj = box_resolvent(np.array([0.0]), np.array([1.0]))
         u = np.array([2.0])
         p = LineSearchParams(1.0, 0.5, 0.9)
-        u_next, out = jx_step(u, identity_forward(), proj, p, euclidean(1))
+        u_next, out = one_step(BaselineConfig("jx", armijo=p), 1, u, u, identity_forward(), proj, euclidean(1))
         assert out.point.lam == 0.5
         assert out.delta == pytest.approx(2.0)
         np.testing.assert_allclose(u_next, [1.0])
@@ -299,8 +286,8 @@ class TestJX:
         )
         u_ifb = u_jx = rng.standard_normal(d) * 2
         for k in range(1, 9):
-            u_ifb, out_ifb = ifb_step(u_ifb, u_ifb, k, fwd, proj, cfg, space)
-            u_jx, out_jx = jx_step(u_jx, fwd, proj, p, space)
+            u_ifb, out_ifb = one_step(cfg, k, u_ifb, u_ifb, fwd, proj, space)
+            u_jx, out_jx = one_step(BaselineConfig("jx", armijo=p), 1, u_jx, u_jx, fwd, proj, space)
             np.testing.assert_array_equal(u_ifb, u_jx)
             if out_ifb.phizero:
                 break
@@ -479,7 +466,7 @@ class TestRunBaseline:
 
 
 class TestDispatchWiring:
-    """``run_baseline`` and ``solve`` must be nothing but the public single steps iterated.
+    """``run_baseline`` and ``solve`` must be nothing but the method table's step iterated.
 
     Each method runs 5 iterations through the shared loop and by hand; every
     trace record and every iterate must agree to the last bit.
@@ -530,28 +517,32 @@ class TestDispatchWiring:
         stop = StoppingRule("iter_cap_only")
         return lambda n: run_baseline(cfg, prob, u0, u1, stop, max_iters=n)
 
+    @staticmethod
+    def _table_step(cfg, prob):
+        """The table's step of ``cfg`` by hand, from a fresh row each iteration."""
+        return lambda k, up, uc: one_step(cfg, k, up, uc, prob.forward, prob.resolvent, prob.space)
+
     def test_fb(self):
         prob, u0, u1 = self._problem()
         cfg = BaselineConfig("fb", lam=lambda k: 0.3 / k)
-        step = lambda k, up, uc: fb_step(uc, cfg.lam_at(k), prob.forward, prob.resolvent, prob.space)
+        step = self._table_step(cfg, prob)
         self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
 
     def test_tseng(self):
         prob, u0, u1 = self._problem()
         cfg = BaselineConfig("tseng")
-        step = lambda k, up, uc: tseng_step(uc, prob.forward, prob.resolvent, cfg.armijo, prob.space)
+        step = self._table_step(cfg, prob)
         self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
 
     def test_zw_schedule(self):
         prob, u0, u1 = self._problem()
         cfg = BaselineConfig("zw")
-        step = lambda k, up, uc: zw_step(
-            uc, prob.forward, prob.resolvent, cfg.lam_at(k), cfg.gamma, prob.space
-        )
+        step = self._table_step(cfg, prob)
         self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
 
     def test_zw_armijo(self):
         prob, u0, u1 = self._problem()
+        jx = self._table_step(BaselineConfig("jx"), prob)
         for gamma in (1.0, 0.7):
             cfg = BaselineConfig("zw", lambda_mode="armijo", gamma=gamma)
 
@@ -561,7 +552,7 @@ class TestDispatchWiring:
                     uc, ls.v, ls.b_w, ls.b_v, ls.lam, cfg.gamma, prob.space, _PHI_ZERO_TOL
                 )
                 if gamma == 1.0:  # at relaxation 1 this is the projection-type step
-                    u_jx, _ = jx_step(uc, prob.forward, prob.resolvent, cfg.armijo, prob.space)
+                    u_jx, _ = jx(k, up, uc)
                     assert u_jx.tobytes() == core.u_next.tobytes()
                 return core.u_next, dataclasses.replace(core, point=ls)
 
@@ -572,19 +563,13 @@ class TestDispatchWiring:
     def test_jx(self):
         prob, u0, u1 = self._problem()
         cfg = BaselineConfig("jx")
-        step = lambda k, up, uc: jx_step(uc, prob.forward, prob.resolvent, cfg.armijo, prob.space)
+        step = self._table_step(cfg, prob)
         self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
 
     def test_tc(self):
         prob, u0, u1 = self._problem()
         cfg = BaselineConfig("tc")
-
-        def step(k, up, uc):
-            return tc_step(
-                up, uc, k, prob.forward, prob.resolvent, cfg.armijo,
-                gamma=cfg.gamma, mu_tc=cfg.mu_tc, theta=cfg.theta, space=prob.space,
-            )
-
+        step = self._table_step(cfg, prob)
         self._assert_loop_matches(self._baseline_run(cfg, prob, u0, u1), step, prob, u0, u1)
 
     def test_solve(self):
@@ -595,16 +580,30 @@ class TestDispatchWiring:
                 inertia=InertiaSchedule("constant", 0.3),
                 stop=StoppingRule("iter_cap_only"),
             )
+            row = base._row()  # one row for the run: it carries the warm search's start
             last_j = [0]
 
             def step(k, up, uc):
-                j_start = max(0, last_j[0] - 1) if warm else 0
-                u_next, out = ifb_step(up, uc, k, prob.forward, prob.resolvent, base, prob.space, j_start)
+                assert row.j_start == (max(0, last_j[0] - 1) if warm else 0)
+                u_next, out = _step(row, k, up, uc, prob)
                 last_j[0] = out.point.j
                 return u_next, out
 
             drive = lambda n: solve(prob, u0, u1, dataclasses.replace(base, max_iters=n))
             self._assert_loop_matches(drive, step, prob, u0, u1)
+
+
+def test_the_method_table_has_one_row_per_method_and_the_readme_shows_it():
+    from pathlib import Path
+
+    assert list(_METHODS) == ["ifb", *SETTINGS]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = re.findall(r"`([^`]+)`", line)
+        if line.startswith("| `") and len(cells) == 4 and cells[0] in _METHODS:
+            rows[cells[0]] = tuple(cells[1:])
+    assert rows == _METHODS
 
 
 _SCALAR_PROBLEMS = {

@@ -16,10 +16,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mvisolve.baselines import tc_step, zw_step
+from _table import one_step
+from mvisolve.baselines import BaselineConfig
 from mvisolve.linesearch import LineSearchOutcome, LineSearchParams, NonFiniteIterate, backtrack
 from mvisolve.operators import identity_resolvent
-from mvisolve.solver import DivergenceError, SolverConfig, _direction, contraction_update, ifb_step
+from mvisolve.solver import DivergenceError, SolverConfig, _direction, contraction_update
 from mvisolve.spaces import euclidean
 
 OVERFLOWED = "^contraction direction overflowed$"
@@ -43,10 +44,8 @@ def test_tc_names_a_non_finite_forward_value_at_w():
     # search starts
     forward = _nan_where(lambda x: x[0] > 1.25)
     with pytest.raises(NonFiniteIterate, match=r"^B\(w\) is non-finite$"):
-        tc_step(
-            np.zeros(2), np.ones(2), 1, forward, identity_resolvent(),
-            LineSearchParams(s=2.0, mu=0.5, sigma=0.5), theta=0.5, space=euclidean(2),
-        )
+        cfg = BaselineConfig("tc", armijo=LineSearchParams(s=2.0, mu=0.5, sigma=0.5), theta=0.5)
+        one_step(cfg, 1, np.zeros(2), np.ones(2), forward, identity_resolvent(), euclidean(2))
 
 
 @pytest.mark.parametrize(
@@ -65,7 +64,7 @@ def test_fixed_step_zw_names_the_non_finite_evaluation(where, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteIterate, match=message):
-            zw_step(np.ones(2), forward, resolvent, 0.5, 0.5, euclidean(2))
+            one_step(BaselineConfig("zw", lam=0.5, gamma=0.5), 1, np.ones(2), np.ones(2), forward, resolvent, euclidean(2))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,8 @@ def test_fixed_step_zw_direction_overflow_raises_without_a_warning():
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match=OVERFLOWED):
-            zw_step(np.zeros(1), lambda x: -x, lambda x, lam: x - shift, 1.0, 0.5, euclidean(1))
+            cfg = BaselineConfig("zw", lam=1.0, gamma=0.5)
+            one_step(cfg, 1, np.zeros(1), np.zeros(1), lambda x: -x, lambda x, lam: x - shift, euclidean(1))
 
 
 def test_direction_with_point_supplied_overflowing_terms_raises_without_a_warning():
@@ -133,4 +133,4 @@ def test_accepted_point_just_above_the_direction_bound_raises_without_a_warning(
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match=OVERFLOWED):
-            ifb_step(np.zeros(1), np.zeros(1), 1, forward, resolvent, SolverConfig(), euclidean(1))
+            one_step(SolverConfig(), 1, np.zeros(1), np.zeros(1), forward, resolvent, euclidean(1))

@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from _cases import cases
 from mvisolve.linesearch import (
     BacktrackExhausted,
     LineSearchOutcome,
@@ -19,9 +19,10 @@ from mvisolve.operators import (
     quartic_forward,
     zero_forward,
 )
-from mvisolve.baselines import fb_step, zw_step
+from _table import one_step
+from mvisolve.baselines import BaselineConfig
 from mvisolve.problems import assemble, gen_cs
-from mvisolve.solver import SolverConfig, ifb_step
+from mvisolve.solver import SolverConfig
 from mvisolve.spaces import euclidean
 
 
@@ -86,8 +87,8 @@ def test_an_accepted_point_carries_its_ratio_and_a_fixed_step_point_none():
     p = LineSearchParams(s=0.7, mu=0.5, sigma=0.3)
     w = np.array([1.0, 2.0, 3.0])
     assert backtrack(w, zero_forward(), l1_resolvent(0.1), p).sigma == 0.3
-    _, fixed = zw_step(w, zero_forward(), l1_resolvent(0.1), 0.7, 1.0)
-    _, fb = fb_step(w, 0.7, zero_forward(), l1_resolvent(0.1))
+    _, fixed = one_step(BaselineConfig("zw", lam=0.7, gamma=1.0), 1, w, w, zero_forward(), l1_resolvent(0.1))
+    _, fb = one_step(BaselineConfig("fb", lam=0.7), 1, w, w, zero_forward(), l1_resolvent(0.1))
     assert (fixed.point.j, fixed.point.sigma) == (fb.point.j, fb.point.sigma) == (-1, None)
     assert fb.point.b_v is None and fb.point.v is fb.u_next
     # a fixed-step point gets no scalar or decrease check
@@ -150,7 +151,7 @@ def test_determinism():
 def test_exhaustion_raises():
     # sigma so small that the identity map can never be accepted within the cap
     p = LineSearchParams(s=1.0, mu=0.5, sigma=1e-12, max_backtracks=10)
-    with pytest.raises(BacktrackExhausted):
+    with pytest.raises(BacktrackExhausted, match="; the forward map may be discontinuous, or max_backtracks=10"):
         backtrack(np.array([1.0]), identity_forward(), identity_resolvent(), p)
 
 
@@ -160,7 +161,7 @@ def test_discontinuous_forward_exhausts():
         return np.where(u > 0, 1.0, -1.0)
 
     p = LineSearchParams(s=1.0, mu=0.5, sigma=0.9, max_backtracks=40)
-    with pytest.raises(BacktrackExhausted):
+    with pytest.raises(BacktrackExhausted, match="; the forward map may be discontinuous, or max_backtracks=40"):
         backtrack(np.array([0.0]), fwd, identity_resolvent(), p)
 
 
@@ -170,11 +171,30 @@ def test_exhaustion_names_max_backtracks_and_mu():
     prob = assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
     cfg = SolverConfig(linesearch=LineSearchParams(mu=0.9))
     with pytest.raises(BacktrackExhausted) as info:
-        ifb_step(prob.u0, prob.u1, 1, prob.forward, prob.resolvent, cfg, prob.space)
+        one_step(cfg, 1, prob.u0, prob.u1, prob.forward, prob.resolvent, prob.space)
     assert str(info.value) == (
         "no step accepted down to 1.797e-03 (60 backtracks); the forward map may be "
         "discontinuous, or max_backtracks=60 is too few for mu=0.9: a slow mu (close "
         "to 1) needs a larger max_backtracks"
+    )
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "plain"])
+def test_exhaustion_by_overflowed_norms_names_the_overflow(split):
+    # from 1e20*d on cs-512 seed 1, ||B(w) - B(v)|| overflows in the first
+    # 52 trials, and the last 9 read finite norms and still reject (at
+    # j = 60, lam*||B(w) - B(v)|| is about 5.8e128 against
+    # sigma*||w - v|| of 8.4e46): the map is continuous, only steep there
+    prob = assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
+    d = np.random.default_rng(0).standard_normal(512)
+    w = 1e20 * d / np.linalg.norm(d)
+    forward = prob.forward if split else prob.forward.fn
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BacktrackExhausted) as info:
+        backtrack(w, forward, prob.resolvent, LineSearchParams(), prob.space)
+    assert str(info.value) == (
+        "no step accepted down to 8.674e-19 (60 backtracks); the acceptance test's norms "
+        "overflowed in 52 of the 61 trials it read, and the step it needs lies below "
+        "s*mu**max_backtracks = 8.674e-19"
     )
 
 
@@ -218,16 +238,15 @@ def test_warm_start_exponent_relation():
     assert warm.lam == p.s * p.mu**3
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.floats(0.1, 0.9), st.floats(0.05, 0.95), st.floats(0.2, 3.0))
-def test_accepted_step_satisfies_inequality(mu, sigma, s):
+def test_accepted_step_satisfies_inequality():
     space = euclidean(3)
-    rng = np.random.default_rng(0)
+    w = np.random.default_rng(0).standard_normal(3) * 2
     M = np.array([[2.0, 0.3, 0.0], [-0.3, 1.0, 0.2], [0.0, -0.2, 0.5]])  # monotone part SPD
     fwd = lambda u: M @ u
     res = l1_resolvent(0.3)
-    p = LineSearchParams(s=s, mu=mu, sigma=sigma)
-    w = rng.standard_normal(3) * 2
-    out = backtrack(w, fwd, res, p, space)
-    assert out.lam * space.norm(out.b_w - out.b_v) <= p.sigma * space.norm(w - out.v)
-    assert isinstance(out, LineSearchOutcome)
+    # mu in [0.1, 0.9], sigma in [0.05, 0.95], s in [0.2, 3]: every corner, then 40 draws
+    for mu, sigma, s in cases(43, 40, (0.1, 0.9), (0.05, 0.95), (0.2, 3.0)):
+        p = LineSearchParams(s=s, mu=mu, sigma=sigma)
+        out = backtrack(w, fwd, res, p, space)
+        assert out.lam * space.norm(out.b_w - out.b_v) <= p.sigma * space.norm(w - out.v), (mu, sigma, s)
+        assert isinstance(out, LineSearchOutcome)

@@ -14,7 +14,8 @@ import re
 import numpy as np
 import pytest
 
-from mvisolve.baselines import BaselineConfig, fb_step, run_baseline, zw_step
+from _table import one_step
+from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchParams, backtrack
 from mvisolve.operators import ResolventOperator, identity_resolvent, quartic_forward
 from mvisolve.problems import assemble, gen_cs, gen_l2
@@ -66,19 +67,19 @@ def test_backtrack_names_a_resolvent_block_of_the_wrong_shape():
 @pytest.mark.parametrize("value, shape", BAD, ids=BAD_IDS)
 def test_fixed_step_zw_names_operator_values_of_the_wrong_shape(value, shape):
     with _shape_error("B(w)", shape):
-        zw_step(U, lambda u: value, identity_resolvent(), 0.5, 0.5)
+        one_step(BaselineConfig("zw", lam=0.5, gamma=0.5), 1, U, U, lambda u: value, identity_resolvent())
     with _shape_error("J(w - lam*B(w))", shape):
-        zw_step(U, _zero, lambda x, lam: value, 0.5, 0.5)
+        one_step(BaselineConfig("zw", lam=0.5, gamma=0.5), 1, U, U, _zero, lambda x, lam: value)
     with _shape_error("B(v)", shape):
-        zw_step(U, _at(0.5 * U, value), lambda x, lam: 0.5 * U, 0.5, 0.5)
+        one_step(BaselineConfig("zw", lam=0.5, gamma=0.5), 1, U, U, _at(0.5 * U, value), lambda x, lam: 0.5 * U)
 
 
 @pytest.mark.parametrize("value, shape", BAD, ids=BAD_IDS)
 def test_fb_names_operator_values_of_the_wrong_shape(value, shape):
     with _shape_error("B(w)", shape):
-        fb_step(U, 0.5, lambda u: value, identity_resolvent())
+        one_step(BaselineConfig("fb", lam=0.5), 1, U, U, lambda u: value, identity_resolvent())
     with _shape_error("J(w - lam*B(w))", shape):
-        fb_step(U, 0.5, _zero, lambda x, lam: value)
+        one_step(BaselineConfig("fb", lam=0.5), 1, U, U, _zero, lambda x, lam: value)
 
 
 @pytest.mark.parametrize("family", ["l2", "cs"])

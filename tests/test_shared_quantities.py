@@ -31,7 +31,8 @@ import numpy as np
 import pytest
 
 from mvisolve import linesearch
-from mvisolve.baselines import BaselineConfig, jx_step, run_baseline, tseng_step
+from _table import one_step
+from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchOutcome, LineSearchParams, NonFiniteIterate, _require_finite, backtrack
 from mvisolve.operators import box_resolvent, identity_resolvent, l1_resolvent, zero_forward
 from mvisolve.problems import assemble, cubic_problem, gen_cs, gen_l2, strongly_monotone_problem
@@ -48,7 +49,6 @@ from mvisolve.solver import (
     _direction,
     _drive,
     _guard_iterate,
-    ifb_step,
     solve,
 )
 from mvisolve.spaces import InnerProductSpace, euclidean, trapezoid_unit_interval
@@ -228,7 +228,7 @@ def _cfg(max_iters=1):
 def _valid_step():
     """A real checked iteration on the cubic problem, whose solution is zero."""
     prob = cubic_problem((2.0, -2.0))
-    _, out = ifb_step(prob.u0, prob.u1, 1, prob.forward, prob.resolvent, _cfg(), prob.space)
+    _, out = one_step(_cfg(), 1, prob.u0, prob.u1, prob.forward, prob.resolvent, prob.space)
     assert math.isfinite(out.decrement) and not out.phizero
     return prob, out
 
@@ -280,8 +280,8 @@ class TestViolationControls:
         prob = cubic_problem((2.0, -2.0))
         cfg = _cfg()
 
-        def step(k, up, uc):
-            _, out = ifb_step(up, uc, k, prob.forward, prob.resolvent, cfg, prob.space)
+        def step(k, up, uc, problem):
+            _, out = one_step(cfg, k, up, uc, problem.forward, problem.resolvent, problem.space)
             bad = _broken(out)[kind]
             return bad.u_next, bad
 
@@ -344,8 +344,8 @@ def test_fejer_check_counts_an_over_relaxed_update_on_the_integral_problem(scale
     problem = assemble(gen_l2(1))
     cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=140, check_invariants=True)
 
-    def over_relaxed(k, up, uc):
-        _, out = ifb_step(up, uc, k, problem.forward, problem.resolvent, cfg, problem.space)
+    def over_relaxed(k, up, uc, problem):
+        _, out = one_step(cfg, k, up, uc, problem.forward, problem.resolvent, problem.space)
         u_next = out.w + 1.05 * (out.u_next - out.w)
         return u_next, dataclasses.replace(out, u_next=u_next)
 
@@ -422,7 +422,7 @@ def test_accepted_point_just_below_the_direction_bound_enters_no_errstate(monkey
         warnings.simplefilter("error")
         # the direction is finite; the update then leaves the divergence guard
         with pytest.raises(DivergenceError, match="^contraction iterate exceeded"):
-            ifb_step(np.zeros(1), np.zeros(1), 1, forward, resolvent, SolverConfig(), euclidean(1))
+            one_step(SolverConfig(), 1, np.zeros(1), np.zeros(1), forward, resolvent, euclidean(1))
     assert errstate.callers == []
 
 
@@ -737,12 +737,15 @@ def test_an_armijo_method_started_beyond_the_divergence_guard_ends_diverged_at_o
     assert trace.status is TerminalStatus.DIVERGED and trace.iterations == 0
 
 
-@pytest.mark.parametrize("step", [tseng_step, jx_step])
-def test_an_anchor_beyond_the_divergence_guard_is_named(step):
+@pytest.mark.parametrize("method", ["tseng", "jx"])
+def test_an_anchor_beyond_the_divergence_guard_is_named(method):
+    cfg, box = BaselineConfig(method), box_resolvent(np.zeros(2), np.ones(2))
     with pytest.raises(DivergenceError, match="^iterate exceeded the divergence guard"):
-        step(np.array([1e152, 0.5]), zero_forward(), box_resolvent(np.zeros(2), np.ones(2)), LineSearchParams())
+        u = np.array([1e152, 0.5])
+        one_step(cfg, 1, u, u, zero_forward(), box)
     with pytest.raises(DivergenceError, match="^iterate is non-finite$"):
-        step(np.array([np.nan, 0.5]), zero_forward(), box_resolvent(np.zeros(2), np.ones(2)), LineSearchParams())
+        u = np.array([np.nan, 0.5])
+        one_step(cfg, 1, u, u, zero_forward(), box)
 
 
 @pytest.mark.parametrize("name", ["ifb", "zw-armijo", "jx"])

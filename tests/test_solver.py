@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+
+from _cases import cases
+from _table import one_step
+from mvisolve.baselines import BaselineConfig
 
 from mvisolve.linesearch import LineSearchParams
 from mvisolve.operators import (
@@ -22,7 +25,6 @@ from mvisolve.solver import (
     TerminalStatus,
     analysis_constants,
     contraction_margin,
-    ifb_step,
     inertia_cap,
     rate_estimate,
     slope_of_min_residuals,
@@ -95,14 +97,14 @@ class TestIfbStep:
     def test_prox_only_step(self):
         # A = l1 subdifferential (rho=1), B = 0: one step is the prox
         u = np.array([3.0])
-        u_next, out = ifb_step(u, u, 1, zero_forward(), l1_resolvent(1.0), _cfg())
+        u_next, out = one_step(_cfg(), 1, u, u, zero_forward(), l1_resolvent(1.0))
         assert out.point.lam == 1.0 and out.point.j == 0
         assert out.delta == 1.0
         np.testing.assert_array_equal(u_next, [2.0])
 
     def test_fixed_point_returns_phizero(self):
         u = np.zeros(2)
-        u_next, out = ifb_step(u, u, 1, identity_forward(), identity_resolvent(), _cfg())
+        u_next, out = one_step(_cfg(), 1, u, u, identity_forward(), identity_resolvent())
         assert out.phizero
         np.testing.assert_array_equal(u_next, u)
 
@@ -110,7 +112,7 @@ class TestIfbStep:
         # A=0, B=identity, s=1, mu=0.5, sigma=0.9: lam=0.5, v=0.5,
         # phi=0.25, delta=2, u_next=0.5; delta inside [0.0277, 10].
         u = np.array([1.0])
-        u_next, out = ifb_step(u, u, 1, identity_forward(), identity_resolvent(), _cfg())
+        u_next, out = one_step(_cfg(), 1, u, u, identity_forward(), identity_resolvent())
         assert out.point.lam == 0.5
         assert out.delta == pytest.approx(2.0)
         np.testing.assert_allclose(u_next, [0.5])
@@ -125,13 +127,13 @@ class TestIfbStep:
         u = 1.0 + rng.random(6)  # in [1, 2)
         res = l1_resolvent(1.0)
         cfg = _cfg(linesearch=LineSearchParams(0.25, 0.5, 0.9))
-        u_next, out = ifb_step(u, u, 3, zero_forward(), res, cfg)
+        u_next, out = one_step(cfg, 3, u, u, zero_forward(), res)
         np.testing.assert_array_equal(u_next, res(u, 0.25))
 
     def test_divergence_guard(self):
         big = np.full(2, 1e160)
         with pytest.raises(DivergenceError):
-            ifb_step(big, big, 1, zero_forward(), identity_resolvent(), _cfg())
+            one_step(_cfg(), 1, big, big, zero_forward(), identity_resolvent())
 
 
 class TestSolve:
@@ -286,39 +288,36 @@ class TestSolve:
         assert tr.violations["fejer"] == 0
 
 
-@settings(deadline=None, max_examples=60)
-@given(
-    gamma=st.floats(0.05, 1.95),
-    sigma=st.floats(0.1, 0.9),
-    scale=st.floats(0.1, 5.0),
-    seed=st.integers(0, 10_000),
-)
-def test_contraction_scalar_and_direction_bounds_hold(gamma, sigma, scale, seed):
+def test_contraction_scalar_and_direction_bounds_hold():
     # property form of the runtime invariants: for any admissible config and
     # any monotone linear forward map, every accepted iteration satisfies the
     # direction sandwich and the scalar bounds
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 6))
-    S = rng.standard_normal((d, d))
-    W = rng.standard_normal((d, d))
-    M = S.T @ S + 0.5 * (W - W.T)
     from mvisolve.operators import l1_resolvent, linear_forward
     from mvisolve.solver import Inclusion
     from mvisolve.spaces import euclidean
 
-    prob = Inclusion(linear_forward(M), l1_resolvent(0.3), euclidean(d))
-    cfg = SolverConfig(
-        gamma=gamma,
-        linesearch=LineSearchParams(1.0, 0.5, sigma),
-        inertia=InertiaSchedule("constant", 0.0),
-        stop=StoppingRule("iter_cap_only"),
-        max_iters=8,
-        check_invariants=True,
-    )
-    u = rng.standard_normal(d) * scale
-    _, tr = solve(prob, u, u, cfg)
-    assert tr.violations["delta_bound"] == 0
-    assert tr.violations["phi_sandwich"] == 0
+    # gamma in [0.05, 1.95], sigma in [0.1, 0.9], the start's scale in
+    # [0.1, 5] and the problem's seed in 0..10000: every corner, then 60 draws
+    for case in cases(61, 60, (0.05, 1.95), (0.1, 0.9), (0.1, 5.0), (0, 10_000)):
+        gamma, sigma, scale, seed = case
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 6))
+        S = rng.standard_normal((d, d))
+        W = rng.standard_normal((d, d))
+        M = S.T @ S + 0.5 * (W - W.T)
+        prob = Inclusion(linear_forward(M), l1_resolvent(0.3), euclidean(d))
+        cfg = SolverConfig(
+            gamma=gamma,
+            linesearch=LineSearchParams(1.0, 0.5, sigma),
+            inertia=InertiaSchedule("constant", 0.0),
+            stop=StoppingRule("iter_cap_only"),
+            max_iters=8,
+            check_invariants=True,
+        )
+        u = rng.standard_normal(d) * scale
+        _, tr = solve(prob, u, u, cfg)
+        assert tr.violations["delta_bound"] == 0, case
+        assert tr.violations["phi_sandwich"] == 0, case
 
 
 class TestSolutionCertificate:
@@ -370,7 +369,11 @@ def test_public_steps_return_the_exported_step_record():
     record = mv.contraction_update(w, v, w, v, 0.5, 1.0, euclidean(2), 1e-14)
     assert type(record) is mv.StepOutcome
     prob = cubic_problem((2.0, -2.0))
-    _, out = mv.ifb_step(prob.u0, prob.u1, 1, prob.forward, prob.resolvent, _cfg(), prob.space)
+    _, out = one_step(_cfg(), 1, prob.u0, prob.u1, prob.forward, prob.resolvent, prob.space)
     assert type(out) is mv.StepOutcome
-    _, out = mv.fb_step(prob.u1, 0.1, prob.forward, prob.resolvent, prob.space)
+    _, out = one_step(BaselineConfig("fb", lam=0.1), 1, prob.u1, prob.u1, prob.forward, prob.resolvent, prob.space)
     assert type(out) is mv.StepOutcome
+    # the single steps are rows of the private method table; one step of a
+    # method is solve(..., max_iters=1) or run_baseline(..., max_iters=1)
+    for name in ("ifb_step", "fb_step", "tseng_step", "zw_step", "tc_step", "jx_step"):
+        assert not hasattr(mv, name) and name not in mv.solver.__all__ + mv.baselines.__all__

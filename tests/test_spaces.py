@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from mvisolve.spaces import InnerProductSpace, _rounding_gamma, euclidean, trapezoid_unit_interval
 
@@ -90,23 +89,43 @@ def test_check_member_rejects_nonfinite():
         sp.check_member(np.ones(3))
 
 
-@given(
-    st.lists(
-        st.floats(-1e6, 1e6).filter(lambda x: x == 0.0 or abs(x) > 1e-9),
-        min_size=2,
-        max_size=8,
-    )
-)
-def test_inner_product_symmetric_and_definite(xs):
-    u = np.array(xs)
-    sp = InnerProductSpace(len(u), np.linspace(0.5, 2.0, len(u)), label="weighted")
-    v = u[::-1].copy()
+def _entry_lists(seed, count):
+    """Lists of 2 to 8 entries, each 0 or of magnitude in ``(1e-9, 1e6]``: the edges, then ``count`` draws.
+
+    Half the draws are uniform in ``[-1e6, 1e6]``; the other half take
+    log-uniform magnitudes with random signs and zeros, so that small
+    entries and cancellation both occur.
+    """
+    edges = [
+        [-1e6, 1e6], [1e6] * 8, [-1e6] * 8, [0.0, 0.0], [0.0] * 8, [1e6, -1e6, 1e6, -1e6, 1e6, -1e6, 1e6, -1e6],
+        [np.nextafter(1e-9, 1.0), -np.nextafter(1e-9, 1.0)], [0.0, 1e6, np.nextafter(1e-9, 1.0), -1e6],
+        [-999975.0, 274859.74353319523, 3697.0, 999997.0, 274824.0],
+    ]
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        if i % 2 == 0:
+            xs = rng.uniform(-1e6, 1e6, n)
+        else:
+            xs = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9.0, 6.0, n)
+            xs[rng.random(n) < 0.2] = 0.0
+        draws.append(xs.tolist())
+    return edges + draws
+
+
+def test_inner_product_symmetric_and_definite():
     # <u, v> and <v, u> round each term w_i*u_i*v_i in another order, so they
     # agree to within 2*g_{n+2} of the sum of |terms|, not of the result,
     # which cancellation can make far smaller (e.g. xs = [-999975.0,
     # 274859.74353319523, 3697.0, 999997.0, 274824.0] differ by 1.2e-4
     # at a result of 1.2e8 and a bound of 2.1e-3)
-    bound = 2.0 * _rounding_gamma(len(u) + 2) * float(np.sum(np.abs(sp.weights * u * v)))
-    assert abs(sp.inner(u, v) - sp.inner(v, u)) <= bound
-    if np.any(u != 0):
-        assert sp.norm2(u) > 0
+    for xs in _entry_lists(97, 100):
+        u = np.array(xs)
+        assert all(x == 0.0 or 1e-9 < abs(x) <= 1e6 for x in xs), xs
+        sp = InnerProductSpace(len(u), np.linspace(0.5, 2.0, len(u)), label="weighted")
+        v = u[::-1].copy()
+        bound = 2.0 * _rounding_gamma(len(u) + 2) * float(np.sum(np.abs(sp.weights * u * v)))
+        assert abs(sp.inner(u, v) - sp.inner(v, u)) <= bound, xs
+        if np.any(u != 0):
+            assert sp.norm2(u) > 0, xs
