@@ -582,12 +582,6 @@ class _Row:
     gamma: float = 1.0
     mu_tc: Optional[float] = None
     j_start: int = 0
-    anchor: str = field(init=False)
-    point: str = field(init=False)
-    update: str = field(init=False)
-
-    def __post_init__(self):
-        self.anchor, self.point, self.update = _METHODS[self.method]
 
 
 def _step(row: _Row, k: int, u_prev: np.ndarray, u_curr: np.ndarray, problem) -> tuple[np.ndarray, StepOutcome]:
@@ -604,20 +598,21 @@ def _step(row: _Row, k: int, u_prev: np.ndarray, u_curr: np.ndarray, problem) ->
     moves the iterate.  Called outside :func:`_drive`, it follows the
     caller's floating-point error state.
     """
+    anchor, point_rule, update = _METHODS[row.method]
     space, forward = problem.space, problem.forward
     theta = 0.0
-    if row.anchor == "iterate":
+    if anchor == "iterate":
         w, what, at = u_curr, "iterate", None
     else:
         step = u_curr - u_prev
-        if row.anchor == "inertia":
+        if anchor == "inertia":
             theta = row.theta.value(k)
         else:
             diff = space.norm(step)
             theta = row.theta if diff == 0.0 else min(100.0 / (k + 1.0) ** 2 / diff, row.theta)
         w, what, at = u_curr + theta * step, "extrapolated point", k
 
-    if row.point == "armijo":
+    if point_rule == "armijo":
         _guard_iterate(w, what, at)
         point = _search(w, forward, problem.resolvent, row.search, space, row.j_start)
         if row.search.warm_start:
@@ -626,12 +621,11 @@ def _step(row: _Row, k: int, u_prev: np.ndarray, u_curr: np.ndarray, problem) ->
         lam = row.lam(k)
         b_w = _require_finite(forward(w), "B(w)", np.shape(w))
         v = _require_finite(problem.resolvent(w - lam * b_w, lam), "J(w - lam*B(w))", b_w.shape)
-        if row.update == "v":
+        if update == "v":
             point = LineSearchOutcome(lam, -1, v, b_w, None, 1, 1)
         else:
             point = LineSearchOutcome(lam, -1, v, b_w, _require_finite(forward(v), "B(v)", b_w.shape), 1, 2)
 
-    update = row.update
     if update == "contraction":
         return _contraction_step(w, point, row.gamma, space, _PHI_ZERO_TOL, theta)
     if update == "tseng":
