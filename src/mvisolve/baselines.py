@@ -2,9 +2,9 @@
 
 Five classical iterations for ``0 in A(u) + B(u)``, each a row of the
 method table of :mod:`mvisolve.solver` (an anchor, a point and an update
-rule) and run by :func:`run_baseline`, which hands the same step, driver,
-stopping rules and trace schema to it as the inertial contraction solver
-uses, so benchmark tables compare like with like.  One step of a method is
+rule).  :func:`run_baseline` runs a row through the same step, driver,
+stopping rules and trace schema as the inertial contraction solver, so
+benchmark tables compare like with like.  One step of a method is
 ``run_baseline(..., max_iters=1)``.
 
 ``fb``     forward-backward: ``u_next = J(u - lam*B(u), lam)``.

@@ -51,7 +51,9 @@ class TestFB:
 
     def test_pure_forward_step(self):
         u = np.array([2.0, 4.0])
-        u_next, _ = one_step(BaselineConfig("fb", lam=0.25), 1, u, u, identity_forward(), identity_resolvent(), euclidean(2))
+        u_next, _ = one_step(
+            BaselineConfig("fb", lam=0.25), 1, u, u, identity_forward(), identity_resolvent(), euclidean(2)
+        )
         np.testing.assert_allclose(u_next, 0.75 * u)
 
     def test_translation_prox_case(self):
@@ -59,7 +61,9 @@ class TestFB:
         a = np.array([2.0])
         B = ForwardOperator(lambda u: u - a)
         for u0 in ([5.0], [-3.0], [0.0]):
-            u_next, _ = one_step(BaselineConfig("fb", lam=1.0), 1, np.array(u0), np.array(u0), B, l1_resolvent(1.0), euclidean(1))
+            u_next, _ = one_step(
+                BaselineConfig("fb", lam=1.0), 1, np.array(u0), np.array(u0), B, l1_resolvent(1.0), euclidean(1)
+            )
             np.testing.assert_allclose(u_next, [1.0])  # soft(2, 1)
 
     def test_an_overflowing_fixed_step_ends_diverged_under_any_warning_filter(self):
@@ -81,7 +85,9 @@ class TestTseng:
     def test_b_zero_reduces_to_resolvent(self):
         u = np.array([3.0])
         p = LineSearchParams(1.0, 0.5, 0.9)
-        u_next, out = one_step(BaselineConfig("tseng", armijo=p), 1, u, u, zero_forward(), l1_resolvent(1.0), euclidean(1))
+        u_next, out = one_step(
+            BaselineConfig("tseng", armijo=p), 1, u, u, zero_forward(), l1_resolvent(1.0), euclidean(1)
+        )
         np.testing.assert_array_equal(u_next, [2.0])
         assert out.point.j == 0
 
@@ -89,14 +95,18 @@ class TestTseng:
         # lam accepted at 0.5: v = 0.5u, u_next = v - lam*(Bv - Bu) = 0.75u
         u = np.array([1.0])
         p = LineSearchParams(1.0, 0.5, 0.9)
-        u_next, out = one_step(BaselineConfig("tseng", armijo=p), 1, u, u, identity_forward(), identity_resolvent(), euclidean(1))
+        u_next, out = one_step(
+            BaselineConfig("tseng", armijo=p), 1, u, u, identity_forward(), identity_resolvent(), euclidean(1)
+        )
         assert out.point.lam == 0.5
         np.testing.assert_allclose(u_next, [0.75])
 
     def test_fixed_point_is_stationary(self):
         u = np.zeros(2)
         p = LineSearchParams(1.0, 0.5, 0.9)
-        u_next, _ = one_step(BaselineConfig("tseng", armijo=p), 1, u, u, identity_forward(), identity_resolvent(), euclidean(2))
+        u_next, _ = one_step(
+            BaselineConfig("tseng", armijo=p), 1, u, u, identity_forward(), identity_resolvent(), euclidean(2)
+        )
         np.testing.assert_array_equal(u_next, u)
 
 
@@ -104,13 +114,17 @@ class TestZW:
     def test_b_zero_step(self):
         # phi = u - v, delta = 1, gamma = 1: u_next = v
         u = np.array([4.0])
-        u_next, out = one_step(BaselineConfig("zw", lam=1.0, gamma=1.0), 1, u, u, zero_forward(), l1_resolvent(1.0), euclidean(1))
+        u_next, out = one_step(
+            BaselineConfig("zw", lam=1.0, gamma=1.0), 1, u, u, zero_forward(), l1_resolvent(1.0), euclidean(1)
+        )
         np.testing.assert_array_equal(u_next, [3.0])
         assert out.delta == 1.0
 
     def test_linear_case_matches_contraction_solver(self):
         u = np.array([1.0])
-        u_next, out = one_step(BaselineConfig("zw", lam=0.5, gamma=1.0), 1, u, u, identity_forward(), identity_resolvent(), euclidean(1))
+        u_next, out = one_step(
+            BaselineConfig("zw", lam=0.5, gamma=1.0), 1, u, u, identity_forward(), identity_resolvent(), euclidean(1)
+        )
         np.testing.assert_allclose(u_next, [0.5])
         assert out.delta == pytest.approx(2.0)
 
@@ -253,7 +267,9 @@ class TestJX:
         # u in K with B(u) = 0: v = u, phi = 0
         proj = box_resolvent(np.zeros(2), np.ones(2))
         u = np.array([0.5, 0.25])
-        u_next, out = one_step(BaselineConfig("jx", armijo=LineSearchParams()), 1, u, u, zero_forward(), proj, euclidean(2))
+        u_next, out = one_step(
+            BaselineConfig("jx", armijo=LineSearchParams()), 1, u, u, zero_forward(), proj, euclidean(2)
+        )
         assert out.phizero
         np.testing.assert_array_equal(u_next, u)
 

@@ -64,7 +64,9 @@ def test_fixed_step_zw_names_the_non_finite_evaluation(where, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteIterate, match=message):
-            one_step(BaselineConfig("zw", lam=0.5, gamma=0.5), 1, np.ones(2), np.ones(2), forward, resolvent, euclidean(2))
+            one_step(
+                BaselineConfig("zw", lam=0.5, gamma=0.5), 1, np.ones(2), np.ones(2), forward, resolvent, euclidean(2)
+            )
 
 
 # ---------------------------------------------------------------------------
