@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +32,19 @@ __all__ = [
 
 
 class BacktrackExhausted(RuntimeError):
-    """The acceptance inequality failed for every tried exponent.
+    """The acceptance inequality failed for every trial step down to ``s * 2**-60``.
 
     On valid inputs the search is guaranteed finite, so exhaustion signals
-    a discontinuous forward map or misconfigured parameters.  When some
-    trial's test overflowed (far from the origin ``||B(w) - B(v)||`` can),
-    the message says so instead: the step the test needs lies below the
-    smallest trial step ``s*mu**max_backtracks``.
+    a discontinuous forward map.  When some trial's test overflowed (far
+    from the origin ``||B(w) - B(v)||`` can), the message says so instead:
+    the step the test needs lies below the smallest trial step.
     """
+
+
+#: the search stops at the first step ``s*mu**j <= s * _SMALLEST_STEP``
+_SMALLEST_STEP = 2.0**-60
+#: a ``mu`` whose steps need more backtracks than this to reach the smallest step is rejected
+_MAX_BACKTRACKS = 2**16
 
 
 @dataclass(frozen=True)
@@ -48,14 +52,12 @@ class LineSearchParams:
     """Backtracking parameters.
 
     ``s`` is the initial trial step, ``mu`` the geometric reduction factor
-    and ``sigma`` the acceptance ratio.  ``max_backtracks`` converts the
-    theoretically finite loop into a diagnosable failure.  It bounds the
-    number of exponents tried, not the size of the step: the smallest trial
-    step is ``s * mu**max_backtracks``, far from underflow at the default
-    (``0.5**60`` is about ``8.7e-19``).  For ``mu = 0.9`` that smallest step
-    is about ``1.8e-3``, above the steps sparse recovery on cs-512 accepts
-    (down to about ``5e-7``), so the search is exhausted at iteration 1
-    there; raise ``max_backtracks`` together with ``mu``.
+    and ``sigma`` the acceptance ratio.  The trial steps ``s * mu**j`` run
+    from ``j = 0`` to the first one at or below ``s * 2**-60``, which turns
+    the theoretically finite loop into a diagnosable failure: at the
+    default ``mu = 0.5`` that is ``j = 60`` exactly, at ``mu = 0.9`` it is
+    ``j = 395``.  A ``mu`` so close to 1 that more than ``2**16``
+    backtracks would be needed (above about ``0.99937``) is rejected.
 
     ``warm_start`` lets a driver seed the search one exponent below the
     previously accepted one instead of restarting from ``s`` each
@@ -66,7 +68,6 @@ class LineSearchParams:
     s: float = 1.0
     mu: float = 0.5
     sigma: float = 0.9
-    max_backtracks: int = 60
     warm_start: bool = False
 
     def __post_init__(self):
@@ -76,14 +77,18 @@ class LineSearchParams:
             raise ValueError("backtrack factor mu must lie in (0, 1)")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("acceptance ratio sigma must lie in (0, 1)")
-        mb = self.max_backtracks
-        if isinstance(mb, bool) or not isinstance(mb, numbers.Integral) or mb < 1:
-            raise ValueError(f"max_backtracks must be a positive integer, got {mb!r}")
+        # fl(s*x) is monotone in x, so the table below ends by j = _MAX_BACKTRACKS
+        if self.mu**_MAX_BACKTRACKS > _SMALLEST_STEP:
+            top = _SMALLEST_STEP ** (1 / _MAX_BACKTRACKS)
+            raise ValueError(f"mu={self.mu} needs over {_MAX_BACKTRACKS} backtracks to reach s*2**-60 (mu <= {top:.5f})")
 
     @functools.cached_property
     def _steps(self) -> list:
-        """The step table: ``s * mu**j`` for ``j = 0..max_backtracks``, computed once."""
-        return [self.s * self.mu ** j for j in range(self.max_backtracks + 1)]
+        """The step table: ``s * mu**j`` from ``j = 0`` to the first step ``<= s * 2**-60``, computed once."""
+        steps = [self.s]
+        while steps[-1] > self.s * _SMALLEST_STEP:
+            steps.append(self.s * self.mu ** len(steps))
+        return steps
 
 
 @dataclass(slots=True)
@@ -178,7 +183,7 @@ def backtrack(
     Raises
     ------
     BacktrackExhausted
-        If no exponent up to ``max_backtracks`` is accepted.
+        If no step down to ``s * 2**-60`` is accepted.
     NonFiniteIterate
         If any operator evaluation is non-finite.
 
@@ -229,7 +234,7 @@ def backtrack(
     ``resolvent`` has a row-wise ``block`` form (as
     :func:`~mvisolve.operators.l1_resolvent` does) and ``params.warm_start``
     is off, the search takes its trials in blocks: 16 rows, then 8 at a
-    time, never past ``max_backtracks``.  A block stacks ``w - lam_j*B(w)``,
+    time, never past the smallest step.  A block stacks ``w - lam_j*B(w)``,
     calls ``block`` once, and tests every row against the certificate above
     with one ``block_pairing`` bound ``L_b`` per row (no matrix pass over the
     rows; one GEMV against ``B(w)`` for the quartic map) and ``N_b``, the
@@ -294,10 +299,10 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
     if j < 0:
         raise ValueError("j_start must be nonnegative")
     V = None
-    while j <= params.max_backtracks:
+    while j < len(steps):
         if block is not None:
             if V is None or j == j0 + len(V):
-                rows = min(_NEXT_BLOCK if V is not None else _FIRST_BLOCK, params.max_backtracks - j + 1)
+                rows = min(_NEXT_BLOCK if V is not None else _FIRST_BLOCK, len(steps) - j)
                 j0 = j
                 V, norms, rejected = _block_rejections(
                     w, b_w, st_w, np.array(steps[j : j + rows]), params.sigma, split, block, floor, c_block
@@ -346,15 +351,11 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
         overflowed += lhs == math.inf
         j += 1
     if overflowed:
-        tested = params.max_backtracks - start + 1 - certified
         raise BacktrackExhausted(
-            f"no step accepted down to {steps[-1]:.3e} ({params.max_backtracks} backtracks); "
-            f"the acceptance test's norms overflowed in {overflowed} of the {tested} trials it read, "
-            f"and the step it needs lies below s*mu**max_backtracks = {steps[-1]:.3e}"
+            f"no step accepted down to {steps[-1]:.3e} ({len(steps) - 1} backtracks); "
+            f"the acceptance test's norms overflowed in {overflowed} of the {len(steps) - start - certified} trials "
+            f"it read, and the step it needs lies below the smallest trial step"
         )
     raise BacktrackExhausted(
-        f"no step accepted down to {steps[-1]:.3e} "
-        f"({params.max_backtracks} backtracks); the forward map may be discontinuous, "
-        f"or max_backtracks={params.max_backtracks} is too few for mu={params.mu:g}: "
-        f"a slow mu (close to 1) needs a larger max_backtracks"
+        f"no step accepted down to {steps[-1]:.3e} ({len(steps) - 1} backtracks); the forward map may be discontinuous"
     )
