@@ -97,7 +97,7 @@ def contraction_crossing(C, v, rho, u_true, tol=1e-2, max_iters=300):
     with ``E = ((2-gamma)/gamma)*((1-sigma)/(1+sigma))**4``.  A vanishing
     ``phi`` means ``v`` solves the inclusion and ends the run at ``v``.
     """
-    s, mu, sigma, gamma, max_backtracks = 1.0, 0.5, 0.9, 1.9, 60
+    s, mu, sigma, gamma = 1.0, 0.5, 0.9, 1.9
     e = ((2.0 - gamma) / gamma) * ((1.0 - sigma) / (1.0 + sigma)) ** 4
     theta_max = 0.99 * e / (e + max(1.0, e))
     C = np.asarray(C, dtype=float)
@@ -120,7 +120,7 @@ def contraction_crossing(C, v, rho, u_true, tol=1e-2, max_iters=300):
         theta = theta_max * np.sqrt(k) / (k + 5.0)
         w = u_curr + theta * (u_curr - u_prev)
         b_w = grad(w)
-        for j in range(max_backtracks + 1):
+        for j in range(61):  # down to s*mu**60 = s*2**-60
             lam = s * mu**j
             p = soft(w - lam * b_w, lam * rho)
             b_p = grad(p)

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdicts.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -147,6 +148,54 @@ def test_criterion_4_linear_rate_strongly_monotone():
     assert theta < 1.0
     assert r2 >= 0.95
     assert tr.total_violations == 0
+
+
+def _identity_shift_problem(beta):
+    """``A = beta*I`` and the log map, from criterion 4's start; zero solves it.
+
+    ``strongly_monotone_problem`` at ``rho = 0`` has the resolvent
+    ``x/(1 + lam*beta)``; ``beta = 0`` is ``A = 0``, the resolvent
+    ``l1_resolvent(0.0)``.
+    """
+    prob = strongly_monotone_problem(np.array([1.0, -0.7, 0.4, 2.0]), rho=0.0, beta=beta if beta > 0 else 1.0)
+    return prob if beta > 0 else dataclasses.replace(prob, resolvent=l1_resolvent(0.0))
+
+
+def test_criterion_4_companion_rate_needs_strong_monotonicity():
+    """The linear rate needs ``beta > 0``: the tail ratio is within ``tau(lam_min, beta)``, and ``A = 0`` is not linear.
+
+    Criterion 4 cannot fail for want of strong monotonicity: inside the l1
+    dead zone ``v = u* = 0`` exactly, and its fitted ratio is
+    ``gamma - 1`` whatever ``beta`` is.  With ``A = beta*I`` the set-valued
+    part is strongly monotone exactly when ``beta > 0``.  Measured at
+    ``beta`` = 1, 0.1 and 0.01: 10, 121 and 1,114 iterations to dist^2
+    1e-22, tail distance ratios 0.05, 0.83 and 0.98, against ``tau``
+    0.99974, 0.99974 and 0.99997; at ``beta = 0``, distance 3.4e-4 at the
+    3,000 cap.
+    """
+    for beta in (1.0, 0.1, 0.01, 0.0):
+        prob = _identity_shift_problem(beta)
+        cfg = SolverConfig(
+            stop=StoppingRule("distance_to_reference", 1e-22, reference=prob.reference),
+            max_iters=3000,
+            check_invariants=True,
+        )
+        _, tr = solve(prob, prob.u0, prob.u1, cfg)
+        assert tr.total_violations == 0, beta
+        dist = np.sqrt(tr.array("dist2_ref"))
+        if beta == 0.0:
+            _verdict("4c", tr.status is TerminalStatus.ITER_CAP, f"beta 0: distance {dist[-1]:.2g} at the cap")
+            assert tr.status is TerminalStatus.ITER_CAP
+            assert dist[-1] > 1e-4
+            continue
+        lam_min = float(tr.array("lam").min())
+        tau = cfg.analysis(lam_min, beta)["tau"]
+        ratio = (dist[-1] / dist[-6]) ** 0.2  # geometric mean over the last five iterations
+        ok = tr.status is TerminalStatus.CONVERGED and ratio <= tau
+        _verdict("4c", ok, f"beta {beta:g}: {tr.iterations} iterations, ratio {ratio:.4f}, tau {tau:.5f}")
+        assert tr.status is TerminalStatus.CONVERGED, beta
+        assert lam_min == 0.5
+        assert ratio <= tau, (beta, ratio, tau)
 
 
 def test_criterion_5_ordering_against_baselines():

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from _cases import mu_with_cap
 from mvisolve.baselines import SETTINGS, BaselineConfig
 from mvisolve.bench import (
     RunSpec,
@@ -216,10 +217,12 @@ class TestRun:
             # the keys of the removed thread pool raise like any other
             ({"workers": 4}, "workers"),
             ({"timing_mode": True}, "timing_mode"),
+            # the search's cap follows from mu; its removed count raises too
+            ({"solvers": [{"method": "ifb", "max_backtracks": 200}]}, "max_backtracks"),
         ],
         ids=[
             "solver-option", "zw-option", "ifb-theta", "problem", "stop", "top-level", "tc-literal",
-            "retired-workers", "retired-timing-mode",
+            "retired-workers", "retired-timing-mode", "retired-max-backtracks",
         ],
     )
     def test_unknown_spec_keys_raise(self, tmp_path, overrides, key):
@@ -232,18 +235,18 @@ class TestRun:
             RunSpec.from_dict(raw)
         assert str(err.value) == (
             "unknown key(s) 'sigam' in solver entry {'method': 'tseng', 'sigam': 0.1}; "
-            "accepted keys: label, s, mu, sigma, max_backtracks"
+            "accepted keys: label, s, mu, sigma"
         )
 
     @pytest.mark.parametrize(
         "entry, accepted",
         [
-            ({"method": "tseng", "lam": 5}, "label, s, mu, sigma, max_backtracks"),
+            ({"method": "tseng", "lam": 5}, "label, s, mu, sigma"),
             ({"method": "fb", "sigma": 0.1}, "label, lam"),
-            ({"method": "fb", "sigma": 0.1, "max_backtracks": 3}, "label, lam"),
+            ({"method": "fb", "sigma": 0.1, "mu": 0.25}, "label, lam"),
             ({"method": "zw", "mu": 0.25}, "label, lambda_mode, lam, gamma"),
-            ({"method": "tc", "lam": 0.2}, "label, s, mu, sigma, max_backtracks, gamma, mu_tc, theta"),
-            ({"method": "jx", "gamma": 1.0}, "label, s, mu, sigma, max_backtracks"),
+            ({"method": "tc", "lam": 0.2}, "label, s, mu, sigma, gamma, mu_tc, theta"),
+            ({"method": "jx", "gamma": 1.0}, "label, s, mu, sigma"),
         ],
         ids=["tseng-lam", "fb-sigma", "fb-search", "zw-schedule-mu", "tc-lam", "jx-gamma"],
     )
@@ -387,8 +390,8 @@ class TestConfigBuilders:
             # only the overridden search field moves off the method's defaults
             "tc": ({"s": 4.0, "mu_tc": 0.25},
                    {"armijo": LineSearchParams(s=4.0, mu=0.5, sigma=0.5), "mu_tc": 0.25}),
-            "jx": ({"max_backtracks": 9, "label": "proj"},
-                   {"armijo": LineSearchParams(max_backtracks=9), "label": "proj"}),
+            "jx": ({"mu": mu_with_cap(9), "label": "proj"},
+                   {"armijo": LineSearchParams(mu=mu_with_cap(9)), "label": "proj"}),
         }
         for method, (opts, fields) in options.items():
             assert _build_baseline_config(method, opts) == BaselineConfig(method, **fields)

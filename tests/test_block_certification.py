@@ -17,7 +17,7 @@ of tests:
   never certified, and the count of certified trials on cs-512 is pinned;
 * non-finite rows raise at the same trial as the per-trial loop, and not
   at all past the accepted trial;
-* blocks stop at ``max_backtracks``;
+* blocks stop at the smallest step;
 * the speculative count reaches the trace.
 """
 
@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _cases import mu_with_cap
 from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import BacktrackExhausted, LineSearchParams, NonFiniteIterate, backtrack
 from mvisolve.operators import ForwardOperator, ResolventOperator, l1_resolvent, quartic_forward
@@ -116,7 +117,7 @@ def _block_single_trial(w, v, forward, lam, sigma):
         lambda x, step: v if step == lam else w,
         block=lambda X, lams: np.array([v if step == lam else w for step in lams]),
     )
-    params = LineSearchParams(s=lam, mu=0.5, sigma=sigma, max_backtracks=1)
+    params = LineSearchParams(s=lam, mu=mu_with_cap(1), sigma=sigma)
     ls = backtrack(w, forward, resolvent, params)
     assert ls.forward_evals == 1 + ls.resolvent_evals
     assert ls.speculative == 1 - ls.j
@@ -367,11 +368,11 @@ def test_non_finite_row_raises_at_the_same_trial(bad, message):
 
 
 # ---------------------------------------------------------------------------
-# (e) blocks stop at max_backtracks
+# (e) blocks stop at the smallest step
 
 
-@pytest.mark.parametrize("max_backtracks, blocks", [(3, [4]), (16, [16, 1]), (20, [16, 5]), (40, [16, 8, 8, 8, 1])])
-def test_blocks_never_pass_max_backtracks(max_backtracks, blocks):
+@pytest.mark.parametrize("cap, blocks", [(3, [4]), (16, [16, 1]), (20, [16, 5]), (40, [16, 8, 8, 8, 1])])
+def test_blocks_never_pass_the_smallest_step(cap, blocks):
     # every trial returns v = 0, which is rejected, so the search exhausts
     seen = []
 
@@ -379,7 +380,8 @@ def test_blocks_never_pass_max_backtracks(max_backtracks, blocks):
         seen.append(lams.copy())
         return np.zeros_like(X)
 
-    params = LineSearchParams(max_backtracks=max_backtracks)
+    mu = mu_with_cap(cap)
+    params = LineSearchParams(mu=mu)
     fwd = quartic_forward(_C, _Y)
     messages = []
     for resolvent in (ResolventOperator(lambda x, lam: np.zeros_like(x), block=block), lambda x, lam: np.zeros_like(x)):
@@ -388,14 +390,18 @@ def test_blocks_never_pass_max_backtracks(max_backtracks, blocks):
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert [len(lams) for lams in seen] == blocks
-    assert np.concatenate(seen).tolist() == [0.5**j for j in range(max_backtracks + 1)]
+    assert np.concatenate(seen).tolist() == [mu**j for j in range(cap + 1)]
+    assert messages[0].endswith(f"({cap} backtracks); the forward map may be discontinuous")
 
 
 @pytest.mark.parametrize("s, mu", [(1.0, 0.5), (2.0, 0.5), (2.0, 0.9), (0.3, 0.7)])
 def test_every_trial_step_is_s_times_mu_to_the_j_bitwise(s, mu):
     # every trial returns v = 0, which is rejected, so each search tries every
-    # exponent from j_start on, in blocks or one at a time
-    expected = [(s * mu**j).hex() for j in range(61)]
+    # exponent from j_start on, in blocks or one at a time, down to the first
+    # step at or below s*2**-60
+    last = next(j for j in itertools.count() if s * mu**j <= s * 2.0**-60)
+    assert last == {0.5: 60, 0.7: 117, 0.9: 395}[mu]
+    expected = [(s * mu**j).hex() for j in range(last + 1)]
     seen = []
 
     def block(X, lams):

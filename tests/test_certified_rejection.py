@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _cases import mu_with_cap
 from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchParams, NonFiniteIterate, backtrack
 from mvisolve.operators import ForwardOperator, ForwardSplit, quartic_fidelity_gradient, quartic_forward
@@ -130,7 +131,7 @@ def _single_trial(w, v, forward, lam, sigma, space=None):
 
     Returns ``(accepted at the first trial, first trial certified)``.
     """
-    params = LineSearchParams(s=lam, mu=0.5, sigma=sigma, max_backtracks=1)
+    params = LineSearchParams(s=lam, mu=mu_with_cap(1), sigma=sigma)
     ls = backtrack(w, forward, lambda x, step: v if step == lam else w, params, space=space)
     assert ls.forward_evals == 1 + ls.resolvent_evals
     return ls.j == 0, ls.certified == 1

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _cases import cases
+from _cases import cases, mu_with_cap
 from mvisolve.linesearch import (
     BacktrackExhausted,
     LineSearchOutcome,
@@ -22,7 +23,7 @@ from mvisolve.operators import (
 from _table import one_step
 from mvisolve.baselines import BaselineConfig
 from mvisolve.problems import assemble, gen_cs
-from mvisolve.solver import SolverConfig
+from mvisolve.solver import SolverConfig, StoppingRule, TerminalStatus, solve
 from mvisolve.spaces import euclidean
 
 
@@ -33,31 +34,40 @@ def test_param_validation():
         LineSearchParams(mu=1.0)
     with pytest.raises(ValueError):
         LineSearchParams(sigma=0.0)
-    with pytest.raises(ValueError):
-        LineSearchParams(max_backtracks=0)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("s", float("inf")),
-        ("s", float("nan")),
-        ("s", -float("inf")),
-        ("max_backtracks", 2.5),
-        ("max_backtracks", True),
-        ("max_backtracks", 60.0),
-    ],
-)
-def test_param_validation_names_the_field(field, value):
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -float("inf")])
+def test_param_validation_names_the_field(value):
     # a non-finite s used to end solve() "diverged" at k = 0
-    named = {"s": r"^initial step s must be positive and finite", "max_backtracks": r"^max_backtracks must be"}
-    with pytest.raises(ValueError, match=named[field]):
-        LineSearchParams(**{field: value})
+    with pytest.raises(ValueError, match=r"^initial step s must be positive and finite"):
+        LineSearchParams(s=value)
 
 
-def test_integral_max_backtracks_types_are_accepted():
-    assert LineSearchParams(max_backtracks=np.int64(7)).max_backtracks == 7
+def test_large_finite_s_is_accepted():
     assert LineSearchParams(s=1e300).s == 1e300
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 0.3])
+def test_step_table_ends_at_the_smallest_step(s):
+    # s*0.5**60 == s*2**-60, so the default factor keeps its 60 backtracks
+    assert LineSearchParams(s=s)._steps == [s * 0.5**j for j in range(61)]
+    steps = LineSearchParams(s=s, mu=0.9)._steps
+    assert steps == [s * 0.9**j for j in range(396)]
+    assert steps[-2] > s * 2.0**-60 >= steps[-1]
+
+
+def test_mu_past_the_bound_raises_without_building_a_table():
+    # the largest admissible mu is 2**(-60/2**16); its search needs 2**16 backtracks
+    top = 2.0 ** (-60 / 2**16)
+    assert len(LineSearchParams(mu=top * (1 - 1e-12))._steps) <= 2**16 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^mu=0\.99936\d* needs over 65536 backtracks to reach s\*2\*\*-60 "):
+            LineSearchParams(mu=top * (1 + 1e-12))
+        # a table of 2**16 floats would take megabytes
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_identity_map_closed_form():
@@ -149,9 +159,9 @@ def test_determinism():
 
 
 def test_exhaustion_raises():
-    # sigma so small that the identity map can never be accepted within the cap
-    p = LineSearchParams(s=1.0, mu=0.5, sigma=1e-12, max_backtracks=10)
-    with pytest.raises(BacktrackExhausted, match="; the forward map may be discontinuous, or max_backtracks=10"):
+    # the identity map accepts lam <= sigma only, and the smallest step lies above s*2**-64 = 2**-14
+    p = LineSearchParams(s=2.0**50, mu=mu_with_cap(10), sigma=1e-12)
+    with pytest.raises(BacktrackExhausted, match=r"\(10 backtracks\); the forward map may be discontinuous$"):
         backtrack(np.array([1.0]), identity_forward(), identity_resolvent(), p)
 
 
@@ -160,23 +170,26 @@ def test_discontinuous_forward_exhausts():
     def fwd(u):
         return np.where(u > 0, 1.0, -1.0)
 
-    p = LineSearchParams(s=1.0, mu=0.5, sigma=0.9, max_backtracks=40)
-    with pytest.raises(BacktrackExhausted, match="; the forward map may be discontinuous, or max_backtracks=40"):
+    p = LineSearchParams(s=1.0, mu=mu_with_cap(40), sigma=0.9)
+    with pytest.raises(BacktrackExhausted, match=r"\(40 backtracks\); the forward map may be discontinuous$"):
         backtrack(np.array([0.0]), fwd, identity_resolvent(), p)
 
 
-def test_exhaustion_names_max_backtracks_and_mu():
-    # at mu=0.9 the default 60 exponents stop at 0.9**60 ~ 1.8e-3, above every
-    # step cs-512 accepts, so the first search fails on a continuous map
+def test_slow_mu_searches_down_to_the_smallest_step_on_cs512():
+    # cs-512 accepts steps below 0.9**60 ~ 1.8e-3, so a search that stopped
+    # after 60 backtracks would fail at k = 1; at mu=0.9 it runs to 0.9**395
     prob = assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
-    cfg = SolverConfig(linesearch=LineSearchParams(mu=0.9))
-    with pytest.raises(BacktrackExhausted) as info:
-        one_step(cfg, 1, prob.u0, prob.u1, prob.forward, prob.resolvent, prob.space)
-    assert str(info.value) == (
-        "no step accepted down to 1.797e-03 (60 backtracks); the forward map may be "
-        "discontinuous, or max_backtracks=60 is too few for mu=0.9: a slow mu (close "
-        "to 1) needs a larger max_backtracks"
+    cfg = SolverConfig(
+        linesearch=LineSearchParams(mu=0.9),
+        stop=StoppingRule("distance_to_reference", 1e-2, reference=prob.reference),
+        max_iters=300,
+        check_invariants=True,
     )
+    _, tr = solve(prob, prob.u0, prob.u1, cfg)
+    assert tr.status is TerminalStatus.CONVERGED
+    assert tr.iterations == 235
+    assert tr.total_violations == 0
+    assert tr.array("lam").min() < 0.9**60
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["split", "plain"])
@@ -194,7 +207,7 @@ def test_exhaustion_by_overflowed_norms_names_the_overflow(split):
     assert str(info.value) == (
         "no step accepted down to 8.674e-19 (60 backtracks); the acceptance test's norms "
         "overflowed in 52 of the 61 trials it read, and the step it needs lies below "
-        "s*mu**max_backtracks = 8.674e-19"
+        "the smallest trial step"
     )
 
 

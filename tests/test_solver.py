@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _cases import cases
+from _cases import cases, mu_with_cap
 from _table import one_step
 from mvisolve.baselines import BaselineConfig
 
@@ -205,19 +205,17 @@ class TestSolve:
         assert d[-1] < d[0]
 
     def test_divergence_status(self):
-        # explicit steps on an expansive map with a huge fixed step blow up;
-        # emulate by a non-monotone forward map and no resolvent damping
-        expanding = Inclusion(
-            forward=cubic_forward(), resolvent=identity_resolvent(), space=euclidean(1)
-        )
+        # the expanding, non-monotone map B(u) = -u with no resolvent damping:
+        # every accepted step moves the iterate outward until the guard stops it
+        expanding = Inclusion(forward=lambda u: -u, resolvent=identity_resolvent(), space=euclidean(1))
         cfg = SolverConfig(
             gamma=1.99,
-            linesearch=LineSearchParams(s=1e3, mu=0.99, sigma=0.99, max_backtracks=2),
+            linesearch=LineSearchParams(s=1e3, mu=0.99, sigma=0.99),
             stop=StoppingRule("iter_cap_only"),
-            max_iters=50,
+            max_iters=500,
         )
         uf, tr = solve(expanding, np.array([10.0]), np.array([10.0]), cfg)
-        assert tr.status in (TerminalStatus.BACKTRACK_EXHAUSTED, TerminalStatus.DIVERGED)
+        assert tr.status is TerminalStatus.DIVERGED
 
     def test_backtrack_exhaustion_status(self):
         jumpy = Inclusion(
@@ -226,7 +224,7 @@ class TestSolve:
             space=euclidean(1),
         )
         cfg = SolverConfig(
-            linesearch=LineSearchParams(max_backtracks=20),
+            linesearch=LineSearchParams(mu=mu_with_cap(20)),
             stop=StoppingRule("iter_cap_only"),
             max_iters=10,
         )
