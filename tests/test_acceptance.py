@@ -153,12 +153,13 @@ def test_criterion_4_linear_rate_strongly_monotone():
 def _identity_shift_problem(beta):
     """``A = beta*I`` and the log map, from criterion 4's start; zero solves it.
 
-    ``strongly_monotone_problem`` at ``rho = 0`` has the resolvent
-    ``x/(1 + lam*beta)``; ``beta = 0`` is ``A = 0``, the resolvent
-    ``l1_resolvent(0.0)``.
+    ``strongly_monotone_problem`` at ``rho = 0`` has the resolvent ``x/(1 + lam*beta)``.
     """
-    prob = strongly_monotone_problem(np.array([1.0, -0.7, 0.4, 2.0]), rho=0.0, beta=beta if beta > 0 else 1.0)
-    return prob if beta > 0 else dataclasses.replace(prob, resolvent=l1_resolvent(0.0))
+    start = np.array([1.0, -0.7, 0.4, 2.0])
+    if beta > 0:
+        return strongly_monotone_problem(start, rho=0.0, beta=beta)
+    # its resolvent needs beta > 0; A = 0 has the identity resolvent
+    return dataclasses.replace(strongly_monotone_problem(start, rho=0.0), resolvent=l1_resolvent(0.0))
 
 
 def test_criterion_4_companion_rate_needs_strong_monotonicity():
