@@ -43,7 +43,6 @@ from .solver import (
     IterationRecord,
     IterationTrace,
     StepOutcome,
-    Inclusion,
     DivergenceError,
     InsufficientTrace,
     contraction_margin,

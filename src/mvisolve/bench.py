@@ -229,15 +229,6 @@ class RunSpec:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _build_stop(stop_spec: dict, problem: Problem) -> StoppingRule:
-    kwargs = _pick(stop_spec, _STOP_KEYS)
-    if kwargs.get("kind") == "distance_to_reference":
-        if problem.reference is None:
-            raise ValueError(f"{problem.family} problem has no reference solution")
-        kwargs["reference"] = problem.reference
-    return StoppingRule(**kwargs)
-
-
 def _build_ifb_config(options: dict, stop: StoppingRule, spec: RunSpec) -> SolverConfig:
     cfg = SolverConfig(
         linesearch=LineSearchParams(**_pick(options, _LS_KEYS + ("warm_start",))),
@@ -368,7 +359,7 @@ class RunReport:
 def _run_cell(
     entry: SolverEntry, problem: Problem, pid: str, rep: int, spec: RunSpec
 ) -> tuple[CellResult, Optional[IterationTrace]]:
-    stop = _build_stop(spec.stop, problem)
+    stop = StoppingRule(**_pick(spec.stop, _STOP_KEYS))
     t0 = time.perf_counter()
     try:
         if entry.method == "ifb":

@@ -37,7 +37,11 @@ class BacktrackExhausted(RuntimeError):
     On valid inputs the search is guaranteed finite, so exhaustion signals
     a discontinuous forward map.  When some trial's test overflowed (far
     from the origin ``||B(w) - B(v)||`` can), the message says so instead:
-    the step the test needs lies below the smallest trial step.
+    the step the test needs lies below the smallest trial step.  The search
+    also ends here, with its own message, at a trial whose ``lam*B(w)``
+    falls below the rounding of ``w``: ``w - lam*B(w)`` then equals ``w``
+    while ``B(w) != 0``, so the test compares nothing about ``B``, and
+    every smaller step does the same.
     """
 
 
@@ -183,7 +187,8 @@ def backtrack(
     Raises
     ------
     BacktrackExhausted
-        If no step down to ``s * 2**-60`` is accepted.
+        If no step down to ``s * 2**-60`` is accepted, or a trial's
+        ``lam*B(w)`` falls below the rounding of ``w`` (see the class).
     NonFiniteIterate
         If any operator evaluation is non-finite.
 
@@ -342,6 +347,13 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
         b_wv = b_w - b_v
         lhs = lam * space.norm(b_wv)
         if lhs <= params.sigma * res_wv:
+            # a zero ||w - v|| passes every step, and shows nothing once lam*B(w)
+            # vanishes in w - lam*B(w): every smaller step rounds to w as well
+            if res_wv == 0.0 and b_w.any() and np.array_equal(w - lam * b_w, w):
+                raise BacktrackExhausted(
+                    f"no step accepted: at lam = {lam:.3e} (j = {j}) lam*B(w) fell below the rounding of w, "
+                    f"so w - lam*B(w) == w while B(w) != 0, as at every smaller step"
+                )
             # one trial per exponent the search reached
             return LineSearchOutcome(
                 lam, j, v, b_w, b_v, j - start + 1, j - start + 2, res_wv, wv, b_wv,

@@ -65,21 +65,30 @@ def _rng(seed: int, component: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Problem:
-    """An assembled inclusion ready for any solver in the package.
+    """An inclusion ``0 in A(u) + B(u)`` ready for any solver in the package.
 
-    ``reference`` is the comparison point for error metrics.
-    ``reference_is_solution`` marks it as an exact solution of the
-    inclusion (true for the integral-space and constructed problems, false
-    for sparse recovery, where the true signal differs from the
-    regularized solution by the shrinkage bias).
+    ``forward`` is ``B`` and ``resolvent`` is ``(x, lam) -> (I + lam*A)^{-1}(x)``,
+    as a :class:`ForwardOperator` and a :class:`ResolventOperator` or as
+    plain callables, and ``space`` is the ambient space.  A hand-built
+    problem needs only these three: the start pair ``u0``, ``u1`` and the
+    ``family`` tag are what :func:`assemble` and the constructed problems
+    add.
+
+    ``reference`` is the comparison point for error metrics: the trace's
+    squared-distance column, and a ``distance_to_reference`` stop that has
+    no reference of its own.  ``reference_is_solution`` marks it as an
+    exact solution of the inclusion, which gives every contraction method
+    the per-iteration decrease check (true for the integral-space and
+    constructed problems, false for sparse recovery, where the true signal
+    differs from the regularized solution by the shrinkage bias).
     """
 
     forward: ForwardOperator
     resolvent: ResolventOperator
     space: InnerProductSpace
-    u0: np.ndarray
-    u1: np.ndarray
-    family: str
+    u0: Optional[np.ndarray] = None
+    u1: Optional[np.ndarray] = None
+    family: str = "custom"
     metadata: dict = field(default_factory=dict)
     reference: Optional[np.ndarray] = None
     reference_is_solution: bool = False

@@ -42,6 +42,7 @@ from .linesearch import (
     NonFiniteIterate,
     _search,
 )
+from .problems import Problem
 from .spaces import InnerProductSpace, _require_finite
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "IterationRecord",
     "IterationTrace",
     "StepOutcome",
-    "Inclusion",
     "DivergenceError",
     "InsufficientTrace",
     "contraction_margin",
@@ -198,6 +198,9 @@ class StoppingRule:
     ``distance_to_reference``  ``||u_next - reference||^2 <= tol``
     ``residual``               ``||w - v|| <= tol``
     ``iter_cap_only``          run to the iteration cap
+
+    ``reference`` defaults to the problem's; a distance stop where both
+    are ``None`` raises when its run starts.
     """
 
     kind: str = "successive_diff"
@@ -210,8 +213,6 @@ class StoppingRule:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
         if self.kind != "iter_cap_only" and not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if self.kind == "distance_to_reference" and self.reference is None:
-            raise ValueError("distance_to_reference requires a reference point")
 
 
 @dataclass(frozen=True)
@@ -255,15 +256,6 @@ class SolverConfig:
     def _row(self) -> _Row:
         """The ``ifb`` row of the method table with these settings, for one run."""
         return _Row("ifb", self.inertia, self.linesearch, gamma=self.gamma)
-
-
-@dataclass(frozen=True)
-class Inclusion:
-    """A ready-to-solve problem: forward map, resolvent, ambient space."""
-
-    forward: Callable
-    resolvent: Callable
-    space: InnerProductSpace
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +626,7 @@ def _step(row: _Row, k: int, u_prev: np.ndarray, u_curr: np.ndarray, problem) ->
         return u_next, StepOutcome(u_next, point, point.res_wv)
     if update == "v":
         _guard_iterate(point.v, "forward-backward iterate")
-        return point.v, StepOutcome(point.v, point, space.norm(w - point.v))
+        return point.v, StepOutcome(point.v, point, space.norm(w - point.v), w=w)
     # viscosity: the one direction phi(w, v) scaled by eta, then the average
     _, phi, pp, phi_norm, res_wv, vanished = _direction(w, point, space, _PHI_ZERO_TOL)
     z, eta = w, float("nan")
@@ -695,8 +687,8 @@ def _check_invariants(
 
 
 def _drive(
-    step: Callable[[int, np.ndarray, np.ndarray, object], tuple[np.ndarray, StepOutcome]],
-    problem,
+    step: Callable[[int, np.ndarray, np.ndarray, Problem], tuple[np.ndarray, StepOutcome]],
+    problem: Problem,
     u0: np.ndarray,
     u1: np.ndarray,
     stop: StoppingRule,
@@ -705,7 +697,6 @@ def _drive(
     method: str,
     labels: Optional[dict] = None,
     check_invariants: bool = False,
-    solution: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Shared iteration loop: tracing, stopping, divergence and invariant counting.
 
@@ -713,11 +704,12 @@ def _drive(
     and :func:`~mvisolve.baselines.run_baseline` pass :func:`_step` bound
     to their method's row.
 
-    The squared-distance column measures against the stopping rule's
-    reference, or else ``problem.reference``.  ``solution`` must be an
-    exact solution of the inclusion and additionally enables the
-    per-iteration decrease check; it defaults to ``problem.reference`` when
-    the problem marks it as an exact solution.
+    The squared-distance column and a distance stop measure against the
+    stopping rule's reference, or else ``problem.reference``; a distance
+    stop with neither raises :class:`ValueError` before the first step.
+    When ``problem.reference_is_solution`` is set, ``problem.reference``
+    is an exact solution and ``check_invariants`` adds the per-iteration
+    decrease check against it.
 
     The loop runs under ``np.errstate(over="ignore", invalid="ignore")``,
     entered once per run, so an overflow stays silent and the run ends
@@ -727,12 +719,11 @@ def _drive(
     test.  Any other exception a step raises, e.g. from the forward map or
     the resolvent, propagates unchanged.
     """
+    reference = problem.reference if stop.reference is None else stop.reference
+    if stop.kind == "distance_to_reference" and reference is None:
+        raise ValueError("distance_to_reference needs a reference point; the stopping rule and the problem have none")
+    solution = problem.reference if problem.reference_is_solution else None
     space = problem.space
-    reference = stop.reference
-    if reference is None:
-        reference = getattr(problem, "reference", None)
-    if solution is None and getattr(problem, "reference_is_solution", False):
-        solution = problem.reference
     u_prev = space.check_member(u0, "u0")
     u_curr = space.check_member(u1, "u1")
     ref = None if reference is None else space.check_member(reference, "reference")
@@ -758,7 +749,8 @@ def _drive(
                 break
             elapsed = clock() - t0
 
-            step_diff = norm(u_next - u_curr)
+            # a step from the iterate itself to its point v has ||u_next - u_curr|| = ||w - v|| already
+            step_diff = out.res_wv if u_next is out.point.v and out.w is u_curr else norm(u_next - u_curr)
             dist2 = norm2(u_next - ref) if ref is not None else math.nan
             if kind == "distance_to_reference":  # dist2 measures against its reference
                 err = dist2
@@ -789,30 +781,28 @@ def _drive(
 
 
 def solve(
-    problem,
+    problem: Problem,
     u0: np.ndarray,
     u1: np.ndarray,
     cfg: SolverConfig,
-    solution: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Run the inertial contraction solver on an inclusion problem.
 
     Parameters
     ----------
-    problem : object with ``forward``, ``resolvent`` and ``space`` attributes
-        E.g. an :class:`Inclusion` or an assembled benchmark problem.
+    problem : Problem
+        A hand-built :class:`~mvisolve.problems.Problem` or an assembled
+        benchmark one.  Its ``reference`` is the default point of the
+        trace's squared-distance column (e.g. the true signal of a
+        recovery problem); when ``reference_is_solution`` marks it as an
+        exact solution, ``cfg.check_invariants`` adds the per-iteration
+        decrease check.
     u0, u1 : ndarray
         The two starting points; ``u0 == u1`` is allowed (and is the
         benchmark default), in which case the first extrapolation vanishes.
     cfg : SolverConfig
-        The squared-distance column of the trace measures against
-        ``cfg.stop.reference``, or else ``problem.reference`` (e.g. the
-        true signal of a recovery problem).
-    solution : ndarray, optional
-        An exact solution of the inclusion.  With
-        ``cfg.check_invariants`` this enables the per-iteration decrease
-        check.  Defaults to ``problem.reference`` when the problem marks
-        it as an exact solution.
+        A reference of ``cfg.stop`` replaces the problem's for the
+        squared-distance column and the distance stop.
 
     Returns
     -------
@@ -838,7 +828,6 @@ def solve(
         method="ifb",
         labels=labels,
         check_invariants=cfg.check_invariants,
-        solution=solution,
     )
 
 

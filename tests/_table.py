@@ -1,6 +1,7 @@
 """One step of a method, taken through the method table as ``solve`` and ``run_baseline`` take it."""
 
-from mvisolve.solver import Inclusion, _step
+from mvisolve.problems import Problem
+from mvisolve.solver import _step
 from mvisolve.spaces import euclidean
 
 
@@ -10,4 +11,4 @@ def one_step(cfg, k, u_prev, u_curr, forward, resolvent, space=None):
     The space defaults to the Euclidean space of ``u_curr``'s length.
     """
     space = euclidean(len(u_curr)) if space is None else space
-    return _step(cfg._row(), k, u_prev, u_curr, Inclusion(forward, resolvent, space))
+    return _step(cfg._row(), k, u_prev, u_curr, Problem(forward, resolvent, space))

@@ -17,11 +17,10 @@ from mvisolve.operators import (
     linear_forward,
     zero_forward,
 )
-from mvisolve.problems import assemble, gen_cs, gen_l2, gen_lpa
+from mvisolve.problems import Problem, assemble, gen_cs, gen_l2, gen_lpa
 from mvisolve.solver import (
     _METHODS,
     _PHI_ZERO_TOL,
-    Inclusion,
     InertiaSchedule,
     IterationRecord,
     SolverConfig,
@@ -241,7 +240,7 @@ class TestTC:
         # u = 1, B = 0, J = identity: v = w = 1 and phi = 0, so the direction
         # vanishes and the contraction is skipped: u_next = 0.5*f(1) + 0.5*w
         # = 0.75 with alpha_1 = 1/2, and eta is nan
-        prob = Inclusion(zero_forward(), identity_resolvent(), euclidean(1))
+        prob = Problem(zero_forward(), identity_resolvent(), euclidean(1))
         u = np.array([1.0])
         uf, tr = run_baseline(
             BaselineConfig("tc"), prob, u, u,
@@ -311,7 +310,7 @@ class TestJX:
 
 class TestRunBaseline:
     def _problem(self):
-        return Inclusion(
+        return Problem(
             forward=ForwardOperator(lambda u: u**3),
             resolvent=l1_resolvent(1.0),
             space=euclidean(2),
@@ -425,7 +424,7 @@ class TestRunBaseline:
         # projection of a onto the box
         a = np.array([2.0, -3.0, 0.25])
         lo, hi = np.zeros(3), np.ones(3)
-        prob = Inclusion(
+        prob = Problem(
             forward=ForwardOperator(lambda u: u - a),
             resolvent=box_resolvent(lo, hi),
             space=euclidean(3),
@@ -495,7 +494,7 @@ class TestDispatchWiring:
         d = 6
         M = _random_monotone_linear(rng, d)
         M /= np.linalg.norm(M, 2)
-        prob = Inclusion(
+        prob = Problem(
             forward=linear_forward(M), resolvent=l1_resolvent(0.1), space=euclidean(d)
         )
         return prob, rng.standard_normal(d), rng.standard_normal(d)
@@ -654,3 +653,39 @@ def test_traces_hand_out_python_scalars(family):
         for total in totals:
             assert type(getattr(tr, total)) is int, (name, total)
         assert type(tr.min_lambda) is float, name
+
+
+def test_the_decrease_check_reaches_every_contraction_method_through_the_problem():
+    # B(u) = M(u - u*) with M PSD plus skew and A = 0: u* != 0 is the one
+    # solution, and the problem itself says so
+    rng = np.random.default_rng(23)
+    d = 4
+    M = _random_monotone_linear(rng, d)
+    M /= np.linalg.norm(M, 2)  # zw's schedule steps k/(k+1) < 1 then contract
+    u_star = rng.uniform(1.0, 2.0, d) * rng.choice([-1.0, 1.0], d)
+    prob = Problem(
+        ForwardOperator(lambda u: M @ (u - u_star)), identity_resolvent(), euclidean(d),
+        reference=u_star, reference_is_solution=True,
+    )
+    u = rng.standard_normal(d)
+    stop = StoppingRule("iter_cap_only")
+    runs = {
+        "ifb": lambda p: solve(p, u, u, SolverConfig(stop=stop, max_iters=30, check_invariants=True)),
+        **{
+            name: lambda p, cfg=cfg: run_baseline(cfg, p, u, u, stop, max_iters=30, check_invariants=True)
+            for name, cfg in {
+                "zw[armijo]": BaselineConfig("zw", lambda_mode="armijo"),
+                "jx": BaselineConfig("jx"),
+                "zw[schedule]": BaselineConfig("zw"),
+            }.items()
+        },
+    }
+    for name, run in runs.items():
+        _, trace = run(prob)
+        assert trace.invariants_checked, name
+        assert trace.iterations == 30 and trace.total_violations == 0, (name, trace.violations)
+    # a reference that is not the solution, marked as one, breaks the decrease
+    # of the baselines whose Armijo points carry a decrement; zw's fixed steps carry none
+    off = dataclasses.replace(prob, reference=u_star + 1.0)
+    fejer = {name: run(off)[1].violations["fejer"] for name, run in runs.items() if name != "ifb"}
+    assert fejer["zw[armijo]"] > 0 and fejer["jx"] > 0 and fejer["zw[schedule]"] == 0, fejer

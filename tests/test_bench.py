@@ -102,6 +102,21 @@ class TestRun:
         assert statuses["fb"].status == "error"
         assert not report.valid
 
+    def test_distance_stop_on_a_family_without_reference_is_an_error_cell(self, tmp_path):
+        raw = _tiny_spec(
+            tmp_path,
+            stop={"kind": "distance_to_reference", "tol": 1e-2},
+            problems=[
+                {"family": "lpa", "d": 32, "m": 16, "l": 3, "seeds": [0]},
+                {"family": "cs", "d": 32, "m": 16, "l": 3, "seeds": [0]},
+            ],
+        )
+        report = run(RunSpec.from_dict(raw))
+        lpa, cs = report.cells
+        assert lpa.status == "error" and "needs a reference point" in lpa.error
+        assert cs.error == "" and cs.iterations > 0
+        assert not report.valid
+
     def test_grid_determinism_modulo_timing(self, tmp_path):
         raw_a = _tiny_spec(tmp_path, output_dir=str(tmp_path / "a"))
         raw_b = _tiny_spec(tmp_path, output_dir=str(tmp_path / "b"))

@@ -104,6 +104,9 @@ def _block_single_trial(w, v, forward, lam, sigma):
     """``backtrack`` whose first trial is ``(lam, v)`` and second ``w``, through the block path.
 
     Returns ``(accepted at the first trial, first trial certified by the block)``.
+    The second trial's ``v = w`` passes the test, unless ``lam*B(w)``
+    rounds away in ``w`` at its tiny step: the search then ends exhausted
+    there, and the first trial was rejected.
     """
     seen = []
     split = forward.split
@@ -118,7 +121,11 @@ def _block_single_trial(w, v, forward, lam, sigma):
         block=lambda X, lams: np.array([v if step == lam else w for step in lams]),
     )
     params = LineSearchParams(s=lam, mu=mu_with_cap(1), sigma=sigma)
-    ls = backtrack(w, forward, resolvent, params)
+    try:
+        ls = backtrack(w, forward, resolvent, params)
+    except BacktrackExhausted as exc:
+        assert "(j = 1) lam*B(w) fell below the rounding of w" in str(exc)
+        return False, v.tobytes() not in seen[1:]
     assert ls.forward_evals == 1 + ls.resolvent_evals
     assert ls.speculative == 1 - ls.j
     # the first pass ran on v exactly when the block could not certify it

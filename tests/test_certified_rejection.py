@@ -24,7 +24,7 @@ import pytest
 
 from _cases import mu_with_cap
 from mvisolve.baselines import BaselineConfig, run_baseline
-from mvisolve.linesearch import LineSearchParams, NonFiniteIterate, backtrack
+from mvisolve.linesearch import BacktrackExhausted, LineSearchParams, NonFiniteIterate, backtrack
 from mvisolve.operators import ForwardOperator, ForwardSplit, quartic_fidelity_gradient, quartic_forward
 from mvisolve.problems import assemble, gen_cs, gen_l2, gen_lpa
 from mvisolve.solver import IterationRecord, SolverConfig, StoppingRule, solve
@@ -129,11 +129,28 @@ def test_finish_of_first_is_the_one_pass_map_bitwise(seed):
 def _single_trial(w, v, forward, lam, sigma, space=None):
     """Run ``backtrack`` whose first trial is ``(lam, v)``; a rejected trial is followed by ``v = w``.
 
-    Returns ``(accepted at the first trial, first trial certified)``.
+    Returns ``(accepted at the first trial, first trial certified)``.  The
+    second trial's ``v = w`` passes the test, unless ``lam*B(w)`` rounds
+    away in ``w`` at its tiny step: the search then ends exhausted there.
+    Either way the first trial was rejected, and it was certified if its
+    ``B(v)`` was never finished.
     """
+    finished = []
+    split = forward.split
+
+    def finish(u, st):
+        finished.append(u.tobytes())
+        return split.finish(u, st)
+
+    forward = dataclasses.replace(forward, split=dataclasses.replace(split, finish=finish))
     params = LineSearchParams(s=lam, mu=mu_with_cap(1), sigma=sigma)
-    ls = backtrack(w, forward, lambda x, step: v if step == lam else w, params, space=space)
+    try:
+        ls = backtrack(w, forward, lambda x, step: v if step == lam else w, params, space=space)
+    except BacktrackExhausted as exc:
+        assert "(j = 1) lam*B(w) fell below the rounding of w" in str(exc)
+        return False, v.tobytes() not in finished[1:]
     assert ls.forward_evals == 1 + ls.resolvent_evals
+    assert (ls.certified == 1) == (ls.j == 1 and v.tobytes() not in finished[1:])
     return ls.j == 0, ls.certified == 1
 
 

@@ -22,7 +22,7 @@ from mvisolve.operators import (
 )
 from _table import one_step
 from mvisolve.baselines import BaselineConfig
-from mvisolve.problems import assemble, gen_cs
+from mvisolve.problems import Problem, assemble, gen_cs
 from mvisolve.solver import SolverConfig, StoppingRule, TerminalStatus, solve
 from mvisolve.spaces import euclidean
 
@@ -112,6 +112,27 @@ def test_fixed_point_accepts_with_equal_zeros():
     out = backtrack(w, identity_forward(), identity_resolvent(), p)
     assert out.j == 0
     np.testing.assert_array_equal(out.v, w)
+
+
+def test_a_step_that_rounds_away_in_w_is_not_accepted():
+    # at lam = 2**-54, fl(1 - lam*1) = 1: v = w reads 0 <= 0 although B(w) = 1,
+    # and the search used to accept it, ending phi_zero at u = 1 (the solution is 0)
+    p = LineSearchParams(sigma=1e-20)
+    w = np.array([1.0])
+    with pytest.raises(BacktrackExhausted, match=r"^no step accepted: at lam = 5\.551e-17 \(j = 54\) lam\*B\(w\) fell below the rounding of w"):
+        backtrack(w, identity_forward(), identity_resolvent(), p)
+    u, trace = solve(Problem(identity_forward(), identity_resolvent(), euclidean(1)), w, w, SolverConfig(linesearch=p))
+    assert trace.status is TerminalStatus.BACKTRACK_EXHAUSTED
+    assert trace.iterations == 0 and u.tobytes() == w.tobytes()
+
+
+def test_a_zero_residual_whose_step_shows_in_w_is_accepted():
+    # B(0) = 1/2 lies in the l1 dead zone: w - lam*B(w) != w, and J maps it back to w = 0
+    p = LineSearchParams(sigma=0.5)
+    w = np.zeros(2)
+    out = backtrack(w, lambda u: np.full_like(u, 0.5), l1_resolvent(1.0), p)
+    assert (out.j, out.res_wv) == (0, 0.0)
+    assert out.v.tobytes() == w.tobytes()
 
 
 def test_step_is_exactly_geometric():

@@ -35,11 +35,10 @@ from _table import one_step
 from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchOutcome, LineSearchParams, NonFiniteIterate, _require_finite, backtrack
 from mvisolve.operators import box_resolvent, identity_resolvent, l1_resolvent, zero_forward
-from mvisolve.problems import assemble, cubic_problem, gen_cs, gen_l2, strongly_monotone_problem
+from mvisolve.problems import Problem, assemble, cubic_problem, gen_cs, gen_l2, strongly_monotone_problem
 from mvisolve.solver import (
     _PHI_ZERO_TOL,
     DivergenceError,
-    Inclusion,
     IterationRecord,
     IterationTrace,
     SolverConfig,
@@ -274,21 +273,22 @@ class TestViolationControls:
         near = prob.space.norm2(out.u_next)
         assert _counts(out, prob.space, np.zeros(2), dist2_solution=near) == ZERO_COUNTS
 
-    @pytest.mark.parametrize("same_object", [True, False], ids=["reference-is-solution", "explicit-solution"])
+    # the decrease check reuses the trace's squared distance when the stop
+    # measures against the problem's own reference, and computes its own
+    # against a stop reference that is a distinct copy of it
+    @pytest.mark.parametrize("same_object", [True, False], ids=["problem-reference", "copied-stop-reference"])
     @pytest.mark.parametrize("kind", ["phi_sandwich", "delta_bound", "fejer"])
     def test_drive_counts_each_broken_step(self, kind, same_object):
         prob = cubic_problem((2.0, -2.0))
         cfg = _cfg()
+        stop = cfg.stop if same_object else dataclasses.replace(cfg.stop, reference=prob.reference.copy())
 
         def step(k, up, uc, problem):
             _, out = one_step(cfg, k, up, uc, problem.forward, problem.resolvent, problem.space)
             bad = _broken(out)[kind]
             return bad.u_next, bad
 
-        _, trace = _drive(
-            step, prob, prob.u0, prob.u1, cfg.stop, 1, method="control",
-            check_invariants=True, solution=None if same_object else np.zeros(2),
-        )
+        _, trace = _drive(step, prob, prob.u0, prob.u1, stop, 1, method="control", check_invariants=True)
         assert trace.violations == {**ZERO_COUNTS, kind: 1}
 
 
@@ -308,6 +308,17 @@ def test_checked_ifb_iteration_on_the_integral_problem_uses_at_most_8_inner_prod
     # ||u_next - u_curr||, ||u_next - u*||^2 (trace column and decrease check
     # alike) and ||w - u*||^2; once per run: ||u*||^2
     assert space.calls <= 8 * trace.iterations + 1
+
+
+def test_fb_iteration_on_the_integral_problem_uses_2_inner_products():
+    problem = assemble(gen_l2(1))
+    space = CountingSpace(problem.space)
+    stop = StoppingRule("iter_cap_only")
+    _, trace = run_baseline(BaselineConfig("fb"), dataclasses.replace(problem, space=space), problem.u0, problem.u1, stop, 2)
+    assert trace.iterations == 2
+    # per iteration: ||w - v||, which is also ||u_next - u_curr||, and ||u_next - u*||^2
+    assert space.calls == 2 * trace.iterations
+    assert trace.array("step_diff").tobytes() == trace.array("res_wv").tobytes()
 
 
 class VdotCounter:
@@ -535,7 +546,7 @@ def test_a_run_whose_weighted_norm_of_w_overflows(c, status, iterations):
     space = _wide_weights(n)
     c = np.where(np.arange(n) < n // 2, c, 0.0)
     u1 = np.full(n, 1e149)
-    problem = Inclusion(zero_forward(), lambda x, lam: x - lam * c, space)
+    problem = Problem(zero_forward(), lambda x, lam: x - lam * c, space)
     cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=5, check_invariants=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -554,7 +565,7 @@ def test_a_vanishing_direction_in_a_weighted_space_takes_the_exact_norm():
     # B = 0 and J = identity make every point a solution, so the first
     # direction vanishes
     cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=5)
-    u, trace = solve(Inclusion(zero_forward(), identity_resolvent(), space), w, w, cfg)
+    u, trace = solve(Problem(zero_forward(), identity_resolvent(), space), w, w, cfg)
     assert trace.status is TerminalStatus.PHI_ZERO and trace.iterations == 1
     assert u.tobytes() == w.tobytes()
 
@@ -651,7 +662,7 @@ def test_an_exception_inside_an_operator_propagates_out_of_the_run_unchanged(nam
     else:
         def resolvent(x, lam):
             raise error
-    problem = Inclusion(forward, resolvent, euclidean(3))
+    problem = Problem(forward, resolvent, euclidean(3))
     before = np.geterr()
     with pytest.raises(OperatorFailure) as info:
         _solve(name, problem, np.ones(3), np.ones(3), StoppingRule(), 5, True)
@@ -691,7 +702,7 @@ def test_an_integer_forward_map_runs_as_its_float64_conversion(name):
     u = np.array([3.0, -2.0, 0.5])
     stop = StoppingRule("successive_diff", 1e-10)
     runs = [
-        _solve(name, Inclusion(lambda x, c=c: c.copy(), l1_resolvent(2.0), euclidean(3)), u, u, stop, 100, True)
+        _solve(name, Problem(lambda x, c=c: c.copy(), l1_resolvent(2.0), euclidean(3)), u, u, stop, 100, True)
         for c in (shift, shift.astype(float))
     ]
     _assert_runs_bitwise_equal(*runs)
@@ -731,7 +742,7 @@ def test_armijo_contraction_baselines_keep_the_decrease_on_monotone_problems(met
 def test_an_armijo_method_started_beyond_the_divergence_guard_ends_diverged_at_once(name):
     # a finite entry beyond 1e150 fails the guard of the search's anchor
     # before any evaluation, although the projection would map it back
-    problem = Inclusion(zero_forward(), box_resolvent(np.zeros(2), np.ones(2)), euclidean(2))
+    problem = Problem(zero_forward(), box_resolvent(np.zeros(2), np.ones(2)), euclidean(2))
     u = np.array([1e152, 0.5])
     _, trace = _solve(name, problem, u, u, StoppingRule(), 5, True)
     assert trace.status is TerminalStatus.DIVERGED and trace.iterations == 0

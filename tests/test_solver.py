@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _cases import cases, mu_with_cap
 from _table import one_step
-from mvisolve.baselines import BaselineConfig
+from mvisolve.baselines import BaselineConfig, run_baseline
 
 from mvisolve.linesearch import LineSearchParams
 from mvisolve.operators import (
@@ -13,10 +15,9 @@ from mvisolve.operators import (
     l1_resolvent,
     zero_forward,
 )
-from mvisolve.problems import cubic_problem, strongly_monotone_problem
+from mvisolve.problems import Problem, cubic_problem, strongly_monotone_problem
 from mvisolve.solver import (
     DivergenceError,
-    Inclusion,
     InertiaSchedule,
     InsufficientTrace,
     IterationTrace,
@@ -65,10 +66,20 @@ class TestConfig:
 
     def test_stopping_rule_validation(self):
         with pytest.raises(ValueError):
-            StoppingRule("distance_to_reference", 1e-3)
-        with pytest.raises(ValueError):
             StoppingRule("successive_diff", 0.0)
         StoppingRule("iter_cap_only")
+        # a distance stop takes its reference from the problem, so it is
+        # checked when a run starts, against the problem it runs on
+        stop = StoppingRule("distance_to_reference", 1e-3)
+        prob = Problem(identity_forward(), identity_resolvent(), euclidean(2))
+        u = np.ones(2)
+        with pytest.raises(ValueError, match="distance_to_reference needs a reference point"):
+            solve(prob, u, u, SolverConfig(stop=stop))
+        with pytest.raises(ValueError, match="distance_to_reference needs a reference point"):
+            run_baseline(BaselineConfig("fb"), prob, u, u, stop)
+        _, trace = solve(dataclasses.replace(prob, reference=np.zeros(2)), u, u, SolverConfig(stop=stop))
+        assert trace.status is TerminalStatus.CONVERGED
+        assert trace.final_err == trace.final_dist2 <= 1e-3
 
     def test_theoretical_cap_at_benchmark_settings(self):
         # direct evaluation at gamma=1.9, sigma=0.9: the cap is tiny
@@ -139,7 +150,7 @@ class TestIfbStep:
 class TestSolve:
     def test_everything_solves_trivial_problem(self):
         # B=0 and A=0: every point solves the inclusion; phi-zero at k=1
-        prob = Inclusion(zero_forward(), identity_resolvent(), euclidean(2))
+        prob = Problem(zero_forward(), identity_resolvent(), euclidean(2))
         u1 = np.array([0.3, -0.7])
         uf, tr = solve(prob, u1, u1, _cfg())
         assert tr.status is TerminalStatus.PHI_ZERO
@@ -207,7 +218,7 @@ class TestSolve:
     def test_divergence_status(self):
         # the expanding, non-monotone map B(u) = -u with no resolvent damping:
         # every accepted step moves the iterate outward until the guard stops it
-        expanding = Inclusion(forward=lambda u: -u, resolvent=identity_resolvent(), space=euclidean(1))
+        expanding = Problem(forward=lambda u: -u, resolvent=identity_resolvent(), space=euclidean(1))
         cfg = SolverConfig(
             gamma=1.99,
             linesearch=LineSearchParams(s=1e3, mu=0.99, sigma=0.99),
@@ -218,7 +229,7 @@ class TestSolve:
         assert tr.status is TerminalStatus.DIVERGED
 
     def test_backtrack_exhaustion_status(self):
-        jumpy = Inclusion(
+        jumpy = Problem(
             forward=lambda u: np.where(u > 0, 1.0, -1.0),
             resolvent=identity_resolvent(),
             space=euclidean(1),
@@ -276,12 +287,14 @@ class TestSolve:
         _, tr_warm = solve(prob, prob.u0, prob.u1, warm)
         assert tr_warm.total_resolvent_evals < tr_cold.total_resolvent_evals
 
-    def test_explicit_solution_argument_enables_decrease_check(self):
-        prob = cubic_problem((2.0, -2.0))
+    def test_known_solution_on_the_problem_enables_decrease_check(self):
+        u_star = np.zeros(2)
+        prob = Problem(cubic_forward(), l1_resolvent(1.0), euclidean(2), reference=u_star, reference_is_solution=True)
         cfg = SolverConfig(
             stop=StoppingRule("iter_cap_only"), max_iters=100, check_invariants=True
         )
-        uf, tr = solve(prob, prob.u0, prob.u1, cfg, solution=np.zeros(2))
+        u = np.array([2.0, -2.0])
+        uf, tr = solve(prob, u, u, cfg)
         assert tr.invariants_checked
         assert tr.violations["fejer"] == 0
 
@@ -291,7 +304,6 @@ def test_contraction_scalar_and_direction_bounds_hold():
     # any monotone linear forward map, every accepted iteration satisfies the
     # direction sandwich and the scalar bounds
     from mvisolve.operators import l1_resolvent, linear_forward
-    from mvisolve.solver import Inclusion
     from mvisolve.spaces import euclidean
 
     # gamma in [0.05, 1.95], sigma in [0.1, 0.9], the start's scale in
@@ -303,7 +315,7 @@ def test_contraction_scalar_and_direction_bounds_hold():
         S = rng.standard_normal((d, d))
         W = rng.standard_normal((d, d))
         M = S.T @ S + 0.5 * (W - W.T)
-        prob = Inclusion(linear_forward(M), l1_resolvent(0.3), euclidean(d))
+        prob = Problem(linear_forward(M), l1_resolvent(0.3), euclidean(d))
         cfg = SolverConfig(
             gamma=gamma,
             linesearch=LineSearchParams(1.0, 0.5, sigma),
