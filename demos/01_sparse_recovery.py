@@ -26,7 +26,7 @@ prob = assemble(inst)
 print(f"instance: d={d}, m={m}, {spikes} spikes, SNR {inst.achieved_snr_db:.1f} dB, "
       f"rho={inst.rho:.3f}")
 
-stop = StoppingRule("distance_to_reference", 1e-2, reference=prob.reference)
+stop = StoppingRule("distance_to_reference", 1e-2)  # to the problem's reference, the true signal
 
 # inertial contraction solver at the benchmark settings
 cfg = SolverConfig(stop=stop, max_iters=300, check_invariants=True)

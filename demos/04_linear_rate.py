@@ -19,7 +19,7 @@ from mvisolve import (
 rho, beta = 0.1, 0.1
 prob = strongly_monotone_problem(np.array([1.0, -0.7, 0.4, 2.0]), rho=rho, beta=beta)
 cfg = SolverConfig(
-    stop=StoppingRule("distance_to_reference", 1e-22, reference=prob.reference),
+    stop=StoppingRule("distance_to_reference", 1e-22),  # to the problem's solution, zero
     max_iters=2000,
     check_invariants=True,
 )
