@@ -77,8 +77,9 @@ class Problem:
     ``reference`` is the comparison point for error metrics: the trace's
     squared-distance column, and a ``distance_to_reference`` stop that has
     no reference of its own.  ``reference_is_solution`` marks it as an
-    exact solution of the inclusion, which gives every contraction method
-    the per-iteration decrease check (true for the integral-space and
+    exact solution of the inclusion, which gives every Armijo contraction
+    method (``ifb``, ``zw[armijo]``, ``jx``) the per-iteration decrease
+    check (true for the integral-space and
     constructed problems, false for sparse recovery, where the true signal
     differs from the regularized solution by the shrinkage bias).
     """

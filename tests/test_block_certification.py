@@ -38,7 +38,9 @@ from mvisolve.problems import assemble, gen_l2
 from mvisolve.solver import SolverConfig, StoppingRule, solve
 from mvisolve.spaces import _rounding_gamma
 
-from test_certified_rejection import COLUMNS, L2_SOLVERS, LINE_SEARCH_METHODS, _cs512, _float_test_accepts, _run, _trial
+from test_certified_rejection import (
+    COLUMNS, L2_SOLVERS, LINE_SEARCH_METHODS, _cs512, _float_test_accepts, _run, _second, _trial,
+)
 
 
 def _per_trial(problem):
@@ -101,12 +103,9 @@ def test_l1_block_is_row_wise_apply_bitwise(rho):
 
 
 def _block_single_trial(w, v, forward, lam, sigma):
-    """``backtrack`` whose first trial is ``(lam, v)`` and second ``w``, through the block path.
+    """``backtrack`` whose first trial is ``(lam, v)`` and second ``_second(w, x)``, through the block path.
 
     Returns ``(accepted at the first trial, first trial certified by the block)``.
-    The second trial's ``v = w`` passes the test, unless ``lam*B(w)``
-    rounds away in ``w`` at its tiny step: the search then ends exhausted
-    there, and the first trial was rejected.
     """
     seen = []
     split = forward.split
@@ -117,15 +116,11 @@ def _block_single_trial(w, v, forward, lam, sigma):
 
     forward = dataclasses.replace(forward, split=dataclasses.replace(split, first=first))
     resolvent = ResolventOperator(
-        lambda x, step: v if step == lam else w,
-        block=lambda X, lams: np.array([v if step == lam else w for step in lams]),
+        lambda x, step: v if step == lam else _second(w, x),
+        block=lambda X, lams: np.array([v if step == lam else _second(w, x) for x, step in zip(X, lams)]),
     )
     params = LineSearchParams(s=lam, mu=mu_with_cap(1), sigma=sigma)
-    try:
-        ls = backtrack(w, forward, resolvent, params)
-    except BacktrackExhausted as exc:
-        assert "(j = 1) lam*B(w) fell below the rounding of w" in str(exc)
-        return False, v.tobytes() not in seen[1:]
+    ls = backtrack(w, forward, resolvent, params)
     assert ls.forward_evals == 1 + ls.resolvent_evals
     assert ls.speculative == 1 - ls.j
     # the first pass ran on v exactly when the block could not certify it

@@ -24,7 +24,7 @@ import pytest
 
 from _cases import mu_with_cap
 from mvisolve.baselines import BaselineConfig, run_baseline
-from mvisolve.linesearch import BacktrackExhausted, LineSearchParams, NonFiniteIterate, backtrack
+from mvisolve.linesearch import LineSearchParams, NonFiniteIterate, backtrack
 from mvisolve.operators import ForwardOperator, ForwardSplit, quartic_fidelity_gradient, quartic_forward
 from mvisolve.problems import assemble, gen_cs, gen_l2, gen_lpa
 from mvisolve.solver import IterationRecord, SolverConfig, StoppingRule, solve
@@ -127,31 +127,26 @@ def test_finish_of_first_is_the_one_pass_map_bitwise(seed):
 
 
 def _single_trial(w, v, forward, lam, sigma, space=None):
-    """Run ``backtrack`` whose first trial is ``(lam, v)``; a rejected trial is followed by ``v = w``.
+    """Run ``backtrack`` whose first trial is ``(lam, v)``; a rejected trial is followed by ``_second(w, x)``.
 
-    Returns ``(accepted at the first trial, first trial certified)``.  The
-    second trial's ``v = w`` passes the test, unless ``lam*B(w)`` rounds
-    away in ``w`` at its tiny step: the search then ends exhausted there.
-    Either way the first trial was rejected, and it was certified if its
-    ``B(v)`` was never finished.
+    Returns ``(accepted at the first trial, first trial certified)``.
     """
-    finished = []
-    split = forward.split
-
-    def finish(u, st):
-        finished.append(u.tobytes())
-        return split.finish(u, st)
-
-    forward = dataclasses.replace(forward, split=dataclasses.replace(split, finish=finish))
     params = LineSearchParams(s=lam, mu=mu_with_cap(1), sigma=sigma)
-    try:
-        ls = backtrack(w, forward, lambda x, step: v if step == lam else w, params, space=space)
-    except BacktrackExhausted as exc:
-        assert "(j = 1) lam*B(w) fell below the rounding of w" in str(exc)
-        return False, v.tobytes() not in finished[1:]
+    ls = backtrack(w, forward, lambda x, step: v if step == lam else _second(w, x), params, space=space)
     assert ls.forward_evals == 1 + ls.resolvent_evals
-    assert (ls.certified == 1) == (ls.j == 1 and v.tobytes() not in finished[1:])
     return ls.j == 0, ls.certified == 1
+
+
+def _second(w, x):
+    """A second trial point that passes the test at its step ``lam * 2**-120``, given ``x = w - lam*B(w)``.
+
+    ``v = w`` passes at any step whose ``lam*B(w)`` shows in ``x``.  Once it
+    rounds away (``x == w``) the search refuses ``v = w``, and
+    ``w * (1 + 2**-20)`` passes instead: ``lam*B(w)`` lies below the
+    rounding of ``w``, and so ``lam * ||B(w) - B(v)||`` far below
+    ``sigma * ||w - v|| = sigma * 2**-20 * ||w||``.
+    """
+    return w * (1.0 + 2.0**-20) if np.array_equal(x, w) else w
 
 
 def _float_test_accepts(C, y, w, v, lam, sigma):
