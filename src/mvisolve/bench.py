@@ -98,12 +98,15 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 
 # The key tuples below and baselines.SETTINGS are the whole spec schema: the
 # builders pick from them, and a key outside them raises (see _check_keys).
-_FAMILY_DIMS = {
-    family: tuple(p for p in inspect.signature(gen).parameters if p != "seed")
-    for family, gen in GENERATORS.items()
+_FAMILY_PARAMS = {family: inspect.signature(gen).parameters for family, gen in GENERATORS.items()}
+_FAMILY_DIMS = {family: tuple(p for p in params if p != "seed") for family, params in _FAMILY_PARAMS.items()}
+#: the generator parameters with no default, which every cell must give
+_FAMILY_REQUIRED = {
+    family: tuple(p for p, par in params.items() if par.default is par.empty)
+    for family, params in _FAMILY_PARAMS.items()
 }
 #: the grid size of an l2 cell whose spec entry gives no ``n``: the generator's default
-_L2_N = inspect.signature(GENERATORS["l2"]).parameters["n"].default
+_L2_N = _FAMILY_PARAMS["l2"]["n"].default
 _SPEC_KEYS = ("problems", "solvers", "stop", "output_dir")
 _RUN_KEYS = ("repetitions", "max_iters", "check_invariants")
 _STOP_KEYS = ("kind", "tol")
@@ -172,7 +175,11 @@ class SolverEntry:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything needed to reproduce a benchmark grid."""
+    """Everything needed to reproduce a benchmark grid.
+
+    ``stopping_rule`` is built from ``stop`` when the spec loads, so a bad
+    stop entry raises before any output is written.
+    """
 
     problems: tuple[ProblemCell, ...]
     solvers: tuple[SolverEntry, ...]
@@ -181,6 +188,7 @@ class RunSpec:
     repetitions: int = 1
     max_iters: int = 500
     check_invariants: bool = True
+    stopping_rule: StoppingRule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -190,6 +198,7 @@ class RunSpec:
         if not self.problems:
             raise ValueError("at least one problem is required")
         _check_keys(self.stop, _STOP_KEYS, f"stop {self.stop!r}")
+        object.__setattr__(self, "stopping_rule", StoppingRule(**self.stop))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSpec":
@@ -199,12 +208,14 @@ class RunSpec:
             family = p["family"]
             if family not in GENERATORS:
                 raise ValueError(f"unknown problem family {family!r}")
-            # "cases" expands l2 cells, "seeds" every other family's
-            expand = ("cases",) if family == "l2" else ("seeds",)
-            _check_keys(p, ("family", "seed") + expand + _FAMILY_DIMS[family], f"problem {p!r}")
-            for one, many in (("seed", "seeds"), ("case_id", "cases")):
-                if one in p and many in p:  # the plural would silently win
-                    raise ValueError(f"problem {p!r} gives both {one!r} and {many!r}; give one of them")
+            # "cases" expands l2 cells, "seeds" every other family's; each cell gets the singular
+            one, many = ("case_id", "cases") if family == "l2" else ("seed", "seeds")
+            _check_keys(p, ("family", "seed", many) + _FAMILY_DIMS[family], f"problem {p!r}")
+            if one in p and many in p:  # the plural would silently win
+                raise ValueError(f"problem {p!r} gives both {one!r} and {many!r}; give one of them")
+            missing = [k for k in _FAMILY_REQUIRED[family] if k not in p and k != one]
+            if missing:
+                raise ValueError(f"problem {p!r} lacks {', '.join(map(repr, missing))}: the generator gives no default")
             dims = _pick(p, _FAMILY_DIMS[family])
             if family == "l2":
                 for case in p.get("cases", [p.get("case_id", 1)]):
@@ -356,10 +367,14 @@ class RunReport:
         (outdir / "report.txt").write_text("\n".join(txt) + "\n", encoding="utf-8")
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_cell(
     entry: SolverEntry, problem: Problem, pid: str, rep: int, spec: RunSpec
 ) -> tuple[CellResult, Optional[IterationTrace]]:
-    stop = StoppingRule(**_pick(spec.stop, _STOP_KEYS))
+    stop = spec.stopping_rule
     t0 = time.perf_counter()
     try:
         if entry.method == "ifb":
@@ -379,7 +394,7 @@ def _run_cell(
         seconds = time.perf_counter() - t0
     except Exception as exc:  # a cell failure must never abort the grid
         seconds = time.perf_counter() - t0
-        return CellResult(entry.label, pid, rep, seconds=seconds, error=f"{type(exc).__name__}: {exc}"), None
+        return CellResult(entry.label, pid, rep, seconds=seconds, error=_error_text(exc)), None
     dmin, dmax = trace.delta_range
     mode = ";".join(f"{k}={v}" for k, v in sorted(trace.labels.items()))
     result = CellResult(
@@ -401,7 +416,11 @@ def _run_cell(
 
 
 def run(spec: RunSpec) -> RunReport:
-    """Execute the full grid, write traces and the report, return the report."""
+    """Execute the full grid, write traces and the report, return the report.
+
+    A problem whose generator raises (say, an l2 case outside 1..4) gives
+    one error cell per solver and repetition, like a solve that raises.
+    """
     outdir = Path(spec.output_dir)
     traces_dir = outdir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
@@ -425,8 +444,17 @@ def run(spec: RunSpec) -> RunReport:
 
     cells = []
     for cell in spec.problems:
-        problem = assemble(_instance_for(cell.family, cell.dims, cell.seed))
         pid = cell.cell_id
+        try:
+            problem = assemble(_instance_for(cell.family, cell.dims, cell.seed))
+        except Exception as exc:  # a generator that rejects its values fails its cells, not the grid
+            error = _error_text(exc)
+            cells += [
+                CellResult(entry.label, pid, rep, error=error)
+                for entry in spec.solvers
+                for rep in range(spec.repetitions)
+            ]
+            continue
         for entry in spec.solvers:
             for rep in range(spec.repetitions):
                 result, trace = _run_cell(entry, problem, pid, rep, spec)

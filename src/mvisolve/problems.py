@@ -13,11 +13,12 @@ and an ambient space:
   trapezoidal grid over [0, 1], where the zero function solves the
   inclusion exactly.
 
-Reproducibility: every random component draws from its own child stream of
-``numpy.random.SeedSequence(seed)``, spawned in a fixed order (0 matrix,
-1 spike support and values, 2 noise) and fed to a PCG64 generator.  An
-instance is what its generator returns for a family, dimensions and seed:
-the same seed under the same numpy version rebuilds the same instance.  NumPy does not promise ``Generator`` streams across
+Reproducibility: the random components of an instance draw from the three
+child streams of one ``numpy.random.SeedSequence(seed).spawn(3)``, in a
+fixed order (0 matrix, 1 spike support and values, 2 noise), each fed to a
+PCG64 generator.  An instance is what its generator returns for a family,
+dimensions and seed: the same seed under the same numpy version rebuilds
+the same instance.  NumPy does not promise ``Generator`` streams across
 its versions (NEP 19), so a frozen copy is ``np.savez`` of its fields.
 """
 
@@ -55,12 +56,9 @@ __all__ = [
     "strongly_monotone_problem",
 ]
 
-_STREAMS = {"matrix": 0, "spikes": 1, "noise": 2}
 
-
-def _rng(seed: int, component: str) -> np.random.Generator:
-    children = np.random.SeedSequence(seed).spawn(len(_STREAMS))
-    return np.random.Generator(np.random.PCG64(children[_STREAMS[component]]))
+def _pcg64(child: np.random.SeedSequence) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(child))
 
 
 @dataclass(frozen=True)
@@ -156,9 +154,11 @@ def gen_cs(
     """
     if not (l <= d and m <= d):
         raise ValueError("need l <= d and m <= d")
-    C = _rng(seed, "matrix").standard_normal((m, d))
+    # the documented child streams, spawned once: 0 matrix, 1 spikes, 2 noise
+    matrix, spikes, noise_stream = np.random.SeedSequence(seed).spawn(3)
+    C = _pcg64(matrix).standard_normal((m, d))
 
-    rs = _rng(seed, "spikes")
+    rs = _pcg64(spikes)
     support = rs.choice(d, size=l, replace=False)
     values = rs.uniform(-2.0, 2.0, size=l)
     u_true = np.zeros(d)
@@ -171,7 +171,7 @@ def gen_cs(
     if np.isinf(snr_db):
         noise = np.zeros(m)
     else:
-        noise = _rng(seed, "noise").standard_normal(m)
+        noise = _pcg64(noise_stream).standard_normal(m)
         target = float(clean @ clean) / 10.0 ** (snr_db / 10.0)
         noise *= np.sqrt(target) / np.linalg.norm(noise)
     v_obs = clean + noise
@@ -254,6 +254,21 @@ class L2Instance:
             raise ValueError("n must be at least 3")
 
 
+def _f_a(t):
+    return np.cos(2.0 * np.pi * t) ** 2 / 4.0
+
+
+def _f_b(t):
+    return 3.0 * np.exp(-2.0 * t) * np.cos(3.0 * t) / 25.0
+
+
+def _f_c(t):
+    return (np.exp(2.0 * t) + np.cos(4.0 * t)) / 10.0
+
+
+_CASES = {1: (_f_a, _f_b), 2: (_f_c, _f_a), 3: (_f_c, _f_b), 4: (_f_a, _f_c)}
+
+
 def table_initials(case_id: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the four standard starting pairs on the uniform n-grid.
 
@@ -261,15 +276,14 @@ def table_initials(case_id: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     case 2:  (e^(2t) + cos(4t))/10     and  cos^2(2 pi t)/4
     case 3:  (e^(2t) + cos(4t))/10     and  3 e^(-2t) cos(3t)/25
     case 4:  cos^2(2 pi t)/4           and  (e^(2t) + cos(4t))/10
+
+    Only the case's two functions are evaluated.
     """
-    t = np.linspace(0.0, 1.0, n)
-    f_a = np.cos(2.0 * np.pi * t) ** 2 / 4.0
-    f_b = 3.0 * np.exp(-2.0 * t) * np.cos(3.0 * t) / 25.0
-    f_c = (np.exp(2.0 * t) + np.cos(4.0 * t)) / 10.0
-    pairs = {1: (f_a, f_b), 2: (f_c, f_a), 3: (f_c, f_b), 4: (f_a, f_c)}
-    if case_id not in pairs:
+    if case_id not in _CASES:
         raise ValueError(f"unknown case id {case_id}; expected 1..4")
-    return pairs[case_id]
+    first, second = _CASES[case_id]
+    t = np.linspace(0.0, 1.0, n)
+    return first(t), second(t)
 
 
 def gen_l2(case_id: int, n: int = 1001) -> L2Instance:

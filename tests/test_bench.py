@@ -102,6 +102,29 @@ class TestRun:
         assert statuses["fb"].status == "error"
         assert not report.valid
 
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ({"family": "l2", "n": 101, "cases": [1, 5]}, "ValueError: unknown case id 5; expected 1..4"),
+            ({"family": "cs", "d": 16, "m": 32, "seeds": [0]}, "ValueError: need l <= d and m <= d"),
+        ],
+        ids=["l2-case", "cs-m-above-d"],
+    )
+    def test_a_rejecting_generator_gives_error_cells_not_an_abort(self, tmp_path, capsys, problem, message):
+        raw = _tiny_spec(tmp_path, problems=[problem], solvers=[{"method": "ifb"}, {"method": "tseng"}], repetitions=2)
+        report = run(RunSpec.from_dict(raw))
+        failed = [c for c in report.cells if c.error]
+        assert [(c.solver, c.repetition) for c in failed] == [("ifb", 0), ("ifb", 1), ("tseng", 0), ("tseng", 1)]
+        assert all(c.status == "error" and c.error == message and c.iterations == 0 for c in failed)
+        # an l2 case the generator accepts still runs, before and after the rejected one
+        assert all(c.valid for c in report.cells if not c.error)
+        assert len(report.cells) == 4 * len(problem.get("cases", [0]))
+        assert not report.valid
+        assert "overall: INVALID" in (tmp_path / "out" / "report.txt").read_text()
+        specfile = tmp_path / "spec.json"
+        specfile.write_text(json.dumps(dict(raw, output_dir=str(tmp_path / "cli"))))
+        assert main(["run", str(specfile)]) == 1
+
     def test_distance_stop_on_a_family_without_reference_is_an_error_cell(self, tmp_path):
         raw = _tiny_spec(
             tmp_path,
@@ -304,6 +327,41 @@ class TestRun:
         assert not (tmp_path / "out").exists()
         for kind in InertiaSchedule.KINDS:
             RunSpec.from_dict(_tiny_spec(tmp_path, solvers=[{"method": "ifb", "inertia": kind}]))
+
+    @pytest.mark.parametrize(
+        "stop, message",
+        [
+            ({"kind": "bogus", "tol": 1e-6}, "^unknown stopping rule 'bogus'$"),
+            ({"kind": "residual", "tol": -1.0}, "^tolerance must be positive$"),
+        ],
+        ids=["kind", "tol"],
+    )
+    def test_a_bad_stop_raises_when_the_spec_loads(self, tmp_path, stop, message):
+        with pytest.raises(ValueError, match=message):
+            RunSpec.from_dict(_tiny_spec(tmp_path, stop=stop))
+        assert not (tmp_path / "out").exists()
+
+    def test_the_stopping_rule_is_built_once_when_the_spec_loads(self, tmp_path):
+        spec = RunSpec.from_dict(_tiny_spec(tmp_path, stop={"kind": "residual", "tol": 1e-4}))
+        assert spec.stopping_rule == StoppingRule("residual", 1e-4)
+        assert RunSpec.from_dict(_tiny_spec(tmp_path, stop={})).stopping_rule == StoppingRule()
+
+    @pytest.mark.parametrize(
+        "problem, missing",
+        [
+            ({"family": "cs", "m": 16, "seeds": [0]}, "'d'"),
+            ({"family": "lpa", "d": 32, "seed": 1}, "'m'"),
+            ({"family": "cs", "l": 3}, "'d', 'm'"),
+        ],
+        ids=["cs-d", "lpa-m", "cs-both"],
+    )
+    def test_a_problem_without_a_required_parameter_raises_when_the_spec_loads(self, tmp_path, problem, missing):
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, problems=[problem]))
+        assert str(err.value) == f"problem {problem!r} lacks {missing}: the generator gives no default"
+        assert not (tmp_path / "out").exists()
+        # an l2 entry may leave its case to the default, and every entry its seed
+        RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": "l2"}, {"family": "cs", "d": 32, "m": 16}]))
 
     def test_unknown_family_raises_when_the_spec_loads(self, tmp_path):
         with pytest.raises(ValueError, match="unknown problem family 'sc'"):

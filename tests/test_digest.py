@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import digest  # noqa: E402
 
-from mvisolve.problems import cubic_problem  # noqa: E402
+from mvisolve.problems import assemble, cubic_problem, gen_l2, gen_lpa  # noqa: E402
 from mvisolve.solver import SolverConfig, StoppingRule, solve  # noqa: E402
 
 COLUMNS = ["lam", "res_wv", "forward_evals"]
@@ -77,19 +77,48 @@ def test_parse_args():
             digest.parse_args(argv)
 
 
+def test_problem_digest_records_the_set_up_each_array_and_the_metadata():
+    problem = assemble(gen_l2(1, 11))
+    got = digest.problem_digest(problem, array_equal=False)
+    assert got == {
+        "family": "l2",
+        "reference_is_solution": True,
+        "u0": digest.sha1_of(problem.u0, False),
+        "u1": digest.sha1_of(problem.u1, False),
+        "reference": digest.sha1_of(np.zeros(11), False),
+        "forward(u1)": digest.sha1_of(problem.forward(problem.u1), False),
+        "metadata.n": "11",
+        "metadata.case_id": "1",
+    }
+    # another case's starting pair, or another operator's data, digests apart
+    other = digest.problem_digest(assemble(gen_l2(2, 11)), array_equal=False)
+    assert other["u0"] != got["u0"] and other["u1"] != got["u1"] and other["reference"] == got["reference"]
+    lpa, lpa_seed = (digest.problem_digest(assemble(gen_lpa(16, 8, 2, seed=s)), False) for s in (0, 1))
+    assert lpa["reference"] is None and lpa["u1"] == lpa_seed["u1"]
+    assert lpa["forward(u1)"] != lpa_seed["forward(u1)"] and lpa["metadata.seed"] == "0"
+
+
 def test_the_comparison_exits_1_on_any_difference_or_failed_tree(monkeypatch, capsys):
+    same = {"w/seed1/a": {"u1": "9"}}
     digests = {
-        "base": {"a/ifb": {"final_iterate": "1", "status": "converged"}},
-        "head": {"a/ifb": {"final_iterate": "2", "status": "converged"}},
+        "base": {"cells": {"a/ifb": {"final_iterate": "1", "status": "converged"}}, "problems": same},
+        "head": {"cells": {"a/ifb": {"final_iterate": "2", "status": "converged"}}, "problems": same},
     }
     monkeypatch.setattr(digest, "export", lambda ref, dest: ref)
     monkeypatch.setattr(digest, "run_tree", lambda tree, args: digests[tree.name])
     assert digest.main(["--base", "x", "--head", "y"]) == 1
     out = capsys.readouterr().out
     assert "DIFFERS a/ifb final_iterate: base 1 head 2" in out
-    assert "1 cells, 1 differing fields" in out
+    assert "1 cells, 1 differing fields" in out and "1 problems, 0 differing fields" in out
     digests["head"] = digests["base"]
     assert digest.main(["--base", "x", "--head", "y"]) == 0
-    assert "1 cells, 0 differing fields" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1 cells, 0 differing fields" in out and "1 problems, 0 differing fields" in out
+    # a set-up that differs fails the comparison on its own, counted apart from the cells
+    digests["head"] = {"cells": digests["base"]["cells"], "problems": {"w/seed1/a": {"u1": "8"}}}
+    assert digest.main(["--base", "x", "--head", "y"]) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS problem w/seed1/a u1: base 9 head 8" in out
+    assert "1 cells, 0 differing fields" in out and "1 problems, 1 differing fields" in out
     monkeypatch.setattr(digest, "run_tree", lambda tree, args: None)  # a tree's process failed
     assert digest.main(["--base", "x", "--head", "y"]) == 1

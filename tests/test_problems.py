@@ -7,12 +7,43 @@ from mvisolve.problems import (
     cubic_problem,
     gen_cs,
     gen_l2,
+    gen_lpa,
     strongly_monotone_problem,
     table_initials,
 )
 from mvisolve.solver import SolverConfig, StoppingRule, solve
 
 from _oracles import prox_1d_grid
+
+
+def _drawn(seed, d, m, l, snr_db):
+    """The module docstring's recipe: children 0, 1, 2 of ``SeedSequence(seed).spawn(3)`` fed to PCG64."""
+    matrix, spikes, noise = (np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(3))
+    C = matrix.standard_normal((m, d))
+    u_true = np.zeros(d)
+    support = spikes.choice(d, size=l, replace=False)  # the support first, then the values
+    u_true[support] = spikes.uniform(-2.0, 2.0, size=l)
+    clean = C @ u_true
+    e = np.zeros(m)
+    if not np.isinf(snr_db):
+        e = noise.standard_normal(m)
+        e *= np.sqrt(float(clean @ clean) / 10.0 ** (snr_db / 10.0)) / np.linalg.norm(e)
+    v_obs = clean + e
+    return C, u_true, v_obs, 0.005 * float(np.max(np.abs(C.T @ v_obs)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20261020])
+@pytest.mark.parametrize("snr_db", [40.0, np.inf])
+def test_cs_and_lpa_draw_the_documented_child_streams(seed, snr_db):
+    C, u_true, v_obs, rho = _drawn(seed, 64, 32, 4, snr_db)
+    cs = gen_cs(64, 32, 4, snr_db=snr_db, seed=seed)
+    for got, want in ((cs.C, C), (cs.u_true, u_true), (cs.v_obs, v_obs)):
+        assert got.tobytes() == want.tobytes()
+    assert cs.rho == rho
+    lpa = gen_lpa(64, 32, 4, snr_db=snr_db, seed=seed)
+    for got, want in ((lpa.Q, C), (lpa.u_true, u_true), (lpa.q, v_obs)):
+        assert got.tobytes() == want.tobytes()
+    assert lpa.rho == 0.01
 
 
 class TestGenCS:
@@ -96,9 +127,24 @@ class TestTableInitials:
             assert len(u0) == len(u1) == 333
             assert np.all(np.isfinite(u0)) and np.all(np.isfinite(u1))
 
+    @pytest.mark.parametrize("n", [3, 101, 1001])
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_each_case_is_its_two_formulas_byte_for_byte(self, case, n):
+        t = np.linspace(0.0, 1.0, n)
+        f_a = np.cos(2.0 * np.pi * t) ** 2 / 4.0
+        f_b = 3.0 * np.exp(-2.0 * t) * np.cos(3.0 * t) / 25.0
+        f_c = (np.exp(2.0 * t) + np.cos(4.0 * t)) / 10.0
+        want = {1: (f_a, f_b), 2: (f_c, f_a), 3: (f_c, f_b), 4: (f_a, f_c)}[case]
+        got = table_initials(case, n)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got[0] is not got[1]
+
     def test_unknown_case(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown case id 5; expected 1..4$"):
             table_initials(5, 11)
+        # the case is checked before the grid is built: a bad n is not reached
+        with pytest.raises(ValueError, match="^unknown case id 0; expected 1..4$"):
+            table_initials(0, -1)
 
 
 class TestAssemble:

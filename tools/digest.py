@@ -21,6 +21,17 @@ and records per cell:
   ``elapsed_ns`` (float64 bytes);
 * ``raised``, the exception of a solve that raised, in place of the above.
 
+It also records, per panel problem (workload, seed and problem id), the
+set-up that ``panel.setup`` built, before any solve:
+
+* ``u0``, ``u1`` and ``reference``, the sha1 of each array (``None`` for a
+  problem without a reference);
+* ``forward(u1)``, the sha1 of the forward map at ``u1``, a fingerprint of
+  the operator's matrix and data;
+* ``family``, ``reference_is_solution`` and ``metadata.<key>`` (the
+  ``repr`` of each value).
+
+Problems are compared and counted apart from cells.
 With ``--array-equal`` the arrays are hashed after adding ``0.0``, which
 turns ``-0.0`` into ``0.0``, so arrays equal under ``np.array_equal``
 (NaN aside) hash alike.  The comparison prints one line per cell and field
@@ -90,8 +101,21 @@ def cell_digest(u, trace, columns, array_equal: bool) -> dict:
     return out
 
 
+def problem_digest(problem, array_equal: bool) -> dict:
+    """The recorded fields of one problem's set-up."""
+    out = {"family": problem.family, "reference_is_solution": problem.reference_is_solution}
+    for name in ("u0", "u1", "reference"):
+        array = getattr(problem, name)
+        out[name] = None if array is None else sha1_of(array, array_equal)
+    out["forward(u1)"] = sha1_of(problem.forward(problem.u1), array_equal)
+    out.update({f"metadata.{key}": repr(value) for key, value in problem.metadata.items()})
+    return out
+
+
 def digest_tree(tree: Path, workloads, seeds, array_equal: bool) -> dict:
-    """Digests of every cell of ``workloads`` (names, or ``None`` for all) and ``seeds`` in the checkout ``tree``.
+    """Digests of ``workloads`` (names, or ``None`` for all) and ``seeds`` in the checkout ``tree``.
+
+    Returns ``{"cells": ..., "problems": ...}``, each keyed by name.
 
     Imports the tree's ``mvisolve`` and ``perfbench/panel.py``, so it must
     run in a process of its own, one per tree.
@@ -112,12 +136,13 @@ def digest_tree(tree: Path, workloads, seeds, array_equal: bool) -> dict:
         raise RuntimeError(f"imported {mvisolve.__file__}, not the mvisolve of {tree}")
 
     columns = [f.name for f in dataclasses.fields(IterationRecord) if f.name != TIMING_COLUMN]
-    cells = {}
+    cells, set_ups = {}, {}
     for name in workloads or list(panel.WORKLOADS):
         wl = panel.WORKLOADS[name]
         for seed in seeds:
             problems, _, _ = panel.setup(wl, seed)
             for pid, problem in problems:
+                set_ups[f"{name}/seed{seed}/{pid}"] = problem_digest(problem, array_equal)
                 for solver in wl.solvers:
                     key = f"{name}/seed{seed}/{pid}/{solver.label}"
                     try:
@@ -126,14 +151,15 @@ def digest_tree(tree: Path, workloads, seeds, array_equal: bool) -> dict:
                         cells[key] = {"raised": repr(exc)}
                         continue
                     cells[key] = cell_digest(u, trace, columns, array_equal)
-    return cells
+    return {"cells": cells, "problems": set_ups}
 
 
 def differences(base: dict, head: dict) -> list:
-    """``(cell, field, base value, head value)`` for every field that differs.
+    """``(key, field, base value, head value)`` for every field that differs.
 
-    A field one side lacks reads ``None`` there; a cell one side lacks
-    differs in the field ``cell``, whose values say which side has it.
+    ``base`` and ``head`` map cell (or problem) names to their fields.  A
+    field one side lacks reads ``None`` there; a key one side lacks differs
+    in the field ``cell``, whose values say which side has it.
     """
     out = []
     for cell in sorted(base.keys() | head.keys()):
@@ -181,11 +207,14 @@ def main(argv=None) -> int:
             digests[side] = run_tree(tree, args)
     if digests["base"] is None or digests["head"] is None:
         return 1
-    found = differences(digests["base"], digests["head"])
-    for cell, field, b, h in found:
-        print(f"DIFFERS {cell} {field}: base {b} head {h}")
-    print(f"{len(digests['base'])} cells, {len(found)} differing fields")
-    return 1 if found else 0
+    differing = 0
+    for kind, label in (("cells", ""), ("problems", "problem ")):
+        found = differences(digests["base"][kind], digests["head"][kind])
+        for key, field, b, h in found:
+            print(f"DIFFERS {label}{key} {field}: base {b} head {h}")
+        print(f"{len(digests['base'][kind])} {kind}, {len(found)} differing fields")
+        differing += len(found)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
