@@ -32,6 +32,7 @@ set-up that ``panel.setup`` built, before any solve:
   ``repr`` of each value).
 
 Problems are compared and counted apart from cells.
+
 With ``--array-equal`` the arrays are hashed after adding ``0.0``, which
 turns ``-0.0`` into ``0.0``, so arrays equal under ``np.array_equal``
 (NaN aside) hash alike.  The comparison prints one line per cell and field
