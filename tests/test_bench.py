@@ -110,7 +110,7 @@ class TestRun:
         ],
         ids=["l2-case", "cs-m-above-d"],
     )
-    def test_a_rejecting_generator_gives_error_cells_not_an_abort(self, tmp_path, capsys, problem, message):
+    def test_a_rejecting_generator_gives_error_cells_not_an_abort(self, tmp_path, problem, message):
         raw = _tiny_spec(tmp_path, problems=[problem], solvers=[{"method": "ifb"}, {"method": "tseng"}], repetitions=2)
         report = run(RunSpec.from_dict(raw))
         failed = [c for c in report.cells if c.error]
@@ -341,7 +341,7 @@ class TestRun:
             RunSpec.from_dict(_tiny_spec(tmp_path, stop=stop))
         assert not (tmp_path / "out").exists()
 
-    def test_the_stopping_rule_is_built_once_when_the_spec_loads(self, tmp_path):
+    def test_the_stopping_rule_is_built_when_the_spec_loads(self, tmp_path):
         spec = RunSpec.from_dict(_tiny_spec(tmp_path, stop={"kind": "residual", "tol": 1e-4}))
         assert spec.stopping_rule == StoppingRule("residual", 1e-4)
         assert RunSpec.from_dict(_tiny_spec(tmp_path, stop={})).stopping_rule == StoppingRule()

@@ -137,7 +137,6 @@ class TestTableInitials:
         want = {1: (f_a, f_b), 2: (f_c, f_a), 3: (f_c, f_b), 4: (f_a, f_c)}[case]
         got = table_initials(case, n)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        assert got[0] is not got[1]
 
     def test_unknown_case(self):
         with pytest.raises(ValueError, match="^unknown case id 5; expected 1..4$"):
