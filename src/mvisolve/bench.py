@@ -12,9 +12,14 @@ CLI subcommands::
     mvibench run <specfile>                 execute a grid, exit 0 iff VALID
     mvibench rate <trace.csv>               decay slope of a trace file
 
-Trace CSV layout: header ``k,err,res_wv,seconds`` with 17-significant-digit
-decimals, so values round-trip bit-exactly; ``seconds`` is cumulative wall
-time and is the only column excluded from determinism guarantees.
+Trace CSV layout: one column per field of
+:class:`~mvisolve.solver.IterationRecord`, in declaration order, so the
+header is ``k,theta,lam,j,...,speculative``.  Every value is written with 17
+significant digits, which prints the integer fields exactly and
+round-trips every float, so :func:`read_trace_csv` gives back
+``trace.array(name)`` bit for bit.  ``elapsed_ns`` is the iteration's wall
+time in nanoseconds (its running sum is the cumulative time) and the only
+column a rerun does not reproduce.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .linesearch import LineSearchParams
 from .problems import GENERATORS, Problem, assemble
 from .solver import (
     InertiaSchedule,
+    IterationRecord,
     IterationTrace,
     SolverConfig,
     StoppingRule,
@@ -55,6 +61,8 @@ __all__ = [
 ]
 
 _FMT = "{:.17g}"
+#: the header of a trace file: the step record's fields, in declaration order
+_TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(IterationRecord))
 
 
 # ---------------------------------------------------------------------------
@@ -62,29 +70,18 @@ _FMT = "{:.17g}"
 
 
 def emit_convergence_csv(trace: IterationTrace, path) -> Path:
-    """Write one row per iteration: k, stopping metric, ||w - v||, cumulative seconds."""
+    """Write one row per iteration, one column per :class:`IterationRecord` field, in field order."""
     if trace.iterations == 0:
         raise ValueError("refusing to write an empty trace")
     path = Path(path)
-    seconds = trace.cumulative_seconds()
-    lines = ["k,err,res_wv,seconds"]
-    for rec, sec in zip(trace.records, seconds):
-        lines.append(
-            ",".join(
-                [
-                    str(rec.k),
-                    _FMT.format(rec.err),
-                    _FMT.format(rec.res_wv),
-                    _FMT.format(sec),
-                ]
-            )
-        )
+    lines = [",".join(_TRACE_COLUMNS)]
+    lines += [",".join(_FMT.format(getattr(rec, name)) for name in _TRACE_COLUMNS) for rec in trace.records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Parse a trace CSV back into column arrays."""
+    """Every column of a trace CSV, as float arrays equal to ``trace.array(name)``."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     header = text[0].split(",")
     rows = [line.split(",") for line in text[1:]]

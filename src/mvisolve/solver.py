@@ -356,9 +356,6 @@ class IterationTrace:
     def total_speculative(self) -> int:
         return sum(r.speculative for r in self.records)
 
-    def cumulative_seconds(self) -> np.ndarray:
-        return np.cumsum(self.array("elapsed_ns")) / 1e9
-
     @property
     def final_err(self) -> float:
         return self.records[-1].err if self.records else float("nan")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from _cases import mu_with_cap
-from mvisolve.baselines import SETTINGS, BaselineConfig
+from mvisolve.baselines import SETTINGS, BaselineConfig, run_baseline
 from mvisolve.bench import (
     RunSpec,
     _build_baseline_config,
@@ -18,9 +19,9 @@ from mvisolve.bench import (
     read_trace_csv,
     run,
 )
-from mvisolve.problems import cubic_problem
+from mvisolve.problems import assemble, cubic_problem, gen_cs, gen_l2, gen_lpa
 from mvisolve.linesearch import LineSearchParams
-from mvisolve.solver import InertiaSchedule, SolverConfig, StoppingRule, rate_estimate, solve
+from mvisolve.solver import IterationRecord, InertiaSchedule, SolverConfig, StoppingRule, rate_estimate, solve
 
 
 def _tiny_spec(tmp_path, **overrides):
@@ -37,6 +38,13 @@ def _tiny_spec(tmp_path, **overrides):
     return raw
 
 
+_ROUNDTRIP_PROBLEMS = {
+    "cs": lambda: assemble(gen_cs(32, 16, 3, seed=1)),
+    "lpa": lambda: assemble(gen_lpa(32, 16, 3, seed=1)),
+    "l2": lambda: assemble(gen_l2(1, 101)),
+}
+
+
 def _trace(max_iters=60):
     prob = cubic_problem((2.0, -2.0))
     cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=max_iters)
@@ -50,7 +58,7 @@ class TestTraceCSV:
         path = emit_convergence_csv(tr, tmp_path / "t.csv")
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3
-        assert lines[0] == "k,err,res_wv,seconds"
+        assert lines[0] == ",".join(f.name for f in dataclasses.fields(IterationRecord))
 
     def test_roundtrip_bit_exact(self, tmp_path):
         tr = _trace(40)
@@ -59,6 +67,31 @@ class TestTraceCSV:
         np.testing.assert_array_equal(cols["err"], tr.array("err"))
         np.testing.assert_array_equal(cols["res_wv"], tr.array("res_wv"))
         np.testing.assert_array_equal(cols["k"], tr.array("k"))
+
+    @pytest.mark.parametrize("family", list(_ROUNDTRIP_PROBLEMS))
+    def test_every_field_of_every_method_roundtrips_bitwise(self, tmp_path, family):
+        # the file is the whole record: each column reads back as trace.array(name),
+        # bit for bit, with NaN where the record holds NaN
+        prob = _ROUNDTRIP_PROBLEMS[family]()
+        stop = StoppingRule("iter_cap_only")
+        runs = {"ifb": lambda: solve(prob, prob.u0, prob.u1, SolverConfig(stop=stop, max_iters=25))}
+        for entry in SETTINGS:
+            method, _, mode = entry.rstrip("]").partition("[")
+            cfg = BaselineConfig(method, lambda_mode=mode or None)
+            runs[entry] = lambda cfg=cfg: run_baseline(
+                cfg, prob, prob.u0, prob.u1, stop, max_iters=25, check_invariants=True
+            )
+        names = [f.name for f in dataclasses.fields(IterationRecord)]
+        assert {"zw[schedule]", "zw[armijo]", "jx"} <= set(runs)
+        for method, solve_it in runs.items():
+            _, tr = solve_it()
+            cols = read_trace_csv(emit_convergence_csv(tr, tmp_path / f"{method}.csv"))
+            assert list(cols) == names, method
+            for name in names:
+                want, got = tr.array(name), cols[name]
+                assert np.array_equal(np.isnan(got), np.isnan(want)), (method, name)
+                finite = ~np.isnan(want)
+                assert got[finite].tobytes() == want[finite].tobytes(), (method, name)
 
     def test_slope_from_file_equals_in_memory(self, tmp_path):
         tr = _trace(120)

@@ -27,7 +27,7 @@ def _run(outdir, max_iters):
 def test_identical_runs_match(tmp_path, capsys):
     a, b = _run(tmp_path / "a", 8), _run(tmp_path / "b", 8)
     assert compare_runs.main([str(a), str(b)]) == 0
-    assert capsys.readouterr().out == "match: report.csv and 2 trace files, seconds ignored\n"
+    assert capsys.readouterr().out == "match: report.csv and 2 trace files, seconds and elapsed_ns ignored\n"
 
 
 def test_a_different_iteration_cap_names_the_column(tmp_path, capsys):
@@ -35,7 +35,7 @@ def test_a_different_iteration_cap_names_the_column(tmp_path, capsys):
     assert compare_runs.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "report.csv row 1 (ifb/cs-d32m16-seed0/0) column iterations: 8 != 9" in out
-    assert out.splitlines()[-1] == "differ: report.csv and 2 trace files, seconds ignored"
+    assert out.splitlines()[-1] == "differ: report.csv and 2 trace files, seconds and elapsed_ns ignored"
     # the traces differ in length, not in the rows both runs hold
     assert "traces/cs-d32m16-seed0__ifb__rep0.csv: 8 rows != 9 rows" in out
     assert " column k:" not in out

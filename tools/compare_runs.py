@@ -5,8 +5,9 @@ Usage::
     python tools/compare_runs.py <dir_a> <dir_b>
 
 Each directory is the output of ``mvibench run``.  The script compares
-``report.csv`` and every ``traces/*.csv`` file, skipping the ``seconds``
-column, the only one a run does not reproduce.  It prints each report cell
+``report.csv`` and every ``traces/*.csv`` file, skipping the wall-time
+columns (``seconds`` in the report, ``elapsed_ns`` in the traces), the only
+ones a run does not reproduce.  It prints each report cell
 that differs, each trace column that differs (with its first differing row
 and the number of differing rows) and each trace file that only one run
 holds.  Values are compared as written, so equal means bitwise equal.  The
@@ -20,7 +21,7 @@ import csv
 import sys
 from pathlib import Path
 
-IGNORED = ("seconds",)
+IGNORED = ("seconds", "elapsed_ns")
 
 
 def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
     for line in diffs:
         print(line)
     n_traces = len(list((dir_a / "traces").glob("*.csv")))
-    print(f"{'differ' if diffs else 'match'}: report.csv and {n_traces} trace files, seconds ignored")
+    print(f"{'differ' if diffs else 'match'}: report.csv and {n_traces} trace files, {' and '.join(IGNORED)} ignored")
     return 1 if diffs else 0
 
 
