@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import operator
 import statistics
 import sys
 import time
@@ -42,6 +43,7 @@ from .linesearch import LineSearchParams
 from .problems import GENERATORS, Problem, assemble
 from .solver import (
     InertiaSchedule,
+    InsufficientTrace,
     IterationRecord,
     IterationTrace,
     SolverConfig,
@@ -63,6 +65,9 @@ __all__ = [
 _FMT = "{:.17g}"
 #: the header of a trace file: the step record's fields, in declaration order
 _TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(IterationRecord))
+#: a trace row is one format call on the record's fields
+_TRACE_ROW = ",".join([_FMT] * len(_TRACE_COLUMNS))
+_trace_values = operator.attrgetter(*_TRACE_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -75,18 +80,16 @@ def emit_convergence_csv(trace: IterationTrace, path) -> Path:
         raise ValueError("refusing to write an empty trace")
     path = Path(path)
     lines = [",".join(_TRACE_COLUMNS)]
-    lines += [",".join(_FMT.format(getattr(rec, name)) for name in _TRACE_COLUMNS) for rec in trace.records]
+    lines += [_TRACE_ROW.format(*_trace_values(rec)) for rec in trace.records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
     """Every column of a trace CSV, as float arrays equal to ``trace.array(name)``."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].split(",")
-    rows = [line.split(",") for line in text[1:]]
-    cols = {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
-    return cols
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header, *rows = [line.split(",") for line in lines] or [[]]  # an empty file has no columns
+    return {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +125,23 @@ def _check_keys(entry: dict, accepted, where: str) -> None:
             f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
             f"accepted keys: {', '.join(accepted)}"
         )
+
+
+def _check_required(entry: dict, required, where: str) -> None:
+    missing = [k for k in required if k not in entry]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(map(repr, missing))}")
+
+
+def _check_unique(named, what: str, key: str) -> None:
+    """Raise if two ``(name, entry)`` pairs share a name: their cells would write one trace file."""
+    first = {}
+    for name, entry in named:
+        if name in first:
+            raise ValueError(
+                f"{what} {first[name]!r} and {entry!r} share the {key} {name!r} and would write one trace file"
+            )
+        first[name] = entry
 
 
 def _instance_for(family: str, dims: dict, seed: int):
@@ -175,7 +195,9 @@ class RunSpec:
     """Everything needed to reproduce a benchmark grid.
 
     ``stopping_rule`` is built from ``stop`` when the spec loads, so a bad
-    stop entry raises before any output is written.
+    stop entry raises before any output is written.  So do a run setting of
+    the wrong type, and two solver entries with one label or two problem
+    cells with one id, which would share a trace file and a report row.
     """
 
     problems: tuple[ProblemCell, ...]
@@ -188,20 +210,30 @@ class RunSpec:
     stopping_rule: StoppingRule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        for name in ("repetitions", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.check_invariants, bool):
+            raise ValueError(f"check_invariants must be true or false, got {self.check_invariants!r}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
         if not self.problems:
             raise ValueError("at least one problem is required")
+        _check_unique(((s.label, {"method": s.method} | s.options) for s in self.solvers), "solver entries", "label")
+        _check_unique(
+            ((p.cell_id, {"family": p.family, **p.dims, "seed": p.seed}) for p in self.problems), "problem cells", "id"
+        )
         _check_keys(self.stop, _STOP_KEYS, f"stop {self.stop!r}")
         object.__setattr__(self, "stopping_rule", StoppingRule(**self.stop))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSpec":
         _check_keys(raw, _SPEC_KEYS + _RUN_KEYS, "the run spec")
+        _check_required(raw, ("problems", "solvers", "output_dir"), "the run spec")
         cells = []
         for p in raw["problems"]:
+            _check_required(p, ("family",), f"problem {p!r}")
             family = p["family"]
             if family not in GENERATORS:
                 raise ValueError(f"unknown problem family {family!r}")
@@ -220,6 +252,8 @@ class RunSpec:
             else:
                 for s in p.get("seeds", [p.get("seed", 0)]):
                     cells.append(ProblemCell(family, dims, seed=int(s)))
+        for s in raw["solvers"]:
+            _check_required(s, ("method",), f"solver entry {s!r}")
         solvers = tuple(
             SolverEntry(s["method"], {k: v for k, v in s.items() if k != "method"})
             for s in raw["solvers"]
@@ -266,6 +300,7 @@ def _build_baseline_config(method: str, options: dict) -> BaselineConfig:
 class CellResult:
     """One row of ``report.csv``, whose columns are these fields in order and ``valid``.
 
+    ``violations`` is the sum of the three per-kind counts that follow it.
     The defaults are those of a cell that failed before producing a trace.
     """
 
@@ -281,6 +316,9 @@ class CellResult:
     delta_min: float = float("nan")
     delta_max: float = float("nan")
     violations: int = 0
+    delta_bound: int = 0
+    phi_sandwich: int = 0
+    fejer: int = 0
     mode: str = ""  # solver mode labels (inertia kind, warm start, step mode)
     error: str = ""
 
@@ -407,6 +445,7 @@ def _run_cell(
         delta_min=dmin,
         delta_max=dmax,
         violations=trace.total_violations,
+        **trace.violations,
         mode=mode,
     )
     return result, trace
@@ -482,7 +521,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_rate(args) -> int:
     cols = read_trace_csv(args.trace)
-    slope = slope_of_min_residuals(cols["res_wv"], min_iterations=args.min_iterations)
+    try:
+        if "res_wv" not in cols:
+            raise InsufficientTrace("no res_wv column")
+        slope = slope_of_min_residuals(cols["res_wv"], min_iterations=args.min_iterations)
+    except InsufficientTrace as exc:  # one line, not a traceback
+        print(f"mvibench rate: {args.trace}: {exc}", file=sys.stderr)
+        return 2
     print(f"slope = {slope:.6f}")
     return 0
 

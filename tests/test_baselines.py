@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _table import one_step
+from _table import SMALL_PROBLEMS, every_method, one_step
 from mvisolve.baselines import SETTINGS, BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchParams, backtrack
 from mvisolve.operators import (
@@ -17,7 +17,7 @@ from mvisolve.operators import (
     linear_forward,
     zero_forward,
 )
-from mvisolve.problems import Problem, assemble, gen_cs, gen_l2, gen_lpa
+from mvisolve.problems import Problem, assemble, gen_cs
 from mvisolve.solver import (
     _METHODS,
     _PHI_ZERO_TOL,
@@ -621,24 +621,11 @@ def test_the_method_table_has_one_row_per_method_and_the_readme_shows_it():
     assert rows == _METHODS
 
 
-_SCALAR_PROBLEMS = {
-    "cs": lambda: assemble(gen_cs(32, 16, 3, seed=1)),
-    "lpa": lambda: assemble(gen_lpa(32, 16, 3, seed=1)),
-    "l2": lambda: assemble(gen_l2(1, 101)),
-}
-
-
-@pytest.mark.parametrize("family", list(_SCALAR_PROBLEMS))
+@pytest.mark.parametrize("family", list(SMALL_PROBLEMS))
 def test_traces_hand_out_python_scalars(family):
     # perfbench json-dumps record fields and trace totals, and
     # json.dumps(np.int64(3)) raises: every value must be a Python int or float
-    prob = _SCALAR_PROBLEMS[family]()
-    stop = StoppingRule("iter_cap_only")
-    runs = {"ifb": lambda: solve(prob, prob.u0, prob.u1, SolverConfig(stop=stop, max_iters=12))}
-    for entry in SETTINGS:
-        method, _, mode = entry.rstrip("]").partition("[")
-        cfg = BaselineConfig(method, lambda_mode=mode or None)
-        runs[entry] = lambda cfg=cfg: run_baseline(cfg, prob, prob.u0, prob.u1, stop, max_iters=12)
+    runs = every_method(SMALL_PROBLEMS[family](), 12)
     fields = [(f.name, {"int": int, "float": float}[f.type]) for f in dataclasses.fields(IterationRecord)]
     totals = (
         "iterations", "total_forward_evals", "total_resolvent_evals", "total_violations",

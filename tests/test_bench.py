@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from _cases import mu_with_cap
-from mvisolve.baselines import SETTINGS, BaselineConfig, run_baseline
+from _table import SMALL_PROBLEMS, every_method
+from mvisolve import bench
+from mvisolve.baselines import SETTINGS, BaselineConfig
 from mvisolve.bench import (
     RunSpec,
     _build_baseline_config,
@@ -19,7 +21,7 @@ from mvisolve.bench import (
     read_trace_csv,
     run,
 )
-from mvisolve.problems import assemble, cubic_problem, gen_cs, gen_l2, gen_lpa
+from mvisolve.problems import cubic_problem
 from mvisolve.linesearch import LineSearchParams
 from mvisolve.solver import IterationRecord, InertiaSchedule, SolverConfig, StoppingRule, rate_estimate, solve
 
@@ -36,13 +38,6 @@ def _tiny_spec(tmp_path, **overrides):
     }
     raw.update(overrides)
     return raw
-
-
-_ROUNDTRIP_PROBLEMS = {
-    "cs": lambda: assemble(gen_cs(32, 16, 3, seed=1)),
-    "lpa": lambda: assemble(gen_lpa(32, 16, 3, seed=1)),
-    "l2": lambda: assemble(gen_l2(1, 101)),
-}
 
 
 def _trace(max_iters=60):
@@ -68,19 +63,11 @@ class TestTraceCSV:
         np.testing.assert_array_equal(cols["res_wv"], tr.array("res_wv"))
         np.testing.assert_array_equal(cols["k"], tr.array("k"))
 
-    @pytest.mark.parametrize("family", list(_ROUNDTRIP_PROBLEMS))
+    @pytest.mark.parametrize("family", list(SMALL_PROBLEMS))
     def test_every_field_of_every_method_roundtrips_bitwise(self, tmp_path, family):
         # the file is the whole record: each column reads back as trace.array(name),
         # bit for bit, with NaN where the record holds NaN
-        prob = _ROUNDTRIP_PROBLEMS[family]()
-        stop = StoppingRule("iter_cap_only")
-        runs = {"ifb": lambda: solve(prob, prob.u0, prob.u1, SolverConfig(stop=stop, max_iters=25))}
-        for entry in SETTINGS:
-            method, _, mode = entry.rstrip("]").partition("[")
-            cfg = BaselineConfig(method, lambda_mode=mode or None)
-            runs[entry] = lambda cfg=cfg: run_baseline(
-                cfg, prob, prob.u0, prob.u1, stop, max_iters=25, check_invariants=True
-            )
+        runs = every_method(SMALL_PROBLEMS[family](), 25)
         names = [f.name for f in dataclasses.fields(IterationRecord)]
         assert {"zw[schedule]", "zw[armijo]", "jx"} <= set(runs)
         for method, solve_it in runs.items():
@@ -171,6 +158,26 @@ class TestRun:
         lpa, cs = report.cells
         assert lpa.status == "error" and "needs a reference point" in lpa.error
         assert cs.error == "" and cs.iterations > 0
+        assert not report.valid
+
+    def test_report_counts_each_invariant_kind_beside_the_total(self, tmp_path, monkeypatch):
+        def solve_with_violations(*args, **kwargs):
+            u, trace = solve(*args, **kwargs)
+            trace.violations.update(delta_bound=1, fejer=2)
+            return u, trace
+
+        monkeypatch.setattr(bench, "solve", solve_with_violations)
+        raw = _tiny_spec(tmp_path, solvers=[{"method": "ifb"}, {"method": "tseng"}])
+        report = run(RunSpec.from_dict(raw))
+        with open(tmp_path / "out" / "report.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+            fh.seek(0)
+            rows = {row["solver"]: row for row in csv.DictReader(fh)}
+        i = header.index("violations")
+        assert header[i : i + 4] == ["violations", "delta_bound", "phi_sandwich", "fejer"]
+        counts = ("violations", "delta_bound", "phi_sandwich", "fejer", "valid")
+        assert [rows["ifb"][c] for c in counts] == ["3", "1", "0", "2", "False"]
+        assert [rows["tseng"][c] for c in counts] == ["0", "0", "0", "0", "True"]
         assert not report.valid
 
     def test_grid_determinism_modulo_timing(self, tmp_path):
@@ -396,6 +403,87 @@ class TestRun:
         # an l2 entry may leave its case to the default, and every entry its seed
         RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": "l2"}, {"family": "cs", "d": 32, "m": 16}]))
 
+    def test_two_solver_entries_with_one_label_raise_when_the_spec_loads(self, tmp_path):
+        # both would be labelled ifb: one trace file, one merged report row
+        solvers = [{"method": "ifb"}, {"method": "ifb", "gamma": 1.0}]
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, solvers=solvers))
+        assert str(err.value) == (
+            "solver entries {'method': 'ifb'} and {'method': 'ifb', 'gamma': 1.0} "
+            "share the label 'ifb' and would write one trace file"
+        )
+        assert not (tmp_path / "out").exists()
+        solvers[1]["label"] = "ifb-g1"
+        assert [s.label for s in RunSpec.from_dict(_tiny_spec(tmp_path, solvers=solvers)).solvers] == ["ifb", "ifb-g1"]
+
+    @pytest.mark.parametrize(
+        "problems, first, second, cell_id",
+        [
+            (
+                [{"family": "cs", "d": 64, "m": 32, "l": 4, "seed": 1}, {"family": "cs", "d": 64, "m": 32, "l": 8, "seed": 1}],
+                {"family": "cs", "d": 64, "m": 32, "l": 4, "seed": 1},
+                {"family": "cs", "d": 64, "m": 32, "l": 8, "seed": 1},
+                "cs-d64m32-seed1",
+            ),
+            (
+                [{"family": "lpa", "d": 32, "m": 16, "seeds": [2, 2]}],
+                {"family": "lpa", "d": 32, "m": 16, "seed": 2},
+                {"family": "lpa", "d": 32, "m": 16, "seed": 2},
+                "lpa-d32m16-seed2",
+            ),
+            (
+                [{"family": "l2", "cases": [3]}, {"family": "l2", "n": 1001, "case_id": 3}],
+                {"family": "l2", "case_id": 3, "seed": 0},
+                {"family": "l2", "case_id": 3, "n": 1001, "seed": 0},
+                "l2-case3-n1001",
+            ),
+        ],
+        ids=["cs-l", "lpa-repeated-seed", "l2-default-n"],
+    )
+    def test_two_problem_cells_with_one_id_raise_when_the_spec_loads(self, tmp_path, problems, first, second, cell_id):
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, problems=problems))
+        assert str(err.value) == (
+            f"problem cells {first!r} and {second!r} share the id {cell_id!r} and would write one trace file"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["problems", "solvers", "output_dir"])
+    def test_a_spec_without_a_required_key_raises_a_value_error_naming_it(self, tmp_path, key):
+        raw = _tiny_spec(tmp_path)
+        del raw[key]
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(raw)
+        assert str(err.value) == f"the run spec lacks {key!r}"
+
+    def test_an_entry_without_its_method_or_family_raises_a_value_error_naming_it(self, tmp_path):
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, solvers=[{"gamma": 1.0}]))
+        assert str(err.value) == "solver entry {'gamma': 1.0} lacks 'method'"
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"d": 32, "m": 16}]))
+        assert str(err.value) == "problem {'d': 32, 'm': 16} lacks 'family'"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"check_invariants": "no"}, "check_invariants must be true or false, got 'no'"),
+            ({"check_invariants": 1}, "check_invariants must be true or false, got 1"),
+            ({"max_iters": 0}, "max_iters must be a positive integer, got 0"),
+            ({"max_iters": "5"}, "max_iters must be a positive integer, got '5'"),
+            ({"max_iters": 5.0}, "max_iters must be a positive integer, got 5.0"),
+            ({"max_iters": True}, "max_iters must be a positive integer, got True"),
+            ({"repetitions": "2"}, "repetitions must be a positive integer, got '2'"),
+            ({"repetitions": -1}, "repetitions must be a positive integer, got -1"),
+        ],
+        ids=["check-string", "check-int", "iters-zero", "iters-string", "iters-float", "iters-bool", "reps-string", "reps-negative"],
+    )
+    def test_a_run_setting_of_the_wrong_type_raises_when_the_spec_loads(self, tmp_path, overrides, message):
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, **overrides))
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_family_raises_when_the_spec_loads(self, tmp_path):
         with pytest.raises(ValueError, match="unknown problem family 'sc'"):
             RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": "sc", "d": 32, "m": 16}]))
@@ -549,6 +637,20 @@ class TestCLI:
         assert main(["rate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "slope" in out
+
+    def test_rate_on_a_short_trace_or_one_without_res_wv_exits_2_with_one_line(self, tmp_path, capsys):
+        path = emit_convergence_csv(_trace(5), tmp_path / "short.csv")
+        assert main(["rate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mvibench rate: {path}: need at least 50 recorded residuals, got 5\n"
+        assert main(["rate", str(path), "--min-iterations", "5"]) == 0
+        capsys.readouterr()
+        for bare, text in [(tmp_path / "bare.csv", "k,err\n1,0.5\n2,0.25\n"), (tmp_path / "empty.csv", "")]:
+            bare.write_text(text)
+            assert main(["rate", str(bare)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"mvibench rate: {bare}: no res_wv column\n")
 
     def test_the_docs_name_only_real_subcommands(self, capsys):
         from pathlib import Path

@@ -7,11 +7,11 @@ Usage::
 Each directory is the output of ``mvibench run``.  The script compares
 ``report.csv`` and every ``traces/*.csv`` file, skipping the wall-time
 columns (``seconds`` in the report, ``elapsed_ns`` in the traces), the only
-ones a run does not reproduce.  It prints each report cell
-that differs, each trace column that differs (with its first differing row
-and the number of differing rows) and each trace file that only one run
-holds.  Values are compared as written, so equal means bitwise equal.  The
-exit code is 0 only if both runs match and hold the same trace files, and 1
+ones a run does not reproduce.  It prints each report cell that differs,
+each trace column that differs (with its first differing row and the
+number of differing rows) and each trace file that only one run holds.
+Values are compared as written, so equal means bitwise equal.  The exit
+code is 0 only if both runs match and hold the same trace files, and 1
 otherwise.
 """
 
