@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import itertools
 import json
 import operator
 import statistics
@@ -96,17 +97,14 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 # run configuration
 
 
-# The key tuples below and baselines.SETTINGS are the whole spec schema: the
-# builders pick from them, and a key outside them raises (see _check_keys).
+# The key tuples below, the generators' signatures and baselines.SETTINGS
+# are the whole spec schema: the builders pick from them, and a key outside
+# them raises (see _check_keys).
 _FAMILY_PARAMS = {family: inspect.signature(gen).parameters for family, gen in GENERATORS.items()}
-_FAMILY_DIMS = {family: tuple(p for p in params if p != "seed") for family, params in _FAMILY_PARAMS.items()}
-#: the generator parameters with no default, which every cell must give
-_FAMILY_REQUIRED = {
-    family: tuple(p for p, par in params.items() if par.default is par.empty)
-    for family, params in _FAMILY_PARAMS.items()
-}
-#: the grid size of an l2 cell whose spec entry gives no ``n``: the generator's default
-_L2_N = _FAMILY_PARAMS["l2"]["n"].default
+#: a list under a plural key gives one cell per value of its generator parameter
+_PLURALS = {"seeds": "seed", "cases": "case_id"}
+#: each family's cell id, the generator's defaults filled in
+_ID_TEMPLATES = {"cs": "cs-d{d}m{m}-seed{seed}", "lpa": "lpa-d{d}m{m}-seed{seed}", "l2": "l2-case{case_id}-n{n}"}
 _SPEC_KEYS = ("problems", "solvers", "stop", "output_dir")
 _RUN_KEYS = ("repetitions", "max_iters", "check_invariants")
 _STOP_KEYS = ("kind", "tol")
@@ -144,12 +142,6 @@ def _check_unique(named, what: str, key: str) -> None:
         first[name] = entry
 
 
-def _instance_for(family: str, dims: dict, seed: int):
-    """Generate the instance; the generator takes what it names of ``dims`` and ``seed``."""
-    gen = GENERATORS[family]
-    return gen(**_pick({**dims, "seed": seed}, inspect.signature(gen).parameters))
-
-
 def _solver_keys(method: str, options: dict) -> tuple:
     """The option keys the builder of ``method`` reads."""
     if method != "ifb":  # a baseline's settings, its search as the search fields
@@ -162,16 +154,15 @@ def _solver_keys(method: str, options: dict) -> tuple:
 
 @dataclass(frozen=True)
 class ProblemCell:
+    """One problem of the grid: ``GENERATORS[family](**params)``."""
+
     family: str
-    dims: dict
-    seed: int
+    params: dict
 
     @property
     def cell_id(self) -> str:
-        if self.family == "l2":
-            # from_dict gives every l2 cell a case_id; n may be left to the generator
-            return f"l2-case{self.dims['case_id']}-n{self.dims.get('n', _L2_N)}"
-        return f"{self.family}-d{self.dims['d']}m{self.dims['m']}-seed{self.seed}"
+        defaults = {name: par.default for name, par in _FAMILY_PARAMS[self.family].items()}
+        return _ID_TEMPLATES[self.family].format(**{**defaults, **self.params})
 
 
 @dataclass(frozen=True)
@@ -222,7 +213,7 @@ class RunSpec:
             raise ValueError("at least one problem is required")
         _check_unique(((s.label, {"method": s.method} | s.options) for s in self.solvers), "solver entries", "label")
         _check_unique(
-            ((p.cell_id, {"family": p.family, **p.dims, "seed": p.seed}) for p in self.problems), "problem cells", "id"
+            ((p.cell_id, {"family": p.family, **p.params}) for p in self.problems), "problem cells", "id"
         )
         _check_keys(self.stop, _STOP_KEYS, f"stop {self.stop!r}")
         object.__setattr__(self, "stopping_rule", StoppingRule(**self.stop))
@@ -237,21 +228,19 @@ class RunSpec:
             family = p["family"]
             if family not in GENERATORS:
                 raise ValueError(f"unknown problem family {family!r}")
-            # "cases" expands l2 cells, "seeds" every other family's; each cell gets the singular
-            one, many = ("case_id", "cases") if family == "l2" else ("seed", "seeds")
-            _check_keys(p, ("family", "seed", many) + _FAMILY_DIMS[family], f"problem {p!r}")
-            if one in p and many in p:  # the plural would silently win
-                raise ValueError(f"problem {p!r} gives both {one!r} and {many!r}; give one of them")
-            missing = [k for k in _FAMILY_REQUIRED[family] if k not in p and k != one]
+            params = _FAMILY_PARAMS[family]
+            plurals = {many: one for many, one in _PLURALS.items() if one in params}
+            _check_keys(p, ("family", *params, *plurals), f"problem {p!r}")
+            for many, one in plurals.items():
+                if one in p and many in p:  # the plural would silently win
+                    raise ValueError(f"problem {p!r} gives both {one!r} and {many!r}; give one of them")
+            given = {*p, *(plurals[k] for k in p if k in plurals)}
+            missing = [k for k, par in params.items() if par.default is par.empty and k not in given]
             if missing:
                 raise ValueError(f"problem {p!r} lacks {', '.join(map(repr, missing))}: the generator gives no default")
-            dims = _pick(p, _FAMILY_DIMS[family])
-            if family == "l2":
-                for case in p.get("cases", [p.get("case_id", 1)]):
-                    cells.append(ProblemCell(family, {**dims, "case_id": case}, seed=0))
-            else:
-                for s in p.get("seeds", [p.get("seed", 0)]):
-                    cells.append(ProblemCell(family, dims, seed=int(s)))
+            lists = [[(one, v) for v in p[many]] for many, one in plurals.items() if many in p]
+            for values in itertools.product(*lists):  # the params in signature order
+                cells.append(ProblemCell(family, _pick({**p, **dict(values)}, params)))
         for s in raw["solvers"]:
             _check_required(s, ("method",), f"solver entry {s!r}")
         solvers = tuple(
@@ -463,9 +452,7 @@ def run(spec: RunSpec) -> RunReport:
     (outdir / "spec.json").write_text(
         json.dumps(
             {
-                "problems": [
-                    {"family": p.family, **p.dims, "seed": p.seed} for p in spec.problems
-                ],
+                "problems": [{"family": p.family, **p.params} for p in spec.problems],
                 "solvers": [{"method": s.method, **s.options} for s in spec.solvers],
                 "stop": spec.stop,
                 "output_dir": spec.output_dir,
@@ -482,7 +469,7 @@ def run(spec: RunSpec) -> RunReport:
     for cell in spec.problems:
         pid = cell.cell_id
         try:
-            problem = assemble(_instance_for(cell.family, cell.dims, cell.seed))
+            problem = assemble(GENERATORS[cell.family](**cell.params))
         except Exception as exc:  # a generator that rejects its values fails its cells, not the grid
             error = _error_text(exc)
             cells += [

@@ -286,7 +286,7 @@ def table_initials(case_id: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return first(t), second(t)
 
 
-def gen_l2(case_id: int, n: int = 1001) -> L2Instance:
+def gen_l2(case_id: int = 1, n: int = 1001) -> L2Instance:
     u0, u1 = table_initials(case_id, n)
     return L2Instance(n=n, case_id=case_id, u0=u0, u1=u1)
 

@@ -14,14 +14,13 @@ from mvisolve.bench import (
     RunSpec,
     _build_baseline_config,
     _build_ifb_config,
-    _instance_for,
     _solver_keys,
     emit_convergence_csv,
     main,
     read_trace_csv,
     run,
 )
-from mvisolve.problems import cubic_problem
+from mvisolve.problems import GENERATORS, cubic_problem
 from mvisolve.linesearch import LineSearchParams
 from mvisolve.solver import IterationRecord, InertiaSchedule, SolverConfig, StoppingRule, rate_estimate, solve
 
@@ -255,7 +254,7 @@ class TestRun:
     def test_l2_cell_without_n_is_named_after_its_instance(self, tmp_path):
         spec = RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": "l2", "cases": [2]}]))
         (cell,) = spec.problems
-        instance = _instance_for(cell.family, cell.dims, cell.seed)
+        instance = GENERATORS[cell.family](**cell.params)
         assert cell.cell_id == f"l2-case{instance.case_id}-n{instance.n}"
 
     def test_mode_labels_reported(self, tmp_path):
@@ -433,8 +432,8 @@ class TestRun:
             ),
             (
                 [{"family": "l2", "cases": [3]}, {"family": "l2", "n": 1001, "case_id": 3}],
-                {"family": "l2", "case_id": 3, "seed": 0},
-                {"family": "l2", "case_id": 3, "n": 1001, "seed": 0},
+                {"family": "l2", "case_id": 3},
+                {"family": "l2", "case_id": 3, "n": 1001},
                 "l2-case3-n1001",
             ),
         ],
