@@ -103,7 +103,7 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 _FAMILY_PARAMS = {family: inspect.signature(gen).parameters for family, gen in GENERATORS.items()}
 #: a list under a plural key gives one cell per value of its generator parameter
 _PLURALS = {"seeds": "seed", "cases": "case_id"}
-#: each family's cell id, the generator's defaults filled in
+#: the start of each family's cell id, the generator's defaults filled in
 _ID_TEMPLATES = {"cs": "cs-d{d}m{m}-seed{seed}", "lpa": "lpa-d{d}m{m}-seed{seed}", "l2": "l2-case{case_id}-n{n}"}
 _SPEC_KEYS = ("problems", "solvers", "stop", "output_dir")
 _RUN_KEYS = ("repetitions", "max_iters", "check_invariants")
@@ -161,8 +161,14 @@ class ProblemCell:
 
     @property
     def cell_id(self) -> str:
+        """The family's template, then ``-<name><value>`` per other parameter set off its default.
+
+        ``from_dict`` orders ``params`` as the generator's signature, so the id does too.
+        """
+        template = _ID_TEMPLATES[self.family]
         defaults = {name: par.default for name, par in _FAMILY_PARAMS[self.family].items()}
-        return _ID_TEMPLATES[self.family].format(**{**defaults, **self.params})
+        rest = "".join(f"-{k}{v}" for k, v in self.params.items() if v != defaults[k] and "{" + k + "}" not in template)
+        return template.format(**{**defaults, **self.params}) + rest
 
 
 @dataclass(frozen=True)

@@ -419,12 +419,6 @@ class TestRun:
         "problems, first, second, cell_id",
         [
             (
-                [{"family": "cs", "d": 64, "m": 32, "l": 4, "seed": 1}, {"family": "cs", "d": 64, "m": 32, "l": 8, "seed": 1}],
-                {"family": "cs", "d": 64, "m": 32, "l": 4, "seed": 1},
-                {"family": "cs", "d": 64, "m": 32, "l": 8, "seed": 1},
-                "cs-d64m32-seed1",
-            ),
-            (
                 [{"family": "lpa", "d": 32, "m": 16, "seeds": [2, 2]}],
                 {"family": "lpa", "d": 32, "m": 16, "seed": 2},
                 {"family": "lpa", "d": 32, "m": 16, "seed": 2},
@@ -437,7 +431,7 @@ class TestRun:
                 "l2-case3-n1001",
             ),
         ],
-        ids=["cs-l", "lpa-repeated-seed", "l2-default-n"],
+        ids=["lpa-repeated-seed", "l2-default-n"],
     )
     def test_two_problem_cells_with_one_id_raise_when_the_spec_loads(self, tmp_path, problems, first, second, cell_id):
         with pytest.raises(ValueError) as err:
@@ -446,6 +440,37 @@ class TestRun:
             f"problem cells {first!r} and {second!r} share the id {cell_id!r} and would write one trace file"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_an_l_sweep_at_one_seed_writes_one_trace_per_cell(self, tmp_path):
+        problems = [{"family": "cs", "d": 64, "m": 32, "l": l, "seed": 1} for l in (4, 8)]
+        spec = RunSpec.from_dict(_tiny_spec(tmp_path, problems=problems))
+        assert [p.cell_id for p in spec.problems] == ["cs-d64m32-seed1-l4", "cs-d64m32-seed1-l8"]
+        run(spec)
+        traces = sorted(p.name for p in (tmp_path / "out" / "traces").iterdir())
+        assert traces == ["cs-d64m32-seed1-l4__ifb__rep0.csv", "cs-d64m32-seed1-l8__ifb__rep0.csv"]
+
+    def test_a_non_integer_seed_reaches_the_generator_and_fails_its_cells(self, tmp_path):
+        raw = _tiny_spec(tmp_path, problems=[{"family": "cs", "d": 32, "m": 16, "seeds": [1.5]}])
+        (cell,) = run(RunSpec.from_dict(raw)).cells
+        assert cell.problem_id == "cs-d32m16-seed1.5"
+        assert cell.error.startswith("TypeError: ") and not cell.valid
+
+    @pytest.mark.parametrize(
+        "problem, cell_id",
+        [
+            # a parameter set to its default, or left to it, is not named
+            ({"family": "cs", "d": 64, "m": 32}, "cs-d64m32-seed0"),
+            ({"family": "cs", "d": 64, "m": 32, "l": 10, "snr_db": 40, "rho": None, "seed": 2}, "cs-d64m32-seed2"),
+            ({"family": "cs", "rho": 0.5, "snr_db": 20.0, "d": 64, "m": 32, "seed": 2}, "cs-d64m32-seed2-snr_db20.0-rho0.5"),
+            ({"family": "lpa", "d": 64, "m": 32, "alpha": 1.25, "mu": 0.1, "seed": 3}, "lpa-d64m32-seed3-mu0.1-alpha1.25"),
+            ({"family": "l2"}, "l2-case1-n1001"),
+            ({"family": "l2", "n": 101, "case_id": 4}, "l2-case4-n101"),
+        ],
+        ids=["cs-defaults", "cs-defaults-named", "cs-snr-rho", "lpa-mu-alpha", "l2-defaults", "l2-n"],
+    )
+    def test_a_cell_id_names_each_parameter_set_off_its_default_in_signature_order(self, tmp_path, problem, cell_id):
+        (cell,) = RunSpec.from_dict(_tiny_spec(tmp_path, problems=[problem])).problems
+        assert cell.cell_id == cell_id
 
     @pytest.mark.parametrize("key", ["problems", "solvers", "output_dir"])
     def test_a_spec_without_a_required_key_raises_a_value_error_naming_it(self, tmp_path, key):
@@ -600,6 +625,21 @@ class TestShippedSpecs:
         for f in files:
             spec = RunSpec.from_file(f)
             assert spec.solvers and spec.problems
+
+    def test_the_shipped_grids_name_their_cells(self):
+        from pathlib import Path
+
+        specs_dir = Path(__file__).resolve().parent.parent / "demos" / "specs"
+        ids = {
+            name: [p.cell_id for p in RunSpec.from_file(specs_dir / f"{name}.json").problems]
+            for name in ("recovery_table", "power_penalty_table", "integral_table")
+        }
+        assert ids == {
+            "recovery_table": [f"cs-d512m256-seed{s}" for s in (1, 2, 3)] + [f"cs-d1024m512-seed{s}-l20" for s in (1, 2, 3)],
+            "power_penalty_table": [f"lpa-d512m256-seed{s}" for s in (1, 2, 3)]
+            + [f"lpa-d1024m512-seed{s}-l20" for s in (1, 2, 3)],
+            "integral_table": [f"l2-case{c}-n1001" for c in (1, 2, 3, 4)],
+        }
 
     def test_integral_spec_runs_scaled_down(self, tmp_path):
         from pathlib import Path
