@@ -295,14 +295,18 @@ def _build_baseline_config(method: str, options: dict) -> BaselineConfig:
 class CellResult:
     """One row of ``report.csv``, whose columns are these fields in order and ``valid``.
 
-    ``violations`` is the sum of the three per-kind counts that follow it.
-    The defaults are those of a cell that failed before producing a trace.
+    ``forward_evals`` and ``resolvent_evals`` are the run's totals, those of
+    its trace.  ``violations`` is the sum of the three per-kind counts that
+    follow it.  The defaults are those of a cell that failed before
+    producing a trace.
     """
 
     solver: str
     problem_id: str
     repetition: int
     iterations: int = 0
+    forward_evals: int = 0
+    resolvent_evals: int = 0
     seconds: float = float("nan")
     final_err: float = float("nan")
     final_dist2: float = float("nan")
@@ -432,6 +436,8 @@ def _run_cell(
         problem_id=pid,
         repetition=rep,
         iterations=trace.iterations,
+        forward_evals=trace.total_forward_evals,
+        resolvent_evals=trace.total_resolvent_evals,
         seconds=seconds,
         final_err=trace.final_err,
         final_dist2=trace.final_dist2,

@@ -179,6 +179,21 @@ class TestRun:
         assert [rows["tseng"][c] for c in counts] == ["0", "0", "0", "0", "True"]
         assert not report.valid
 
+    def test_report_gives_each_cells_evaluation_totals_as_its_trace_does(self, tmp_path):
+        raw = _tiny_spec(tmp_path, solvers=[{"method": "ifb"}, {"method": "fb", "lam": 0.05}, {"method": "tseng"}])
+        run(RunSpec.from_dict(raw))
+        with open(tmp_path / "out" / "report.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+            fh.seek(0)
+            rows = list(csv.DictReader(fh))
+        i = header.index("iterations")
+        assert header[i : i + 3] == ["iterations", "forward_evals", "resolvent_evals"]
+        assert len(rows) == 3
+        for row in rows:
+            trace = read_trace_csv(tmp_path / "out" / "traces" / f"{row['problem_id']}__{row['solver']}__rep0.csv")
+            for column in ("forward_evals", "resolvent_evals"):
+                assert int(row[column]) == trace[column].sum() > 0, (row["solver"], column)
+
     def test_grid_determinism_modulo_timing(self, tmp_path):
         raw_a = _tiny_spec(tmp_path, output_dir=str(tmp_path / "a"))
         raw_b = _tiny_spec(tmp_path, output_dir=str(tmp_path / "b"))
