@@ -1,8 +1,9 @@
 """Monotone inclusion on a discretized function space over [0, 1].
 
-The single-valued map u(t)*log(1+|u(t)|) is monotone but not Lipschitz
-near zero, and the set-valued part is the subdifferential of the integral
-of |u|.  All inner products run through trapezoidal quadrature weights, so
+The single-valued map u(t)*log(1+|u(t)|) is monotone, and Lipschitz near
+zero but not globally: its derivative log(1+|u|) + |u|/(1+|u|) is 0 at 0
+and grows like log|u|.  The set-valued part is the subdifferential of the
+integral of |u|.  All inner products run through trapezoidal quadrature weights, so
 the solver genuinely works in the integral norm; the zero function solves
 the inclusion exactly, giving every run a ground truth.
 """

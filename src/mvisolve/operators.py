@@ -186,7 +186,9 @@ def lpa_gradient(Q: np.ndarray, q: np.ndarray, mu: float, alpha: float, u: np.nd
 def log_operator(u: np.ndarray) -> np.ndarray:
     """Componentwise ``u_i * log(1 + |u_i|)``.
 
-    Monotone on the whole line, continuous, and not Lipschitz near zero.
+    Monotone on the whole line and continuous.  Its derivative,
+    ``log(1 + |u|) + |u|/(1 + |u|)``, is 0 at 0 and grows like ``log|u|``,
+    so the map is Lipschitz near zero but not globally.
     """
     return u * np.log1p(np.abs(u))
 

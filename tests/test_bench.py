@@ -373,6 +373,21 @@ class TestRun:
             keys = tuple(re.findall(r"`(\w+)`", rows[0].split("|")[2]))
             assert keys == ("method",) + _solver_keys(method, options), entry
 
+    def test_readme_lists_the_keys_each_problem_family_accepts_and_its_example_loads(self, tmp_path):
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        for family in GENERATORS:
+            rows = [line for line in readme.splitlines() if line.startswith(f"| problem, `{family}` |")]
+            assert len(rows) == 1, family
+            keys = ", ".join(re.findall(r"`(\w+)`", rows[0].split("|")[2]))
+            with pytest.raises(ValueError, match=re.escape(f"; accepted keys: {keys}") + "$"):
+                RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": family, "unlisted": 0}]))
+        example = readme.split("### Run spec schema (JSON)\n\n```json\n")[1].split("```")[0]
+        spec = RunSpec.from_dict(json.loads(example))
+        assert [p.family for p in spec.problems] == ["cs"] * 3 + ["lpa"] + ["l2"] * 4
+        assert len(spec.solvers) == 7
+
     def test_unknown_inertia_kind_raises_when_the_spec_loads(self, tmp_path):
         raw = _tiny_spec(tmp_path, solvers=[{"method": "ifb", "inertia": "constnat"}])
         with pytest.raises(ValueError) as err:

@@ -632,18 +632,22 @@ def cs_512():
 
 
 @pytest.mark.parametrize("radius", [1e20, 1e40, 1e100])
-@pytest.mark.parametrize("name", ["ifb", "fb", "tseng", "zw-armijo", "tc", "jx"])
+@pytest.mark.parametrize("name", list(SOLVERS))
 def test_a_run_started_far_out_ends_with_a_named_status_and_no_warning(name, radius, cs_512):
     # the first trials overflow the forward map or the acceptance test's
-    # norms; the run's np.errstate keeps that silent, and the checks name it
+    # norms; the run's np.errstate keeps that silent, and the checks name it.
+    # This is the limit of the claim that no Lipschitz constant is needed:
+    # at 1e20 every Armijo search exhausts its smallest step s*2**-60 at the
+    # first iteration, and from 1e40 on the first forward values overflow.
     d = np.random.default_rng(0).standard_normal(512)
     d /= np.linalg.norm(d)
     u = radius * d
     stop = StoppingRule("distance_to_reference", 1e-2, reference=cs_512.reference)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error")
         _, trace = _solve(name, cs_512, u, u, stop, 50, True)
-    assert trace.status in (TerminalStatus.DIVERGED, TerminalStatus.BACKTRACK_EXHAUSTED)
+    searches = radius == 1e20 and name not in ("fb", "zw")  # zw's default is the schedule step
+    assert trace.status is (TerminalStatus.BACKTRACK_EXHAUSTED if searches else TerminalStatus.DIVERGED)
     assert trace.total_violations == 0
 
 
