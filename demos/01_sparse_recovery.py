@@ -14,17 +14,15 @@ from mvisolve import (
     BaselineConfig,
     SolverConfig,
     StoppingRule,
-    assemble,
     gen_cs,
     run_baseline,
     solve,
 )
 
 d, m, spikes, seed = 512, 256, 10, 1
-inst = gen_cs(d, m, spikes, snr_db=40.0, seed=seed)
-prob = assemble(inst)
-print(f"instance: d={d}, m={m}, {spikes} spikes, SNR {inst.achieved_snr_db:.1f} dB, "
-      f"rho={inst.rho:.3f}")
+prob = gen_cs(d, m, spikes, snr_db=40.0, seed=seed)
+print(f"instance: d={d}, m={m}, {spikes} spikes, SNR {prob.metadata['achieved_snr_db']:.1f} dB, "
+      f"rho={prob.metadata['rho']:.3f}")
 
 stop = StoppingRule("distance_to_reference", 1e-2)  # to the problem's reference, the true signal
 
@@ -46,5 +44,5 @@ print("\nThe fixed step schedule of zw blows up on the quartic term, and the")
 print("viscosity method crawls; the Armijo-mode variants stay stable because")
 print("the backtracking inequality never lets the forward map outrun the step.")
 
-support_hit = np.count_nonzero(np.abs(u_ifb[inst.u_true != 0]) > 1e-3)
+support_hit = np.count_nonzero(np.abs(u_ifb[prob.reference != 0]) > 1e-3)
 print(f"\nrecovered {support_hit}/{spikes} spike positions with the contraction solver")

@@ -11,15 +11,14 @@ import numpy as np
 from mvisolve import (
     SolverConfig,
     StoppingRule,
-    assemble,
     gen_lpa,
     rate_estimate,
     solve,
 )
 
-inst = gen_lpa(d=512, m=256, l=10, seed=0)
-prob = assemble(inst)
-print(f"instance: d={inst.d}, m={inst.m}, alpha={inst.alpha}, mu={inst.mu}, rho={inst.rho}")
+prob = gen_lpa(d=512, m=256, l=10, seed=0)
+meta = prob.metadata
+print(f"instance: d={meta['d']}, m={meta['m']}, alpha={meta['alpha']}, mu={meta['mu']}, rho={meta['rho']}")
 
 cfg = SolverConfig(
     stop=StoppingRule("successive_diff", 1e-9),
@@ -35,6 +34,6 @@ print(f"contraction scalars stayed in [{tr.delta_range[0]:.3f}, {tr.delta_range[
 print(f"residual decay exponent over the run: {rate_estimate(tr):.2f}")
 
 nnz = np.count_nonzero(np.abs(u) > 1e-6)
-print(f"\nsolution keeps {nnz}/{inst.d} coordinates above 1e-6;")
+print(f"\nsolution keeps {nnz}/{meta['d']} coordinates above 1e-6;")
 print("the sqrt-type cusp at zero makes the final digits wander, which is why")
 print("the successive-difference tolerance (not a gradient norm) is the stop rule.")

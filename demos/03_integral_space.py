@@ -10,11 +10,11 @@ the inclusion exactly, giving every run a ground truth.
 
 import numpy as np
 
-from mvisolve import SolverConfig, StoppingRule, assemble, gen_l2, solve
+from mvisolve import SolverConfig, StoppingRule, gen_l2, solve
 
 print(f"{'case':>4} {'iterations':>10} {'final diff':>12} {'dist to zero fn':>16} {'decrease fails':>15}")
 for case in (1, 2, 3, 4):
-    prob = assemble(gen_l2(case, n=1001))
+    prob = gen_l2(case, n=1001)
     cfg = SolverConfig(
         stop=StoppingRule("successive_diff", 1e-12),
         max_iters=600,
@@ -30,7 +30,7 @@ print("against the exact solution (the zero function), and the iterate's")
 print("integral norm lands around 1e-12 at the successive-diff tolerance.")
 
 # the pointwise shrinkage really is the weighted-space prox: weights cancel
-prob = assemble(gen_l2(1, n=11))
+prob = gen_l2(1, n=11)
 x = np.linspace(-2, 2, 11)
 lam = 0.5
 v = prob.resolvent(x, lam)

@@ -58,9 +58,6 @@ from .baselines import (
 )
 from .problems import (
     Problem,
-    CompressedSensingInstance,
-    LpaInstance,
-    L2Instance,
     gen_cs,
     gen_lpa,
     gen_l2,

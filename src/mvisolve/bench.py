@@ -41,7 +41,7 @@ import numpy as np
 
 from .baselines import SETTINGS, BaselineConfig, _entry, run_baseline
 from .linesearch import LineSearchParams
-from .problems import GENERATORS, Problem, assemble
+from .problems import GENERATORS, Problem
 from .solver import (
     InertiaSchedule,
     InsufficientTrace,
@@ -481,7 +481,7 @@ def run(spec: RunSpec) -> RunReport:
     for cell in spec.problems:
         pid = cell.cell_id
         try:
-            problem = assemble(GENERATORS[cell.family](**cell.params))
+            problem = GENERATORS[cell.family](**cell.params)
         except Exception as exc:  # a generator that rejects its values fails its cells, not the grid
             error = _error_text(exc)
             cells += [

@@ -42,7 +42,16 @@ class BacktrackExhausted(RuntimeError):
     falls below the rounding of ``w``: ``w - lam*B(w)`` then equals ``w``
     while ``B(w) != 0``, so the test compares nothing about ``B``, and
     every smaller step does the same.
+
+    ``forward_evals`` and ``resolvent_evals`` count the search's
+    evaluations as :class:`LineSearchOutcome` counts them: ``B(w)`` and one
+    of each per trial reached, so a run that ends here still reports them.
     """
+
+    def __init__(self, message: str, trials: int):
+        super().__init__(message)
+        self.forward_evals = trials + 1
+        self.resolvent_evals = trials
 
 
 #: the search stops at the first step ``s*mu**j <= s * _SMALLEST_STEP``
@@ -352,7 +361,8 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
             if res_wv == 0.0 and b_w.any() and np.array_equal(w - lam * b_w, w):
                 raise BacktrackExhausted(
                     f"no step accepted: at lam = {lam:.3e} (j = {j}) lam*B(w) fell below the rounding of w, "
-                    f"so w - lam*B(w) == w while B(w) != 0, as at every smaller step"
+                    f"so w - lam*B(w) == w while B(w) != 0, as at every smaller step",
+                    j - start + 1,
                 )
             # one trial per exponent the search reached
             return LineSearchOutcome(
@@ -366,8 +376,10 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
         raise BacktrackExhausted(
             f"no step accepted down to {steps[-1]:.3e} ({len(steps) - 1} backtracks); "
             f"the acceptance test's norms overflowed in {overflowed} of the {len(steps) - start - certified} trials "
-            f"it read, and the step it needs lies below the smallest trial step"
+            f"it read, and the step it needs lies below the smallest trial step",
+            j - start,
         )
     raise BacktrackExhausted(
-        f"no step accepted down to {steps[-1]:.3e} ({len(steps) - 1} backtracks); the forward map may be discontinuous"
+        f"no step accepted down to {steps[-1]:.3e} ({len(steps) - 1} backtracks); the forward map may be discontinuous",
+        j - start,
     )

@@ -1,7 +1,7 @@
 """Benchmark problem families and constructed test problems.
 
-Three experiment families, each assembled into a forward map, a resolvent
-and an ambient space:
+Three experiment families, each generated as a :class:`Problem`: a forward
+map, a resolvent, an ambient space, a start pair and metadata:
 
 * sparse signal recovery ("cs"): quartic data fidelity ``||Cu - v||^4 / 4``
   plus an l1 penalty, Gaussian sensing matrix, spike signal, noise scaled
@@ -13,13 +13,17 @@ and an ambient space:
   trapezoidal grid over [0, 1], where the zero function solves the
   inclusion exactly.
 
-Reproducibility: the random components of an instance draw from the three
+Reproducibility: the random components of a problem draw from the three
 child streams of one ``numpy.random.SeedSequence(seed).spawn(3)``, in a
 fixed order (0 matrix, 1 spike support and values, 2 noise), each fed to a
-PCG64 generator.  An instance is what its generator returns for a family,
-dimensions and seed: the same seed under the same numpy version rebuilds
-the same instance.  NumPy does not promise ``Generator`` streams across
-its versions (NEP 19), so a frozen copy is ``np.savez`` of its fields.
+PCG64 generator.  A problem is what its generator returns for its
+arguments: the same arguments under the same numpy version rebuild the
+same problem.  NumPy does not promise ``Generator`` streams across its
+versions (NEP 19), and the drawn matrix and data live inside the forward
+map, not in fields that could be saved.  What shows that another numpy
+left the benchmark problems alone is ``tools/digest.py``: it compares the
+hashes of each perfbench panel problem's ``u0``, ``u1``, ``reference``
+and ``forward(u1)`` between two trees.
 """
 
 from __future__ import annotations
@@ -43,9 +47,6 @@ from .spaces import InnerProductSpace, euclidean, trapezoid_unit_interval
 
 __all__ = [
     "Problem",
-    "CompressedSensingInstance",
-    "LpaInstance",
-    "L2Instance",
     "gen_cs",
     "gen_lpa",
     "gen_l2",
@@ -68,9 +69,10 @@ class Problem:
     ``forward`` is ``B`` and ``resolvent`` is ``(x, lam) -> (I + lam*A)^{-1}(x)``,
     as a :class:`ForwardOperator` and a :class:`ResolventOperator` or as
     plain callables, and ``space`` is the ambient space.  A hand-built
-    problem needs only these three: the start pair ``u0``, ``u1`` and the
-    ``family`` tag are what :func:`assemble` and the constructed problems
-    add.
+    problem needs only these three: the start pair ``u0``, ``u1``, the
+    ``family`` tag and the ``metadata`` (the generator's parameters and
+    what it derived from them) are what the generators of
+    :data:`GENERATORS` and the constructed problems add.
 
     ``reference`` is the comparison point for error metrics: the trace's
     squared-distance column, and a ``distance_to_reference`` stop that has
@@ -94,63 +96,16 @@ class Problem:
 
 
 # ---------------------------------------------------------------------------
-# sparse recovery
+# sparse recovery and the l^alpha penalty
 
 
-@dataclass(frozen=True)
-class CompressedSensingInstance:
-    """Underdetermined linear measurements of a spike signal.
+def _spike_measurements(d: int, m: int, l: int, snr_db: float, seed: int):
+    """The measurement recipe of ``gen_cs`` and ``gen_lpa``: ``(C, u_true, clean, v_obs)``.
 
-    ``v_obs = C @ u_true + noise`` with ``C`` i.i.d. standard normal,
-    ``u_true`` holding ``l`` spikes drawn uniformly from [-2, 2], and the
-    noise rescaled so the achieved SNR matches ``snr_db`` exactly
-    (``snr_db = inf`` gives noiseless data).
-    """
-
-    C: np.ndarray
-    u_true: np.ndarray
-    v_obs: np.ndarray
-    rho: float
-    seed: int
-    snr_db: float
-
-    @property
-    def d(self) -> int:
-        return self.C.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def l(self) -> int:
-        return int(np.count_nonzero(self.u_true))
-
-    @property
-    def achieved_snr_db(self) -> float:
-        clean = self.C @ self.u_true
-        noise = self.v_obs - clean
-        p_noise = float(noise @ noise)
-        if p_noise == 0.0:
-            return float("inf")
-        p_signal = float(clean @ clean)
-        return 10.0 * np.log10(p_signal / p_noise)
-
-
-def gen_cs(
-    d: int,
-    m: int,
-    l: int = 10,
-    snr_db: float = 40.0,
-    rho: Optional[float] = None,
-    seed: int = 0,
-) -> CompressedSensingInstance:
-    """Generate a sparse-recovery instance, deterministic in ``seed``.
-
-    ``rho`` defaults to ``0.005 * ||C^T v_obs||_inf``, a standard
-    regularization-path heuristic; pass ``rho = 0.0`` together with
-    ``snr_db = inf`` for the noiseless diagnostic in which the true signal
-    is an exact fixed point of the forward-backward map.
+    ``v_obs = clean + noise`` with ``clean = C @ u_true``, ``C`` i.i.d.
+    standard normal, ``u_true`` holding ``l`` spikes drawn uniformly from
+    [-2, 2], and the noise rescaled so the achieved SNR matches ``snr_db``
+    exactly (``snr_db = inf`` gives noiseless data).
     """
     if not (l <= d and m <= d):
         raise ValueError("need l <= d and m <= d")
@@ -174,40 +129,55 @@ def gen_cs(
         noise = _pcg64(noise_stream).standard_normal(m)
         target = float(clean @ clean) / 10.0 ** (snr_db / 10.0)
         noise *= np.sqrt(target) / np.linalg.norm(noise)
-    v_obs = clean + noise
+    return C, u_true, clean, clean + noise
 
+
+def gen_cs(
+    d: int,
+    m: int,
+    l: int = 10,
+    snr_db: float = 40.0,
+    rho: Optional[float] = None,
+    seed: int = 0,
+) -> Problem:
+    """Generate a sparse-recovery problem, deterministic in ``seed``.
+
+    Quartic fidelity gradient of the measurements ``v_obs = C @ u_true +
+    noise`` plus a soft threshold at ``lam * rho``, in the Euclidean space,
+    started at the zero vector (the usual sparse-recovery starting point),
+    with the true spike signal as its reference.  ``rho`` defaults to
+    ``0.005 * ||C^T v_obs||_inf``, a standard regularization-path heuristic;
+    pass ``rho = 0.0`` together with ``snr_db = inf`` for the noiseless
+    diagnostic in which the true signal is an exact fixed point of the
+    forward-backward map.
+    """
+    C, u_true, clean, v_obs = _spike_measurements(d, m, l, snr_db, seed)
     if rho is None:
         rho = 0.005 * float(np.max(np.abs(C.T @ v_obs)))
-    return CompressedSensingInstance(C, u_true, v_obs, float(rho), seed, float(snr_db))
-
-
-# ---------------------------------------------------------------------------
-# least squares + l^alpha penalty
-
-
-@dataclass(frozen=True)
-class LpaInstance:
-    """Least-squares data with an l^alpha penalty, alpha strictly in (1, 2)."""
-
-    Q: np.ndarray
-    q: np.ndarray
-    mu: float
-    alpha: float
-    rho: float
-    seed: int
-    u_true: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise ValueError("alpha must lie strictly inside (1, 2)")
-
-    @property
-    def d(self) -> int:
-        return self.Q.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.Q.shape[0]
+    rho = float(rho)
+    noise = v_obs - clean
+    p_noise = float(noise @ noise)
+    achieved_snr_db = float("inf")
+    if p_noise != 0.0:
+        achieved_snr_db = 10.0 * np.log10(float(clean @ clean) / p_noise)
+    return Problem(
+        forward=quartic_forward(C, v_obs),
+        resolvent=l1_resolvent(rho),
+        space=euclidean(d),
+        u0=np.zeros(d),
+        u1=np.zeros(d),
+        family="cs",
+        metadata={
+            "d": d,
+            "m": m,
+            "l": l,
+            "rho": rho,
+            "seed": seed,
+            "snr_db": float(snr_db),
+            "achieved_snr_db": achieved_snr_db,
+        },
+        reference=u_true,
+    )
 
 
 def gen_lpa(
@@ -219,39 +189,38 @@ def gen_lpa(
     alpha: float = 1.5,
     rho: float = 0.01,
     seed: int = 0,
-) -> LpaInstance:
-    """Generate an instance with the same measurement recipe as ``gen_cs``.
+) -> Problem:
+    """Generate a least-squares problem with an l^alpha penalty, alpha strictly in (1, 2).
 
-    Defaults ``alpha = 1.5``, ``mu = 0.01``, ``rho = 0.01``.
+    The data ``Q``, ``q`` are the matrix and measurements of ``gen_cs``'s
+    recipe; the forward map is the gradient of the least squares plus
+    ``mu`` times the l^alpha penalty, and the resolvent a soft threshold at
+    ``lam * rho``, started at the zero vector.
     """
-    cs = gen_cs(d, m, l, snr_db=snr_db, rho=1.0, seed=seed)
-    return LpaInstance(
-        Q=cs.C,
-        q=cs.v_obs,
-        mu=float(mu),
-        alpha=float(alpha),
-        rho=float(rho),
-        seed=seed,
-        u_true=cs.u_true,
+    if not 1.0 < alpha < 2.0:
+        raise ValueError("alpha must lie strictly inside (1, 2)")
+    mu, alpha, rho = float(mu), float(alpha), float(rho)
+    Q, _, _, q = _spike_measurements(d, m, l, snr_db, seed)
+    return Problem(
+        forward=lpa_forward(Q, q, mu, alpha),
+        resolvent=l1_resolvent(rho),
+        space=euclidean(d),
+        u0=np.zeros(d),
+        u1=np.zeros(d),
+        family="lpa",
+        metadata={
+            "d": d,
+            "m": m,
+            "mu": mu,
+            "alpha": alpha,
+            "rho": rho,
+            "seed": seed,
+        },
     )
 
 
 # ---------------------------------------------------------------------------
 # discretized integral space
-
-
-@dataclass(frozen=True)
-class L2Instance:
-    """Initial pair on a trapezoidal grid over [0, 1]; the zero function solves it."""
-
-    n: int
-    case_id: int
-    u0: np.ndarray
-    u1: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("n must be at least 3")
 
 
 def _f_a(t):
@@ -286,82 +255,57 @@ def table_initials(case_id: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return first(t), second(t)
 
 
-def gen_l2(case_id: int = 1, n: int = 1001) -> L2Instance:
-    u0, u1 = table_initials(case_id, n)
-    return L2Instance(n=n, case_id=case_id, u0=u0, u1=u1)
+def gen_l2(case_id: int = 1, n: int = 1001) -> Problem:
+    """The integral-space problem started at table case ``case_id`` on the uniform n-grid.
 
-
-# ---------------------------------------------------------------------------
-# assembly
-
-
-def assemble(instance) -> Problem:
-    """Build the solver-facing problem for any generated instance.
-
-    * sparse recovery: quartic fidelity gradient + soft threshold at
-      ``lam * rho``, Euclidean space, reference = the true spike signal;
-    * l^alpha penalty: its gradient + soft threshold at ``lam * rho``;
-    * integral space: ``u*log(1+|u|)`` + pointwise soft threshold at
-      ``lam`` under the trapezoidal inner product.  The quadrature weights
-      cancel coordinatewise in that proximal map on a uniform grid, so the
-      plain soft threshold is exact; the reference solution is zero.
+    ``u*log(1+|u|)`` plus a pointwise soft threshold at ``lam`` under the
+    trapezoidal inner product.  The quadrature weights cancel
+    coordinatewise in that proximal map on a uniform grid, so the plain
+    soft threshold is exact; the zero function solves the inclusion.
     """
-    if isinstance(instance, CompressedSensingInstance):
-        d = instance.d
-        # benchmark initialization: the zero vector, the usual sparse-recovery
-        # starting point
-        return Problem(
-            forward=quartic_forward(instance.C, instance.v_obs),
-            resolvent=l1_resolvent(instance.rho),
-            space=euclidean(d),
-            u0=np.zeros(d),
-            u1=np.zeros(d),
-            family="cs",
-            metadata={
-                "d": d,
-                "m": instance.m,
-                "l": instance.l,
-                "rho": instance.rho,
-                "seed": instance.seed,
-                "snr_db": instance.snr_db,
-                "achieved_snr_db": instance.achieved_snr_db,
-            },
-            reference=instance.u_true.copy(),
-        )
-    if isinstance(instance, LpaInstance):
-        return Problem(
-            forward=lpa_forward(instance.Q, instance.q, instance.mu, instance.alpha),
-            resolvent=l1_resolvent(instance.rho),
-            space=euclidean(instance.d),
-            u0=np.zeros(instance.d),
-            u1=np.zeros(instance.d),
-            family="lpa",
-            metadata={
-                "d": instance.d,
-                "m": instance.m,
-                "mu": instance.mu,
-                "alpha": instance.alpha,
-                "rho": instance.rho,
-                "seed": instance.seed,
-            },
-        )
-    if isinstance(instance, L2Instance):
-        return Problem(
-            forward=log_forward(),
-            resolvent=l1_resolvent(1.0),
-            space=trapezoid_unit_interval(instance.n),
-            u0=instance.u0.copy(),
-            u1=instance.u1.copy(),
-            family="l2",
-            metadata={"n": instance.n, "case_id": instance.case_id},
-            reference=np.zeros(instance.n),
-            reference_is_solution=True,
-        )
-    raise TypeError(f"cannot assemble {type(instance).__name__}")
+    u0, u1 = table_initials(case_id, n)
+    return Problem(
+        forward=log_forward(),
+        resolvent=l1_resolvent(1.0),
+        space=trapezoid_unit_interval(n),
+        u0=u0,
+        u1=u1,
+        family="l2",
+        metadata={"n": n, "case_id": case_id},
+        reference=np.zeros(n),
+        reference_is_solution=True,
+    )
+
+
+def assemble(problem) -> Problem:
+    """Return ``problem``, which every generator already builds; raise ``TypeError`` on anything else.
+
+    Kept for the two-step callers ``perfbench/panel.py`` still makes.
+    """
+    if not isinstance(problem, Problem):
+        raise TypeError(f"cannot assemble {type(problem).__name__}")
+    return problem
 
 
 # ---------------------------------------------------------------------------
 # constructed test problems with a known solution
+
+
+def _zero_solved(u_start, forward, resolvent, family: str, **metadata) -> Problem:
+    """A Euclidean problem started at ``u0 = u1 = u_start`` whose exact solution is zero."""
+    u = np.asarray(u_start, dtype=float)
+    d = len(u)
+    return Problem(
+        forward=forward,
+        resolvent=resolvent,
+        space=euclidean(d),
+        u0=u.copy(),
+        u1=u.copy(),
+        family=family,
+        metadata={"d": d, **metadata},
+        reference=np.zeros(d),
+        reference_is_solution=True,
+    )
 
 
 def cubic_problem(u_start=(2.0, -2.0), rho: float = 1.0) -> Problem:
@@ -370,19 +314,7 @@ def cubic_problem(u_start=(2.0, -2.0), rho: float = 1.0) -> Problem:
     The cubic map is monotone and continuous but has no global Lipschitz
     constant, and ``0`` belongs to ``B(0) + rho*[-1, 1]^d``.
     """
-    u = np.asarray(u_start, dtype=float)
-    d = len(u)
-    return Problem(
-        forward=cubic_forward(),
-        resolvent=l1_resolvent(rho),
-        space=euclidean(d),
-        u0=u.copy(),
-        u1=u.copy(),
-        family="cubic",
-        metadata={"d": d, "rho": rho},
-        reference=np.zeros(d),
-        reference_is_solution=True,
-    )
+    return _zero_solved(u_start, cubic_forward(), l1_resolvent(rho), "cubic", rho=rho)
 
 
 def strongly_monotone_problem(
@@ -393,19 +325,7 @@ def strongly_monotone_problem(
     The set-valued part is ``beta``-strongly monotone, which upgrades the
     convergence of the contraction solver to a linear rate.
     """
-    u = np.asarray(u_start, dtype=float)
-    d = len(u)
-    return Problem(
-        forward=log_forward(),
-        resolvent=shifted_l1_resolvent(rho, beta),
-        space=euclidean(d),
-        u0=u.copy(),
-        u1=u.copy(),
-        family="strong",
-        metadata={"d": d, "rho": rho, "beta": beta},
-        reference=np.zeros(d),
-        reference_is_solution=True,
-    )
+    return _zero_solved(u_start, log_forward(), shifted_l1_resolvent(rho, beta), "strong", rho=rho, beta=beta)
 
 
 # ---------------------------------------------------------------------------

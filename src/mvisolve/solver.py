@@ -304,7 +304,12 @@ class IterationRecord:
 
 
 class IterationTrace:
-    """Append-only per-iteration log shared by every solver in the package."""
+    """Append-only per-iteration log shared by every solver in the package.
+
+    The evaluation totals also count a last search that accepted no step
+    (status ``backtrack_exhausted``): it made no record, but its
+    evaluations were spent.
+    """
 
     def __init__(self, method: str, labels: Optional[dict] = None):
         self.method = method
@@ -313,6 +318,8 @@ class IterationTrace:
         self.status: TerminalStatus = TerminalStatus.ITER_CAP
         self.violations = {"delta_bound": 0, "phi_sandwich": 0, "fejer": 0}
         self.invariants_checked = False
+        # the evaluations of a search that ended the run without a record
+        self._unrecorded = (0, 0)
 
     def append(self, record: IterationRecord) -> None:
         self.records.append(record)
@@ -342,11 +349,11 @@ class IterationTrace:
 
     @property
     def total_forward_evals(self) -> int:
-        return sum(r.forward_evals for r in self.records)
+        return sum(r.forward_evals for r in self.records) + self._unrecorded[0]
 
     @property
     def total_resolvent_evals(self) -> int:
-        return sum(r.resolvent_evals for r in self.records)
+        return sum(r.resolvent_evals for r in self.records) + self._unrecorded[1]
 
     @property
     def total_certified(self) -> int:
@@ -738,8 +745,9 @@ def _drive(
             t0 = clock()
             try:
                 u_next, out = step(k, u_prev, u_curr, problem)
-            except BacktrackExhausted:
+            except BacktrackExhausted as exc:
                 trace.status = TerminalStatus.BACKTRACK_EXHAUSTED
+                trace._unrecorded = (exc.forward_evals, exc.resolvent_evals)
                 break
             except (NonFiniteIterate, DivergenceError):
                 trace.status = TerminalStatus.DIVERGED
@@ -788,7 +796,7 @@ def solve(
     Parameters
     ----------
     problem : Problem
-        A hand-built :class:`~mvisolve.problems.Problem` or an assembled
+        A hand-built :class:`~mvisolve.problems.Problem` or a generated
         benchmark one.  Its ``reference`` is the default point of the
         trace's squared-distance column (e.g. the true signal of a
         recovery problem); when ``reference_is_solution`` marks it as an

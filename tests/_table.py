@@ -1,15 +1,15 @@
 """Every method of the method table: one step of it, as ``solve`` and ``run_baseline`` take it, or a whole run."""
 
 from mvisolve.baselines import SETTINGS, BaselineConfig, run_baseline
-from mvisolve.problems import Problem, assemble, gen_cs, gen_l2, gen_lpa
+from mvisolve.problems import Problem, gen_cs, gen_l2, gen_lpa
 from mvisolve.solver import SolverConfig, StoppingRule, _step, solve
 from mvisolve.spaces import euclidean
 
 #: a small instance of each benchmark family
 SMALL_PROBLEMS = {
-    "cs": lambda: assemble(gen_cs(32, 16, 3, seed=1)),
-    "lpa": lambda: assemble(gen_lpa(32, 16, 3, seed=1)),
-    "l2": lambda: assemble(gen_l2(1, 101)),
+    "cs": lambda: gen_cs(32, 16, 3, seed=1),
+    "lpa": lambda: gen_lpa(32, 16, 3, seed=1),
+    "l2": lambda: gen_l2(1, 101),
 }
 
 

@@ -24,7 +24,7 @@ from mvisolve.operators import (
     zero_forward,
 )
 from mvisolve.problems import (
-    assemble,
+    _spike_measurements,
     cubic_problem,
     gen_cs,
     gen_l2,
@@ -87,8 +87,8 @@ def test_criterion_2_fejer_decrease():
     failures = 0
     runs = 0
     for prob, tol, iters in (
-        (assemble(gen_l2(1, 1001)), 1e-12, 400),
-        (assemble(gen_l2(4, 1001)), 1e-12, 400),
+        (gen_l2(1, 1001), 1e-12, 400),
+        (gen_l2(4, 1001), 1e-12, 400),
         (cubic_problem((2.0, -2.0)), None, 400),
     ):
         stop = (
@@ -108,7 +108,7 @@ def test_criterion_2_fejer_decrease():
 
 def test_criterion_3_sublinear_rate():
     """Residual decay slope at most -0.35 on the 128-dim recovery problem."""
-    prob = assemble(gen_cs(128, 64, 5, snr_db=40.0, seed=1))
+    prob = gen_cs(128, 64, 5, snr_db=40.0, seed=1)
     cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=220)
     _, tr = solve(prob, prob.u0, prob.u1, cfg)
     assert tr.iterations >= 200
@@ -210,16 +210,17 @@ def test_criterion_5_ordering_against_baselines():
     oracle_counts = []
     ordering_ok = 0
     for seed in range(1, 11):
-        inst = gen_cs(512, 256, 10, snr_db=40.0, seed=seed)
-        prob = assemble(inst)
+        prob = gen_cs(512, 256, 10, snr_db=40.0, seed=seed)
         stop = StoppingRule("distance_to_reference", 1e-2, reference=prob.reference)
         cfg = SolverConfig(stop=stop, max_iters=budget)
         _, tr_ifb = solve(prob, prob.u0, prob.u1, cfg)
         converged = tr_ifb.status is TerminalStatus.CONVERGED
         n_ifb = tr_ifb.iterations if converged else None
         ifb_counts.append(n_ifb)
+        # the oracle's inputs are the arrays the generator drew, not read back from the problem
+        C, u_true, _, v_obs = _spike_measurements(512, 256, 10, 40.0, seed)
         oracle_counts.append(
-            contraction_crossing(inst.C, inst.v_obs, inst.rho, inst.u_true, tol=1e-2, max_iters=budget)
+            contraction_crossing(C, v_obs, prob.metadata["rho"], u_true, tol=1e-2, max_iters=budget)
         )
 
         # a seed counts only if the contraction solver reaches the target;

@@ -17,7 +17,7 @@ from mvisolve.operators import (
     linear_forward,
     zero_forward,
 )
-from mvisolve.problems import Problem, assemble, gen_cs
+from mvisolve.problems import Problem, gen_cs
 from mvisolve.solver import (
     _METHODS,
     _PHI_ZERO_TOL,
@@ -69,7 +69,7 @@ class TestFB:
         # the quartic map's local Lipschitz constant grows like ||r||^2: from
         # 3*d a fixed step of 1e-4 overflows B within a few iterations, which
         # must end the run as diverged rather than leak an overflow warning
-        problem = assemble(gen_cs(512, 256, seed=1))
+        problem = gen_cs(512, 256, seed=1)
         d = np.random.default_rng(0).standard_normal(512)
         u = 3.0 * d / np.linalg.norm(d)
         stop = StoppingRule("distance_to_reference", 1e-2, reference=problem.reference)

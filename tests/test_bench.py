@@ -269,8 +269,8 @@ class TestRun:
     def test_l2_cell_without_n_is_named_after_its_instance(self, tmp_path):
         spec = RunSpec.from_dict(_tiny_spec(tmp_path, problems=[{"family": "l2", "cases": [2]}]))
         (cell,) = spec.problems
-        instance = GENERATORS[cell.family](**cell.params)
-        assert cell.cell_id == f"l2-case{instance.case_id}-n{instance.n}"
+        problem = GENERATORS[cell.family](**cell.params)
+        assert cell.cell_id == f"l2-case{problem.metadata['case_id']}-n{problem.metadata['n']}"
 
     def test_mode_labels_reported(self, tmp_path):
         raw = _tiny_spec(

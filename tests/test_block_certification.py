@@ -34,7 +34,7 @@ from _cases import mu_with_cap
 from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import BacktrackExhausted, LineSearchParams, NonFiniteIterate, backtrack
 from mvisolve.operators import ForwardOperator, ResolventOperator, l1_resolvent, quartic_forward
-from mvisolve.problems import assemble, gen_l2
+from mvisolve.problems import gen_l2
 from mvisolve.solver import SolverConfig, StoppingRule, solve
 from mvisolve.spaces import _rounding_gamma
 
@@ -451,7 +451,7 @@ def test_restarting_ifb_records_speculative_rows_and_warm_ifb_none():
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4])
 def test_integral_cells_record_no_speculative_rows(case):
-    problem = assemble(gen_l2(case, 1001))
+    problem = gen_l2(case, 1001)
     stop = StoppingRule("successive_diff", 1e-12)
     for _, options in L2_SOLVERS:
         options = dict(options)

@@ -26,7 +26,7 @@ from _cases import mu_with_cap
 from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchParams, NonFiniteIterate, backtrack
 from mvisolve.operators import ForwardOperator, ForwardSplit, quartic_fidelity_gradient, quartic_forward
-from mvisolve.problems import assemble, gen_cs, gen_l2, gen_lpa
+from mvisolve.problems import _spike_measurements, gen_cs, gen_l2, gen_lpa
 from mvisolve.solver import IterationRecord, SolverConfig, StoppingRule, solve
 from mvisolve.spaces import InnerProductSpace, euclidean
 
@@ -34,7 +34,7 @@ from test_shared_quantities import SOLVERS, CountingSpace
 
 
 def _cs512():
-    return assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
+    return gen_cs(512, 256, 10, snr_db=40.0, seed=1)
 
 
 def _opaque(problem):
@@ -113,13 +113,15 @@ def _vectors(rng, n):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_finish_of_first_is_the_one_pass_map_bitwise(seed):
-    inst = gen_cs(512, 256, 10, snr_db=40.0, seed=seed)
-    fwd = quartic_forward(inst.C, inst.v_obs)
+    C, _, _, v_obs = _spike_measurements(512, 256, 10, 40.0, seed)
+    fwd = quartic_forward(C, v_obs)
+    generated = gen_cs(512, 256, 10, snr_db=40.0, seed=seed).forward
     rng = np.random.default_rng(seed)
     for u in _vectors(rng, 512):
-        expected = quartic_fidelity_gradient(inst.C, inst.v_obs, u)
+        expected = quartic_fidelity_gradient(C, v_obs, u)
         assert fwd.split.finish(u, fwd.split.first(u)).tobytes() == expected.tobytes()
         assert fwd(u).tobytes() == expected.tobytes()
+        assert generated(u).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,7 @@ def test_forward_maps_without_a_split_take_the_opaque_path():
     assert bare.split is None
     _, trace = _ifb(dataclasses.replace(problem, forward=bare), problem.space)
     assert trace.total_certified == 0
-    assert assemble(gen_lpa(512, 256, 10, seed=1)).forward.split is None
+    assert gen_lpa(512, 256, 10, seed=1).forward.split is None
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +379,7 @@ L2_SOLVERS = [
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4])
 def test_integral_cells_record_no_certified_trials(case):
-    problem = assemble(gen_l2(case, 1001))
+    problem = gen_l2(case, 1001)
     stop = StoppingRule("successive_diff", 1e-12)
     for _, options in L2_SOLVERS:
         options = dict(options)

@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import digest  # noqa: E402
 
-from mvisolve.problems import assemble, cubic_problem, gen_l2, gen_lpa  # noqa: E402
+from mvisolve.problems import cubic_problem, gen_l2, gen_lpa  # noqa: E402
 from mvisolve.solver import SolverConfig, StoppingRule, solve  # noqa: E402
 
 COLUMNS = ["lam", "res_wv", "forward_evals"]
@@ -78,7 +78,7 @@ def test_parse_args():
 
 
 def test_problem_digest_records_the_set_up_each_array_and_the_metadata():
-    problem = assemble(gen_l2(1, 11))
+    problem = gen_l2(1, 11)
     got = digest.problem_digest(problem, array_equal=False)
     assert got == {
         "family": "l2",
@@ -91,9 +91,9 @@ def test_problem_digest_records_the_set_up_each_array_and_the_metadata():
         "metadata.case_id": "1",
     }
     # another case's starting pair, or another operator's data, digests apart
-    other = digest.problem_digest(assemble(gen_l2(2, 11)), array_equal=False)
+    other = digest.problem_digest(gen_l2(2, 11), array_equal=False)
     assert other["u0"] != got["u0"] and other["u1"] != got["u1"] and other["reference"] == got["reference"]
-    lpa, lpa_seed = (digest.problem_digest(assemble(gen_lpa(16, 8, 2, seed=s)), False) for s in (0, 1))
+    lpa, lpa_seed = (digest.problem_digest(gen_lpa(16, 8, 2, seed=s), False) for s in (0, 1))
     assert lpa["reference"] is None and lpa["u1"] == lpa_seed["u1"]
     assert lpa["forward(u1)"] != lpa_seed["forward(u1)"] and lpa["metadata.seed"] == "0"
 

@@ -38,7 +38,7 @@ import pytest
 
 from _table import one_step
 from mvisolve.bench import emit_convergence_csv, read_trace_csv
-from mvisolve.problems import assemble, gen_cs, gen_l2, strongly_monotone_problem
+from mvisolve.problems import gen_cs, gen_l2, strongly_monotone_problem
 from mvisolve.solver import SolverConfig, StoppingRule, TerminalStatus, solve
 
 _U = 2.0**-53
@@ -62,7 +62,7 @@ def _check_membership(prob, rho, max_steps):
 
 
 def test_cs512_points_are_exact_l1_resolvent_points():
-    prob = assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
+    prob = gen_cs(512, 256, 10, snr_db=40.0, seed=1)
     steps, out = _check_membership(prob, prob.metadata["rho"], 200)
     assert steps == 200 and not out.phizero
     assert 0 < np.count_nonzero(out.point.v) < 512  # both branches were checked
@@ -71,7 +71,7 @@ def test_cs512_points_are_exact_l1_resolvent_points():
 def test_l2_case1_points_are_exact_l1_resolvent_points_to_phi_zero():
     # l2's resolvent is the plain soft threshold at lam (rho = 1): the
     # quadrature weights cancel coordinatewise
-    steps, out = _check_membership(assemble(gen_l2(1)), 1.0, 2000)
+    steps, out = _check_membership(gen_l2(1), 1.0, 2000)
     assert out.phizero, steps
 
 

@@ -22,7 +22,7 @@ from mvisolve.operators import (
 )
 from _table import one_step
 from mvisolve.baselines import BaselineConfig
-from mvisolve.problems import Problem, assemble, gen_cs
+from mvisolve.problems import Problem, gen_cs
 from mvisolve.solver import SolverConfig, StoppingRule, TerminalStatus, solve
 from mvisolve.spaces import euclidean
 
@@ -124,6 +124,8 @@ def test_a_step_that_rounds_away_in_w_is_not_accepted():
     u, trace = solve(Problem(identity_forward(), identity_resolvent(), euclidean(1)), w, w, SolverConfig(linesearch=p))
     assert trace.status is TerminalStatus.BACKTRACK_EXHAUSTED
     assert trace.iterations == 0 and u.tobytes() == w.tobytes()
+    # no record, but the search's B(w) and its 55 trials count
+    assert (trace.total_forward_evals, trace.total_resolvent_evals) == (56, 55)
 
 
 def test_a_zero_residual_whose_step_shows_in_w_is_accepted():
@@ -196,10 +198,41 @@ def test_discontinuous_forward_exhausts():
         backtrack(np.array([0.0]), fwd, identity_resolvent(), p)
 
 
+def _discontinuous(u):
+    return np.where(u > 0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "forward, w, params, j_start, counts",
+    [
+        # the loop's end: B(w) and 41 trials, or 36 from j = 5
+        (_discontinuous, [0.0], LineSearchParams(s=1.0, mu=mu_with_cap(40), sigma=0.9), 0, (42, 41)),
+        (_discontinuous, [0.0], LineSearchParams(s=1.0, mu=mu_with_cap(40), sigma=0.9), 5, (37, 36)),
+        # the rounding exit, at the trial j = 54 that it reads
+        (lambda u: u, [1.0], LineSearchParams(sigma=1e-20), 0, (56, 55)),
+    ],
+    ids=["discontinuous", "discontinuous-from-5", "rounding"],
+)
+def test_an_exhausted_search_carries_its_evaluations(forward, w, params, j_start, counts):
+    calls = [0, 0]
+
+    def counted_forward(u):
+        calls[0] += 1
+        return forward(u)
+
+    def counted_resolvent(x, lam):
+        calls[1] += 1
+        return x
+
+    with pytest.raises(BacktrackExhausted) as info:
+        backtrack(np.array(w), counted_forward, counted_resolvent, params, j_start=j_start)
+    assert (info.value.forward_evals, info.value.resolvent_evals) == tuple(calls) == counts
+
+
 def test_slow_mu_searches_down_to_the_smallest_step_on_cs512():
     # cs-512 accepts steps below 0.9**60 ~ 1.8e-3, so a search that stopped
     # after 60 backtracks would fail at k = 1; at mu=0.9 it runs to 0.9**395
-    prob = assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
+    prob = gen_cs(512, 256, 10, snr_db=40.0, seed=1)
     cfg = SolverConfig(
         linesearch=LineSearchParams(mu=0.9),
         stop=StoppingRule("distance_to_reference", 1e-2, reference=prob.reference),
@@ -219,7 +252,7 @@ def test_exhaustion_by_overflowed_norms_names_the_overflow(split):
     # 52 trials, and the last 9 read finite norms and still reject (at
     # j = 60, lam*||B(w) - B(v)|| is about 5.8e128 against
     # sigma*||w - v|| of 8.4e46): the map is continuous, only steep there
-    prob = assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1))
+    prob = gen_cs(512, 256, 10, snr_db=40.0, seed=1)
     d = np.random.default_rng(0).standard_normal(512)
     w = 1e20 * d / np.linalg.norm(d)
     forward = prob.forward if split else prob.forward.fn

@@ -18,7 +18,7 @@ from _table import one_step
 from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchParams, backtrack
 from mvisolve.operators import ResolventOperator, identity_resolvent, quartic_forward
-from mvisolve.problems import assemble, gen_cs, gen_l2
+from mvisolve.problems import gen_cs, gen_l2
 from mvisolve.solver import SolverConfig, StoppingRule, solve
 
 U = np.array([1.0, -2.0, 0.5, 3.0])
@@ -86,7 +86,7 @@ def test_fb_names_operator_values_of_the_wrong_shape(value, shape):
 def test_solvers_raise_on_a_scalar_resolvent_instead_of_running_to_the_cap(family):
     # on l2 the scalar used to broadcast through every elementwise operation
     # and ifb ended at its iteration cap; on cs it failed inside a GEMV
-    problem = assemble(gen_l2(1, 21) if family == "l2" else gen_cs(21, 16, 3, snr_db=40.0, seed=1))
+    problem = gen_l2(1, 21) if family == "l2" else gen_cs(21, 16, 3, snr_db=40.0, seed=1)
     resolvent = problem.resolvent
     bad = dataclasses.replace(problem, resolvent=lambda x, lam: float(resolvent(x, lam)[0]))
     stop = StoppingRule("iter_cap_only")

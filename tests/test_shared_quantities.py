@@ -35,7 +35,7 @@ from _table import one_step
 from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchOutcome, LineSearchParams, NonFiniteIterate, _require_finite, backtrack
 from mvisolve.operators import box_resolvent, identity_resolvent, l1_resolvent, zero_forward
-from mvisolve.problems import Problem, assemble, cubic_problem, gen_cs, gen_l2, strongly_monotone_problem
+from mvisolve.problems import Problem, cubic_problem, gen_cs, gen_l2, strongly_monotone_problem
 from mvisolve.solver import (
     _PHI_ZERO_TOL,
     DivergenceError,
@@ -297,7 +297,7 @@ class TestViolationControls:
 
 
 def test_checked_ifb_iteration_on_the_integral_problem_uses_at_most_8_inner_products():
-    problem = assemble(gen_l2(1))
+    problem = gen_l2(1)
     space = CountingSpace(problem.space)
     cfg = SolverConfig(stop=StoppingRule("successive_diff", 1e-12), max_iters=600, check_invariants=True)
     _, trace = solve(dataclasses.replace(problem, space=space), problem.u0, problem.u1, cfg)
@@ -311,7 +311,7 @@ def test_checked_ifb_iteration_on_the_integral_problem_uses_at_most_8_inner_prod
 
 
 def test_fb_iteration_on_the_integral_problem_uses_2_inner_products():
-    problem = assemble(gen_l2(1))
+    problem = gen_l2(1)
     space = CountingSpace(problem.space)
     stop = StoppingRule("iter_cap_only")
     _, trace = run_baseline(BaselineConfig("fb"), dataclasses.replace(problem, space=space), problem.u0, problem.u1, stop, 2)
@@ -334,7 +334,7 @@ class VdotCounter:
 
 
 def test_checked_ifb_run_on_the_integral_problem_makes_at_most_5_finiteness_scans_per_iteration(monkeypatch):
-    problem = assemble(gen_l2(1))
+    problem = gen_l2(1)
     cfg = SolverConfig(stop=StoppingRule("successive_diff", 1e-12), max_iters=600, check_invariants=True)
     scans = VdotCounter(np.vdot)
     monkeypatch.setattr(np, "vdot", scans)  # after the problem is built: only the run counts
@@ -352,7 +352,7 @@ def test_checked_ifb_run_on_the_integral_problem_makes_at_most_5_finiteness_scan
 def test_fejer_check_counts_an_over_relaxed_update_on_the_integral_problem(scale):
     # u* = 0 here, so the decrease check must judge a step relative to
     # ||w - u*||^2: near the solution every term it compares is small
-    problem = assemble(gen_l2(1))
+    problem = gen_l2(1)
     cfg = SolverConfig(stop=StoppingRule("iter_cap_only"), max_iters=140, check_invariants=True)
 
     def over_relaxed(k, up, uc, problem):
@@ -407,7 +407,7 @@ def test_errstate_is_entered_once_per_run_and_block(name, monkeypatch):
     if name == "ifb-cs-512":  # restarting searches, each taking blocks
         problem, stop, max_iters = INSTANCES["cs-512-seed1"][0](), StoppingRule("iter_cap_only"), 20
     else:
-        problem, stop, max_iters = assemble(gen_l2(1)), StoppingRule("successive_diff", 1e-12), 600
+        problem, stop, max_iters = gen_l2(1), StoppingRule("successive_diff", 1e-12), 600
     monkeypatch.setattr(linesearch, "_block_rejections", counted)
     errstate = _count_errstate(monkeypatch)
     _, trace = _solve(name.removesuffix("-cs-512"), problem, problem.u0, problem.u1, stop, max_iters, True)
@@ -493,7 +493,7 @@ def test_vanishing_verdict_is_the_exact_test(name):
 def test_a_duck_typed_space_takes_the_inner_products_of_the_space_it_wraps(name, monkeypatch):
     # a tracing wrapper forwards inner, norm and norm2 and nothing private,
     # so it must see every product the space itself computes in a run
-    problem = assemble(gen_l2(1))
+    problem = gen_l2(1)
     stop = StoppingRule("successive_diff", 1e-12)
     duck = CountingSpace(problem.space)
     u_duck, trace_duck = _solve(name, dataclasses.replace(problem, space=duck), problem.u0, problem.u1, stop, 600, True)
@@ -584,8 +584,8 @@ SOLVERS = {
 }
 
 INSTANCES = {
-    "l2-case1": (lambda: assemble(gen_l2(1)), "successive_diff", 1e-12, 600),
-    "cs-512-seed1": (lambda: assemble(gen_cs(512, 256, 10, snr_db=40.0, seed=1)), "distance_to_reference", 1e-2, 60),
+    "l2-case1": (lambda: gen_l2(1), "successive_diff", 1e-12, 600),
+    "cs-512-seed1": (lambda: gen_cs(512, 256, 10, snr_db=40.0, seed=1), "distance_to_reference", 1e-2, 60),
 }
 
 
@@ -649,6 +649,34 @@ def test_a_run_started_far_out_ends_with_a_named_status_and_no_warning(name, rad
     searches = radius == 1e20 and name not in ("fb", "zw")  # zw's default is the schedule step
     assert trace.status is (TerminalStatus.BACKTRACK_EXHAUSTED if searches else TerminalStatus.DIVERGED)
     assert trace.total_violations == 0
+
+
+@pytest.mark.parametrize("name", [name for name in SOLVERS if name not in ("fb", "zw")])
+def test_a_search_that_ends_the_run_counts_in_its_totals(name, cs_512):
+    # from 1e20*d every Armijo search exhausts at the first iteration: the
+    # run makes no record, but the totals count the search's evaluations
+    calls = {"forward": 0, "resolvent": 0}
+
+    def forward(u):
+        calls["forward"] += 1
+        return cs_512.forward(u)
+
+    def resolvent(x, lam):
+        calls["resolvent"] += 1
+        return cs_512.resolvent(x, lam)
+
+    d = np.random.default_rng(0).standard_normal(512)
+    u = 1e20 * d / np.linalg.norm(d)
+    stop = StoppingRule("distance_to_reference", 1e-2, reference=cs_512.reference)
+    counted = dataclasses.replace(cs_512, forward=forward, resolvent=resolvent)
+    _, trace = _solve(name, counted, u, u, stop, 50, True)
+    assert trace.status is TerminalStatus.BACKTRACK_EXHAUSTED and trace.iterations == 0
+    assert (trace.total_forward_evals, trace.total_resolvent_evals) == (calls["forward"], calls["resolvent"])
+    assert calls == {"forward": 62, "resolvent": 61}
+    # the split and block paths count the trials they reach alike
+    _, split = _solve(name, cs_512, u, u, stop, 50, True)
+    assert split.status is TerminalStatus.BACKTRACK_EXHAUSTED and split.iterations == 0
+    assert (split.total_forward_evals, split.total_resolvent_evals) == (62, 61)
 
 
 class OperatorFailure(Exception):

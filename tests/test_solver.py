@@ -335,9 +335,9 @@ class TestSolutionCertificate:
         # end-to-end pipeline check: drive the sparse-recovery problem to a
         # tight fixed-point residual, then certify the subgradient condition
         # of the underlying objective coordinate by coordinate
-        from mvisolve.problems import assemble, gen_cs
+        from mvisolve.problems import gen_cs
 
-        prob = assemble(gen_cs(64, 32, 4, snr_db=40.0, seed=6))
+        prob = gen_cs(64, 32, 4, snr_db=40.0, seed=6)
         rho = prob.metadata["rho"]
         cfg = SolverConfig(stop=StoppingRule("residual", 1e-12), max_iters=3000)
         uf, tr = solve(prob, prob.u0, prob.u1, cfg)

@@ -97,6 +97,29 @@ def copy_worktree(root: Path, dest: Path) -> None:
         shutil.copy2(source, target)
 
 
+def prepare_trees(tmp: Path, refs: dict, export_ref) -> dict:
+    """Put each side's tree in ``tmp/<side>``, printing one line per side; returns ``{side: (tree, sha)}``.
+
+    ``refs`` maps a side to its git ref, exported there by ``export_ref``,
+    or to ``None`` for a copy of the working tree, whose sha is the commit
+    checked out under it.  Callers pass their module's name for
+    :func:`export`, so that a test can stand one in.
+    """
+    out = {}
+    for side, ref in refs.items():
+        tree = tmp / side
+        tree.mkdir()
+        if ref is None:
+            copy_worktree(ROOT, tree)
+            sha = commit_of("HEAD")
+            print(f"{side}: copy of the working tree {ROOT}")
+        else:
+            sha = export_ref(ref, tree)
+            print(f"{side}: {ref} = {sha}")
+        out[side] = tree, sha
+    return out
+
+
 def tree_hash(tree: Path) -> str:
     """The git tree hash of the files under ``tree``, as ``git add -A`` would stage them.
 
@@ -209,20 +232,12 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    sides = {}
+    refs = {"base": args.base, "head": args.head}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        trees = {}
-        for side, ref in (("base", args.base), ("head", args.head)):
-            trees[side] = Path(tmp) / side
-            trees[side].mkdir()
-            if ref is None:
-                copy_worktree(ROOT, trees[side])
-                sides[side] = {"ref": None, "sha": commit_of("HEAD")}
-                print(f"{side}: copy of the working tree {ROOT}")
-            else:
-                sides[side] = {"ref": ref, "sha": export(ref, trees[side])}
-                print(f"{side}: {ref} = {sides[side]['sha']}")
-            sides[side]["tree"] = tree_hash(trees[side])
+        trees, sides = {}, {}
+        for side, (tree, sha) in prepare_trees(Path(tmp), refs, export).items():
+            trees[side] = tree
+            sides[side] = {"ref": refs[side], "sha": sha, "tree": tree_hash(tree)}
         results = {"base": [], "head": []}
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")

@@ -51,7 +51,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ab import ROOT, copy_worktree, export, last_json
+from ab import export, last_json, prepare_trees
 
 #: the trace column that is a wall time, not a result
 TIMING_COLUMN = "elapsed_ns"
@@ -196,16 +196,8 @@ def main(argv=None) -> int:
         print(json.dumps(digest_tree(args.tree.resolve(), workloads, args.seeds, args.array_equal), sort_keys=True))
         return 0
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
-        digests = {}
-        for side, ref in (("base", args.base), ("head", args.head)):
-            tree = Path(tmp) / side
-            tree.mkdir()
-            if ref is None:
-                copy_worktree(ROOT, tree)
-                print(f"{side}: copy of the working tree {ROOT}")
-            else:
-                print(f"{side}: {ref} = {export(ref, tree)}")
-            digests[side] = run_tree(tree, args)
+        trees = prepare_trees(Path(tmp), {"base": args.base, "head": args.head}, export)
+        digests = {side: run_tree(tree, args) for side, (tree, _) in trees.items()}
     if digests["base"] is None or digests["head"] is None:
         return 1
     differing = 0
