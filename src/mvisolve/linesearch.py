@@ -34,24 +34,28 @@ __all__ = [
 class BacktrackExhausted(RuntimeError):
     """The acceptance inequality failed for every trial step down to ``s * 2**-60``.
 
-    On valid inputs the search is guaranteed finite, so exhaustion signals
-    a discontinuous forward map.  When some trial's test overflowed (far
-    from the origin ``||B(w) - B(v)||`` can), the message says so instead:
-    the step the test needs lies below the smallest trial step.  The search
-    also ends here, with its own message, at a trial whose ``lam*B(w)``
-    falls below the rounding of ``w``: ``w - lam*B(w)`` then equals ``w``
-    while ``B(w) != 0``, so the test compares nothing about ``B``, and
-    every smaller step does the same.
+    For a continuous ``B`` the search is finite in exact arithmetic, but the
+    step it needs may lie below ``s * 2**-60``: the message says so, as
+    ``B`` then varies faster near ``w`` than that step resolves (a smooth
+    but steep map far from the origin does), or is discontinuous there.
+    When some trial's test overflowed (far from the origin
+    ``||B(w) - B(v)||`` can), it also counts those trials.  The search also
+    ends here, with its own message, at a trial whose ``lam*B(w)`` falls
+    below the rounding of ``w``: ``w - lam*B(w)`` then equals ``w`` while
+    ``B(w) != 0``, so the test compares nothing about ``B``, and every
+    smaller step does the same.
 
-    ``forward_evals`` and ``resolvent_evals`` count the search's
-    evaluations as :class:`LineSearchOutcome` counts them: ``B(w)`` and one
-    of each per trial reached, so a run that ends here still reports them.
+    ``forward_evals``, ``resolvent_evals`` and ``certified`` count the
+    search's evaluations and certified rejections as
+    :class:`LineSearchOutcome` counts them: ``B(w)`` and one of each per
+    trial reached, so a run that ends here still reports them.
     """
 
-    def __init__(self, message: str, trials: int):
+    def __init__(self, message: str, trials: int, certified: int):
         super().__init__(message)
         self.forward_evals = trials + 1
         self.resolvent_evals = trials
+        self.certified = certified
 
 
 #: the search stops at the first step ``s*mu**j <= s * _SMALLEST_STEP``
@@ -220,6 +224,14 @@ def backtrack(
     trial warns before it raises.  Only a block (below) enters its own
     ``np.errstate``, as the search may never reach its later rows.
 
+    Finiteness.  ``B(w)`` and each trial's ``v`` pass one BLAS pass of
+    :func:`~mvisolve.spaces._require_finite` before the forward map sees
+    them.  ``B(v)`` gets only its float64 and shape check: ``B(w)`` is
+    finite, so a finite ``lam*||B(w) - B(v)||`` proves ``B(v)`` finite, and
+    only a non-finite left-hand side runs the check, before the comparison.
+    So the search raises ``B(v) is non-finite`` at the same trial, after
+    the test's two norms.
+
     Certified rejection.  It applies only when ``forward`` has a ``split``
     (:class:`~mvisolve.operators.ForwardSplit`) and ``space.weights`` are
     all ones; every other search runs the plain loop.  A trial then makes
@@ -337,7 +349,7 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
                 v = _require_finite(v, "J(w - lam*B(w))", shape)
         wv = None
         if split is None:
-            b_v = _require_finite(fn(v), "B(v)", shape)
+            b_v = _require_shape(fn(v), "B(v)", shape)
         else:
             st_v = split.first(v)
             lower = lam * split.pairing(w, st_w, v, st_v)
@@ -349,12 +361,15 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
                     certified += 1
                     j += 1
                     continue
-            b_v = _require_finite(split.finish(v, st_v), "B(v)", shape)
+            b_v = _require_shape(split.finish(v, st_v), "B(v)", shape)
         if wv is None:
             wv = w - v
             res_wv = space.norm(wv)
         b_wv = b_w - b_v
         lhs = lam * space.norm(b_wv)
+        # B(w) is finite, so a finite lam*||B(w) - B(v)|| proves B(v) finite
+        if not math.isfinite(lhs):
+            _require_finite(b_v, "B(v)", shape)
         if lhs <= params.sigma * res_wv:
             # a zero ||w - v|| passes every step, and shows nothing once lam*B(w)
             # vanishes in w - lam*B(w): every smaller step rounds to w as well
@@ -363,6 +378,7 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
                     f"no step accepted: at lam = {lam:.3e} (j = {j}) lam*B(w) fell below the rounding of w, "
                     f"so w - lam*B(w) == w while B(w) != 0, as at every smaller step",
                     j - start + 1,
+                    certified,
                 )
             # one trial per exponent the search reached
             return LineSearchOutcome(
@@ -372,14 +388,10 @@ def _search(w: np.ndarray, forward, resolvent, params: LineSearchParams, space, 
         # a rejected test overflowed on its left side only, as an infinite ||w - v|| accepts
         overflowed += lhs == math.inf
         j += 1
-    if overflowed:
-        raise BacktrackExhausted(
-            f"no step accepted down to {steps[-1]:.3e} ({len(steps) - 1} backtracks); "
-            f"the acceptance test's norms overflowed in {overflowed} of the {len(steps) - start - certified} trials "
-            f"it read, and the step it needs lies below the smallest trial step",
-            j - start,
-        )
+    overflow = f" (its norms overflowed in {overflowed} of the {j - start - certified} trials it read)" if overflowed else ""
     raise BacktrackExhausted(
-        f"no step accepted down to {steps[-1]:.3e} ({len(steps) - 1} backtracks); the forward map may be discontinuous",
+        f"no step accepted down to {steps[-1]:.3e} ({len(steps) - 1} backtracks); the step the acceptance test needs "
+        f"lies below s*2**-60{overflow}: B varies faster near w than that step resolves, or is discontinuous there",
         j - start,
+        certified,
     )

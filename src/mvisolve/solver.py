@@ -43,7 +43,7 @@ from .linesearch import (
     _search,
 )
 from .problems import Problem
-from .spaces import InnerProductSpace, _require_finite
+from .spaces import InnerProductSpace, _require_finite, _vdot
 
 __all__ = [
     "InertiaSchedule",
@@ -306,9 +306,10 @@ class IterationRecord:
 class IterationTrace:
     """Append-only per-iteration log shared by every solver in the package.
 
-    The evaluation totals also count a last search that accepted no step
-    (status ``backtrack_exhausted``): it made no record, but its
-    evaluations were spent.
+    The evaluation totals and ``total_certified`` also count a last search
+    that accepted no step (status ``backtrack_exhausted``): it made no
+    record, but its evaluations were spent.  It computed no row past its
+    smallest step, so it adds nothing to ``total_speculative``.
     """
 
     def __init__(self, method: str, labels: Optional[dict] = None):
@@ -318,8 +319,8 @@ class IterationTrace:
         self.status: TerminalStatus = TerminalStatus.ITER_CAP
         self.violations = {"delta_bound": 0, "phi_sandwich": 0, "fejer": 0}
         self.invariants_checked = False
-        # the evaluations of a search that ended the run without a record
-        self._unrecorded = (0, 0)
+        # the evaluations and certified trials of a search that ended the run without a record
+        self._unrecorded = (0, 0, 0)
 
     def append(self, record: IterationRecord) -> None:
         self.records.append(record)
@@ -357,7 +358,7 @@ class IterationTrace:
 
     @property
     def total_certified(self) -> int:
-        return sum(r.certified for r in self.records)
+        return sum(r.certified for r in self.records) + self._unrecorded[2]
 
     @property
     def total_speculative(self) -> int:
@@ -458,7 +459,7 @@ def _guard_iterate(u: np.ndarray, what: str, k: Optional[int] = None) -> None:
     # also names a non-finite entry.  The pass is spaces._require_finite's.
     # The message names ``what`` at iteration ``k``, and is built only to
     # raise.
-    if np.vdot(u, u) <= _GUARD_SUM_OF_SQUARES:
+    if _vdot(u, u) <= _GUARD_SUM_OF_SQUARES:
         return
     peak = np.abs(u).max()
     if peak <= DIVERGENCE_NORM:
@@ -747,7 +748,7 @@ def _drive(
                 u_next, out = step(k, u_prev, u_curr, problem)
             except BacktrackExhausted as exc:
                 trace.status = TerminalStatus.BACKTRACK_EXHAUSTED
-                trace._unrecorded = (exc.forward_evals, exc.resolvent_evals)
+                trace._unrecorded = (exc.forward_evals, exc.resolvent_evals, exc.certified)
                 break
             except (NonFiniteIterate, DivergenceError):
                 trace.status = TerminalStatus.DIVERGED

@@ -71,6 +71,10 @@ class InnerProductSpace:
         return _require_finite(u, what, (self.dimension,), ValueError, "contains non-finite entries")
 
 
+#: numpy's C ``vdot`` without the ``__array_function__`` dispatcher: the same function, so the same sums
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
+
+
 class NonFiniteIterate(FloatingPointError):
     """An operator evaluation produced NaN or infinity."""
 
@@ -81,20 +85,22 @@ def _require_finite(
     """``x`` as a float64 array of ``shape``, proved finite by one BLAS pass, else ``error(f"{what} {message}")``.
 
     The finiteness primitive of the package, in one frame: the line search
-    checks every operator value with it, ``check_member`` its inputs, and
-    ``solver._guard_iterate`` makes the same pass with its own bound.  The
-    pass is ``np.vdot(x, x)``, not ``ndarray.dot``: on overflow it returns
-    ``inf`` without a ``RuntimeWarning``.  Rounding a sum of non-negative
-    terms never falls below its largest term, so a finite sum proves every
-    entry finite and a small sum bounds every ``|x_i|``.  The converse
-    fails (``1e200`` is finite, its square is not), so only a sum that
-    overflows runs the exact test.  A wrong shape raises a ``ValueError``
-    naming both shapes.
+    checks every operator value with it but ``B(v)``, whose finiteness the
+    acceptance test's norm proves (only a non-finite norm runs this check),
+    ``check_member`` checks its inputs, and ``solver._guard_iterate`` makes
+    the same pass with its own bound.  The pass is ``np.vdot(x, x)``,
+    called as ``_vdot`` past numpy's dispatcher, not ``ndarray.dot``: on
+    overflow it returns ``inf`` without a ``RuntimeWarning``.  Rounding a
+    sum of non-negative terms never falls below its largest term, so a
+    finite sum proves every entry finite and a small sum bounds every
+    ``|x_i|``.  The converse fails (``1e200`` is finite, its square is
+    not), so only a sum that overflows runs the exact test.  A wrong shape
+    raises a ``ValueError`` naming both shapes.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != shape:
         raise ValueError(f"{what} has shape {x.shape}, expected {shape}")
-    if math.isfinite(np.vdot(x, x)) or np.isfinite(x).all():
+    if math.isfinite(_vdot(x, x)) or np.isfinite(x).all():
         return x
     raise error(f"{what} {message}")
 

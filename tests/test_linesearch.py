@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -181,10 +182,17 @@ def test_determinism():
     np.testing.assert_array_equal(a.v, b.v)
 
 
+#: the end of the message of a search that runs out of steps without an overflowed norm
+_RUN_OUT = (
+    r"the step the acceptance test needs lies below s\*2\*\*-60: "
+    r"B varies faster near w than that step resolves, or is discontinuous there$"
+)
+
+
 def test_exhaustion_raises():
     # the identity map accepts lam <= sigma only, and the smallest step lies above s*2**-64 = 2**-14
     p = LineSearchParams(s=2.0**50, mu=mu_with_cap(10), sigma=1e-12)
-    with pytest.raises(BacktrackExhausted, match=r"\(10 backtracks\); the forward map may be discontinuous$"):
+    with pytest.raises(BacktrackExhausted, match=r"\(10 backtracks\); " + _RUN_OUT):
         backtrack(np.array([1.0]), identity_forward(), identity_resolvent(), p)
 
 
@@ -194,7 +202,7 @@ def test_discontinuous_forward_exhausts():
         return np.where(u > 0, 1.0, -1.0)
 
     p = LineSearchParams(s=1.0, mu=mu_with_cap(40), sigma=0.9)
-    with pytest.raises(BacktrackExhausted, match=r"\(40 backtracks\); the forward map may be discontinuous$"):
+    with pytest.raises(BacktrackExhausted, match=r"\(40 backtracks\); " + _RUN_OUT):
         backtrack(np.array([0.0]), fwd, identity_resolvent(), p)
 
 
@@ -259,10 +267,30 @@ def test_exhaustion_by_overflowed_norms_names_the_overflow(split):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BacktrackExhausted) as info:
         backtrack(w, forward, prob.resolvent, LineSearchParams(), prob.space)
     assert str(info.value) == (
-        "no step accepted down to 8.674e-19 (60 backtracks); the acceptance test's norms "
-        "overflowed in 52 of the 61 trials it read, and the step it needs lies below "
-        "the smallest trial step"
+        "no step accepted down to 8.674e-19 (60 backtracks); the step the acceptance test needs "
+        "lies below s*2**-60 (its norms overflowed in 52 of the 61 trials it read): B varies "
+        "faster near w than that step resolves, or is discontinuous there"
     )
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "plain"])
+def test_exhaustion_of_a_smooth_steep_map_names_the_step_it_needs(split):
+    # from 3e6*d on cs-512 seed 1 no norm overflows, and every trial down to
+    # s*2**-60 rejects (at j = 60, lam*||B(w) - B(v)|| is about 3.8e6 against
+    # sigma*||w - v|| of 2.3e6): the quartic map is smooth, only steep there
+    prob = gen_cs(512, 256, 10, snr_db=40.0, seed=1)
+    d = np.random.default_rng(0).standard_normal(512)
+    w = 3e6 * d / np.linalg.norm(d)
+    forward = prob.forward if split else prob.forward.fn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BacktrackExhausted) as info:
+            backtrack(w, forward, prob.resolvent, LineSearchParams(), prob.space)
+    assert str(info.value) == (
+        "no step accepted down to 8.674e-19 (60 backtracks); the step the acceptance test needs "
+        "lies below s*2**-60: B varies faster near w than that step resolves, or is discontinuous there"
+    )
+    assert (info.value.forward_evals, info.value.resolvent_evals, info.value.certified) == (62, 61, 61 if split else 0)
 
 
 def test_nonfinite_evaluation_raises():

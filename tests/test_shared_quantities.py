@@ -30,11 +30,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mvisolve import linesearch
+from mvisolve import linesearch, solver as solver_module, spaces
 from _table import one_step
 from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.linesearch import LineSearchOutcome, LineSearchParams, NonFiniteIterate, _require_finite, backtrack
-from mvisolve.operators import box_resolvent, identity_resolvent, l1_resolvent, zero_forward
+from mvisolve.operators import box_resolvent, identity_resolvent, l1_resolvent, quartic_forward, zero_forward
 from mvisolve.problems import Problem, cubic_problem, gen_cs, gen_l2, strongly_monotone_problem
 from mvisolve.solver import (
     _PHI_ZERO_TOL,
@@ -203,7 +203,76 @@ class TestGuards:
         with pytest.raises(NonFiniteIterate, match=r"^B\(v\) is non-finite$"):
             backtrack(np.ones(3), forward, identity_resolvent(), LineSearchParams(), space=space)
         assert len(calls) == 2
-        assert space.calls == 0  # no norm of the acceptance test was taken
+        # B(v)'s finiteness is read off the acceptance test's own norm: both
+        # of its norms are taken, and the search raises before it compares
+        assert space.calls == 2
+
+    def test_non_finite_v_raises_before_the_forward_map_and_any_norm(self):
+        calls = []
+
+        def forward(u):
+            calls.append(u)
+            return u.copy()
+
+        def resolvent(x, lam):
+            return np.full_like(x, np.nan)
+
+        space = CountingSpace(euclidean(3))
+        with pytest.raises(NonFiniteIterate, match=r"^J\(w - lam\*B\(w\)\) is non-finite$"):
+            backtrack(np.ones(3), forward, resolvent, LineSearchParams(), space=space)
+        assert len(calls) == 1  # B(w) only: the forward map never saw v
+        assert space.calls == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_split_search_without_a_block_raises_at_the_trial_whose_finish_is_non_finite(self, bad):
+        # a warm start keeps the per-trial loop; finish returns B(w) first, then bad
+        rng = np.random.default_rng(5)
+        fwd = quartic_forward(rng.standard_normal((6, 4)), rng.standard_normal(6))
+        split = fwd.split
+        trials, finished = [], []
+
+        def finish(u, st):
+            finished.append(len(trials))
+            out = split.finish(u, st)
+            return out if len(finished) == 1 else np.full_like(out, bad)
+
+        def resolvent(x, lam):
+            trials.append(lam)
+            return l1_resolvent(0.1)(x, lam)
+
+        counted = dataclasses.replace(fwd, split=dataclasses.replace(split, finish=finish))
+        with pytest.raises(NonFiniteIterate, match=r"^B\(v\) is non-finite$"):
+            backtrack(10.0 * rng.standard_normal(4), counted, resolvent, LineSearchParams(warm_start=True))
+        assert len(finished) == 2
+        assert finished[1] == len(trials)  # no trial was taken after the non-finite B(v)
+
+    @pytest.mark.parametrize("vdot", ["bound", "dispatched"])
+    def test_the_one_pass_warns_on_nothing_and_names_every_non_finite_entry(self, vdot, monkeypatch):
+        # the pass calls numpy's C vdot past its dispatcher, or np.vdot itself
+        # where numpy has no _implementation: the same function and sums
+        assert spaces._vdot is getattr(np.vdot, "_implementation", np.vdot) is solver_module._vdot
+        if vdot == "dispatched":
+            monkeypatch.setattr(spaces, "_vdot", np.vdot)
+            monkeypatch.setattr(solver_module, "_vdot", np.vdot)
+        x = np.linspace(-3.0, 3.0, 1001)
+        assert spaces._vdot(x, x) == np.vdot(x, x)
+        overflowing = np.full(8, 1e200)  # finite, with a sum of squares that overflows
+        undecided = np.full(20, 1e149)  # inside the guard, with a sum above 1e299
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _require_finite(overflowing, "B(w)", overflowing.shape) is overflowing
+            np.testing.assert_array_equal(euclidean(8).check_member(overflowing, "u0"), overflowing)
+            assert _guard_iterate(undecided, "u") is None
+            with pytest.raises(DivergenceError, match=r"^u exceeded the divergence guard 1e\+150$"):
+                _guard_iterate(overflowing, "u")
+            for bad in (np.nan, np.inf, -np.inf):
+                u = _with_entry(bad)
+                with pytest.raises(NonFiniteIterate, match=r"^B\(w\) is non-finite$"):
+                    _require_finite(u, "B(w)", u.shape)
+                with pytest.raises(ValueError, match="^u0 contains non-finite entries$"):
+                    euclidean(5).check_member(u, "u0")
+                with pytest.raises(DivergenceError, match="^u is non-finite$"):
+                    _guard_iterate(u, "u")
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +746,31 @@ def test_a_search_that_ends_the_run_counts_in_its_totals(name, cs_512):
     _, split = _solve(name, cs_512, u, u, stop, 50, True)
     assert split.status is TerminalStatus.BACKTRACK_EXHAUSTED and split.iterations == 0
     assert (split.total_forward_evals, split.total_resolvent_evals) == (62, 61)
+
+
+@pytest.mark.parametrize("radius", [3e6, 1e20])
+@pytest.mark.parametrize("name", [name for name in SOLVERS if name not in ("fb", "zw")])
+def test_a_search_that_ends_the_run_counts_its_certified_trials(name, radius, cs_512):
+    # every Armijo search exhausts at the first iteration from both starts:
+    # from 3e6*d the pairing certifies all 61 trials (block by block, or one
+    # by one when warm), from 1e20*d the norms overflow and none is certified
+    split = cs_512.forward.split
+    finishes = []
+
+    def finish(u, st):
+        finishes.append(1)
+        return split.finish(u, st)
+
+    forward = dataclasses.replace(cs_512.forward, split=dataclasses.replace(split, finish=finish))
+    d = np.random.default_rng(0).standard_normal(512)
+    u = radius * d / np.linalg.norm(d)
+    stop = StoppingRule("distance_to_reference", 1e-2, reference=cs_512.reference)
+    _, trace = _solve(name, dataclasses.replace(cs_512, forward=forward), u, u, stop, 50, True)
+    assert trace.status is TerminalStatus.BACKTRACK_EXHAUSTED and trace.iterations == 0
+    # a trial is certified or finishes its B(v); the search's first finish is B(w)
+    assert trace.total_certified == trace.total_resolvent_evals - (len(finishes) - 1)
+    assert (trace.total_resolvent_evals, trace.total_certified) == (61, 61 if radius == 3e6 else 0)
+    assert trace.total_speculative == 0  # a block never runs past the smallest step
 
 
 class OperatorFailure(Exception):
