@@ -1,10 +1,11 @@
 """Comparison splitting methods sharing the operator and trace machinery.
 
 Five classical iterations for ``0 in A(u) + B(u)``, each a row of the
-method table of :mod:`mvisolve.solver` (an anchor, a point and an update
-rule).  :func:`run_baseline` runs a row through the same step, driver,
-stopping rules and trace schema as the inertial contraction solver, so
-benchmark tables compare like with like.  One step of a method is
+method table of :mod:`mvisolve.solver`: an anchor, a point and an update
+rule, and the settings the row reads, with their defaults.
+:func:`run_baseline` runs a row through the same step, driver, stopping
+rules and trace schema as the inertial contraction solver, so benchmark
+tables compare like with like.  One step of a method is
 ``run_baseline(..., max_iters=1)``.
 
 ``fb``     forward-backward: ``u_next = J(u - lam*B(u), lam)``.
@@ -29,42 +30,29 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .linesearch import LineSearchParams
-from .solver import IterationTrace, StoppingRule, _drive, _Row, _step
+from .solver import _METHODS, IterationTrace, StoppingRule, _drive, _Row, _step
 
 __all__ = ["BaselineConfig", "run_baseline"]
 
-
-#: The settings each step of :func:`run_baseline` reads, with their defaults;
-#: ``zw`` has one entry per ``lambda_mode``.  :class:`BaselineConfig` fills
-#: its defaults from here and rejects a setting its entry does not name, and
-#: the benchmark spec accepts these keys (``armijo`` as the search fields).
-SETTINGS = {
-    "fb": {"lam": 0.01},
-    "tseng": {"armijo": LineSearchParams()},
-    "zw[schedule]": {"lambda_mode": "schedule", "lam": lambda k: k / (1.0 + k), "gamma": 0.5},
-    "zw[armijo]": {"lambda_mode": "armijo", "armijo": LineSearchParams(), "gamma": 0.5},
-    "tc": {"armijo": LineSearchParams(s=2.0, mu=0.5, sigma=0.5), "gamma": 1.0, "mu_tc": 0.5, "theta": 0.5},
-    "jx": {"armijo": LineSearchParams()},
-}
 
 #: the settings a trace labels, where its method reads them
 _LABELLED = ("gamma", "lambda_mode", "mu_tc")
 
 
-def _entry(method: str, lambda_mode: Optional[str]) -> str:
-    """The key of :data:`SETTINGS` for ``method``; ``zw`` runs ``schedule`` unless told otherwise."""
+def _entry_of(method: str, lambda_mode: Optional[str]) -> str:
+    """The row of :data:`~mvisolve.solver._METHODS` for ``method``; ``zw`` runs ``schedule`` unless told otherwise."""
     if method == "zw":
         entry = f"zw[{'schedule' if lambda_mode is None else lambda_mode}]"
-        if entry not in SETTINGS:
+        if entry not in _METHODS:
             raise ValueError("lambda_mode must be 'schedule' or 'armijo'")
         return entry
-    if method not in SETTINGS:
+    if method == "ifb" or method not in _METHODS:  # ifb runs through solve
         raise ValueError(f"unknown baseline method {method!r}")
     return method
 
@@ -73,8 +61,10 @@ def _entry(method: str, lambda_mode: Optional[str]) -> str:
 class BaselineConfig:
     """Method selector plus the settings its step reads.
 
-    A setting left at ``None`` takes its method's default from
-    :data:`SETTINGS`; giving one that the method does not read raises.  The
+    A setting left at ``None`` takes its method's default from its row of
+    :data:`~mvisolve.solver._METHODS`; giving one that the method does not
+    read raises, and so do a step ``lam`` that is a constant but not
+    positive and finite, and a relaxation or ``mu_tc`` out of range.  The
     defaults follow the standard benchmark settings: ``zw`` runs the step
     schedule ``lam_k = k/(k+1)`` with relaxation 0.5 (an ``armijo`` step
     mode is available for forward maps without a global Lipschitz
@@ -93,15 +83,20 @@ class BaselineConfig:
     mu_tc: Optional[float] = None
     theta: Optional[float] = None  # tc inertia bound
     label: Optional[str] = None
+    #: the method's row of the method table, resolved once
+    _entry: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entry = _entry(self.method, self.lambda_mode)
-        settings = SETTINGS[entry]
+        entry = _entry_of(self.method, self.lambda_mode)
+        object.__setattr__(self, "_entry", entry)
+        settings = _METHODS[entry][3]
         for name in ("lam", "lambda_mode", "gamma", "armijo", "mu_tc", "theta"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, settings.get(name))
             elif name not in settings:
                 raise ValueError(f"baseline {entry!r} does not read {name!r}; it reads {', '.join(settings)}")
+        if self.lam is not None and not callable(self.lam):
+            self.lam_at(1)  # a constant step is every step's
         if self.armijo is not None and self.armijo.warm_start:
             raise ValueError("armijo.warm_start must be False: every baseline search restarts at j = 0")
         if self.gamma is not None and not 0.0 < self.gamma < 2.0:
@@ -119,7 +114,7 @@ class BaselineConfig:
         """This method's row of the method table with these settings, for one run."""
         # jx relaxes by 1; fb and tseng read no gamma
         gamma = 1.0 if self.gamma is None else self.gamma
-        return _Row(_entry(self.method, self.lambda_mode), self.theta, self.armijo, self.lam_at, gamma, self.mu_tc)
+        return _Row(self._entry, self.theta, self.armijo, self.lam_at, gamma, self.mu_tc)
 
 
 def run_baseline(
@@ -137,7 +132,6 @@ def run_baseline(
     from ``u1``.  The trace labels those of ``gamma``, ``lambda_mode`` and
     ``mu_tc`` that the method reads.
     """
-    entry = _entry(cfg.method, cfg.lambda_mode)
     return _drive(
         functools.partial(_step, cfg._row()),
         problem,
@@ -145,7 +139,7 @@ def run_baseline(
         u1,
         stop,
         max_iters,
-        method=cfg.label or entry,
-        labels={name: getattr(cfg, name) for name in _LABELLED if name in SETTINGS[entry]},
+        method=cfg.label or cfg._entry,
+        labels={name: getattr(cfg, name) for name in _LABELLED if name in _METHODS[cfg._entry][3]},
         check_invariants=check_invariants,
     )

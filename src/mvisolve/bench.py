@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import SETTINGS, BaselineConfig, _entry, run_baseline
+from .baselines import BaselineConfig, _entry_of, run_baseline
 from .linesearch import LineSearchParams
 from .problems import GENERATORS, Problem
 from .solver import (
@@ -49,6 +49,7 @@ from .solver import (
     IterationTrace,
     SolverConfig,
     StoppingRule,
+    _METHODS,
     slope_of_min_residuals,
     solve,
 )
@@ -97,9 +98,9 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 # run configuration
 
 
-# The key tuples below, the generators' signatures and baselines.SETTINGS
-# are the whole spec schema: the builders pick from them, and a key outside
-# them raises (see _check_keys).
+# The key tuples below, the generators' signatures and the settings of
+# solver._METHODS are the whole spec schema: the builders pick from them,
+# and a key outside them raises (see _check_keys).
 _FAMILY_PARAMS = {family: inspect.signature(gen).parameters for family, gen in GENERATORS.items()}
 #: a list under a plural key gives one cell per value of its generator parameter
 _PLURALS = {"seeds": "seed", "cases": "case_id"}
@@ -145,7 +146,7 @@ def _check_unique(named, what: str, key: str) -> None:
 def _solver_keys(method: str, options: dict) -> tuple:
     """The option keys the builder of ``method`` reads."""
     if method != "ifb":  # a baseline's settings, its search as the search fields
-        settings = SETTINGS[_entry(method, options.get("lambda_mode"))]
+        settings = _METHODS[_entry_of(method, options.get("lambda_mode"))][3]
         return ("label",) + sum((_LS_KEYS if s == "armijo" else (s,) for s in settings), ())
     # only the constant schedule reads theta
     theta = ("theta",) if options.get("inertia") == "constant" else ()
@@ -173,14 +174,10 @@ class ProblemCell:
 
 @dataclass(frozen=True)
 class SolverEntry:
+    """One solver of the grid: ``method`` and its options, which :func:`_build_config` checks and builds."""
+
     method: str
     options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        entry = {"method": self.method} | self.options
-        _check_keys(self.options, _solver_keys(self.method, self.options), f"solver entry {entry!r}")
-        if "inertia" in self.options:  # the schedule's own check names the accepted kinds
-            InertiaSchedule(self.options["inertia"], 0.0)
 
     @property
     def label(self) -> str:
@@ -191,8 +188,9 @@ class SolverEntry:
 class RunSpec:
     """Everything needed to reproduce a benchmark grid.
 
-    ``stopping_rule`` is built from ``stop`` when the spec loads, so a bad
-    stop entry raises before any output is written.  So do a run setting of
+    ``stopping_rule`` is built from ``stop`` when the spec loads, and so is
+    each solver entry's config, so a bad stop entry, or a setting a config
+    rejects, raises before any output is written.  So do a run setting of
     the wrong type, and two solver entries with one label or two problem
     cells with one id, which would share a trace file and a report row.
     """
@@ -205,6 +203,8 @@ class RunSpec:
     max_iters: int = 500
     check_invariants: bool = True
     stopping_rule: StoppingRule = field(init=False, repr=False, compare=False)
+    #: the config each solver entry runs, in the order of ``solvers``
+    _configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("repetitions", "max_iters"):
@@ -223,6 +223,7 @@ class RunSpec:
         )
         _check_keys(self.stop, _STOP_KEYS, f"stop {self.stop!r}")
         object.__setattr__(self, "stopping_rule", StoppingRule(**self.stop))
+        object.__setattr__(self, "_configs", tuple(_build_config(s, self) for s in self.solvers))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSpec":
@@ -240,6 +241,8 @@ class RunSpec:
             for many, one in plurals.items():
                 if one in p and many in p:  # the plural would silently win
                     raise ValueError(f"problem {p!r} gives both {one!r} and {many!r}; give one of them")
+                if many in p and not (isinstance(p[many], list) and p[many]):  # "12" would give two cells
+                    raise ValueError(f"{many!r} of problem {p!r} must be a non-empty list")
             given = {*p, *(plurals[k] for k in p if k in plurals)}
             missing = [k for k, par in params.items() if par.default is par.empty and k not in given]
             if missing:
@@ -266,25 +269,33 @@ class RunSpec:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _build_ifb_config(options: dict, stop: StoppingRule, spec: RunSpec) -> SolverConfig:
-    cfg = SolverConfig(
-        linesearch=LineSearchParams(**_pick(options, _LS_KEYS + ("warm_start",))),
-        stop=stop,
-        max_iters=spec.max_iters,
-        check_invariants=spec.check_invariants,
-        **_pick(options, ("gamma",)),
-    )
-    # a named schedule takes the default schedule's bound (theta is read for "constant" only)
-    kind = options.get("inertia", cfg.inertia.kind)
-    theta = options.get("theta", cfg.inertia.theta_max)
-    return dataclasses.replace(cfg, inertia=InertiaSchedule(kind, theta))
+def _build_config(entry: SolverEntry, spec: RunSpec):
+    """The config that runs ``entry`` under ``spec``'s stop and run settings.
 
-
-def _build_baseline_config(method: str, options: dict) -> BaselineConfig:
-    settings = SETTINGS[_entry(method, options.get("lambda_mode"))]
-    if "armijo" in settings:  # the search fields move off the method's default search
-        options = {**options, "armijo": dataclasses.replace(settings["armijo"], **_pick(options, _LS_KEYS))}
-    return BaselineConfig(method, **_pick(options, ("label",) + tuple(settings)))
+    A key the method does not read raises, and so does a setting the
+    config rejects, each in a ``ValueError`` naming the entry.  The search
+    fields build the search, off the method's default one.
+    """
+    where = f"solver entry {({'method': entry.method} | entry.options)!r}"
+    _check_keys(entry.options, _solver_keys(entry.method, entry.options), where)
+    search = _pick(entry.options, _LS_KEYS + ("warm_start",))
+    rest = {k: v for k, v in entry.options.items() if k not in search}
+    try:
+        if entry.method != "ifb":
+            cfg = BaselineConfig(entry.method, **rest)
+            return dataclasses.replace(cfg, armijo=dataclasses.replace(cfg.armijo, **search)) if search else cfg
+        cfg = SolverConfig(
+            linesearch=LineSearchParams(**search),
+            stop=spec.stopping_rule,
+            max_iters=spec.max_iters,
+            check_invariants=spec.check_invariants,
+            **_pick(rest, ("gamma",)),
+        )
+        # a named schedule takes the default schedule's bound (theta is read for "constant" only)
+        inertia = InertiaSchedule(rest.get("inertia", cfg.inertia.kind), rest.get("theta", cfg.inertia.theta_max))
+        return dataclasses.replace(cfg, inertia=inertia)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +417,16 @@ def _error_text(exc: Exception) -> str:
 
 
 def _run_cell(
-    entry: SolverEntry, problem: Problem, pid: str, rep: int, spec: RunSpec
+    entry: SolverEntry, cfg, problem: Problem, pid: str, rep: int, spec: RunSpec
 ) -> tuple[CellResult, Optional[IterationTrace]]:
-    stop = spec.stopping_rule
+    """Run ``entry``'s built config ``cfg`` on ``problem``: one row of the report, and the trace."""
+    start = (problem, problem.u0, problem.u1)
     t0 = time.perf_counter()
     try:
         if entry.method == "ifb":
-            cfg = _build_ifb_config(entry.options, stop, spec)
-            _, trace = solve(problem, problem.u0, problem.u1, cfg)
-        else:
-            cfg = _build_baseline_config(entry.method, entry.options)
-            _, trace = run_baseline(
-                cfg,
-                problem,
-                problem.u0,
-                problem.u1,
-                stop,
-                max_iters=spec.max_iters,
-                check_invariants=spec.check_invariants,
-            )
+            _, trace = solve(*start, cfg)
+        else:  # run_baseline(cfg, problem, u0, u1, stop, max_iters, check_invariants)
+            _, trace = run_baseline(cfg, *start, spec.stopping_rule, spec.max_iters, spec.check_invariants)
         seconds = time.perf_counter() - t0
     except Exception as exc:  # a cell failure must never abort the grid
         seconds = time.perf_counter() - t0
@@ -490,9 +492,9 @@ def run(spec: RunSpec) -> RunReport:
                 for rep in range(spec.repetitions)
             ]
             continue
-        for entry in spec.solvers:
+        for entry, cfg in zip(spec.solvers, spec._configs):
             for rep in range(spec.repetitions):
-                result, trace = _run_cell(entry, problem, pid, rep, spec)
+                result, trace = _run_cell(entry, cfg, problem, pid, rep, spec)
                 if trace is not None and trace.iterations > 0:
                     emit_convergence_csv(trace, traces_dir / f"{pid}__{entry.label}__rep{rep}.csv")
                 cells.append(result)

@@ -95,6 +95,21 @@ class Problem:
     reference_is_solution: bool = False
 
 
+def _zero_solved(space, u0, u1, forward, resolvent, family: str, **metadata) -> Problem:
+    """A problem in ``space`` started at ``(u0, u1)`` whose exact solution is the zero vector."""
+    return Problem(
+        forward=forward,
+        resolvent=resolvent,
+        space=space,
+        u0=u0,
+        u1=u1,
+        family=family,
+        metadata=metadata,
+        reference=np.zeros(len(u1)),
+        reference_is_solution=True,
+    )
+
+
 # ---------------------------------------------------------------------------
 # sparse recovery and the l^alpha penalty
 
@@ -264,17 +279,8 @@ def gen_l2(case_id: int = 1, n: int = 1001) -> Problem:
     soft threshold is exact; the zero function solves the inclusion.
     """
     u0, u1 = table_initials(case_id, n)
-    return Problem(
-        forward=log_forward(),
-        resolvent=l1_resolvent(1.0),
-        space=trapezoid_unit_interval(n),
-        u0=u0,
-        u1=u1,
-        family="l2",
-        metadata={"n": n, "case_id": case_id},
-        reference=np.zeros(n),
-        reference_is_solution=True,
-    )
+    space = trapezoid_unit_interval(n)
+    return _zero_solved(space, u0, u1, log_forward(), l1_resolvent(1.0), "l2", n=n, case_id=case_id)
 
 
 def assemble(problem) -> Problem:
@@ -291,30 +297,15 @@ def assemble(problem) -> Problem:
 # constructed test problems with a known solution
 
 
-def _zero_solved(u_start, forward, resolvent, family: str, **metadata) -> Problem:
-    """A Euclidean problem started at ``u0 = u1 = u_start`` whose exact solution is zero."""
-    u = np.asarray(u_start, dtype=float)
-    d = len(u)
-    return Problem(
-        forward=forward,
-        resolvent=resolvent,
-        space=euclidean(d),
-        u0=u.copy(),
-        u1=u.copy(),
-        family=family,
-        metadata={"d": d, **metadata},
-        reference=np.zeros(d),
-        reference_is_solution=True,
-    )
-
-
 def cubic_problem(u_start=(2.0, -2.0), rho: float = 1.0) -> Problem:
     """Componentwise cubic forward map plus an l1 resolvent; zero solves it.
 
     The cubic map is monotone and continuous but has no global Lipschitz
     constant, and ``0`` belongs to ``B(0) + rho*[-1, 1]^d``.
     """
-    return _zero_solved(u_start, cubic_forward(), l1_resolvent(rho), "cubic", rho=rho)
+    u = np.asarray(u_start, dtype=float)
+    forward, resolvent = cubic_forward(), l1_resolvent(rho)
+    return _zero_solved(euclidean(len(u)), u.copy(), u.copy(), forward, resolvent, "cubic", d=len(u), rho=rho)
 
 
 def strongly_monotone_problem(
@@ -325,7 +316,10 @@ def strongly_monotone_problem(
     The set-valued part is ``beta``-strongly monotone, which upgrades the
     convergence of the contraction solver to a linear rate.
     """
-    return _zero_solved(u_start, log_forward(), shifted_l1_resolvent(rho, beta), "strong", rho=rho, beta=beta)
+    u = np.asarray(u_start, dtype=float)
+    forward, resolvent = log_forward(), shifted_l1_resolvent(rho, beta)
+    space = euclidean(len(u))
+    return _zero_solved(space, u.copy(), u.copy(), forward, resolvent, "strong", d=len(u), rho=rho, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -532,7 +532,12 @@ def contraction_update(
 # ---------------------------------------------------------------------------
 # the method table: every method is an anchor, a point and an update over one step
 
-#: Each method's anchor, point and update rule, as :func:`_step` runs them.
+#: Each method's anchor, point and update rule, as :func:`_step` runs them,
+#: and the settings the row reads with their defaults; ``zw`` has one row
+#: per ``lambda_mode``.  ``ifb``'s settings are the fields of
+#: :class:`SolverConfig`; :class:`~mvisolve.baselines.BaselineConfig` fills
+#: a baseline's from here and rejects one its row does not name, and the
+#: benchmark spec accepts them (``armijo`` as the search fields).
 #:
 #: anchor  ``iterate``      ``w = u_k``;
 #:         ``inertia``      ``w = u_k + theta_k*(u_k - u_{k-1})``, ``theta_k`` from an
@@ -544,19 +549,27 @@ def contraction_update(
 #:         ``fixed``        ``v = J(w - lam_k*B(w), lam_k)`` at the step ``lam_k``, with
 #:                          ``B(v)`` unless the update is ``v``.
 #: update  ``contraction``  ``w - gamma*delta*phi`` (see :func:`_contraction_step`);
+#:                          ``jx``, which reads no ``gamma``, relaxes by 1;
 #:         ``tseng``        ``v - lam*(B(v) - B(w))``;
 #:         ``v``            ``v`` itself;
 #:         ``viscosity``    ``z = w - gamma*eta*phi``, ``eta = (1 - mu_tc)*||w - v||^2/||phi||^2``
 #:                          (``z = w`` where ``phi`` vanishes), then the average
 #:                          ``alpha_k*u_k/2 + (1 - alpha_k)*z``, ``alpha_k = 1/(k+1)``.
 _METHODS = {
-    "ifb": ("inertia", "armijo", "contraction"),
-    "fb": ("iterate", "fixed", "v"),
-    "tseng": ("iterate", "armijo", "tseng"),
-    "zw[schedule]": ("iterate", "fixed", "contraction"),
-    "zw[armijo]": ("iterate", "armijo", "contraction"),
-    "tc": ("summable", "armijo", "viscosity"),
-    "jx": ("iterate", "armijo", "contraction"),
+    "ifb": ("inertia", "armijo", "contraction", None),
+    "fb": ("iterate", "fixed", "v", {"lam": 0.01}),
+    "tseng": ("iterate", "armijo", "tseng", {"armijo": LineSearchParams()}),
+    "zw[schedule]": (
+        "iterate", "fixed", "contraction", {"lambda_mode": "schedule", "lam": lambda k: k / (1.0 + k), "gamma": 0.5}
+    ),
+    "zw[armijo]": (
+        "iterate", "armijo", "contraction", {"lambda_mode": "armijo", "armijo": LineSearchParams(), "gamma": 0.5}
+    ),
+    "tc": (
+        "summable", "armijo", "viscosity",
+        {"armijo": LineSearchParams(s=2.0, mu=0.5, sigma=0.5), "gamma": 1.0, "mu_tc": 0.5, "theta": 0.5},
+    ),
+    "jx": ("iterate", "armijo", "contraction", {"armijo": LineSearchParams()}),
 }
 
 
@@ -595,7 +608,7 @@ def _step(row: _Row, k: int, u_prev: np.ndarray, u_curr: np.ndarray, problem) ->
     moves the iterate.  Called outside :func:`_drive`, it follows the
     caller's floating-point error state.
     """
-    anchor, point_rule, update = _METHODS[row.method]
+    anchor, point_rule, update, _ = _METHODS[row.method]
     space, forward = problem.space, problem.forward
     theta = 0.0
     if anchor == "iterate":

@@ -1,8 +1,8 @@
 """Every method of the method table: one step of it, as ``solve`` and ``run_baseline`` take it, or a whole run."""
 
-from mvisolve.baselines import SETTINGS, BaselineConfig, run_baseline
+from mvisolve.baselines import BaselineConfig, run_baseline
 from mvisolve.problems import Problem, gen_cs, gen_l2, gen_lpa
-from mvisolve.solver import SolverConfig, StoppingRule, _step, solve
+from mvisolve.solver import _METHODS, SolverConfig, StoppingRule, _step, solve
 from mvisolve.spaces import euclidean
 
 #: a small instance of each benchmark family
@@ -23,10 +23,10 @@ def one_step(cfg, k, u_prev, u_curr, forward, resolvent, space=None):
 
 
 def every_method(prob, max_iters):
-    """``{name: run}`` for ``ifb`` and each entry of ``SETTINGS``; ``run()`` returns ``(u, trace)`` of ``max_iters`` steps."""
+    """``{name: run}`` for each row of ``_METHODS``; ``run()`` returns ``(u, trace)`` of ``max_iters`` steps."""
     stop = StoppingRule("iter_cap_only")
     runs = {"ifb": lambda: solve(prob, prob.u0, prob.u1, SolverConfig(stop=stop, max_iters=max_iters))}
-    for entry in SETTINGS:
+    for entry in [name for name in _METHODS if name != "ifb"]:
         method, _, mode = entry.rstrip("]").partition("[")
         cfg = BaselineConfig(method, lambda_mode=mode or None)
         runs[entry] = lambda cfg=cfg: run_baseline(cfg, prob, prob.u0, prob.u1, stop, max_iters=max_iters)

@@ -9,11 +9,11 @@ import pytest
 from _cases import mu_with_cap
 from _table import SMALL_PROBLEMS, every_method
 from mvisolve import bench
-from mvisolve.baselines import SETTINGS, BaselineConfig
+from mvisolve.baselines import BaselineConfig
 from mvisolve.bench import (
     RunSpec,
-    _build_baseline_config,
-    _build_ifb_config,
+    SolverEntry,
+    _build_config,
     _solver_keys,
     emit_convergence_csv,
     main,
@@ -22,7 +22,15 @@ from mvisolve.bench import (
 )
 from mvisolve.problems import GENERATORS, cubic_problem
 from mvisolve.linesearch import LineSearchParams
-from mvisolve.solver import IterationRecord, InertiaSchedule, SolverConfig, StoppingRule, rate_estimate, solve
+from mvisolve.solver import (
+    _METHODS,
+    IterationRecord,
+    InertiaSchedule,
+    SolverConfig,
+    StoppingRule,
+    rate_estimate,
+    solve,
+)
 
 
 def _tiny_spec(tmp_path, **overrides):
@@ -109,16 +117,22 @@ class TestRun:
         assert (outdir / "spec.json").exists()
         assert list((outdir / "traces").glob("*.csv"))
 
-    def test_failed_cell_does_not_abort_grid(self, tmp_path):
+    def test_failed_cell_does_not_abort_grid(self, tmp_path, monkeypatch):
+        # a bad setting raises at load, so the failure here is one at run time
+        def failing(*args, **kwargs):
+            raise RuntimeError("the baseline failed")
+
+        monkeypatch.setattr(bench, "run_baseline", failing)
         raw = _tiny_spec(
             tmp_path,
-            solvers=[{"method": "ifb"}, {"method": "fb", "lam": -1.0}],
+            solvers=[{"method": "ifb"}, {"method": "fb", "lam": 0.5}],
         )
         report = run(RunSpec.from_dict(raw))
         assert len(report.cells) == 2
         statuses = {c.solver: c for c in report.cells}
         assert statuses["ifb"].valid
         assert statuses["fb"].status == "error"
+        assert statuses["fb"].error == "RuntimeError: the baseline failed"
         assert not report.valid
 
     @pytest.mark.parametrize(
@@ -365,7 +379,7 @@ class TestRun:
         from pathlib import Path
 
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-        for entry in SETTINGS:
+        for entry in [name for name in _METHODS if name != "ifb"]:
             method, _, mode = entry.rstrip("]").partition("[")
             options = {"lambda_mode": mode} if mode else {}
             rows = [line for line in readme.splitlines() if line.startswith(f"| solver, `{entry}` |")]
@@ -392,7 +406,10 @@ class TestRun:
         raw = _tiny_spec(tmp_path, solvers=[{"method": "ifb", "inertia": "constnat"}])
         with pytest.raises(ValueError) as err:
             RunSpec.from_dict(raw)
-        assert str(err.value) == "unknown inertia schedule kind 'constnat'; accepted kinds: constant, experiment"
+        assert str(err.value) == (
+            "solver entry {'method': 'ifb', 'inertia': 'constnat'}: "
+            "unknown inertia schedule kind 'constnat'; accepted kinds: constant, experiment"
+        )
         assert not (tmp_path / "out").exists()
         for kind in InertiaSchedule.KINDS:
             RunSpec.from_dict(_tiny_spec(tmp_path, solvers=[{"method": "ifb", "inertia": kind}]))
@@ -559,6 +576,25 @@ class TestRun:
         alone = {k: v for k, v in problem.items() if k != many}
         assert len(RunSpec.from_dict(_tiny_spec(tmp_path, problems=[alone])).problems) == 1
 
+    @pytest.mark.parametrize(
+        "problem, many",
+        [
+            ({"family": "cs", "d": 32, "m": 16, "seeds": 3}, "seeds"),
+            ({"family": "cs", "d": 32, "m": 16, "seeds": "12"}, "seeds"),
+            ({"family": "cs", "d": 32, "m": 16, "seeds": []}, "seeds"),
+            ({"family": "l2", "n": 101, "cases": 2}, "cases"),
+            ({"family": "l2", "n": 101, "cases": {"1": 1}}, "cases"),
+        ],
+        ids=["seeds-int", "seeds-string", "seeds-empty", "cases-int", "cases-object"],
+    )
+    def test_a_plural_that_is_not_a_non_empty_list_raises_at_load(self, tmp_path, problem, many):
+        # "12" iterated as two string seeds, 3 raised a bare TypeError, and [] gave its entry no cell
+        problems = [{"family": "l2", "n": 101, "case_id": 1}, problem]
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, problems=problems))
+        assert str(err.value) == f"{many!r} of problem {problem!r} must be a non-empty list"
+        assert not (tmp_path / "out").exists()
+
     def test_written_spec_reproduces_the_report(self, tmp_path):
         raw = _tiny_spec(
             tmp_path,
@@ -600,22 +636,23 @@ class TestConfigBuilders:
 
     METHODS = ("fb", "tseng", "zw", "tc", "jx")
 
-    def _spec(self, tmp_path):
-        return RunSpec.from_dict(_tiny_spec(tmp_path, max_iters=77, check_invariants=False))
+    def _spec(self, tmp_path, stop=None):
+        stop = stop or {"kind": "successive_diff", "tol": 1e-6}
+        return RunSpec.from_dict(_tiny_spec(tmp_path, max_iters=77, check_invariants=False, stop=stop))
 
     def test_empty_options_give_the_dataclass_defaults(self, tmp_path):
-        spec = self._spec(tmp_path)
+        spec = self._spec(tmp_path, {"kind": "residual", "tol": 1e-5})
         stop = StoppingRule("residual", 1e-5)
-        assert _build_ifb_config({}, stop, spec) == SolverConfig(
+        assert _build_config(SolverEntry("ifb"), spec) == SolverConfig(
             stop=stop, max_iters=77, check_invariants=False
         )
         for method in self.METHODS:
-            assert _build_baseline_config(method, {}) == BaselineConfig(method)
+            assert _build_config(SolverEntry(method), spec) == BaselineConfig(method)
 
     def test_ifb_overrides(self, tmp_path):
         spec = self._spec(tmp_path)
         stop = StoppingRule()
-        cfg = _build_ifb_config({"sigma": 0.5, "gamma": 1.5, "warm_start": True}, stop, spec)
+        cfg = _build_config(SolverEntry("ifb", {"sigma": 0.5, "gamma": 1.5, "warm_start": True}), spec)
         assert cfg == SolverConfig(
             gamma=1.5,
             linesearch=LineSearchParams(sigma=0.5, warm_start=True),
@@ -624,12 +661,13 @@ class TestConfigBuilders:
             check_invariants=False,
         )
         # a constant schedule defaults to the default schedule's bound
-        cfg = _build_ifb_config({"inertia": "constant"}, stop, spec)
+        cfg = _build_config(SolverEntry("ifb", {"inertia": "constant"}), spec)
         assert cfg.inertia == InertiaSchedule("constant", SolverConfig().inertia.theta_max)
-        cfg = _build_ifb_config({"inertia": "constant", "theta": 0.25}, stop, spec)
+        cfg = _build_config(SolverEntry("ifb", {"inertia": "constant", "theta": 0.25}), spec)
         assert cfg.inertia == InertiaSchedule("constant", 0.25)
 
     def test_baseline_overrides(self, tmp_path):
+        spec = self._spec(tmp_path)
         options = {
             "fb": ({"lam": 0.5}, {"lam": 0.5}),
             "tseng": ({"mu": 0.25}, {"armijo": LineSearchParams(mu=0.25)}),
@@ -642,7 +680,52 @@ class TestConfigBuilders:
                    {"armijo": LineSearchParams(mu=mu_with_cap(9)), "label": "proj"}),
         }
         for method, (opts, fields) in options.items():
-            assert _build_baseline_config(method, opts) == BaselineConfig(method, **fields)
+            assert _build_config(SolverEntry(method, opts), spec) == BaselineConfig(method, **fields)
+
+    def test_the_spec_holds_each_entrys_built_config(self, tmp_path):
+        solvers = [{"method": "ifb", "gamma": 1.5}, {"method": "tc", "label": "tc-4", "s": 4.0}]
+        spec = RunSpec.from_dict(_tiny_spec(tmp_path, solvers=solvers, max_iters=77))
+        assert spec._configs == tuple(_build_config(entry, spec) for entry in spec.solvers)
+        assert spec._configs[0].gamma == 1.5 and spec._configs[0].max_iters == 77
+        assert spec._configs[1].armijo.s == 4.0 and spec._configs[1].label == "tc-4"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"method": "ifb", "gamma": 5.0}, "gamma must lie in (0, 2)"),
+            ({"method": "fb", "lam": -1}, "step lam_1 = -1.0 must be positive and finite"),
+            ({"method": "tseng", "s": -1}, "initial step s must be positive and finite"),
+            ({"method": "ifb", "inertia": "constant", "theta": 1.5}, "theta_max must lie in [0, 1)"),
+        ],
+        ids=["ifb-gamma", "fb-lam", "tseng-s", "ifb-theta"],
+    )
+    def test_a_setting_the_config_rejects_raises_at_load_naming_its_entry(self, tmp_path, entry, message):
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, solvers=[{"method": "ifb", "label": "other"}, entry]))
+        assert str(err.value).startswith(f"solver entry {entry!r}: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_grid_builds_each_solvers_config_once(self, tmp_path, monkeypatch):
+        built, ran = [], []
+        build = bench._build_config
+        monkeypatch.setattr(bench, "_build_config", lambda entry, spec: built.append(entry) or build(entry, spec))
+
+        def recording(runner, at):  # the config is solve's fourth argument and run_baseline's first
+            def recorded(*args, **kwargs):
+                ran.append(args[at])
+                return runner(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(bench, "solve", recording(bench.solve, 3))
+        monkeypatch.setattr(bench, "run_baseline", recording(bench.run_baseline, 0))
+        solvers = [{"method": "ifb"}, {"method": "fb", "lam": 0.5}]
+        problems = [{"family": "l2", "n": 101, "cases": [1, 2, 3]}]
+        spec = RunSpec.from_dict(_tiny_spec(tmp_path, solvers=solvers, problems=problems, repetitions=2))
+        assert built == list(spec.solvers)
+        report = run(spec)
+        assert len(report.cells) == 3 * 2 * 2 and all(c.error == "" for c in report.cells)
+        assert built == list(spec.solvers)
+        assert [id(cfg) for cfg in ran] == [id(cfg) for _ in range(3) for cfg in spec._configs for _ in range(2)]
 
 
 class TestShippedSpecs:
@@ -694,7 +777,8 @@ class TestCLI:
         assert "VALID" in out
 
     def test_run_subcommand_invalid_exit(self, tmp_path, capsys):
-        raw = _tiny_spec(tmp_path, solvers=[{"method": "fb", "lam": -1.0}])
+        # a generator that rejects its case gives error cells, so the grid is INVALID
+        raw = _tiny_spec(tmp_path, problems=[{"family": "l2", "n": 101, "cases": [5]}])
         specfile = tmp_path / "spec.json"
         specfile.write_text(json.dumps(raw))
         assert main(["run", str(specfile)]) == 1

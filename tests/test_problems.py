@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from mvisolve import problems
-from mvisolve.operators import l1_resolvent, lpa_forward, lpa_gradient, quartic_fidelity_gradient
+from mvisolve.operators import (
+    cubic_forward,
+    l1_resolvent,
+    log_forward,
+    lpa_forward,
+    lpa_gradient,
+    quartic_fidelity_gradient,
+    shifted_l1_resolvent,
+)
 from mvisolve.problems import (
     GENERATORS,
     Problem,
@@ -258,7 +266,55 @@ class TestProblemFamilies:
         np.testing.assert_allclose(uf, [2.0, -1.0, 0.0], atol=1e-10)
 
 
+#: every problem marked ``reference_is_solution``: the l2 cases and the constructed problems (demo 04's start)
+_SOLVED = {
+    **{f"l2-case{c}": lambda c=c: gen_l2(c, 101) for c in (1, 2, 3, 4)},
+    "cubic": cubic_problem,
+    "strong-demo04": lambda: strongly_monotone_problem(np.array([1.0, -0.7, 0.4, 2.0]), rho=0.1, beta=0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVED))
+@pytest.mark.parametrize("lam", [0.1, 1.0, 7.0])
+def test_a_marked_solution_is_a_fixed_point_of_the_forward_backward_map(name, lam):
+    # u* solves 0 in A(u) + B(u) exactly when J(u* - lam*B(u*), lam) = u*, for any lam > 0
+    prob = _SOLVED[name]()
+    assert prob.reference_is_solution
+    u = prob.reference
+    v = np.asarray(prob.resolvent(u - lam * np.asarray(prob.forward(u)), lam))
+    assert v.dtype == u.dtype and v.tobytes() == u.tobytes()
+
+
 class TestConstructedProblems:
+    @pytest.mark.parametrize(
+        "make, forward, resolvent, family, metadata",
+        [
+            (lambda start: cubic_problem(), cubic_forward(), l1_resolvent(1.0), "cubic", {"d": 2, "rho": 1.0}),
+            (
+                lambda start: strongly_monotone_problem(start, rho=0.2, beta=0.3),
+                log_forward(),
+                shifted_l1_resolvent(0.2, 0.3),
+                "strong",
+                {"d": 2, "rho": 0.2, "beta": 0.3},
+            ),
+        ],
+        ids=["cubic", "strong"],
+    )
+    def test_every_field(self, make, forward, resolvent, family, metadata):
+        start = np.array([2.0, -2.0])  # cubic_problem's default start
+        prob = make(start)
+        assert prob.space.dimension == 2 and prob.space.weights.tobytes() == np.ones(2).tobytes()
+        for u in (prob.u0, prob.u1):  # two copies of the start, neither the caller's array
+            assert u.dtype == np.float64 and u.tobytes() == start.tobytes() and u is not start
+        assert prob.u0 is not prob.u1
+        assert prob.family == family
+        assert list(prob.metadata.items()) == list(metadata.items())
+        assert prob.reference.dtype == np.float64 and prob.reference.tobytes() == np.zeros(2).tobytes()
+        assert prob.reference_is_solution is True
+        x = np.array([0.7, -1.9])
+        assert np.asarray(prob.forward(x)).tobytes() == np.asarray(forward(x)).tobytes()
+        assert np.asarray(prob.resolvent(x, 0.6)).tobytes() == np.asarray(resolvent(x, 0.6)).tobytes()
+
     def test_cubic_reference_is_solution(self):
         prob = cubic_problem((2.0, -2.0))
         # 0 in B(0) + rho*[-1, 1]
