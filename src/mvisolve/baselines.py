@@ -52,7 +52,8 @@ def _entry_of(method: str, lambda_mode: Optional[str]) -> str:
         if entry not in _METHODS:
             raise ValueError("lambda_mode must be 'schedule' or 'armijo'")
         return entry
-    if method == "ifb" or method not in _METHODS:  # ifb runs through solve
+    # ifb runs through solve, and zw's two rows are reached through lambda_mode only
+    if method not in _METHODS or method == "ifb" or method.startswith("zw["):
         raise ValueError(f"unknown baseline method {method!r}")
     return method
 

@@ -367,8 +367,10 @@ class TestRun:
         [
             ({"method": "zw", "lambda_mode": "armjio"}, "^lambda_mode must be 'schedule' or 'armijo'$"),
             ({"method": "tsneg"}, "^unknown baseline method 'tsneg'$"),
+            # a row name ran zw[armijo]'s rules under the label lambda_mode=schedule
+            ({"method": "zw[armijo]", "lambda_mode": "schedule"}, r"^unknown baseline method 'zw\[armijo\]'$"),
         ],
-        ids=["lambda_mode", "method"],
+        ids=["lambda_mode", "method", "row-name"],
     )
     def test_misspelt_baseline_raises_when_the_spec_loads(self, tmp_path, entry, message):
         with pytest.raises(ValueError, match=message):
