@@ -45,8 +45,6 @@ from .solver import (
     StepOutcome,
     DivergenceError,
     InsufficientTrace,
-    contraction_margin,
-    inertia_cap,
     analysis_constants,
     contraction_update,
     solve,
@@ -65,6 +63,7 @@ from .problems import (
     assemble,
     cubic_problem,
     strongly_monotone_problem,
+    planted,
 )
 
 __version__ = "0.1.0"

@@ -65,7 +65,9 @@ class BaselineConfig:
     A setting left at ``None`` takes its method's default from its row of
     :data:`~mvisolve.solver._METHODS`; giving one that the method does not
     read raises, and so do a step ``lam`` that is a constant but not
-    positive and finite, and a relaxation or ``mu_tc`` out of range.  The
+    positive and finite, and a relaxation, ``mu_tc`` or ``tc``'s inertia
+    bound ``theta`` out of range (``theta`` in ``[0, 1)``, as for
+    :class:`~mvisolve.solver.InertiaSchedule`).  The
     defaults follow the standard benchmark settings: ``zw`` runs the step
     schedule ``lam_k = k/(k+1)`` with relaxation 0.5 (an ``armijo`` step
     mode is available for forward maps without a global Lipschitz
@@ -104,6 +106,8 @@ class BaselineConfig:
             raise ValueError("relaxation gamma must lie in (0, 2)")
         if self.mu_tc is not None and not 0.0 <= self.mu_tc < 1.0:
             raise ValueError("mu_tc must lie in [0, 1)")
+        if self.theta is not None and not 0.0 <= self.theta < 1.0:
+            raise ValueError("inertia bound theta must lie in [0, 1)")
 
     def lam_at(self, k: int) -> float:
         lam = self.lam(k) if callable(self.lam) else float(self.lam)

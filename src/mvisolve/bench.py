@@ -10,6 +10,7 @@ human-readable table reports the median time.
 CLI subcommands::
 
     mvibench run <specfile>                 execute a grid, exit 0 iff VALID
+                                            (2 if the spec fails to load)
     mvibench rate <trace.csv>               decay slope of a trace file
 
 Trace CSV layout: one column per field of
@@ -193,6 +194,9 @@ class RunSpec:
     rejects, raises before any output is written.  So do a run setting of
     the wrong type, and two solver entries with one label or two problem
     cells with one id, which would share a trace file and a report row.
+    :meth:`from_dict` first requires the spec and ``stop`` to be objects
+    and ``problems`` and ``solvers`` non-empty lists of objects, naming the
+    key.
     """
 
     problems: tuple[ProblemCell, ...]
@@ -213,10 +217,6 @@ class RunSpec:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not isinstance(self.check_invariants, bool):
             raise ValueError(f"check_invariants must be true or false, got {self.check_invariants!r}")
-        if not self.solvers:
-            raise ValueError("at least one solver is required")
-        if not self.problems:
-            raise ValueError("at least one problem is required")
         _check_unique(((s.label, {"method": s.method} | s.options) for s in self.solvers), "solver entries", "label")
         _check_unique(
             ((p.cell_id, {"family": p.family, **p.params}) for p in self.problems), "problem cells", "id"
@@ -227,8 +227,15 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSpec":
+        if not isinstance(raw, dict):
+            raise ValueError(f"the run spec must be an object, got {raw!r}")
         _check_keys(raw, _SPEC_KEYS + _RUN_KEYS, "the run spec")
         _check_required(raw, ("problems", "solvers", "output_dir"), "the run spec")
+        for key in ("problems", "solvers"):
+            if not (isinstance(raw[key], list) and raw[key] and all(isinstance(e, dict) for e in raw[key])):
+                raise ValueError(f"{key!r} must be a non-empty list of objects, got {raw[key]!r}")
+        if not isinstance(raw.get("stop", {}), dict):
+            raise ValueError(f"'stop' must be an object, got {raw['stop']!r}")
         cells = []
         for p in raw["problems"]:
             _check_required(p, ("family",), f"problem {p!r}")
@@ -509,14 +516,13 @@ def run(spec: RunSpec) -> RunReport:
 
 
 def _cmd_run(args) -> int:
-    spec = RunSpec.from_file(args.specfile)
+    try:
+        spec = RunSpec.from_file(args.specfile)
+    except (OSError, ValueError) as exc:  # one line, not a traceback, and no output_dir
+        print(f"mvibench run: {args.specfile}: {exc}", file=sys.stderr)
+        return 2
     report = run(spec)
-    for row in report.aggregated():
-        print(
-            f"{row['problem']:<28} {row['solver']:<14} iters={row['iterations']:<6d} "
-            f"err={row['final_err']:.4g} status={row['status']}"
-        )
-    print("overall:", "VALID" if report.valid else "INVALID")
+    print((Path(spec.output_dir) / "report.txt").read_text(encoding="utf-8"), end="")
     return 0 if report.valid else 1
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "GENERATORS",
     "cubic_problem",
     "strongly_monotone_problem",
+    "planted",
 ]
 
 
@@ -95,8 +96,8 @@ class Problem:
     reference_is_solution: bool = False
 
 
-def _zero_solved(space, u0, u1, forward, resolvent, family: str, **metadata) -> Problem:
-    """A problem in ``space`` started at ``(u0, u1)`` whose exact solution is the zero vector."""
+def _solved(space, u0, u1, forward, resolvent, family: str, solution=None, **metadata) -> Problem:
+    """A problem in ``space`` started at ``(u0, u1)`` whose exact solution is ``solution``, zero by default."""
     return Problem(
         forward=forward,
         resolvent=resolvent,
@@ -105,7 +106,7 @@ def _zero_solved(space, u0, u1, forward, resolvent, family: str, **metadata) -> 
         u1=u1,
         family=family,
         metadata=metadata,
-        reference=np.zeros(len(u1)),
+        reference=np.zeros(len(u1)) if solution is None else solution,
         reference_is_solution=True,
     )
 
@@ -280,7 +281,7 @@ def gen_l2(case_id: int = 1, n: int = 1001) -> Problem:
     """
     u0, u1 = table_initials(case_id, n)
     space = trapezoid_unit_interval(n)
-    return _zero_solved(space, u0, u1, log_forward(), l1_resolvent(1.0), "l2", n=n, case_id=case_id)
+    return _solved(space, u0, u1, log_forward(), l1_resolvent(1.0), "l2", n=n, case_id=case_id)
 
 
 def assemble(problem) -> Problem:
@@ -305,7 +306,7 @@ def cubic_problem(u_start=(2.0, -2.0), rho: float = 1.0) -> Problem:
     """
     u = np.asarray(u_start, dtype=float)
     forward, resolvent = cubic_forward(), l1_resolvent(rho)
-    return _zero_solved(euclidean(len(u)), u.copy(), u.copy(), forward, resolvent, "cubic", d=len(u), rho=rho)
+    return _solved(euclidean(len(u)), u.copy(), u.copy(), forward, resolvent, "cubic", d=len(u), rho=rho)
 
 
 def strongly_monotone_problem(
@@ -319,7 +320,50 @@ def strongly_monotone_problem(
     u = np.asarray(u_start, dtype=float)
     forward, resolvent = log_forward(), shifted_l1_resolvent(rho, beta)
     space = euclidean(len(u))
-    return _zero_solved(space, u.copy(), u.copy(), forward, resolvent, "strong", d=len(u), rho=rho, beta=beta)
+    return _solved(space, u.copy(), u.copy(), forward, resolvent, "strong", d=len(u), rho=rho, beta=beta)
+
+
+#: the steps of the membership check of :func:`planted`
+_PLANT_STEPS = (0.1, 1.0, 7.0)
+#: its tolerance, relative to ``||u* + lam*a*||``, in units of float64 epsilon
+_PLANT_ULPS = 4.0
+
+
+def planted(forward, resolvent, space: InnerProductSpace, solution, a_star, start) -> Problem:
+    """The problem ``0 in A(u) + B(u)`` with ``B(u) = B0(u) - (B0(u*) + a*)``, which ``u*`` solves.
+
+    ``forward`` is ``B0``, any continuous monotone map; ``resolvent`` is
+    ``J`` of the maximal monotone ``A``; ``solution`` is ``u*``; and
+    ``a_star`` is an element ``a*`` of ``A(u*)``, taken for the inner
+    product of ``space``.
+    Then ``B(u*) = -a*``, so ``0 in A(u*) + B(u*)``, and ``B`` is monotone
+    and continuous, non-Lipschitz whenever ``B0`` is.  The problem starts at
+    ``u0 = u1 = start`` with ``u*`` as its reference, marked a solution.
+
+    ``v = J(x, lam)`` iff ``(x - v)/lam in A(v)`` (Bauschke and Combettes,
+    *Convex Analysis and Monotone Operator Theory in Hilbert Spaces*, 2nd
+    ed. 2017, Prop. 23.2), so ``a* in A(u*)`` iff ``J(u* + lam*a*, lam) =
+    u*``.  A ``ValueError`` is raised unless that holds at each ``lam`` of
+    0.1, 1 and 7 within ``4*eps*||u* + lam*a*||``: the computed resolvent
+    rounds, so equality is not bitwise.
+
+    ``B`` is a plain :class:`ForwardOperator` with no split: a split of
+    ``B0`` (the quartic block pairing reads ``B(w)`` as ``rr_w*C^T r_w``)
+    would certify trials against ``B0``, not against ``B``.  ``u*`` is a
+    solution, not always the only one, so a distance to it measures
+    convergence only where the solution is unique.
+    """
+    u_star = space.check_member(solution, "solution").copy()
+    a = space.check_member(a_star, "a_star")
+    for lam in _PLANT_STEPS:
+        x = u_star + lam * a
+        miss = space.norm(np.asarray(resolvent(x, lam), dtype=float) - u_star)
+        if not miss <= _PLANT_ULPS * np.finfo(float).eps * space.norm(x):
+            raise ValueError(f"a_star is not in A(solution): ||J(u* + lam*a*, lam) - u*|| = {miss:.3g} at lam = {lam}")
+    shift = np.asarray(forward(u_star), dtype=float) + a
+    u = space.check_member(start, "start")
+    b = ForwardOperator(lambda v: forward(v) - shift)
+    return _solved(space, u.copy(), u.copy(), b, resolvent, "planted", u_star, d=space.dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,6 @@ __all__ = [
     "StepOutcome",
     "DivergenceError",
     "InsufficientTrace",
-    "contraction_margin",
-    "inertia_cap",
     "analysis_constants",
     "contraction_update",
     "solve",
@@ -90,27 +88,6 @@ class InsufficientTrace(ValueError):
 # derived constants
 
 
-def contraction_margin(gamma: float, sigma: float) -> float:
-    """``E = ((2-gamma)/gamma) * ((1-sigma)/(1+sigma))**4``, the bound the inertia caps use.
-
-    Since ``u_next - w = -gamma*delta*phi``, the decrease inequality of this
-    module reads ``||u_next - u*||^2 <= ||w - u*||^2 - ((2-gamma)/gamma) *
-    ||u_next - w||^2``: the exact coefficient of ``||u_next - w||^2`` is
-    ``(2-gamma)/gamma``, and ``E`` is smaller by the factor
-    ``((1-sigma)/(1+sigma))**4``.  :func:`inertia_cap` and the summability
-    margin of :func:`analysis_constants` are built on ``E``.  The paper's
-    abstract in ``PAPER.md`` does not settle which of the two coefficients
-    its convergence theorem uses.
-    """
-    return ((2.0 - gamma) / gamma) * ((1.0 - sigma) / (1.0 + sigma)) ** 4
-
-
-def inertia_cap(gamma: float, sigma: float) -> float:
-    """Largest admissible inertia bound ``E / (E + max(1, E))`` for weak convergence."""
-    e = contraction_margin(gamma, sigma)
-    return e / (e + max(1.0, e))
-
-
 def analysis_constants(
     gamma: float,
     sigma: float,
@@ -120,7 +97,18 @@ def analysis_constants(
 ) -> dict:
     """Read-only constants derived from the configuration (and, optionally, a run).
 
-    ``alpha``, ``zeta`` and ``margin`` depend only on ``(gamma, sigma)``.
+    ``alpha``, ``zeta``, ``margin`` and the inertia caps depend only on
+    ``(gamma, sigma)``.  ``margin`` is ``E = ((2-gamma)/gamma) *
+    ((1-sigma)/(1+sigma))**4``, the bound the caps use, and ``inertia_cap``
+    is ``E / (E + max(1, E))``, the largest admissible inertia bound for weak
+    convergence (:class:`SolverConfig`'s default reads it here).  Since
+    ``u_next - w = -gamma*delta*phi``, the decrease inequality of this
+    module reads ``||u_next - u*||^2 <= ||w - u*||^2 - ((2-gamma)/gamma) *
+    ||u_next - w||^2``: the exact coefficient of ``||u_next - w||^2`` is
+    ``(2-gamma)/gamma``, and ``E`` is smaller by the factor
+    ``((1-sigma)/(1+sigma))**4``.  The paper's abstract in ``PAPER.md`` does
+    not settle which of the two coefficients its convergence theorem uses.
+
     Supplying the inertia bound ``theta`` adds ``kappa``, the positive
     summability margin behind the step-difference series.  Supplying the
     smallest accepted step ``lam_min`` and a strong-monotonicity modulus
@@ -128,12 +116,12 @@ def analysis_constants(
     ``tau`` and its inertia cap.
     """
     alpha = ((1.0 - sigma) / (1.0 + sigma)) ** 2
-    margin = contraction_margin(gamma, sigma)
+    margin = ((2.0 - gamma) / gamma) * ((1.0 - sigma) / (1.0 + sigma)) ** 4
     out = {
         "alpha": alpha,
         "zeta": ((2.0 - gamma) / gamma) * alpha,
         "margin": margin,
-        "inertia_cap": inertia_cap(gamma, sigma),
+        "inertia_cap": margin / (margin + max(1.0, margin)),
         "delta_lower": (1.0 - sigma) / (1.0 + sigma) ** 2,
         "delta_upper": 1.0 / (1.0 - sigma),
     }
@@ -240,7 +228,7 @@ class SolverConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.inertia is None:
-            cap = inertia_cap(self.gamma, self.linesearch.sigma)
+            cap = analysis_constants(self.gamma, self.linesearch.sigma)["inertia_cap"]
             object.__setattr__(self, "inertia", InertiaSchedule("experiment", 0.99 * cap))
 
     def analysis(

@@ -480,6 +480,14 @@ class TestRunBaseline:
         with pytest.raises(ValueError, match=r"^step lam_1 = .* must be positive and finite$"):
             BaselineConfig(method="fb", lam=lam).lam_at(1)
 
+    @pytest.mark.parametrize("theta", [5.0, 1.0, -1.0, float("nan"), float("inf")])
+    def test_tc_inertia_bound_must_lie_in_unit_interval(self, theta):
+        # a bound outside [0, 1) used to build and run: theta_1 read 5.0 or
+        # -1.0, and a nan bound was ignored by min(eps_k/||u_k - u_{k-1}||, theta)
+        with pytest.raises(ValueError, match=r"^inertia bound theta must lie in \[0, 1\)$"):
+            BaselineConfig("tc", theta=theta)
+        assert BaselineConfig("tc", theta=0.0).theta == 0.0
+
 
 class TestDispatchWiring:
     """``run_baseline`` and ``solve`` must be nothing but the method table's step iterated.

@@ -597,6 +597,36 @@ class TestRun:
         assert str(err.value) == f"{many!r} of problem {problem!r} must be a non-empty list"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"problems": {"family": "l2"}}, "'problems' must be a non-empty list of objects, got {'family': 'l2'}"),
+            ({"problems": ["l2"]}, "'problems' must be a non-empty list of objects, got ['l2']"),
+            ({"problems": []}, "'problems' must be a non-empty list of objects, got []"),
+            ({"solvers": "ifb"}, "'solvers' must be a non-empty list of objects, got 'ifb'"),
+            ({"solvers": [{"method": "ifb"}, "tseng"]}, "'solvers' must be a non-empty list of objects, got [{'method': 'ifb'}, 'tseng']"),
+            ({"solvers": []}, "'solvers' must be a non-empty list of objects, got []"),
+            ({"stop": "residual"}, "'stop' must be an object, got 'residual'"),
+            ({"stop": ["residual", 1e-6]}, "'stop' must be an object, got ['residual', 1e-06]"),
+        ],
+        ids=["problems-object", "problems-string", "problems-empty", "solvers-string", "solvers-mixed",
+             "solvers-empty", "stop-string", "stop-list"],
+    )
+    def test_an_entry_list_or_stop_of_the_wrong_shape_raises_naming_the_key(self, tmp_path, overrides, message):
+        # a problems object raised a bare TypeError, "ifb" read as the entries 'i', 'f', 'b',
+        # and "residual" gave its letters as unknown stop keys
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(_tiny_spec(tmp_path, **overrides))
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", [5, "abc", [], None], ids=["number", "string", "list", "null"])
+    def test_a_spec_that_is_not_an_object_raises(self, raw):
+        # a number or null raised a bare TypeError, a string listed its letters as unknown keys
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict(raw)
+        assert str(err.value) == f"the run spec must be an object, got {raw!r}"
+
     def test_written_spec_reproduces_the_report(self, tmp_path):
         raw = _tiny_spec(
             tmp_path,
@@ -698,8 +728,9 @@ class TestConfigBuilders:
             ({"method": "fb", "lam": -1}, "step lam_1 = -1.0 must be positive and finite"),
             ({"method": "tseng", "s": -1}, "initial step s must be positive and finite"),
             ({"method": "ifb", "inertia": "constant", "theta": 1.5}, "theta_max must lie in [0, 1)"),
+            ({"method": "tc", "theta": 5}, "inertia bound theta must lie in [0, 1)"),
         ],
-        ids=["ifb-gamma", "fb-lam", "tseng-s", "ifb-theta"],
+        ids=["ifb-gamma", "fb-lam", "tseng-s", "ifb-theta", "tc-theta"],
     )
     def test_a_setting_the_config_rejects_raises_at_load_naming_its_entry(self, tmp_path, entry, message):
         with pytest.raises(ValueError) as err:
@@ -777,6 +808,30 @@ class TestCLI:
         assert main(["run", str(specfile)]) == 0
         out = capsys.readouterr().out
         assert "VALID" in out
+
+    def test_run_prints_the_text_of_report_txt(self, tmp_path, capsys):
+        specfile = tmp_path / "spec.json"
+        specfile.write_text(json.dumps(_tiny_spec(tmp_path, solvers=[{"method": "ifb"}, {"method": "tseng"}])))
+        assert main(["run", str(specfile)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (tmp_path / "out" / "report.txt").read_text()
+        assert captured.out.endswith("overall: VALID (2 cells)\n") and captured.err == ""
+
+    def test_run_on_a_spec_that_fails_to_load_exits_2_with_one_line(self, tmp_path, capsys):
+        # it ended in a traceback and exit 1, the code of an INVALID grid
+        specfile = tmp_path / "spec.json"
+        rejected = _tiny_spec(tmp_path, solvers=[{"method": "ifb", "gamma": 5}])
+        for text, reason in [
+            (json.dumps(rejected), "solver entry {'method': 'ifb', 'gamma': 5}: gamma must lie in (0, 2)"),
+            ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (None, f"[Errno 2] No such file or directory: '{specfile}'"),
+        ]:
+            specfile.unlink(missing_ok=True)
+            if text is not None:
+                specfile.write_text(text)
+            assert main(["run", str(specfile)]) == 2
+            assert capsys.readouterr() == ("", f"mvibench run: {specfile}: {reason}\n")
+            assert not (tmp_path / "out").exists()
 
     def test_run_subcommand_invalid_exit(self, tmp_path, capsys):
         # a generator that rejects its case gives error cells, so the grid is INVALID

@@ -27,6 +27,7 @@ from mvisolve.solver import SolverConfig, StoppingRule, solve
 from mvisolve.spaces import euclidean
 
 from _oracles import prox_1d_grid
+from _plants import PLANTS
 
 
 def _drawn(seed, d, m, l, snr_db):
@@ -266,11 +267,13 @@ class TestProblemFamilies:
         np.testing.assert_allclose(uf, [2.0, -1.0, 0.0], atol=1e-10)
 
 
-#: every problem marked ``reference_is_solution``: the l2 cases and the constructed problems (demo 04's start)
+#: every problem marked ``reference_is_solution``: the l2 cases, the constructed problems (demo 04's start)
+#: and the planted ones
 _SOLVED = {
     **{f"l2-case{c}": lambda c=c: gen_l2(c, 101) for c in (1, 2, 3, 4)},
     "cubic": cubic_problem,
     "strong-demo04": lambda: strongly_monotone_problem(np.array([1.0, -0.7, 0.4, 2.0]), rho=0.1, beta=0.1),
+    **{f"planted-{name}": make for name, make in PLANTS.items()},
 }
 
 
@@ -281,8 +284,13 @@ def test_a_marked_solution_is_a_fixed_point_of_the_forward_backward_map(name, la
     prob = _SOLVED[name]()
     assert prob.reference_is_solution
     u = prob.reference
-    v = np.asarray(prob.resolvent(u - lam * np.asarray(prob.forward(u)), lam))
-    assert v.dtype == u.dtype and v.tobytes() == u.tobytes()
+    x = u - lam * np.asarray(prob.forward(u))
+    v = np.asarray(prob.resolvent(x, lam))
+    assert v.dtype == u.dtype
+    if prob.family == "planted":  # B(u*) = B0(u*) - (B0(u*) + a*) rounds: to planted's tolerance
+        assert prob.space.norm(v - u) <= problems._PLANT_ULPS * np.finfo(float).eps * prob.space.norm(x)
+    else:  # a zero solution in the dead zone of the threshold, bitwise
+        assert v.tobytes() == u.tobytes()
 
 
 class TestConstructedProblems:

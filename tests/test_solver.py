@@ -25,8 +25,6 @@ from mvisolve.solver import (
     StoppingRule,
     TerminalStatus,
     analysis_constants,
-    contraction_margin,
-    inertia_cap,
     rate_estimate,
     slope_of_min_residuals,
     solve,
@@ -83,17 +81,20 @@ class TestConfig:
 
     def test_theoretical_cap_at_benchmark_settings(self):
         # direct evaluation at gamma=1.9, sigma=0.9: the cap is tiny
-        e = contraction_margin(1.9, 0.9)
+        consts = analysis_constants(1.9, 0.9)
+        e = consts["margin"]
         assert e == pytest.approx(((2 - 1.9) / 1.9) * ((1 - 0.9) / (1 + 0.9)) ** 4)
         assert e == pytest.approx(4.04e-7, rel=2e-3)
-        cap = inertia_cap(1.9, 0.9)
+        cap = consts["inertia_cap"]
         assert cap == pytest.approx(e / (e + 1.0))
         assert cap == pytest.approx(4.04e-7, rel=2e-3)
 
     def test_default_inertia_is_99pct_of_cap(self):
         cfg = SolverConfig()
         assert cfg.inertia.kind == "experiment"
-        assert cfg.inertia.theta_max == pytest.approx(0.99 * cfg.analysis()["inertia_cap"])
+        # the default and analysis() read one derivation, so they agree exactly
+        assert cfg.inertia.theta_max == 0.99 * cfg.analysis()["inertia_cap"]
+        assert cfg.inertia.theta_max == 3.998223011994669e-07
 
     def test_analysis_constants_with_strong_monotonicity(self):
         c = analysis_constants(1.0, 0.5, lam_min=1.0, beta=0.2)
