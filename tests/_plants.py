@@ -12,8 +12,12 @@
   where that exceeds 0.05 and 0 elsewhere, started at ``l2`` case 1.
 
 Each has a strictly complementary ``a*`` (``|a*_i| < rho`` off the support,
-nonzero at an active bound), and each ``A + B`` is strictly monotone, so
-``u*`` is the only solution and a distance to it measures convergence.
+nonzero at an active bound), and ``u*`` is the only solution, so a distance
+to it measures convergence: ``B0`` is strictly monotone on the box and
+nonlocal plants, and on ``cs`` every solution has the same ``C u`` (the
+quartic is strictly convex in the residual), lies on the support of ``u*``
+(strict complementarity), and the support's 10 columns of ``C`` are
+linearly independent.
 """
 
 import numpy as np
